@@ -147,23 +147,23 @@ def _backward_stack(
     activations: Sequence[np.ndarray],
     probs: np.ndarray,
     y: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Exact gradient of the summed BCE; also returns dLoss/dInput.
+    grads_w: Sequence[np.ndarray],
+    grads_b: Sequence[np.ndarray],
+    input_grad: bool = False,
+) -> Optional[np.ndarray]:
+    """Exact gradient of the summed BCE, written into ``grads_w``/``grads_b``.
 
-    The probability clamp lives in the loss value only, so the gradient keeps
+    Returns dLoss/dInput when ``input_grad`` is set, else None. The
+    probability clamp lives in the loss value only, so the gradient keeps
     flowing at saturated outputs.
     """
-    n_layers = len(weights)
     delta = (probs - y)[:, None]
-    grads_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    grads_b: list[np.ndarray] = [np.empty(0)] * n_layers
-    for i in reversed(range(n_layers)):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+    for i in reversed(range(len(weights))):
+        np.matmul(activations[i].T, delta, out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
             delta = (delta @ weights[i].T) * (activations[i] > 0)
-    input_delta = delta @ weights[0].T
-    return grads_w, grads_b, input_delta
+    return delta @ weights[0].T if input_grad else None
 
 
 def mlp_forward(model: MLPModel, x: np.ndarray) -> float:
@@ -207,7 +207,9 @@ def mlp_grad(
             f"batch has {X.shape[1]} features, model expects {model.n_features}"
         )
     activations, probs = _forward_stack(model.weights, model.biases, X)
-    grads_w, grads_b, _ = _backward_stack(model.weights, activations, probs, y)
+    grads_w = [np.empty_like(w) for w in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    _backward_stack(model.weights, activations, probs, y, grads_w, grads_b)
     return grads_w, grads_b
 
 
@@ -217,52 +219,82 @@ def mlp_grad(
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moments of one flat parameter vector, and the step
+    count; two scratch rows of the same length let a step allocate nothing."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2, *self.m.shape))
 
     @classmethod
-    def zeros_like(cls, params: Sequence[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-        )
+    def zeros_like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh (params, state)."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DataError("params, grads, and state must have matching structure")
+    params: np.ndarray, grads: np.ndarray, state: AdamState, config: TrainConfig
+) -> None:
+    """One bias-corrected Adam update, in place on ``params`` and ``state``.
+
+    ``params``, ``grads`` and the moments are flat vectors of one shape. The
+    elementwise order is that of the textbook update, so every bit matches
+    it: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) with c = 1 - b**t.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise DataError(
+            f"gradient {grads.shape} and moments {state.m.shape} must match "
+            f"parameters {params.shape}"
+        )
     b1, b2 = config.adam_beta1, config.adam_beta2
-    t = state.t + 1
-    correction1 = 1.0 - b1**t
-    correction2 = 1.0 - b2**t
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise DataError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m2 = b1 * m + (1.0 - b1) * g
-        v2 = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m2 / correction1
-        v_hat = v2 / correction2
-        new_params.append(p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon))
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    state.t += 1
+    correction1 = 1.0 - b1**state.t
+    correction2 = 1.0 - b2**state.t
+    step, denom = state.scratch
+    m, v = state.m, state.v
+    np.multiply(grads, 1.0 - b1, out=step)
+    m *= b1
+    m += step
+    np.multiply(grads, grads, out=denom)
+    denom *= 1.0 - b2
+    v *= b2
+    v += denom
+    np.divide(m, correction1, out=step)
+    step *= config.learning_rate
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_epsilon
+    step /= denom
+    params -= step
 
 
 # ---------------------------------------------------------------------------
 # Training loops
 # ---------------------------------------------------------------------------
 
+def _split_flat(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Reshaped views of consecutive pieces of ``flat``, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 @dataclass
 class TrainingLog:
+    """Per-epoch record of a gradient-trained fit.
+
+    Each ``history`` row holds ``epoch`` and ``monitor_loss`` (mean BCE on
+    the monitored set). Without a validation set the monitored set is the
+    training set, and the row also carries that value as ``train_loss``.
+    """
+
     history: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     stopped_epoch: int = 0
@@ -335,21 +367,18 @@ def _train_core(
 
     weights, biases = _init_params((input_dim, *hidden_sizes, 1), rng_init)
     n_layers = len(weights)
-
-    def pack() -> list[np.ndarray]:
-        core = [*weights, *biases]
-        if adapter_trainable:
-            return [adapter, *core]
-        return core
-
-    def unpack(params: list[np.ndarray]) -> None:
-        nonlocal adapter, weights, biases
-        offset = 0
-        if adapter_trainable:
-            adapter = params[0]
-            offset = 1
-        weights = params[offset : offset + n_layers]
-        biases = params[offset + n_layers :]
+    # Parameters, gradient and best snapshot are one flat vector each; the
+    # weights, biases and trained adapter are reshaped views into them.
+    trained = [*weights, *biases, *([adapter] if adapter_trainable else [])]
+    shapes = [p.shape for p in trained]
+    params = np.concatenate([p.ravel() for p in trained])
+    grads = np.empty_like(params)
+    best_params = params.copy()
+    param_views, grad_views = _split_flat(params, shapes), _split_flat(grads, shapes)
+    weights, biases = param_views[:n_layers], param_views[n_layers : 2 * n_layers]
+    grads_w, grads_b = grad_views[:n_layers], grad_views[n_layers : 2 * n_layers]
+    if adapter_trainable:
+        adapter, grad_adapter = param_views[-1], grad_views[-1]
 
     def transform(Z: np.ndarray) -> np.ndarray:
         if adapter is None:
@@ -362,15 +391,9 @@ def _train_core(
         _, probs = _forward_stack(weights, biases, transform(val_x))
         return bce_loss(probs, val_y, config.prob_clamp_epsilon) / len(val_y)
 
-    def train_loss() -> float:
-        _, probs = _forward_stack(weights, biases, transform(X))
-        return bce_loss(probs, y, config.prob_clamp_epsilon) / n
-
-    params = pack()
     state = AdamState.zeros_like(params)
     log = TrainingLog(monitor=monitor)
     best_loss = math.inf
-    best_params = [p.copy() for p in params]
     best_epoch = 0
     bad_epochs = 0
 
@@ -379,23 +402,23 @@ def _train_core(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             Xb, yb = X[idx], y[idx]
-            Xin = transform(Xb)
-            activations, probs = _forward_stack(weights, biases, Xin)
-            grads_w, grads_b, input_delta = _backward_stack(weights, activations, probs, yb)
-            grads = [*grads_w, *grads_b]
+            activations, probs = _forward_stack(weights, biases, transform(Xb))
+            input_delta = _backward_stack(
+                weights, activations, probs, yb, grads_w, grads_b, adapter_trainable
+            )
             if adapter_trainable:
-                grads = [Xb.T @ input_delta, *grads]
-            params, state = adam_step(params, grads, state, config)
-            unpack(params)
+                np.matmul(Xb.T, input_delta, out=grad_adapter)
+            adam_step(params, grads, state, config)
 
         current = monitor_loss()
-        log.history.append(
-            {"epoch": epoch, "train_loss": train_loss(), "monitor_loss": current}
-        )
+        row = {"epoch": epoch, "monitor_loss": current}
+        if validation is None:
+            row["train_loss"] = current  # the monitored set is the training set
+        log.history.append(row)
         log.stopped_epoch = epoch
         if best_loss - current >= EARLY_STOP_MIN_DELTA:
             best_loss = current
-            best_params = [p.copy() for p in params]
+            np.copyto(best_params, params)
             best_epoch = epoch
             bad_epochs = 0
         else:
@@ -403,12 +426,12 @@ def _train_core(
             if bad_epochs >= config.patience:
                 break
 
-    unpack(best_params)
+    np.copyto(params, best_params)
     log.best_epoch = best_epoch
     model = MLPModel(
         layer_sizes=(input_dim, *hidden_sizes, 1),
-        weights=list(weights),
-        biases=list(biases),
+        weights=weights,
+        biases=biases,
     )
     return (adapter if adapter_dim is not None else None), model, log
 
@@ -424,7 +447,10 @@ def train_mlp(
 
     Stops when the monitored loss (validation if given, else training) fails
     to improve by at least 1e-5 for ``patience`` epochs; returns the snapshot
-    from the best monitored epoch. Fully deterministic under ``config.seed``.
+    from the best monitored epoch. Each epoch costs one forward pass over the
+    monitored set: the log's history rows carry ``monitor_loss``, plus
+    ``train_loss`` (the same value) when there is no validation set. Fully
+    deterministic under ``config.seed``.
     """
     _, model, log = _train_core(
         features, labels, config, validation, hidden_sizes, None, False

@@ -23,8 +23,9 @@ import hashlib
 import json
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -109,6 +110,24 @@ def default_variant_b_dimred() -> DimRedConfig:
 # Configuration model
 # ---------------------------------------------------------------------------
 
+def _checked(obj, cls, where: str) -> dict:
+    """``obj`` when it is a JSON object whose keys are all fields of ``cls``
+    and holds every field without a default; else a ConfigError naming the
+    unknown or missing key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]!r} in {where}; expected one of {', '.join(known)}"
+        )
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
+            raise ConfigError(f"missing required key {f.name!r} in {where}")
+    return obj
+
+
 @dataclass(frozen=True)
 class ProviderSpec:
     """Declarative reference to an embedding backend."""
@@ -152,6 +171,7 @@ class ProviderSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProviderSpec":
+        _checked(obj, cls, "provider")
         return cls(
             kind=obj.get("kind", "mock"),
             name=obj.get("name"),
@@ -261,15 +281,14 @@ class PipelineSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineSpec":
+        _checked(obj, cls, "variant")
         dimred_obj = obj.get("dimred")
         dimred_cfg = None
         if dimred_obj is not None:
             dimred_cfg = DimRedConfig(
-                axis=dimred_obj.get("axis", "sequence"),
-                n_components=dimred_obj.get("n_components"),
-                fit_scope=dimred_obj.get("fit_scope", "per_chunk"),
+                **_checked({"axis": "sequence", **dimred_obj}, DimRedConfig, "dimred")
             )
-        train_obj = obj.get("train", {})
+        train_obj = _checked(obj.get("train", {}), TrainConfig, "train")
         return cls(
             provider=ProviderSpec.from_dict(obj.get("provider", {})),
             k_retrieve=int(obj.get("k_retrieve", DEFAULT_K_RETRIEVE)),
@@ -329,12 +348,17 @@ class DatasetSource:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DatasetSource":
+        _checked(obj, cls, "dataset")
         synth = obj.get("synthetic")
         return cls(
             name=obj.get("name", "dataset"),
             patients_path=obj.get("patients_path"),
             trials_path=obj.get("trials_path"),
-            synthetic=None if synth is None else SyntheticConfig(**synth),
+            synthetic=(
+                None
+                if synth is None
+                else SyntheticConfig(**_checked(synth, SyntheticConfig, "synthetic"))
+            ),
             seed=int(obj.get("seed", 0)),
         )
 
@@ -380,23 +404,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        split_obj = obj.get("split", {})
-        return cls(
-            task=obj["task"],
-            dataset=(
-                None if obj.get("dataset") is None else DatasetSource.from_dict(obj["dataset"])
-            ),
-            modality=obj.get("modality", "mixed"),
-            variants=tuple(
-                PipelineSpec.from_dict(v) for v in obj.get("variants", [{}])
-            ),
-            split=SplitSpec(**split_obj),
-            output_dir=obj.get("output_dir", "out"),
-            exclusions=tuple(obj.get("exclusions", (1.0, 0.8, 0.6, 0.4, 0.2))),
-            datasets=tuple(DatasetSource.from_dict(d) for d in obj.get("datasets", [])),
-            providers=tuple(ProviderSpec.from_dict(p) for p in obj.get("providers", [])),
-            threads=int(obj.get("threads", 1)),
-        )
+        """Strict loader: an unknown or missing key, or a value of the wrong
+        type, raises ConfigError."""
+        _checked(obj, cls, "config")
+        try:
+            return cls(
+                task=obj["task"],
+                dataset=(
+                    None
+                    if obj.get("dataset") is None
+                    else DatasetSource.from_dict(obj["dataset"])
+                ),
+                modality=obj.get("modality", "mixed"),
+                variants=tuple(
+                    PipelineSpec.from_dict(v) for v in obj.get("variants", [{}])
+                ),
+                split=SplitSpec(**_checked(obj.get("split", {}), SplitSpec, "split")),
+                output_dir=obj.get("output_dir", "out"),
+                exclusions=tuple(obj.get("exclusions", (1.0, 0.8, 0.6, 0.4, 0.2))),
+                datasets=tuple(DatasetSource.from_dict(d) for d in obj.get("datasets", [])),
+                providers=tuple(ProviderSpec.from_dict(p) for p in obj.get("providers", [])),
+                threads=int(obj.get("threads", 1)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config value: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -482,22 +513,25 @@ def _pool_matrix(spec: PipelineSpec, matrix: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown pooling {spec.pooling!r}")
 
 
-def _reduce_matrix(spec: PipelineSpec, matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Token matrix -> feature vector; returns (values, used_fallback)."""
+def _reduce_matrix(
+    spec: PipelineSpec, matrix: np.ndarray
+) -> tuple[np.ndarray, Optional[Exception]]:
+    """Token matrix -> feature vector; returns (values, the error that made
+    compression fall back to mean pooling, or None)."""
     cfg = spec.dimred
     if cfg is None or cfg.fit_scope == "dataset":
-        return _pool_matrix(spec, matrix), False
+        return _pool_matrix(spec, matrix), None
     try:
         pooled = apply_dimred(matrix, cfg)
         if spec.pooling == "hybrid_last":
             pooled = hybrid_concat(pooled, select_last_token(matrix))
-        return pooled.values, False
+        return pooled.values, None
     except (InsufficientTokensError, DegenerateVarianceError, ConfigError) as exc:
         fallback = mean_pool(matrix).values
         if spec.pooling == "hybrid_last":
             fallback = np.concatenate([fallback, matrix[-1]])
-        logger.warning("compression fell back to mean pooling: %s", exc)
-        return fallback, True
+        # Without its traceback the error no longer holds the token matrix.
+        return fallback, exc.with_traceback(None)
 
 
 class _PatientEncoder:
@@ -589,17 +623,17 @@ def _compute_features_multi(
         rows: list[np.ndarray] = []
         labels: list[float] = []
         skipped: list[tuple[str, str]] = []
-        fallbacks = 0
+        fallbacks: list[Exception] = []
         for patient, result in zip(patients, encoded):
             if result is None:
                 skipped.append((patient.patient_id, "no_chunks"))
                 continue
-            values, used_fallback = result[v]
+            values, fallback_error = result[v]
             if expected is not None and values.shape[0] != expected:
                 skipped.append((patient.patient_id, "feature_dim_mismatch"))
                 continue
-            if used_fallback:
-                fallbacks += 1
+            if fallback_error is not None:
+                fallbacks.append(fallback_error)
             ids.append(patient.patient_id)
             rows.append(values)
             labels.append(float(patient.label.value))
@@ -612,6 +646,16 @@ def _compute_features_multi(
             raise DataError(
                 f"variant {spec.variant_name!r}: {len(skipped)} of {len(patients)} "
                 f"patients skipped ({skip_fraction:.1%} > {MAX_SKIP_FRACTION:.0%})"
+            )
+        if fallbacks:
+            reasons = Counter(type(exc).__name__ for exc in fallbacks)
+            logger.warning(
+                "variant %s: compression fell back to mean pooling for %d patients "
+                "(%s); first: %s",
+                spec.variant_name,
+                len(fallbacks),
+                ", ".join(f"{name}: {count}" for name, count in sorted(reasons.items())),
+                fallbacks[0],
             )
         if skipped:
             logger.warning(
@@ -626,7 +670,7 @@ def _compute_features_multi(
                 X=np.vstack(rows),
                 y=np.asarray(labels),
                 skipped=skipped,
-                fallbacks=fallbacks,
+                fallbacks=len(fallbacks),
             )
         )
     return out

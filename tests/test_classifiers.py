@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -40,6 +41,27 @@ def blobs(seed: int, n: int = 100, margin: float = 1.0) -> tuple[np.ndarray, np.
     y = np.array([1.0] * half + [0.0] * (n - half))
     perm = rng.permutation(n)
     return X[perm], y[perm]
+
+
+def params_digest(arrays) -> str:
+    """sha256 of the float64 bytes of ``arrays``, in order."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def pinned_problem():
+    """Training set, noisy validation set and an aggressive config: with
+    validation the best epoch (4) lies well before the stop (12), so the
+    best-epoch snapshot is what the fit returns."""
+    rng = np.random.default_rng(2024)
+    X = rng.standard_normal((70, 5))
+    y = (X[:, 0] + 0.5 * rng.standard_normal(70) > 0).astype(float)
+    Xv = rng.standard_normal((20, 5))
+    yv = (Xv[:, 0] + rng.standard_normal(20) > 0).astype(float)
+    config = TrainConfig(learning_rate=0.03, seed=17, max_epochs=60, batch_size=16, patience=8)
+    return X, y, (Xv, yv), config
 
 
 class TestBceLoss:
@@ -150,37 +172,61 @@ class TestMlpGrad:
 
 
 class TestAdamStep:
+    """``adam_step`` updates one flat parameter vector and its state in place."""
+
     def test_zero_gradient_no_move(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        params = np.array([1.0, -2.0, 3.0])
+        before = params.copy()
         state = AdamState.zeros_like(params)
-        new_params, new_state = adam_step(
-            params, [np.zeros(2), np.zeros((1, 1))], state, TrainConfig()
-        )
-        assert np.array_equal(new_params[0], params[0])
-        assert np.array_equal(new_params[1], params[1])
-        assert new_state.t == 1
+        assert adam_step(params, np.zeros(3), state, TrainConfig()) is None
+        assert np.array_equal(params, before)
+        assert not state.m.any() and not state.v.any()
+        assert state.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
         config = TrainConfig(learning_rate=0.01)
-        params = [np.array([0.0, 0.0])]
-        state = AdamState.zeros_like(params)
-        new_params, _ = adam_step(params, [np.array([5.0, -3.0])], state, config)
-        assert new_params[0] == pytest.approx(np.array([-0.01, 0.01]), abs=1e-8)
+        params = np.zeros(2)
+        adam_step(params, np.array([5.0, -3.0]), AdamState.zeros_like(params), config)
+        assert params == pytest.approx(np.array([-0.01, 0.01]), abs=1e-8)
 
     def test_deterministic(self):
         config = TrainConfig()
-        params = [np.array([0.5])]
-        grads = [np.array([0.2])]
-        state = AdamState.zeros_like(params)
-        a, _ = adam_step(params, grads, state, config)
-        b, _ = adam_step(params, grads, state, config)
-        assert np.array_equal(a[0], b[0])
+        a, b = np.array([0.5, -0.25]), np.array([0.5, -0.25])
+        state_a, state_b = AdamState.zeros_like(a), AdamState.zeros_like(b)
+        for g in (np.array([0.2, 0.1]), np.array([-0.3, 0.05])):
+            adam_step(a, g, state_a, config)
+            adam_step(b, g, state_b, config)
+        assert np.array_equal(a, b)
+        assert np.array_equal(state_a.m, state_b.m) and np.array_equal(state_a.v, state_b.v)
 
     def test_shape_mismatch(self):
-        params = [np.zeros(2)]
+        params = np.zeros(2)
         state = AdamState.zeros_like(params)
         with pytest.raises(DataError):
-            adam_step(params, [np.zeros(3)], state, TrainConfig())
+            adam_step(params, np.zeros(3), state, TrainConfig())
+        with pytest.raises(DataError):
+            adam_step(np.zeros(3), np.zeros(3), state, TrainConfig())
+
+    def test_matches_the_allocating_update_bit_for_bit(self):
+        config = TrainConfig(learning_rate=3e-3, adam_beta1=0.85, adam_beta2=0.995)
+        rng = np.random.default_rng(5)
+        params = rng.standard_normal(257)
+        state = AdamState.zeros_like(params)
+        # Oracle: the textbook update, one fresh array per operation.
+        p, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
+        b1, b2 = config.adam_beta1, config.adam_beta2
+        for t in range(1, 13):
+            g = rng.standard_normal(257) * 10.0 ** rng.integers(-6, 3)
+            g[::7] = 0.0
+            adam_step(params, g, state, config)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+            assert state.t == t
+            assert params.tobytes() == p.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 class TestTrainMlp:
@@ -236,6 +282,28 @@ class TestTrainMlp:
         assert log.monitor == "validation"
         best = log.history[log.best_epoch - 1]["monitor_loss"]
         assert best == min(row["monitor_loss"] for row in log.history)
+
+    # Digests of fits recorded before the training step was rewritten to
+    # update one flat parameter vector in place (NumPy 2.4, OpenBLAS,
+    # x86_64); the rewrite must reproduce every bit.
+    def test_validation_fit_matches_recorded_digest(self):
+        X, y, validation, config = pinned_problem()
+        model, log = train_mlp(X, y, config, validation=validation, hidden_sizes=(8, 4))
+        assert (log.best_epoch, log.stopped_epoch) == (4, 12)
+        assert params_digest([*model.weights, *model.biases]) == (
+            "b132dc5c0ce32761c98b2c5f80488b15e23eb0c0a6780a2fee038477705f2667"
+        )
+        assert all(set(row) == {"epoch", "monitor_loss"} for row in log.history)
+
+    def test_training_fit_matches_recorded_digest(self):
+        X, y, _, config = pinned_problem()
+        model, log = train_mlp(X, y, config, hidden_sizes=(8, 4))
+        assert (log.best_epoch, log.stopped_epoch) == (58, 60)
+        assert params_digest([*model.weights, *model.biases]) == (
+            "a8bdac4e05a34265ca3eca372fcecc98e9bda1461de2bd92e5d1e2599ba61dfd"
+        )
+        assert log.history[-1]["train_loss"] == float.fromhex("0x1.37b2f149b27dep-4")
+        assert all(row["train_loss"] == row["monitor_loss"] for row in log.history)
 
 
 class TestTreesAndForests:
@@ -417,7 +485,11 @@ class TestAdapter:
         from trialmatch.classifiers import _backward_stack
 
         acts, probs = _forward_stack(weights, biases, X @ A)
-        _, _, input_delta = _backward_stack(weights, acts, probs, y)
+        grads_w = [np.empty_like(w) for w in weights]
+        grads_b = [np.empty_like(b) for b in biases]
+        input_delta = _backward_stack(
+            weights, acts, probs, y, grads_w, grads_b, input_grad=True
+        )
         bp = X.T @ input_delta
         assert np.max(np.abs(bp - g)) < 1e-4
 
@@ -432,6 +504,17 @@ class TestAdapter:
         X, y = blobs(7, n=30)
         with pytest.raises(DimensionMismatchError):
             train_with_adapter(X, y, (3, 3), TrainConfig(max_epochs=1))
+
+    def test_fit_matches_recorded_digest(self):
+        # Recorded like the digests in TestTrainMlp.
+        X, y, validation, config = pinned_problem()
+        model, log = train_with_adapter(
+            X, y, (5, 3), config, validation=validation, hidden_sizes=(6,)
+        )
+        assert (log.best_epoch, log.stopped_epoch) == (4, 12)
+        assert params_digest(
+            [model.adapter.matrix, *model.mlp.weights, *model.mlp.biases]
+        ) == "15ab9f684779eafa142b0ecf9bc265944227481a8f4ecf774d9a4eb4df3ecb7a"
 
 
 class TestPredictProba:
