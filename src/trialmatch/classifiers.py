@@ -531,47 +531,52 @@ def gini_impurity(labels: Sequence[float]) -> float:
     return 2.0 * p * (1.0 - p)
 
 
+_SPLIT_BLOCK = 16  # features searched together; bounds the (block x n) temporaries
+
+
 def _best_split(
     X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
 ) -> Optional[tuple[float, float, int]]:
     """Exhaustive threshold search at midpoints of sorted distinct values.
 
     Returns (weighted child Gini, threshold, feature) minimizing the cost;
-    ties prefer the lower threshold, then the lower feature index.
+    ties prefer the lower threshold, then the lower feature index. Features
+    are searched in blocks of ``_SPLIT_BLOCK``: one stable sort, one prefix
+    sum and one cost array per block, with each block's best candidate kept.
+    A split after sorted position ``i`` leaves ``i + 1`` rows on the left, so
+    only positions ``min_leaf - 1 .. n - min_leaf - 1`` can satisfy the leaf
+    limit.
     """
     n = y.shape[0]
-    best: Optional[tuple[float, float, int]] = None
-    for f in feature_indices:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
-        boundaries = np.nonzero(sv[:-1] < sv[1:])[0]
-        if boundaries.size == 0:
+    lo, hi = min_leaf - 1, n - min_leaf  # candidate positions lo .. hi - 1
+    if lo >= hi:
+        return None
+    winners: list[tuple[float, float, int]] = []
+    for start in range(0, len(feature_indices), _SPLIT_BLOCK):
+        block = feature_indices[start : start + _SPLIT_BLOCK]
+        values = X[:, block].T  # one row per feature
+        order = np.argsort(values, axis=1, kind="stable")
+        sv = np.take_along_axis(values, order, axis=1)
+        prefix_pos = np.cumsum(y[order], axis=1)
+        rows, cols = np.nonzero(sv[:, lo:hi] < sv[:, lo + 1 : hi + 1])
+        if rows.size == 0:
             continue
+        boundaries = cols + lo
         n_left = boundaries + 1
         n_right = n - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        boundaries = boundaries[valid]
-        if boundaries.size == 0:
-            continue
-        n_left = n_left[valid]
-        n_right = n_right[valid]
-        prefix_pos = np.cumsum(sy)
-        pos_left = prefix_pos[boundaries]
-        pos_right = prefix_pos[-1] - pos_left
+        pos_left = prefix_pos[rows, boundaries]
+        pos_right = prefix_pos[rows, -1] - pos_left
         p_left = pos_left / n_left
         p_right = pos_right / n_right
         cost = (
             n_left * 2.0 * p_left * (1.0 - p_left)
             + n_right * 2.0 * p_right * (1.0 - p_right)
         ) / n
-        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
-        j = int(np.lexsort((thresholds, cost))[0])
-        candidate = (float(cost[j]), float(thresholds[j]), int(f))
-        if best is None or candidate < best:
-            best = candidate
-    return best
+        thresholds = (sv[rows, boundaries] + sv[rows, boundaries + 1]) / 2.0
+        features = block[rows]
+        j = int(np.lexsort((features, thresholds, cost))[0])
+        winners.append((float(cost[j]), float(thresholds[j]), int(features[j])))
+    return min(winners, default=None)
 
 
 def _grow_tree(

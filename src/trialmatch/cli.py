@@ -2,8 +2,9 @@
 
 Subcommands: synth, retrieve, run, eval, embed-cache. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 runtime/provider error. Every
-subcommand prints its resolved seed and config hash so runs can be replayed
-byte-for-byte; pass --json for machine-readable stdout.
+subcommand prints its config hash, and the seeded ones their resolved seed,
+so runs can be replayed byte-for-byte; pass --json for machine-readable
+stdout.
 """
 
 from __future__ import annotations
@@ -159,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--labels", required=True, help="file with one 0/1 label per line")
     p_eval.add_argument("--scores", required=True, help="file with one probability per line")
     p_eval.add_argument("--threshold", type=float, default=0.5, help="decision threshold (inclusive)")
-    p_eval.add_argument("--seed", type=int, default=0, help="tie-break seed for average precision")
     _add_json_flag(p_eval)
 
     p_cache = sub.add_parser(
@@ -400,8 +400,8 @@ def _cmd_eval(args) -> int:
         raise DataError(
             f"length mismatch: {len(labels)} labels vs {len(scores)} scores"
         )
-    report = compute_report(labels, scores, threshold=args.threshold, tie_seed=args.seed)
-    resolved = {"threshold": args.threshold, "tie_seed": args.seed, "n": report.n}
+    report = compute_report(labels, scores, threshold=args.threshold)
+    resolved = {"threshold": args.threshold, "n": report.n}
     digest = config_hash(resolved)
     if report.auroc is None or report.auprc is None:
         print(
@@ -409,11 +409,11 @@ def _cmd_eval(args) -> int:
             "reported as absent",
             file=sys.stderr,
         )
-    payload = {"seed": args.seed, "config_hash": digest, "report": report.to_dict()}
+    payload = {"config_hash": digest, "report": report.to_dict()}
     if args.json:
         print(json.dumps(payload))
     else:
-        print(f"seed={args.seed} config_hash={digest} threshold={args.threshold}")
+        print(f"config_hash={digest} threshold={args.threshold}")
         print(report.to_json())
     return EXIT_OK
 

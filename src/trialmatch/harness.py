@@ -449,6 +449,14 @@ def config_hash(payload: dict) -> str:
 
 @dataclass
 class RunResult:
+    """One train/evaluate cell.
+
+    ``feature_seconds`` is the duration of the feature pass the run used and
+    ``wall_seconds`` includes it. Runs that share one pass (the variants of
+    tasks 1, 3 and 4, the cells of task 6) each repeat that pass's time, so
+    summing ``wall_seconds`` over them counts the pass once per run.
+    """
+
     task: str
     variant: str
     dataset_name: str
@@ -458,6 +466,7 @@ class RunResult:
     config_hash: str
     report: MetricReport
     wall_seconds: float
+    feature_seconds: float
     stages: tuple[str, ...]
     skipped: int
     fallbacks: int
@@ -475,6 +484,7 @@ class FeatureSet:
     y: np.ndarray
     skipped: list[tuple[str, str]]
     fallbacks: int
+    seconds: float  # duration of the feature pass that built this set
 
 
 def _expected_feature_length(spec: PipelineSpec, d_hidden: int) -> Optional[int]:
@@ -588,6 +598,7 @@ def _compute_features_multi(
     All specs must share the retrieval-relevant fields (provider, k, chunking,
     instructions); only the representation stage may differ.
     """
+    started = time.perf_counter()
     base = specs[0]
     for other in specs[1:]:
         same = (
@@ -615,6 +626,7 @@ def _compute_features_multi(
             encoded = list(pool.map(work, patients))
     else:
         encoded = [work(p) for p in patients]
+    seconds = time.perf_counter() - started
 
     out: list[FeatureSet] = []
     for v, spec in enumerate(specs):
@@ -671,6 +683,7 @@ def _compute_features_multi(
                 y=np.asarray(labels),
                 skipped=skipped,
                 fallbacks=len(fallbacks),
+                seconds=seconds,
             )
         )
     return out
@@ -792,7 +805,7 @@ def _train_eval(
         )
 
     probs = predict_proba(model, Xte)
-    return compute_report(yte, probs, threshold=0.5, tie_seed=spec.seed)
+    return compute_report(yte, probs, threshold=0.5)
 
 
 def _spec_hash(spec: PipelineSpec, dataset_name: str, modality: str, split: SplitSpec) -> str:
@@ -818,13 +831,17 @@ def run_pipeline(
     threads: int = 1,
     features: Optional[FeatureSet] = None,
 ) -> RunResult:
-    """Execute one pipeline variant end to end on one split."""
-    started = time.perf_counter()
+    """Execute one pipeline variant end to end on one split.
+
+    ``features`` is a feature pass already made for ``spec`` (shared by
+    several runs); without it the pass runs here.
+    """
     if features is None:
         features = compute_features(spec, dataset, modality, threads)
+    started = time.perf_counter()
     train_ids, test_ids = make_split(dataset, split)
     report = _train_eval(spec, features, train_ids, test_ids)
-    wall = time.perf_counter() - started
+    train_seconds = time.perf_counter() - started
     return RunResult(
         task=task,
         variant=spec.variant_name,
@@ -834,7 +851,8 @@ def run_pipeline(
         seed=spec.seed,
         config_hash=_spec_hash(spec, dataset_name, modality, split),
         report=report,
-        wall_seconds=wall,
+        wall_seconds=features.seconds + train_seconds,
+        feature_seconds=features.seconds,
         stages=spec.stages(),
         skipped=len(features.skipped),
         fallbacks=features.fallbacks,
@@ -936,23 +954,15 @@ def run_task(config: ExperimentConfig) -> tuple[list[RunResult], list[dict]]:
             variants, dataset, config.modality, config.threads
         )
         for spec, features in zip(variants, feature_sets):
-            started = time.perf_counter()
-            train_ids, test_ids = make_split(dataset, config.split)
-            report = _train_eval(spec, features, train_ids, test_ids)
             record(
-                RunResult(
+                run_pipeline(
+                    spec,
+                    dataset,
+                    config.split,
+                    modality=config.modality,
                     task=config.task,
-                    variant=spec.variant_name,
                     dataset_name=config.dataset.name,
-                    trial=None,
-                    exclusion=None,
-                    seed=spec.seed,
-                    config_hash=_spec_hash(spec, config.dataset.name, config.modality, config.split),
-                    report=report,
-                    wall_seconds=time.perf_counter() - started,
-                    stages=spec.stages(),
-                    skipped=len(features.skipped),
-                    fallbacks=features.fallbacks,
+                    features=features,
                 )
             )
 
@@ -1022,23 +1032,17 @@ def run_task(config: ExperimentConfig) -> tuple[list[RunResult], list[dict]]:
                     exclusion_fraction=exclusion,
                     seed=config.split.seed,
                 )
-                started = time.perf_counter()
-                train_ids, test_ids = make_split(dataset, split)
-                report = _train_eval(base, features, train_ids, test_ids)
                 record(
-                    RunResult(
+                    run_pipeline(
+                        base,
+                        dataset,
+                        split,
+                        modality=modality,
                         task="task6",
-                        variant=base.variant_name,
                         dataset_name=config.dataset.name,
                         trial=trial_id,
                         exclusion=exclusion,
-                        seed=base.seed,
-                        config_hash=_spec_hash(base, config.dataset.name, modality, split),
-                        report=report,
-                        wall_seconds=time.perf_counter() - started,
-                        stages=base.stages(),
-                        skipped=len(features.skipped),
-                        fallbacks=features.fallbacks,
+                        features=features,
                     )
                 )
 
@@ -1130,6 +1134,7 @@ def write_outputs(
                 "skipped": r.skipped,
                 "fallbacks": r.fallbacks,
                 "wall_seconds": r.wall_seconds,
+                "feature_seconds": r.feature_seconds,
                 "report": r.report.to_dict(),
                 "log_path": r.log_path,
             }

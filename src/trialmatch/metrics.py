@@ -3,10 +3,9 @@
 Thresholded metrics predict positive when prob >= threshold (inclusive).
 AUROC is the Mann-Whitney statistic computed by rank sum with tie correction,
 exactly equal to the pairwise definition (ties credit 0.5). Average precision
-is step-wise with no interpolation; score ties are broken by a deterministic
-seeded permutation recorded in the report, because step-wise AP is
-tie-order-dependent. Undefined metrics are reported as absent, never coerced
-to 0 or 0.5.
+is step-wise with no interpolation and takes each distinct score as one
+threshold, so tied scores never depend on input order. Undefined metrics are
+reported as absent, never coerced to 0 or 0.5.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class MetricReport:
     macro_f1: float
     auroc: Optional[float]
     auprc: Optional[float]
-    tie_seed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -72,7 +70,6 @@ class MetricReport:
             "macro_f1": self.macro_f1,
             "auroc": self.auroc,
             "auprc": self.auprc,
-            "tie_seed": self.tie_seed,
         }
 
     def to_json(self) -> str:
@@ -175,30 +172,28 @@ def auroc(labels, scores) -> float:
     return u / (n_pos * n_neg)
 
 
-def auprc(labels, scores, tie_seed: int = 0) -> float:
+def auprc(labels, scores) -> float:
     """Step-wise average precision (no interpolation).
 
-    Items are ranked by descending score; tied scores are ordered by a seeded
-    permutation so results are reproducible rather than order-of-input
-    dependent.
+    Each distinct score is one threshold: AP is the sum over score groups, in
+    descending order, of the group's positives times the precision at the
+    group's end, divided by the number of positives. Without ties this is the
+    usual sum of precision at each positive's rank.
     """
     y, s = _check_pair(labels, scores)
     n_pos = int(np.sum(y == 1.0))
     if n_pos == 0:
         raise UndefinedMetricError("AUPRC undefined without positive samples")
-    n = y.shape[0]
-    perm = np.random.default_rng(tie_seed).permutation(n)
-    order = perm[np.argsort(-s[perm], kind="stable")]
-    found = 0
-    ap = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if y[idx] == 1.0:
-            found += 1
-            ap += found / rank
-    return ap / n_pos
+    order = np.argsort(-s, kind="stable")
+    ranked = s[order]
+    found = np.cumsum(y[order])
+    ends = np.nonzero(np.append(ranked[1:] != ranked[:-1], True))[0]
+    group_pos = np.diff(found[ends], prepend=0.0)
+    # cumsum adds in rank order, as a running sum would.
+    return float(np.cumsum(group_pos * (found[ends] / (ends + 1)))[-1]) / n_pos
 
 
-def compute_report(labels, probs, threshold: float = 0.5, tie_seed: int = 0) -> MetricReport:
+def compute_report(labels, probs, threshold: float = 0.5) -> MetricReport:
     """All metrics in one report; undefined ones are set to None."""
     y, p = _check_pair(labels, probs)
     cm = confusion(y, p, threshold)
@@ -209,7 +204,7 @@ def compute_report(labels, probs, threshold: float = 0.5, tie_seed: int = 0) -> 
     except UndefinedMetricError:
         roc = None
     try:
-        ap: Optional[float] = auprc(y, p, tie_seed)
+        ap: Optional[float] = auprc(y, p)
     except UndefinedMetricError:
         ap = None
     return MetricReport(
@@ -223,5 +218,4 @@ def compute_report(labels, probs, threshold: float = 0.5, tie_seed: int = 0) -> 
         macro_f1=(f1_pos + f1_neg) / 2.0,
         auroc=roc,
         auprc=ap,
-        tie_seed=tie_seed,
     )

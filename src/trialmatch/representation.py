@@ -136,16 +136,49 @@ def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
     return components
 
 
-def pca_fit(data: np.ndarray, n_components: int) -> PCAModel:
-    """Fit principal components of an (s samples x f features) matrix.
+def _refine_top_eigenvector(sym: np.ndarray, top: float) -> np.ndarray:
+    """Two steps of inverse iteration shifted just above the top eigenvalue.
 
-    Uses the sample covariance T = centered^T centered / (s - 1). When the
-    matrix is wide (s < f) the eigenpairs come from the s x s Gram matrix,
-    which has the same nonzero spectrum; results are identical to the direct
-    covariance decomposition.
+    With the shift 1e-12 |top| above it, each step shrinks every other
+    eigendirection by about 1e-12 |top| / gap, so two steps reach rounding
+    level even on the flat spectra of token matrices (second eigenvalue up to
+    0.995 of the first), where power iteration would need thousands of
+    products.
     """
-    data = _as_matrix(data, "pca input")
-    s, f = data.shape
+    shifted = sym - (top + 1e-12 * abs(top)) * np.eye(sym.shape[0])
+    # A fixed seeded Gaussian start: a Gram matrix of column-centered data has
+    # the ones vector in its null space, so a structured start can miss the
+    # top eigenvector.
+    x = np.random.default_rng(0).standard_normal(sym.shape[0])
+    x /= np.linalg.norm(x)
+    for _ in range(2):
+        x = np.linalg.solve(shifted, x)
+        x /= np.linalg.norm(x)
+    return x
+
+
+def _top_eigenpairs(sym: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` largest eigenvalues of a symmetric matrix, non-increasing,
+    and their unit eigenvectors as columns.
+
+    For one pair the eigenvalue comes from ``eigvalsh`` and the vector from
+    shifted inverse iteration, accepted when ``||S x - l x|| <= 1e-9 |l|``;
+    otherwise, and for ``n > 1``, from the full ``eigh`` decomposition.
+    """
+    if n == 1:
+        top = float(np.linalg.eigvalsh(sym)[-1])
+        try:
+            x = _refine_top_eigenvector(sym, top)
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None and np.linalg.norm(sym @ x - top * x) <= 1e-9 * abs(top):
+            return np.array([top]), x[:, None]
+    eigenvalues, eigenvectors = np.linalg.eigh(sym)
+    order = np.argsort(eigenvalues)[::-1][:n]
+    return eigenvalues[order], eigenvectors[:, order]
+
+
+def _check_fit_shape(s: int, f: int, n_components: int) -> None:
     if s < 2:
         raise DataError(f"pca_fit needs at least 2 samples (covariance uses s-1), got {s}")
     max_components = min(s - 1, f)
@@ -155,31 +188,38 @@ def pca_fit(data: np.ndarray, n_components: int) -> PCAModel:
             f"for shape ({s}, {f})"
         )
 
-    mean = data.mean(axis=0)
-    centered = data - mean
 
+def pca_fit(data: np.ndarray, n_components: int) -> PCAModel:
+    """Fit principal components of an (s samples x f features) matrix.
+
+    Uses the sample covariance T = centered^T centered / (s - 1). When the
+    matrix is wide (s < f) the eigenpairs come from the s x s Gram matrix,
+    which has the same nonzero spectrum; results agree with the direct
+    covariance decomposition. One component is found by a top-eigenpair
+    solver instead of a full decomposition (see ``_top_eigenpairs``); it
+    agrees with ``eigh`` to rounding level.
+    """
+    data = _as_matrix(data, "pca input")
+    _check_fit_shape(*data.shape, n_components)
+    mean = data.mean(axis=0)
+    return _fit_centered(data - mean, mean, n_components)
+
+
+def _fit_centered(centered: np.ndarray, mean: np.ndarray, n_components: int) -> PCAModel:
+    """``pca_fit`` on input already validated and centered on ``mean``."""
+    s, f = centered.shape
     if s >= f:
-        cov = centered.T @ centered / (s - 1)
-        eigenvalues, eigenvectors = np.linalg.eigh(cov)
-        order = np.argsort(eigenvalues)[::-1][:n_components]
-        top_values = eigenvalues[order]
-        components = eigenvectors[:, order].copy()
+        top_values, components = _top_eigenpairs(centered.T @ centered / (s - 1), n_components)
     else:
-        gram = centered @ centered.T / (s - 1)
-        eigenvalues, eigenvectors = np.linalg.eigh(gram)
-        order = np.argsort(eigenvalues)[::-1][:n_components]
-        top_values = eigenvalues[order]
-        scale = np.max(np.abs(top_values)) if top_values.size else 0.0
-        if top_values.size and top_values[-1] <= max(scale, 1.0) * 1e-12:
+        top_values, dual = _top_eigenpairs(centered @ centered.T / (s - 1), n_components)
+        scale = np.max(np.abs(top_values))
+        if top_values[-1] <= max(scale, 1.0) * 1e-12:
             # Rank-deficient inside the requested components: the Gram route
             # cannot recover those directions, so fall back to the covariance.
-            cov = centered.T @ centered / (s - 1)
-            eigenvalues, eigenvectors = np.linalg.eigh(cov)
-            order = np.argsort(eigenvalues)[::-1][:n_components]
-            top_values = eigenvalues[order]
-            components = eigenvectors[:, order].copy()
+            top_values, components = _top_eigenpairs(
+                centered.T @ centered / (s - 1), n_components
+            )
         else:
-            dual = eigenvectors[:, order]
             components = centered.T @ dual
             norms = np.linalg.norm(components, axis=0)
             components = components / norms
@@ -203,14 +243,22 @@ def pca_project(model: PCAModel, data: np.ndarray) -> np.ndarray:
     return (data - model.mean) @ model.components
 
 
-def _check_not_degenerate(data: np.ndarray) -> None:
-    centered = data - data.mean(axis=0)
+def _compress(data: np.ndarray, n_components: int) -> np.ndarray:
+    """Scores of ``data`` on its own top principal components.
+
+    One centered copy serves the degenerate-variance check, the fit and the
+    projection; ``data`` must already be a finite 2-D float matrix.
+    """
+    mean = data.mean(axis=0)
+    centered = data - mean
     total_variance = float(np.sum(centered * centered)) / (data.shape[0] - 1)
     scale = max(1.0, float(np.mean(data * data)))
     if total_variance <= 1e-12 * scale:
         raise DegenerateVarianceError(
             "input has zero variance; principal directions are undefined"
         )
+    _check_fit_shape(*data.shape, n_components)
+    return centered @ _fit_centered(centered, mean, n_components).components
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +289,7 @@ def pool_pca_mean(m: np.ndarray, n_components: int) -> PooledVector:
         raise InsufficientTokensError(
             f"pca pooling needs at least 2 token rows, got {m.shape[0]}"
         )
-    _check_not_degenerate(m)
-    model = pca_fit(m, n_components)
-    projected = pca_project(model, m)
+    projected = _compress(m, n_components)
     return PooledVector(values=projected.mean(axis=0), strategy="pca_mean")
 
 
@@ -283,10 +329,8 @@ def dimred(m: np.ndarray, cfg: DimRedConfig) -> PooledVector:
             f"n_components={n} out of range [1, {min(d - 1, l)}] for a "
             f"{l}x{d} matrix on the sequence axis"
         )
-    profiles = m.T  # d_hidden rows, one per-dimension profile across positions
-    _check_not_degenerate(profiles)
-    model = pca_fit(profiles, n)
-    projected = pca_project(model, profiles)
+    # d_hidden rows, one per-dimension profile across positions
+    projected = _compress(m.T, n)
     if n == 1:
         values = projected[:, 0].copy()
     else:

@@ -24,6 +24,7 @@ from trialmatch.classifiers import (
     train_svm,
     train_tree,
     train_with_adapter,
+    _best_split,
     _forward_stack,
     _init_params,
 )
@@ -304,6 +305,117 @@ class TestTrainMlp:
         )
         assert log.history[-1]["train_loss"] == float.fromhex("0x1.37b2f149b27dep-4")
         assert all(row["train_loss"] == row["monitor_loss"] for row in log.history)
+
+
+def tied_problem():
+    """150 rows x 40 features; two of every three features take only six
+    values, so sorted columns hold long runs of ties."""
+    rng = np.random.default_rng(404)
+    X = rng.integers(0, 6, (150, 40)) / 5.0
+    X[:, ::3] = rng.standard_normal((150, 14))
+    y = (X[:, 0] + X[:, 7] - X[:, 20] + 0.8 * rng.standard_normal(150) > 0.5).astype(float)
+    return X, y
+
+
+def tree_digest(root) -> str:
+    """sha256 over (feature, threshold, prob, n) of every node, pre-order."""
+    digest = hashlib.sha256()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        digest.update(repr((node.feature, node.threshold, node.prob, node.n)).encode())
+        if not node.is_leaf:
+            stack.extend((node.right, node.left))
+    return digest.hexdigest()
+
+
+def per_feature_split(X, y, feature_indices, min_leaf):
+    """The split search one feature at a time, as a reference."""
+    n = y.shape[0]
+    best = None
+    for f in feature_indices:
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sy = y[order]
+        boundaries = np.nonzero(sv[:-1] < sv[1:])[0]
+        n_left = boundaries + 1
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        boundaries, n_left, n_right = boundaries[valid], n_left[valid], n_right[valid]
+        if boundaries.size == 0:
+            continue
+        prefix_pos = np.cumsum(sy)
+        pos_left = prefix_pos[boundaries]
+        pos_right = prefix_pos[-1] - pos_left
+        p_left = pos_left / n_left
+        p_right = pos_right / n_right
+        cost = (
+            n_left * 2.0 * p_left * (1.0 - p_left)
+            + n_right * 2.0 * p_right * (1.0 - p_right)
+        ) / n
+        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
+        j = int(np.lexsort((thresholds, cost))[0])
+        candidate = (float(cost[j]), float(thresholds[j]), int(f))
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+class TestBestSplit:
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_matches_the_per_feature_search(self, min_leaf):
+        X, y = tied_problem()
+        rng = np.random.default_rng(min_leaf)
+        for _ in range(40):
+            rows = rng.choice(150, size=int(rng.integers(2, 150)), replace=False)
+            features = np.sort(rng.choice(40, size=int(rng.integers(1, 41)), replace=False))
+            Xs, ys = X[rows], y[rows]
+            assert _best_split(Xs, ys, features, min_leaf) == per_feature_split(
+                Xs, ys, features, min_leaf
+            )
+
+    def test_equal_costs_prefer_lower_threshold_then_lower_feature(self):
+        # Features 0, 17 and 33 are identical (17 and 33 in later blocks), and
+        # feature 5 separates as well at a higher threshold.
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        X = np.zeros((4, 40))
+        X[:, [0, 17, 33]] = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
+        X[:, 5] = [5.0, 6.0, 7.0, 8.0]
+        assert _best_split(X, y, np.arange(40), 1) == (0.0, 2.5, 0)
+        assert _best_split(X, y, np.array([5, 17, 33]), 1) == (0.0, 2.5, 17)
+
+    def test_no_admissible_split(self):
+        X = np.array([[1.0], [1.0], [1.0]])
+        y = np.array([0.0, 1.0, 0.0])
+        assert _best_split(X, y, np.array([0]), 1) is None
+        assert _best_split(np.array([[1.0], [2.0]]), y[:2], np.array([0]), 2) is None
+
+    # Digests recorded before the split search was vectorized (NumPy 2.4,
+    # x86_64); the vectorized search must grow the same trees.
+    @pytest.mark.parametrize(
+        "min_leaf, expected",
+        [
+            (1, "8bfe8f9890021ede47863b894e6b03bb1822f24dfd4d0c5507a1298090e65b5e"),
+            (3, "cd20c87ecf6816c7b0a0d977c9b6447d73eed7dd84b8ee2b8072fbe38b5e5d15"),
+        ],
+    )
+    def test_tree_matches_recorded_digest(self, min_leaf, expected):
+        X, y = tied_problem()
+        assert tree_digest(train_tree(X, y, max_depth=12, min_leaf=min_leaf).root) == expected
+
+    @pytest.mark.parametrize(
+        "min_leaf, expected",
+        [
+            (1, "709c6387f41358a3b1fe95ee3b8d3a702af1f3ecc6a490e51fb1c859c8faf173"),
+            (3, "a9e88558d0b90e346a9175c47354b6433755873b923f26fceb4da80582efe8be"),
+        ],
+    )
+    def test_forest_matches_recorded_digest(self, min_leaf, expected):
+        X, y = tied_problem()
+        forest = train_forest(X, y, n_trees=8, seed=21, max_depth=12, min_leaf=min_leaf)
+        joined = "".join(tree_digest(tree.root) for tree in forest.trees)
+        assert hashlib.sha256(joined.encode()).hexdigest() == expected
 
 
 class TestTreesAndForests:

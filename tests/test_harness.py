@@ -1,3 +1,4 @@
+import json
 import logging
 
 import pytest
@@ -8,6 +9,8 @@ from trialmatch.harness import (
     PipelineSpec,
     ProviderSpec,
     _compute_features_multi,
+    run_task,
+    write_outputs,
 )
 from trialmatch.representation import DimRedConfig
 
@@ -77,3 +80,46 @@ class TestFallbackWarning:
             "(ConfigError: 2); first: n_components=128 out of range"
         )
         assert warnings[1].startswith("variant second:")
+
+
+def tiny_task1(tmp_path, threads: int) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(
+        {
+            "task": "task1",
+            "dataset": {
+                "name": "tiny",
+                "synthetic": {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5},
+                "seed": 5,
+            },
+            "variants": [{"train": {"max_epochs": 5}}],
+            "output_dir": str(tmp_path / f"out-{threads}"),
+            "threads": threads,
+        }
+    )
+
+
+def run_and_write(config: ExperimentConfig, out) -> tuple[bytes, dict]:
+    results, _ = run_task(config)
+    manifest = write_outputs(results, out, config)
+    return (out / "results.csv").read_bytes(), manifest
+
+
+class TestTask1Outputs:
+    def test_results_csv_is_byte_identical_across_threads_and_reruns(self, tmp_path):
+        serial = tiny_task1(tmp_path, threads=1)
+        first, _ = run_and_write(serial, tmp_path / "a")
+        rerun, _ = run_and_write(serial, tmp_path / "b")
+        threaded, _ = run_and_write(tiny_task1(tmp_path, threads=2), tmp_path / "c")
+        assert first == rerun == threaded
+        assert len(first.decode().splitlines()) == 1 + 8
+
+    def test_wall_seconds_include_the_shared_feature_pass(self, tmp_path):
+        csv_bytes, manifest = run_and_write(tiny_task1(tmp_path, threads=1), tmp_path)
+        runs = manifest["runs"]
+        on_disk = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert on_disk["runs"] == runs
+        # All eight variants share one feature pass and repeat its time.
+        assert len({r["feature_seconds"] for r in runs}) == 1
+        assert runs[0]["feature_seconds"] > 0.0
+        assert all(r["wall_seconds"] > r["feature_seconds"] for r in runs)
+        assert b"seconds" not in csv_bytes

@@ -8,6 +8,7 @@ from trialmatch.errors import (
     DimensionMismatchError,
     InsufficientTokensError,
 )
+from trialmatch import representation
 from trialmatch.representation import (
     DEFAULT_HIDDEN_COMPONENTS,
     DEFAULT_SEQUENCE_COMPONENTS,
@@ -152,6 +153,79 @@ class TestPcaFit:
             assert np.max(np.abs(model.eigenvalues - values[:n])) < 1e-6
             expected = _align_sign(vectors[:, :n])
             assert np.max(np.abs(model.components - expected)) < 1e-6
+
+
+def psd_with_gap(k: int, ratio: float, seed: int) -> np.ndarray:
+    """A random k x k PSD matrix with top eigenvalue 1 and second ``ratio``;
+    the others are spread below ``ratio``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    values = np.concatenate([[1.0, ratio], rng.uniform(0.0, ratio, k - 2)])
+    return (q * values) @ q.T
+
+
+def centered_data_with_gap(s: int, f: int, ratio: float, seed: int) -> np.ndarray:
+    """s x f data whose sample covariance has its top two eigenvalues in the
+    proportion ``ratio`` (second over first), the rest well below."""
+    rng = np.random.default_rng(seed)
+    k = min(s - 1, f)
+    left = rng.standard_normal((s, k))
+    left, _ = np.linalg.qr(left - left.mean(axis=0))  # columns orthogonal to ones
+    right, _ = np.linalg.qr(rng.standard_normal((f, k)))
+    singular = np.sqrt(np.concatenate([[1.0, ratio], rng.uniform(0.0, 0.5 * ratio, k - 2)]))
+    return (left * singular) @ right.T + rng.standard_normal(f)
+
+
+class TestTopEigenpairs:
+    @pytest.mark.parametrize("ratio", [0.5, 0.997])
+    def test_one_pair_agrees_with_eigh(self, ratio, monkeypatch):
+        for seed in range(5):
+            sym = psd_with_gap(64, ratio, seed)
+            values, vectors = np.linalg.eigh(sym)
+
+            def no_eigh(matrix):
+                raise AssertionError("the one-pair route fell back to eigh")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", no_eigh)
+                top, vector = representation._top_eigenpairs(sym, 1)
+            assert top.shape == (1,) and vector.shape == (64, 1)
+            assert top[0] == pytest.approx(values[-1], rel=1e-13)
+            assert np.max(np.abs(_align_sign(vector) - _align_sign(vectors[:, -1:]))) < 1e-12
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.997])
+    @pytest.mark.parametrize("shape", [(20, 60), (60, 20)], ids=["gram", "covariance"])
+    def test_one_component_fit_agrees_with_eigh(self, ratio, shape):
+        s, f = shape
+        data = centered_data_with_gap(s, f, ratio, seed=3)
+        model = pca_fit(data, 1)
+        centered = data - data.mean(axis=0)
+        values, vectors = np.linalg.eigh(centered.T @ centered / (s - 1))
+        assert model.eigenvalues[0] == pytest.approx(values[-1], rel=1e-12)
+        assert model.eigenvalues[0] * ratio == pytest.approx(values[-2], rel=1e-9)
+        assert np.max(np.abs(model.components - _align_sign(vectors[:, -1:]))) < 1e-12
+
+    @pytest.mark.parametrize("failure", ["wrong_vector", "singular"])
+    def test_failed_residual_check_falls_back_to_eigh(self, failure, monkeypatch):
+        sym = psd_with_gap(32, 0.9, seed=7)
+        values, vectors = np.linalg.eigh(sym)
+
+        def broken(matrix, top):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.ones(matrix.shape[0]) / np.sqrt(matrix.shape[0])
+
+        monkeypatch.setattr(representation, "_refine_top_eigenvector", broken)
+        top, vector = representation._top_eigenpairs(sym, 1)
+        assert np.array_equal(top, values[-1:])
+        assert np.array_equal(vector, vectors[:, -1:])
+
+    def test_several_pairs_come_from_eigh(self):
+        sym = psd_with_gap(16, 0.8, seed=1)
+        values, vectors = np.linalg.eigh(sym)
+        top, found = representation._top_eigenpairs(sym, 3)
+        assert np.array_equal(top, values[::-1][:3])
+        assert np.array_equal(found, vectors[:, ::-1][:, :3])
 
 
 class TestPcaProject:
@@ -305,6 +379,16 @@ class TestDimRed:
         got = dimred(matrix, DimRedConfig(axis="sequence", n_components=1))
         assert got.values.shape == (24,)
         assert got.strategy == "dimred_sequence"
+
+    def test_sequence_axis_equals_fit_then_project(self):
+        # One centered copy serves the check, the fit and the projection;
+        # the scores must match the separate public steps bit for bit.
+        rng = np.random.default_rng(19)
+        for l, d in ((60, 24), (24, 60)):
+            matrix = rng.standard_normal((l, d))
+            got = dimred(matrix, DimRedConfig(axis="sequence", n_components=1))
+            model = pca_fit(matrix.T, 1)
+            assert np.array_equal(got.values, pca_project(model, matrix.T)[:, 0])
 
     def test_sequence_axis_multi_component_shape(self):
         rng = np.random.default_rng(15)
