@@ -13,17 +13,15 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import __version__
 from .corpus import (
     DEFAULT_CHUNK_OVERLAP,
     DEFAULT_CHUNK_SIZE,
     SyntheticConfig,
-    build_chunks,
     generate_synthetic,
     load_dataset,
     write_dataset,
@@ -43,19 +41,15 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    PatientEncoder,
+    PipelineSpec,
     ProviderSpec,
     config_hash,
     run_task,
     write_outputs,
 )
 from .metrics import compute_report
-from .retrieval import (
-    DEFAULT_K_RETRIEVE,
-    assemble_prompt,
-    audit_rows,
-    score_chunks,
-    select_top_k,
-)
+from .retrieval import DEFAULT_K_RETRIEVE, audit_rows
 
 logger = logging.getLogger("trialmatch.cli")
 
@@ -234,10 +228,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    if args.k < 1:
-        raise ConfigError("--k must be at least 1")
-    dataset = load_dataset(args.patients, args.trials)
-    provider = _provider_from_args(args).build()
+    spec = PipelineSpec(
+        provider=_provider_from_args(args),
+        k_retrieve=args.k,
+        chunk_size=args.chunk_size,
+        chunk_overlap=args.overlap,
+    )
+    encoder = PatientEncoder(spec, load_dataset(args.patients, args.trials), args.modality)
+    provider = encoder.provider
 
     resolved = {
         "provider": provider.descriptor.name,
@@ -250,7 +248,6 @@ def _cmd_retrieve(args) -> int:
     }
     digest = config_hash(resolved)
 
-    criteria_cache: dict[str, tuple[list, list[np.ndarray]]] = {}
     all_audit_rows: list[dict] = []
     patients_payload: list[dict] = []
     lines = [
@@ -258,26 +255,18 @@ def _cmd_retrieve(args) -> int:
         f"seed={args.seed} config_hash={digest}"
     ]
 
-    for patient in dataset.patients:
-        chunks = build_chunks(patient, args.chunk_size, args.overlap, args.modality)
-        if not chunks:
+    for patient in encoder.dataset.patients:
+        found = encoder.retrieve(patient)
+        if found is None:
             lines.append(f"{patient.patient_id}: no retrievable text, skipped")
             patients_payload.append(
                 {"patient_id": patient.patient_id, "selected": [], "skipped": True}
             )
             continue
-        cached = criteria_cache.get(patient.trial_id)
-        if cached is None:
-            criteria = list(dataset.trial(patient.trial_id).criteria)
-            cached = (criteria, embed_texts(provider, [c.text for c in criteria]))
-            criteria_cache[patient.trial_id] = cached
-        criteria, criteria_vectors = cached
-        chunk_vectors = embed_texts(provider, [c.text for c in chunks])
-        scored = score_chunks(chunks, chunk_vectors, criteria, criteria_vectors)
-        selected = select_top_k(scored, args.k)
+        selected = found.selected
         selected_ids = {s.chunk_id for s in selected}
         if args.audit:
-            all_audit_rows.extend(audit_rows(patient.patient_id, scored, selected_ids))
+            all_audit_rows.extend(audit_rows(patient.patient_id, found.scored, selected_ids))
         listing = [
             {"chunk_id": s.chunk_id, "ordinal": s.ordinal, "score": s.aggregate_score}
             for s in selected
@@ -325,15 +314,10 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    overrides = {}
     if args.out is not None:
-        overrides["output_dir"] = args.out
+        config = replace(config, output_dir=args.out)
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        overrides["threads"] = args.threads
-    if overrides:
-        config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
+        config = replace(config, threads=args.threads)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,16 +20,6 @@ from .errors import ConfigError, DataError
 DEFAULT_CHUNK_SIZE = 256
 DEFAULT_CHUNK_OVERLAP = 32
 
-STRUCTURED_CATEGORIES = (
-    "demographic",
-    "diagnosis",
-    "medication",
-    "allergy",
-    "flowsheet",
-    "radiology",
-    "other",
-)
-
 MODALITIES = ("structured", "unstructured", "mixed")
 
 # Raw class -> binary label, per dataset family. Lookups are case-insensitive.
@@ -195,9 +185,6 @@ class Dataset:
 
     def trial_ids(self) -> list[str]:
         return [t.trial_id for t in self.trials]
-
-    def patients_for_trial(self, trial_id: str) -> list[PatientRecord]:
-        return [p for p in self.patients if p.trial_id == trial_id]
 
 
 # ---------------------------------------------------------------------------

@@ -84,16 +84,7 @@ def mock_embed(text: str, dim: int = DEFAULT_MOCK_DIM, seed: int = 0) -> np.ndar
     """
     if dim < 2:
         raise ConfigError("mock embedding dim must be at least 2")
-    tokens = text.split()
-    if not tokens:
-        raise DataError("cannot embed a text with no tokens")
-    acc = np.zeros(dim)
-    for token in tokens:
-        acc += _token_vector(token, dim, seed)
-    norm = float(np.linalg.norm(acc))
-    if norm < 1e-12:
-        raise DataError("token vectors cancelled; cannot normalize embedding")
-    return acc / norm
+    return MockProvider(dim=dim, seed=seed).embed_text(text)
 
 
 class MockProvider:

@@ -25,9 +25,9 @@ import logging
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -110,10 +110,9 @@ def default_variant_b_dimred() -> DimRedConfig:
 # Configuration model
 # ---------------------------------------------------------------------------
 
-def _checked(obj, cls, where: str) -> dict:
-    """``obj`` when it is a JSON object whose keys are all fields of ``cls``
-    and holds every field without a default; else a ConfigError naming the
-    unknown or missing key."""
+def _load(cls, obj, where: str):
+    """A ``cls`` built from the JSON value ``obj`` by the rules of
+    ``ExperimentConfig.from_dict``; ``where`` names ``obj`` in errors."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
     known = [f.name for f in fields(cls)]
@@ -125,7 +124,31 @@ def _checked(obj, cls, where: str) -> dict:
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
             raise ConfigError(f"missing required key {f.name!r} in {where}")
-    return obj
+    hints = get_type_hints(cls)
+    return cls(**{key: _load_value(hints[key], value, key, where) for key, value in obj.items()})
+
+
+def _load_value(tp, value, key: str, where: str):
+    if get_origin(tp) is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if is_dataclass(tp):
+        return _load(tp, value, key)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(
+                f"key {key!r} in {where} must be a JSON array, got {type(value).__name__}"
+            )
+        item = get_args(tp)[0]
+        return tuple(_load_value(item, v, f"{key}[{i}]", where) for i, v in enumerate(value))
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp:
+        raise ConfigError(
+            f"key {key!r} in {where} must be {tp.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -157,28 +180,6 @@ class ProviderSpec:
             model=self.model or "",
             dim=self.dim,
             name=self.resolved_name,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "dim": self.dim,
-            "seed": self.seed,
-            "endpoint": self.endpoint,
-            "model": self.model,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ProviderSpec":
-        _checked(obj, cls, "provider")
-        return cls(
-            kind=obj.get("kind", "mock"),
-            name=obj.get("name"),
-            dim=int(obj.get("dim", DEFAULT_MOCK_DIM)),
-            seed=int(obj.get("seed", 0)),
-            endpoint=obj.get("endpoint"),
-            model=obj.get("model"),
         )
 
 
@@ -228,10 +229,6 @@ class PipelineSpec:
             raise ConfigError("validation_fraction must lie in [0, 1)")
 
     @property
-    def variant_kind(self) -> str:
-        return "RAG-DimRed-MLP" if self.dimred is not None else "RAG-MLP"
-
-    @property
     def variant_name(self) -> str:
         if self.name:
             return self.name
@@ -243,76 +240,6 @@ class PipelineSpec:
         if self.dimred is not None:
             return base + ("dimred", "pool", "classify")
         return base + ("pool", "classify")
-
-    def to_dict(self) -> dict:
-        out = {
-            "provider": self.provider.to_dict(),
-            "k_retrieve": self.k_retrieve,
-            "pooling": self.pooling,
-            "pooling_components": self.pooling_components,
-            "dimred": (
-                None
-                if self.dimred is None
-                else {
-                    "axis": self.dimred.axis,
-                    "n_components": self.dimred.n_components,
-                    "fit_scope": self.dimred.fit_scope,
-                }
-            ),
-            "classifier": self.classifier,
-            "adapter_mode": self.adapter_mode,
-            "adapter_dim": self.adapter_dim,
-            "train": dict(self.train.__dict__),
-            "seed": self.seed,
-            "chunk_size": self.chunk_size,
-            "chunk_overlap": self.chunk_overlap,
-            "mlp_hidden": list(self.mlp_hidden),
-            "forest_trees": self.forest_trees,
-            "tree_max_depth": self.tree_max_depth,
-            "tree_min_leaf": self.tree_min_leaf,
-            "svm_lambda": self.svm_lambda,
-            "svm_epochs": self.svm_epochs,
-            "svm_lr": self.svm_lr,
-            "instructions": self.instructions,
-            "validation_fraction": self.validation_fraction,
-            "name": self.name,
-        }
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PipelineSpec":
-        _checked(obj, cls, "variant")
-        dimred_obj = obj.get("dimred")
-        dimred_cfg = None
-        if dimred_obj is not None:
-            dimred_cfg = DimRedConfig(
-                **_checked({"axis": "sequence", **dimred_obj}, DimRedConfig, "dimred")
-            )
-        train_obj = _checked(obj.get("train", {}), TrainConfig, "train")
-        return cls(
-            provider=ProviderSpec.from_dict(obj.get("provider", {})),
-            k_retrieve=int(obj.get("k_retrieve", DEFAULT_K_RETRIEVE)),
-            pooling=obj.get("pooling", "mean"),
-            pooling_components=obj.get("pooling_components"),
-            dimred=dimred_cfg,
-            classifier=obj.get("classifier", "mlp"),
-            adapter_mode=obj.get("adapter_mode", "frozen"),
-            adapter_dim=obj.get("adapter_dim"),
-            train=TrainConfig(**train_obj),
-            seed=int(obj.get("seed", 0)),
-            chunk_size=int(obj.get("chunk_size", DEFAULT_CHUNK_SIZE)),
-            chunk_overlap=int(obj.get("chunk_overlap", DEFAULT_CHUNK_OVERLAP)),
-            mlp_hidden=tuple(obj.get("mlp_hidden", DEFAULT_MLP_HIDDEN)),
-            forest_trees=int(obj.get("forest_trees", 30)),
-            tree_max_depth=int(obj.get("tree_max_depth", 12)),
-            tree_min_leaf=int(obj.get("tree_min_leaf", 1)),
-            svm_lambda=float(obj.get("svm_lambda", 1e-4)),
-            svm_epochs=int(obj.get("svm_epochs", 400)),
-            svm_lr=float(obj.get("svm_lr", 0.5)),
-            instructions=obj.get("instructions", DEFAULT_INSTRUCTIONS),
-            validation_fraction=float(obj.get("validation_fraction", 0.2)),
-            name=obj.get("name"),
-        )
 
 
 @dataclass(frozen=True)
@@ -336,31 +263,6 @@ class DatasetSource:
         if self.synthetic is not None:
             return generate_synthetic(self.synthetic, self.seed)
         return load_dataset(self.patients_path, self.trials_path)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "patients_path": self.patients_path,
-            "trials_path": self.trials_path,
-            "synthetic": None if self.synthetic is None else dict(self.synthetic.__dict__),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DatasetSource":
-        _checked(obj, cls, "dataset")
-        synth = obj.get("synthetic")
-        return cls(
-            name=obj.get("name", "dataset"),
-            patients_path=obj.get("patients_path"),
-            trials_path=obj.get("trials_path"),
-            synthetic=(
-                None
-                if synth is None
-                else SyntheticConfig(**_checked(synth, SyntheticConfig, "synthetic"))
-            ),
-            seed=int(obj.get("seed", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -388,46 +290,17 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "dataset": None if self.dataset is None else self.dataset.to_dict(),
-            "modality": self.modality,
-            "variants": [v.to_dict() for v in self.variants],
-            "split": dict(self.split.__dict__),
-            "output_dir": self.output_dir,
-            "exclusions": list(self.exclusions),
-            "datasets": [d.to_dict() for d in self.datasets],
-            "providers": [p.to_dict() for p in self.providers],
-            "threads": self.threads,
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        """Strict loader: an unknown or missing key, or a value of the wrong
-        type, raises ConfigError."""
-        _checked(obj, cls, "config")
-        try:
-            return cls(
-                task=obj["task"],
-                dataset=(
-                    None
-                    if obj.get("dataset") is None
-                    else DatasetSource.from_dict(obj["dataset"])
-                ),
-                modality=obj.get("modality", "mixed"),
-                variants=tuple(
-                    PipelineSpec.from_dict(v) for v in obj.get("variants", [{}])
-                ),
-                split=SplitSpec(**_checked(obj.get("split", {}), SplitSpec, "split")),
-                output_dir=obj.get("output_dir", "out"),
-                exclusions=tuple(obj.get("exclusions", (1.0, 0.8, 0.6, 0.4, 0.2))),
-                datasets=tuple(DatasetSource.from_dict(d) for d in obj.get("datasets", [])),
-                providers=tuple(ProviderSpec.from_dict(p) for p in obj.get("providers", [])),
-                threads=int(obj.get("threads", 1)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config value: {exc}") from exc
+        """Strict loader for a parsed JSON config.
+
+        Only known keys are accepted, and a key without a default must be
+        present. Each field takes one JSON type: an object for a nested
+        config, an array for a tuple, a number, string or null as declared;
+        an int is accepted for a float and read as one. Any breach raises
+        ConfigError naming the key.
+        """
+        return _load(cls, obj, "config")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -544,7 +417,19 @@ def _reduce_matrix(
         return fallback, exc.with_traceback(None)
 
 
-class _PatientEncoder:
+@dataclass
+class Retrieval:
+    """One patient's retrieval: its chunks and their vectors, the trial's
+    criteria, every chunk scored against them, and the top k of those."""
+
+    chunks: list
+    chunk_vectors: list[np.ndarray]
+    criteria: list
+    scored: list
+    selected: list
+
+
+class PatientEncoder:
     """Shared retrieval + encode stage; per-variant reduction happens on top."""
 
     def __init__(self, spec: PipelineSpec, dataset: Dataset, modality: str, provider=None):
@@ -563,8 +448,9 @@ class _PatientEncoder:
             self._criteria_cache[trial_id] = cached
         return cached
 
-    def token_matrix(self, patient) -> Optional[np.ndarray]:
-        """Retrieval + prompt + encode for one patient; None when unchunkable."""
+    def retrieve(self, patient) -> Optional[Retrieval]:
+        """Chunk, embed, score and select for one patient; None when
+        unchunkable."""
         chunks = build_chunks(
             patient, self.spec.chunk_size, self.spec.chunk_overlap, self.modality
         )
@@ -574,16 +460,23 @@ class _PatientEncoder:
         chunk_vectors = embed_texts(self.provider, [c.text for c in chunks])
         scored = score_chunks(chunks, chunk_vectors, criteria, criteria_vectors)
         selected = select_top_k(scored, self.spec.k_retrieve)
-        text_by_id = {c.chunk_id: c.text for c in chunks}
+        return Retrieval(chunks, chunk_vectors, criteria, scored, selected)
+
+    def token_matrix(self, patient) -> Optional[np.ndarray]:
+        """Retrieval + prompt + encode for one patient; None when unchunkable."""
+        found = self.retrieve(patient)
+        if found is None:
+            return None
+        text_by_id = {c.chunk_id: c.text for c in found.chunks}
         prompt = assemble_prompt(
             self.spec.instructions,
-            criteria,
-            [(s, text_by_id[s.chunk_id]) for s in selected],
+            found.criteria,
+            [(s, text_by_id[s.chunk_id]) for s in found.selected],
         )
         if self.provider.descriptor.supports_token_matrix:
             return embed_tokens(self.provider, prompt.full_text)
-        vec_by_id = {c.chunk_id: v for c, v in zip(chunks, chunk_vectors)}
-        return np.stack([vec_by_id[s.chunk_id] for s in selected])
+        vec_by_id = {c.chunk_id: v for c, v in zip(found.chunks, found.chunk_vectors)}
+        return np.stack([vec_by_id[s.chunk_id] for s in found.selected])
 
 
 def _compute_features_multi(
@@ -611,7 +504,7 @@ def _compute_features_multi(
         if not same:
             raise ConfigError("variants in one feature pass must share retrieval settings")
 
-    encoder = _PatientEncoder(base, dataset, modality, provider)
+    encoder = PatientEncoder(base, dataset, modality, provider)
     d_hidden = encoder.provider.descriptor.dim
     patients = dataset.patients
 
@@ -811,10 +704,10 @@ def _train_eval(
 def _spec_hash(spec: PipelineSpec, dataset_name: str, modality: str, split: SplitSpec) -> str:
     return config_hash(
         {
-            "spec": spec.to_dict(),
+            "spec": asdict(spec),
             "dataset": dataset_name,
             "modality": modality,
-            "split": dict(split.__dict__),
+            "split": asdict(split),
         }
     )
 
@@ -1115,7 +1008,7 @@ def write_outputs(
         plot_paths = _write_plots(results, out / "plots")
         files.extend(plot_paths)
 
-    resolved = None if config is None else config.to_dict()
+    resolved = None if config is None else asdict(config)
     manifest = {
         "generator": f"trialmatch {__version__}",
         "config": resolved,

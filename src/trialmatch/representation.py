@@ -77,7 +77,7 @@ class DimRedConfig:
     stacked pooled vectors.
     """
 
-    axis: str  # "sequence" | "hidden"
+    axis: str = "sequence"  # "sequence" | "hidden"
     n_components: Optional[int] = None
     fit_scope: str = "per_chunk"  # "per_chunk" | "dataset"
 

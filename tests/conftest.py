@@ -1,5 +1,9 @@
 import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,3 +73,59 @@ def write_jsonl(path: Path, objects: list[dict]) -> Path:
         encoding="utf-8",
     )
     return path
+
+
+class _EmbedHandler(BaseHTTPRequestHandler):
+    """A stand-in embedding service; its server's ``state`` picks the reply."""
+
+    def log_message(self, *args):  # silence test output
+        pass
+
+    def do_POST(self):
+        state = self.server.state
+        state.calls["count"] += 1
+        cfg = state.behavior
+        if cfg["delay"]:
+            time.sleep(cfg["delay"])
+        if cfg["mode"] == "fail_then_ok" and state.calls["count"] <= cfg["fail_times"]:
+            # Simulated transport failure: slam the connection shut.
+            self.connection.close()
+            return
+        length = int(self.headers["Content-Length"])
+        body = json.loads(self.rfile.read(length))
+        texts = body["texts"]
+        dim = cfg["dim"]
+        if cfg["mode"] == "bad_status":
+            self.send_response(500)
+            self.end_headers()
+            return
+        if cfg["mode"] == "bad_json":
+            payload = b"this is not json"
+        else:
+            rows = [[float(i + j) for j in range(dim)] for i in range(len(texts))]
+            if cfg["mode"] == "short_vector":
+                rows = [row[:-1] for row in rows]
+            payload = json.dumps({"dim": dim, "embeddings": rows}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+
+@pytest.fixture
+def embed_server():
+    """A local embedding service: ``url``, plus the ``behavior`` a test may
+    change and the ``calls`` it has served."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
+    server.state = SimpleNamespace(
+        url=f"http://127.0.0.1:{server.server_address[1]}",
+        behavior={"mode": "ok", "dim": 4, "fail_times": 0, "delay": 0.0},
+        calls={"count": 0},
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.state
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)

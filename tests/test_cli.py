@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,29 @@ class TestExitCodes:
         code, _ = run_cli(["run", "--no-such-flag"], capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_zero_threads_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"task": "task1"})
+        code, err = run_cli(["run", "--config", path, "--threads", "0"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "error: threads must be at least 1\n"
+
+    def test_retrieve_zero_k_exits_1(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials), "--k", "0"]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "error: k_retrieve must be at least 1\n"
+
+    def test_provider_failure_exits_3(self, capsys, monkeypatch, dataset_files, embed_server):
+        monkeypatch.delenv("TRIALMATCH_EMBED_ENDPOINT", raising=False)
+        embed_server.behavior["mode"] = "bad_status"
+        patients, trials = dataset_files
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials)]
+        argv += ["--provider", "http", "--endpoint", embed_server.url, "--dim", "4"]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_RUNTIME
+        assert err.startswith("provider error: ") and "status 500" in err
+
     def test_data_error_exits_2(self, tmp_path, capsys, dataset_files):
         patients, trials = dataset_files
         obj = {
@@ -69,3 +93,24 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_DATA
         assert "length mismatch" in err
+
+
+class TestRetrieve:
+    def test_outputs_match_recorded_digests(self, tmp_path, capsys, dataset_files):
+        patients, trials = dataset_files
+        audit = tmp_path / "audit.csv"
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials)]
+        argv += ["--chunk-size", "4", "--overlap", "1", "--k", "2"]
+        assert cli.main(argv + ["--json", "--audit", str(audit)]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        payload = json.loads(stdout)
+        assert [len(p["selected"]) for p in payload["patients"]] == [2, 2]
+        assert payload["audit_rows"] == 24
+        # Digests of a known-good run: chunking, scoring, selection and the
+        # output format all feed them.
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "b3486c657c7e782927f1924b70d4c2e9ba87a65e9a702ce125226de30047304b"
+        )
+        assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
+            "3b8671dc778978715785fd4b430c85ff931d9ce3ed8cdccc80955f8f87839e5d"
+        )

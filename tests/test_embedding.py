@@ -1,8 +1,3 @@
-import json
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,111 +229,61 @@ class TestEmbeddingCache:
 # HTTP transport
 # ---------------------------------------------------------------------------
 
-class _EmbedHandler(BaseHTTPRequestHandler):
-    behavior = {"mode": "ok", "dim": 4, "fail_times": 0, "delay": 0.0}
-    calls = {"count": 0}
-
-    def log_message(self, *args):  # silence test output
-        pass
-
-    def do_POST(self):
-        cls = type(self)
-        cls.calls["count"] += 1
-        cfg = cls.behavior
-        if cfg["delay"]:
-            time.sleep(cfg["delay"])
-        if cfg["mode"] == "fail_then_ok" and cls.calls["count"] <= cfg["fail_times"]:
-            # Simulated transport failure: slam the connection shut.
-            self.connection.close()
-            return
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        texts = body["texts"]
-        dim = cfg["dim"]
-        if cfg["mode"] == "bad_status":
-            self.send_response(500)
-            self.end_headers()
-            return
-        if cfg["mode"] == "bad_json":
-            payload = b"this is not json"
-        else:
-            rows = [[float(i + j) for j in range(dim)] for i in range(len(texts))]
-            if cfg["mode"] == "short_vector":
-                rows = [row[:-1] for row in rows]
-            payload = json.dumps({"dim": dim, "embeddings": rows}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-
-@pytest.fixture
-def embed_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _EmbedHandler.behavior = {"mode": "ok", "dim": 4, "fail_times": 0, "delay": 0.0}
-    _EmbedHandler.calls = {"count": 0}
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-
-
 class TestHttpEmbed:
     def test_happy_path(self, embed_server):
-        vectors = http_embed(embed_server, "m", ["a"], expected_dim=4)
+        vectors = http_embed(embed_server.url, "m", ["a"], expected_dim=4)
         assert len(vectors) == 1
         assert vectors[0].shape == (4,)
 
     def test_dimension_mismatch(self, embed_server):
-        _EmbedHandler.behavior["mode"] = "short_vector"
+        embed_server.behavior["mode"] = "short_vector"
         with pytest.raises(DimensionMismatchError):
-            http_embed(embed_server, "m", ["a"], expected_dim=4)
+            http_embed(embed_server.url, "m", ["a"], expected_dim=4)
 
     def test_declared_dim_mismatch(self, embed_server):
         with pytest.raises(DimensionMismatchError):
-            http_embed(embed_server, "m", ["a"], expected_dim=7)
+            http_embed(embed_server.url, "m", ["a"], expected_dim=7)
 
     def test_bad_status(self, embed_server):
-        _EmbedHandler.behavior["mode"] = "bad_status"
+        embed_server.behavior["mode"] = "bad_status"
         with pytest.raises(ProviderStatusError):
-            http_embed(embed_server, "m", ["a"])
+            http_embed(embed_server.url, "m", ["a"])
 
     def test_malformed_json(self, embed_server):
-        _EmbedHandler.behavior["mode"] = "bad_json"
+        embed_server.behavior["mode"] = "bad_json"
         with pytest.raises(ProviderResponseError):
-            http_embed(embed_server, "m", ["a"])
+            http_embed(embed_server.url, "m", ["a"])
 
     def test_retries_then_success(self, embed_server, caplog):
-        _EmbedHandler.behavior.update(mode="fail_then_ok", fail_times=2)
+        embed_server.behavior.update(mode="fail_then_ok", fail_times=2)
         with caplog.at_level("WARNING", logger="trialmatch.embedding"):
             vectors = http_embed(
-                embed_server, "m", ["a"], expected_dim=4, backoff_base=0.01
+                embed_server.url, "m", ["a"], expected_dim=4, backoff_base=0.01
             )
         assert len(vectors) == 1
         retries = [r for r in caplog.records if "retrying" in r.message]
         assert len(retries) == 2
 
     def test_retries_exhausted(self, embed_server):
-        _EmbedHandler.behavior.update(mode="fail_then_ok", fail_times=99)
+        embed_server.behavior.update(mode="fail_then_ok", fail_times=99)
         with pytest.raises(ProviderError):
-            http_embed(embed_server, "m", ["a"], backoff_base=0.01, max_attempts=2)
+            http_embed(embed_server.url, "m", ["a"], backoff_base=0.01, max_attempts=2)
 
     def test_timeout(self, embed_server):
-        _EmbedHandler.behavior["delay"] = 0.5
+        embed_server.behavior["delay"] = 0.5
         with pytest.raises(ProviderTimeoutError):
-            http_embed(embed_server, "m", ["a"], timeout=0.05, max_attempts=1)
+            http_embed(embed_server.url, "m", ["a"], timeout=0.05, max_attempts=1)
 
     def test_batch_limit(self, embed_server):
         with pytest.raises(ConfigError):
-            http_embed(embed_server, "m", ["a", "b", "c"], max_batch=2)
+            http_embed(embed_server.url, "m", ["a", "b", "c"], max_batch=2)
 
     def test_provider_batches(self, embed_server):
-        provider = HttpProvider(embed_server, model="m", dim=4, max_batch=2)
+        provider = HttpProvider(embed_server.url, model="m", dim=4, max_batch=2)
         vectors = provider.embed_texts(["a", "b", "c", "d", "e"])
         assert len(vectors) == 5
         # 5 texts at batch size 2 -> 3 round trips
-        assert _EmbedHandler.calls["count"] == 3
+        assert embed_server.calls["count"] == 3
 
 
 class TestEndpointResolution:

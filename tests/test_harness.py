@@ -1,14 +1,17 @@
 import json
 import logging
+from dataclasses import asdict
 
 import pytest
 
+from trialmatch.classifiers import TrainConfig
 from trialmatch.errors import ConfigError
 from trialmatch.harness import (
     ExperimentConfig,
     PipelineSpec,
     ProviderSpec,
     _compute_features_multi,
+    config_hash,
     run_task,
     write_outputs,
 )
@@ -26,7 +29,7 @@ class TestConfigLoading:
                 "providers": [{"kind": "mock", "dim": 64}],
             }
         )
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
         assert config.variants[0].train.max_epochs == 5
         assert config.variants[0].dimred == DimRedConfig(axis="hidden")
 
@@ -56,6 +59,56 @@ class TestConfigLoading:
             ExperimentConfig.from_dict({"task": "task1", "threads": "two"})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"task": "task1", "variants": [[]]})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"task": "task1", "threads": True}, "key 'threads' in config must be int"),
+            ({"task": "task1", "variants": [[]]}, "variants[0] must be a JSON object"),
+            (
+                {"task": "task1", "variants": [{"provider": {"dim": "128"}}]},
+                "key 'dim' in provider must be int",
+            ),
+            (
+                {"task": "task1", "variants": [{"mlp_hidden": [64, "x"]}]},
+                "key 'mlp_hidden[1]' in variants[0] must be int",
+            ),
+            (
+                {"task": "task6", "exclusions": 1.0},
+                "key 'exclusions' in config must be a JSON array",
+            ),
+        ],
+    )
+    def test_wrong_value_type_names_the_key(self, obj, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(obj)
+        assert message in str(info.value)
+
+    def test_int_is_read_as_float(self):
+        config = ExperimentConfig.from_dict(
+            {"task": "task6", "variants": [{"svm_lambda": 1}], "exclusions": [1, 0.5]}
+        )
+        assert type(config.variants[0].svm_lambda) is float
+        assert config.variants[0].svm_lambda == 1.0
+        assert [type(e) for e in config.exclusions] == [float, float]
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (PipelineSpec(), "889363a4c787bd66"),
+            (
+                PipelineSpec(
+                    dimred=DimRedConfig(axis="hidden", n_components=16),
+                    train=TrainConfig(max_epochs=7, learning_rate=0.01),
+                    mlp_hidden=(32, 8),
+                ),
+                "2ab755a55f67a424",
+            ),
+        ],
+    )
+    def test_spec_hash_is_unchanged(self, spec, digest):
+        # These hashes fill the config_hash column of results.csv.
+        assert config_hash(asdict(spec)) == digest
 
 
 class TestFallbackWarning:
