@@ -8,7 +8,9 @@ representation fine-tuning; fixing it to the identity recovers the frozen
 setting exactly.
 
 Training is a single logical thread and fully deterministic under its seed;
-trained models are immutable and safe for concurrent prediction.
+trained models are immutable and safe for concurrent prediction. The MLP trains
+in the dtype of its features: a float32 array trains in float32, and anything
+else is converted to float64 and trains in float64.
 """
 
 from __future__ import annotations
@@ -61,7 +63,12 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 def _as_features(features, what: str = "features") -> np.ndarray:
-    X = np.asarray(features, dtype=np.float64)
+    """A finite 2-D array: a float32 array stays float32, anything else
+    becomes float64."""
+    if isinstance(features, np.ndarray) and features.dtype == np.float32:
+        X = features
+    else:
+        X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise DataError(f"{what} must be a 2-D array, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
@@ -69,8 +76,8 @@ def _as_features(features, what: str = "features") -> np.ndarray:
     return X
 
 
-def _as_labels(labels, n: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+def _as_labels(labels, n: int, dtype=np.float64) -> np.ndarray:
+    y = np.asarray(labels, dtype=dtype).reshape(-1)
     if y.shape[0] != n:
         raise DataError(f"{n} feature rows but {y.shape[0]} labels")
     if not np.all(np.isin(y, (0.0, 1.0))):
@@ -199,7 +206,7 @@ def mlp_grad(
     """
     X, y = batch
     X = _as_features(X)
-    y = _as_labels(y, X.shape[0])
+    y = _as_labels(y, X.shape[0], X.dtype)
     if X.shape[0] == 0:
         raise DataError("gradient of an empty batch is undefined")
     if X.shape[1] != model.n_features:
@@ -220,7 +227,8 @@ def mlp_grad(
 @dataclass
 class AdamState:
     """First and second moments of one flat parameter vector, and the step
-    count; two scratch rows of the same length let a step allocate nothing."""
+    count; two scratch rows of the same length and dtype let a step allocate
+    nothing."""
 
     m: np.ndarray
     v: np.ndarray
@@ -228,7 +236,7 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.scratch = np.empty((2, *self.m.shape))
+        self.scratch = np.empty((2, *self.m.shape), dtype=self.m.dtype)
 
     @classmethod
     def zeros_like(cls, params: np.ndarray) -> "AdamState":
@@ -331,15 +339,16 @@ def _train_core(
     adapter_trainable: bool,
 ) -> tuple[Optional[np.ndarray], MLPModel, TrainingLog]:
     X = _as_features(features)
+    dtype = X.dtype  # every array below is built in the features' dtype
     n, d = X.shape
     if n < 2:
         raise DataError("training needs at least 2 samples")
-    y = _as_labels(labels, n)
+    y = _as_labels(labels, n, dtype)
     _require_both_classes(y)
 
     if validation is not None:
-        val_x = _as_features(validation[0], "validation features")
-        val_y = _as_labels(validation[1], val_x.shape[0])
+        val_x = _as_features(validation[0], "validation features").astype(dtype, copy=False)
+        val_y = _as_labels(validation[1], val_x.shape[0], dtype)
         monitor = "validation"
     else:
         val_x, val_y = X, y
@@ -357,21 +366,23 @@ def _train_core(
     else:
         input_dim = adapter_dim
         if adapter_dim == d:
-            adapter = np.eye(d)
+            adapter = np.eye(d, dtype=dtype)
         elif adapter_trainable:
             adapter = np.random.default_rng(adapter_ss).standard_normal(
                 (d, adapter_dim)
             ) * math.sqrt(1.0 / d)
         else:
-            adapter = np.eye(d)[:, :adapter_dim]
+            adapter = np.eye(d, dtype=dtype)[:, :adapter_dim]
 
+    # The initial values are drawn in float64 whatever the dtype, so both
+    # dtypes start from the same draws.
     weights, biases = _init_params((input_dim, *hidden_sizes, 1), rng_init)
     n_layers = len(weights)
     # Parameters, gradient and best snapshot are one flat vector each; the
     # weights, biases and trained adapter are reshaped views into them.
     trained = [*weights, *biases, *([adapter] if adapter_trainable else [])]
     shapes = [p.shape for p in trained]
-    params = np.concatenate([p.ravel() for p in trained])
+    params = np.concatenate([p.ravel() for p in trained], dtype=dtype)
     grads = np.empty_like(params)
     best_params = params.copy()
     param_views, grad_views = _split_flat(params, shapes), _split_flat(grads, shapes)
@@ -445,9 +456,11 @@ def train_mlp(
 ) -> tuple[MLPModel, TrainingLog]:
     """Mini-batch Adam on summed BCE with early stopping.
 
-    Stops when the monitored loss (validation if given, else training) fails
-    to improve by at least 1e-5 for ``patience`` epochs; returns the snapshot
-    from the best monitored epoch. Each epoch costs one forward pass over the
+    Trains in the dtype of ``features``: a float32 array gives a float32
+    fit, anything else is converted to float64. Stops when the monitored
+    loss (validation if given, else training) fails to improve by at least
+    1e-5 for ``patience`` epochs; returns the snapshot from the best
+    monitored epoch. Each epoch costs one forward pass over the
     monitored set: the log's history rows carry ``monitor_loss``, plus
     ``train_loss`` (the same value) when there is no validation set. Fully
     deterministic under ``config.seed``.
@@ -470,7 +483,9 @@ def train_with_adapter(
     """Jointly optimize a linear input adapter and the MLP.
 
     With ``adapter_trainable=False`` the adapter is frozen to the identity and
-    the run reproduces ``train_mlp`` exactly (same seed, same losses).
+    the run reproduces ``train_mlp`` exactly (same seed, same losses). Like
+    ``train_mlp``, trains in the features' dtype (float32 or float64), and the
+    adapter has that dtype too.
     """
     d_in, d_out = adapter_dims
     X = _as_features(features)
@@ -481,7 +496,7 @@ def train_with_adapter(
     if d_out < 1:
         raise ConfigError("adapter output dimension must be positive")
     adapter, model, log = _train_core(
-        features, labels, config, validation, hidden_sizes, d_out, adapter_trainable
+        X, labels, config, validation, hidden_sizes, d_out, adapter_trainable
     )
     assert adapter is not None
     return AdapterModel(adapter=LinearAdapter(matrix=adapter), mlp=model), log

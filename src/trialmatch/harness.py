@@ -657,9 +657,11 @@ def _train_eval(
     config = replace(spec.train, seed=train_seed)
 
     if spec.classifier == "mlp":
+        # The MLP trains in float32, the dtype of the features it is given;
+        # the other classifiers and every prediction see float64.
         carve_seed = _derive_seed(spec.seed, spec.train.seed, 2)
         core_x, core_y, validation = _carve_validation(
-            Xtr, ytr, spec.validation_fraction, carve_seed
+            Xtr.astype(np.float32), ytr, spec.validation_fraction, carve_seed
         )
         if spec.adapter_mode == "adapter":
             d_in = core_x.shape[1]

@@ -27,6 +27,7 @@ from trialmatch.classifiers import (
     _best_split,
     _forward_stack,
     _init_params,
+    _sigmoid,
 )
 from trialmatch.errors import ConfigError, DataError, DimensionMismatchError, SingleClassError
 
@@ -208,16 +209,19 @@ class TestAdamStep:
         with pytest.raises(DataError):
             adam_step(np.zeros(3), np.zeros(3), state, TrainConfig())
 
-    def test_matches_the_allocating_update_bit_for_bit(self):
+    @staticmethod
+    def steps_against_textbook(dtype):
+        """12 in-place steps in ``dtype``, each checked bit for bit against
+        the textbook update written inline; returns the final parameters."""
         config = TrainConfig(learning_rate=3e-3, adam_beta1=0.85, adam_beta2=0.995)
         rng = np.random.default_rng(5)
-        params = rng.standard_normal(257)
+        params = rng.standard_normal(257).astype(dtype)
         state = AdamState.zeros_like(params)
         # Oracle: the textbook update, one fresh array per operation.
         p, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
         b1, b2 = config.adam_beta1, config.adam_beta2
         for t in range(1, 13):
-            g = rng.standard_normal(257) * 10.0 ** rng.integers(-6, 3)
+            g = (rng.standard_normal(257) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
             g[::7] = 0.0
             adam_step(params, g, state, config)
             m = b1 * m + (1.0 - b1) * g
@@ -226,8 +230,29 @@ class TestAdamStep:
             v_hat = v / (1.0 - b2**t)
             p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
             assert state.t == t
+            assert params.dtype == p.dtype == dtype
             assert params.tobytes() == p.tobytes()
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        return params
+
+    def test_matches_the_allocating_update_bit_for_bit(self):
+        self.steps_against_textbook(np.float64)
+
+    def test_float32_matches_the_allocating_update_bit_for_bit(self):
+        self.steps_against_textbook(np.float32)
+
+    def test_float32_tracks_float64_within_rounding(self):
+        # Each step rounds the parameters (|p| < 5) and moves them by at most
+        # about lr / (1 - b1) = 0.02; a few float32 ulps of both per step,
+        # over 12 steps, bound the drift.
+        p32 = self.steps_against_textbook(np.float32).astype(np.float64)
+        p64 = self.steps_against_textbook(np.float64)
+        assert np.max(np.abs(p32 - p64)) <= 12 * 4 * np.finfo(np.float32).eps * 5.0
+
+    def test_scratch_takes_the_parameters_dtype(self):
+        for dtype in (np.float32, np.float64):
+            state = AdamState.zeros_like(np.zeros(5, dtype=dtype))
+            assert state.m.dtype == state.v.dtype == state.scratch.dtype == dtype
 
 
 class TestTrainMlp:
@@ -305,6 +330,78 @@ class TestTrainMlp:
         )
         assert log.history[-1]["train_loss"] == float.fromhex("0x1.37b2f149b27dep-4")
         assert all(row["train_loss"] == row["monitor_loss"] for row in log.history)
+
+    # Recorded when float32 training was introduced (same platform); pins
+    # the float32 arithmetic as the digests above pin the float64 one.
+    def test_float32_fit_matches_recorded_digest(self):
+        X, y, (Xv, yv), config = pinned_problem()
+        model, log = train_mlp(
+            X.astype(np.float32),
+            y,
+            config,
+            validation=(Xv.astype(np.float32), yv),
+            hidden_sizes=(8, 4),
+        )
+        assert (log.best_epoch, log.stopped_epoch) == (4, 12)
+        assert params_digest([*model.weights, *model.biases]) == (
+            "bd6c43a7d484a8afd2c7d782c002832326ab24e036fa84315d528e04f15287e2"
+        )
+
+
+class TestTrainingDtype:
+    """A fit trains and returns its parameters in the features' dtype."""
+
+    ADAPTER_CASES = {
+        "trainable": dict(adapter_dims=(5, 3)),
+        "frozen-square": dict(adapter_dims=(5, 5), adapter_trainable=False),
+        "frozen-narrow": dict(adapter_dims=(5, 3), adapter_trainable=False),
+    }
+
+    @staticmethod
+    def fit(dtype, case):
+        X, y, (Xv, yv), _ = pinned_problem()
+        config = TrainConfig(seed=3, max_epochs=3)
+        validation = (Xv.astype(dtype), yv)
+        if case == "none":
+            model, _ = train_mlp(X.astype(dtype), y, config, validation, hidden_sizes=(4,))
+            return [*model.weights, *model.biases]
+        model, _ = train_with_adapter(
+            X.astype(dtype),
+            y,
+            config=config,
+            validation=validation,
+            hidden_sizes=(4,),
+            **TestTrainingDtype.ADAPTER_CASES[case],
+        )
+        return [model.adapter.matrix, *model.mlp.weights, *model.mlp.biases]
+
+    @pytest.mark.parametrize("case", ["none", *ADAPTER_CASES])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_take_the_features_dtype(self, dtype, case):
+        assert {a.dtype for a in self.fit(dtype, case)} == {np.dtype(dtype)}
+
+    def test_validation_is_cast_to_the_features_dtype(self):
+        X, y, (Xv, yv), config = pinned_problem()
+        X32 = X.astype(np.float32)
+        cast = train_mlp(X32, y, config, (Xv.astype(np.float32), yv), hidden_sizes=(4,))
+        wide = train_mlp(X32, y, config, (Xv, yv), hidden_sizes=(4,))
+        assert cast[1].history == wide[1].history
+
+    def test_other_inputs_train_in_float64(self):
+        X, y = blobs(3, n=20)
+        for features in (X.tolist(), X.astype(np.float16), (X > 0).astype(int)):
+            model, _ = train_mlp(features, y, TrainConfig(max_epochs=1), hidden_sizes=(3,))
+            assert {a.dtype for a in [*model.weights, *model.biases]} == {np.dtype(np.float64)}
+
+    def test_float32_saturated_logits_raise_no_warning(self):
+        # pytest turns warnings into errors, so an overflow would fail here.
+        z = np.array([-100.0, 100.0], dtype=np.float32)
+        probs = _sigmoid(z)
+        assert probs.dtype == np.float32
+        assert 0.0 <= probs[0] < np.finfo(np.float32).tiny and probs[1] == 1.0
+        # The clamp to [1e-7, 1 - 1e-7] bounds the loss either way.
+        assert bce_loss(probs, [0.0, 1.0]) == pytest.approx(2e-7, rel=1e-6)
+        assert bce_loss(probs, [1.0, 0.0]) == pytest.approx(-2.0 * math.log(1e-7), rel=1e-6)
 
 
 def tied_problem():

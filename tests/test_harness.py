@@ -4,7 +4,9 @@ from dataclasses import asdict
 
 import pytest
 
+from trialmatch import cli, harness
 from trialmatch.classifiers import TrainConfig
+from trialmatch.corpus import SyntheticConfig, generate_synthetic, write_dataset
 from trialmatch.errors import ConfigError
 from trialmatch.harness import (
     ExperimentConfig,
@@ -135,15 +137,14 @@ class TestFallbackWarning:
         assert warnings[1].startswith("variant second:")
 
 
+TINY_CORPUS = {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5}
+
+
 def tiny_task1(tmp_path, threads: int) -> ExperimentConfig:
     return ExperimentConfig.from_dict(
         {
             "task": "task1",
-            "dataset": {
-                "name": "tiny",
-                "synthetic": {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5},
-                "seed": 5,
-            },
+            "dataset": {"name": "tiny", "synthetic": TINY_CORPUS, "seed": 5},
             "variants": [{"train": {"max_epochs": 5}}],
             "output_dir": str(tmp_path / f"out-{threads}"),
             "threads": threads,
@@ -176,3 +177,93 @@ class TestTask1Outputs:
         assert runs[0]["feature_seconds"] > 0.0
         assert all(r["wall_seconds"] > r["feature_seconds"] for r in runs)
         assert b"seconds" not in csv_bytes
+
+
+class TestClassifierDtypes:
+    TRAINERS = ("train_mlp", "train_with_adapter", "train_tree", "train_forest", "train_svm")
+
+    @pytest.mark.parametrize(
+        "task, expected",
+        [
+            (
+                "task1",
+                {
+                    "train_mlp": {"float32"},
+                    "train_tree": {"float64"},
+                    "train_forest": {"float64"},
+                    "train_svm": {"float64"},
+                },
+            ),
+            ("task4", {"train_mlp": {"float32"}, "train_with_adapter": {"float32"}}),
+        ],
+    )
+    def test_only_the_mlp_is_handed_float32(self, tmp_path, monkeypatch, task, expected):
+        seen: dict[str, set[str]] = {}
+
+        def recording(name, train):
+            def wrapper(features, labels, *args, **kwargs):
+                dtypes = seen.setdefault(name, set())
+                dtypes.add(features.dtype.name)
+                if kwargs.get("validation") is not None:
+                    dtypes.add(kwargs["validation"][0].dtype.name)
+                return train(features, labels, *args, **kwargs)
+
+            return wrapper
+
+        for name in self.TRAINERS:
+            monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
+        run_task(ExperimentConfig.from_dict(tiny_config(task, tmp_path)))
+        assert seen == expected
+
+
+def write_tiny_datasets(tmp_path) -> list[dict]:
+    sources = []
+    for seed in (5, 6):
+        patients, trials = tmp_path / f"p{seed}.jsonl", tmp_path / f"t{seed}.jsonl"
+        write_dataset(generate_synthetic(SyntheticConfig(**TINY_CORPUS), seed), patients, trials)
+        sources.append(
+            {"name": f"tiny-{seed}", "patients_path": str(patients), "trials_path": str(trials)}
+        )
+    return sources
+
+
+def tiny_config(task: str, tmp_path) -> dict:
+    obj = {"task": task, "variants": [{"train": {"max_epochs": 5}}]}
+    if task == "task5":
+        obj["datasets"] = write_tiny_datasets(tmp_path)
+    else:
+        obj["dataset"] = {"name": "tiny", "synthetic": TINY_CORPUS, "seed": 5}
+    return obj
+
+
+def run_cli(obj: dict, out, capsys) -> tuple[int, bytes]:
+    path = out.parent / f"{out.name}.json"
+    path.write_text(json.dumps({**obj, "output_dir": str(out)}), encoding="utf-8")
+    code = cli.main(["run", "--config", str(path)])
+    capsys.readouterr()
+    return code, (out / "results.csv").read_bytes()
+
+
+class TestOtherTasks:
+    """task2 (three default mock backbones), task4 (frozen and adapter MLPs,
+    with and without compression) and task5 (two datasets, one variant)."""
+
+    CELLS = {"task2": 3, "task4": 4, "task5": 2}
+
+    @pytest.mark.parametrize("task", sorted(CELLS))
+    def test_tiny_run(self, tmp_path, capsys, task):
+        code, csv_bytes = run_cli(tiny_config(task, tmp_path), tmp_path / "out", capsys)
+        assert code == cli.EXIT_OK
+        rows = csv_bytes.decode().splitlines()
+        header = rows[0].split(",")
+        assert len(rows) == 1 + self.CELLS[task]
+        aurocs = [float(row.split(",")[header.index("auroc")]) for row in rows[1:]]
+        assert all(0.0 <= a <= 1.0 for a in aurocs)
+        assert {row.split(",")[0] for row in rows[1:]} == {task}
+
+    def test_rerun_is_byte_identical(self, tmp_path, capsys):
+        for task in sorted(self.CELLS):
+            obj = tiny_config(task, tmp_path)
+            _, first = run_cli(obj, tmp_path / f"{task}-a", capsys)
+            _, rerun = run_cli(obj, tmp_path / f"{task}-b", capsys)
+            assert first == rerun
