@@ -4,8 +4,7 @@ Four model families: a rectifier MLP trained with summed binary cross-entropy
 and Adam, a Gini decision tree, a bootstrap random forest, and a linear SVM
 trained by subgradient descent on the regularized hinge loss. A trainable
 linear adapter in front of the MLP serves as the desk-scale analog of joint
-representation fine-tuning; fixing it to the identity recovers the frozen
-setting exactly.
+representation fine-tuning; the frozen setting is the plain MLP.
 
 Training is a single logical thread and fully deterministic under its seed;
 trained models are immutable and safe for concurrent prediction. The MLP trains
@@ -336,7 +335,6 @@ def _train_core(
     validation: Optional[tuple[np.ndarray, np.ndarray]],
     hidden_sizes: Sequence[int],
     adapter_dim: Optional[int],
-    adapter_trainable: bool,
 ) -> tuple[Optional[np.ndarray], MLPModel, TrainingLog]:
     X = _as_features(features)
     dtype = X.dtype  # every array below is built in the features' dtype
@@ -367,20 +365,18 @@ def _train_core(
         input_dim = adapter_dim
         if adapter_dim == d:
             adapter = np.eye(d, dtype=dtype)
-        elif adapter_trainable:
+        else:
             adapter = np.random.default_rng(adapter_ss).standard_normal(
                 (d, adapter_dim)
             ) * math.sqrt(1.0 / d)
-        else:
-            adapter = np.eye(d, dtype=dtype)[:, :adapter_dim]
 
     # The initial values are drawn in float64 whatever the dtype, so both
     # dtypes start from the same draws.
     weights, biases = _init_params((input_dim, *hidden_sizes, 1), rng_init)
     n_layers = len(weights)
     # Parameters, gradient and best snapshot are one flat vector each; the
-    # weights, biases and trained adapter are reshaped views into them.
-    trained = [*weights, *biases, *([adapter] if adapter_trainable else [])]
+    # weights, biases and adapter are reshaped views into them.
+    trained = [*weights, *biases, *([] if adapter is None else [adapter])]
     shapes = [p.shape for p in trained]
     params = np.concatenate([p.ravel() for p in trained], dtype=dtype)
     grads = np.empty_like(params)
@@ -388,15 +384,11 @@ def _train_core(
     param_views, grad_views = _split_flat(params, shapes), _split_flat(grads, shapes)
     weights, biases = param_views[:n_layers], param_views[n_layers : 2 * n_layers]
     grads_w, grads_b = grad_views[:n_layers], grad_views[n_layers : 2 * n_layers]
-    if adapter_trainable:
+    if adapter is not None:
         adapter, grad_adapter = param_views[-1], grad_views[-1]
 
     def transform(Z: np.ndarray) -> np.ndarray:
-        if adapter is None:
-            return Z
-        if not adapter_trainable and adapter.shape[0] == adapter.shape[1]:
-            return Z  # identity adapter: skip the matmul entirely
-        return Z @ adapter
+        return Z if adapter is None else Z @ adapter
 
     def monitor_loss() -> float:
         _, probs = _forward_stack(weights, biases, transform(val_x))
@@ -415,9 +407,9 @@ def _train_core(
             Xb, yb = X[idx], y[idx]
             activations, probs = _forward_stack(weights, biases, transform(Xb))
             input_delta = _backward_stack(
-                weights, activations, probs, yb, grads_w, grads_b, adapter_trainable
+                weights, activations, probs, yb, grads_w, grads_b, adapter is not None
             )
-            if adapter_trainable:
+            if adapter is not None:
                 np.matmul(Xb.T, input_delta, out=grad_adapter)
             adam_step(params, grads, state, config)
 
@@ -444,7 +436,7 @@ def _train_core(
         weights=weights,
         biases=biases,
     )
-    return (adapter if adapter_dim is not None else None), model, log
+    return adapter, model, log
 
 
 def train_mlp(
@@ -465,9 +457,7 @@ def train_mlp(
     ``train_loss`` (the same value) when there is no validation set. Fully
     deterministic under ``config.seed``.
     """
-    _, model, log = _train_core(
-        features, labels, config, validation, hidden_sizes, None, False
-    )
+    _, model, log = _train_core(features, labels, config, validation, hidden_sizes, None)
     return model, log
 
 
@@ -478,14 +468,12 @@ def train_with_adapter(
     config: TrainConfig = TrainConfig(),
     validation: Optional[tuple[np.ndarray, np.ndarray]] = None,
     hidden_sizes: Sequence[int] = DEFAULT_MLP_HIDDEN,
-    adapter_trainable: bool = True,
 ) -> tuple[AdapterModel, TrainingLog]:
     """Jointly optimize a linear input adapter and the MLP.
 
-    With ``adapter_trainable=False`` the adapter is frozen to the identity and
-    the run reproduces ``train_mlp`` exactly (same seed, same losses). Like
-    ``train_mlp``, trains in the features' dtype (float32 or float64), and the
-    adapter has that dtype too.
+    A square adapter starts at the identity, a narrowing one from scaled
+    Gaussian draws. Like ``train_mlp``, trains in the features' dtype
+    (float32 or float64), and the adapter has that dtype too.
     """
     d_in, d_out = adapter_dims
     X = _as_features(features)
@@ -495,9 +483,7 @@ def train_with_adapter(
         )
     if d_out < 1:
         raise ConfigError("adapter output dimension must be positive")
-    adapter, model, log = _train_core(
-        X, labels, config, validation, hidden_sizes, d_out, adapter_trainable
-    )
+    adapter, model, log = _train_core(X, labels, config, validation, hidden_sizes, d_out)
     assert adapter is not None
     return AdapterModel(adapter=LinearAdapter(matrix=adapter), mlp=model), log
 

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -191,26 +191,28 @@ class Dataset:
 # JSONL IO
 # ---------------------------------------------------------------------------
 
-def _iter_jsonl(path: Path) -> list[tuple[int, dict]]:
-    """Parse a JSONL file into (line_number, object) pairs with line-accurate errors."""
+def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, object) pairs as the file is read, with
+    line-accurate errors; lines split as ``load_dataset`` describes."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        handle = path.open(encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    records: list[tuple[int, dict]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object")
-        records.append((lineno, obj))
-    if not records:
+    found = False
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            found = True
+            yield lineno, obj
+    if not found:
         raise DataError(f"{path}: file contains no records")
-    return records
 
 
 def _require(obj: dict, key: str, where: str):
@@ -265,7 +267,12 @@ def _parse_patient(obj: dict, where: str) -> PatientRecord:
 
 
 def load_dataset(patients_path: str | Path, trials_path: str | Path) -> Dataset:
-    """Load a normalized dataset, checking referential integrity.
+    r"""Load a normalized dataset, checking referential integrity.
+
+    Both files are UTF-8 JSONL, one object per line, read and parsed line by
+    line. Lines may end in ``\n``, ``\r\n`` or ``\r``; no other character
+    ends a line, so U+0085, U+2028 and U+2029 inside a string are read as
+    written. Blank lines are ignored.
 
     Raises DataError on parse errors (with line numbers), duplicate
     patient ids (citing both lines), dangling trial references, or empty files.

@@ -1,6 +1,9 @@
 """Embedding providers, the deterministic mock embedder, an on-disk vector
 cache, and an HTTP client for external embedding services.
 
+The HTTP client (``requests``, and with it ``urllib3`` and ``ssl``) is loaded
+on the first HTTP request, so a run on the mock provider never loads it.
+
 Providers expose a uniform surface: a ``descriptor`` plus ``embed_texts`` and
 (optionally) ``embed_tokens``. Every provider must be deterministic and
 batch-invariant: the vector for a text is identical regardless of batch
@@ -16,10 +19,9 @@ import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-import requests
 
 from .errors import (
     CacheFormatError,
@@ -31,6 +33,9 @@ from .errors import (
     ProviderStatusError,
     ProviderTimeoutError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger("trialmatch.embedding")
 
@@ -130,7 +135,11 @@ class MockProvider:
 
 
 class HttpProvider:
-    """Client-side provider backed by an external embedding service."""
+    """Client-side provider backed by an external embedding service.
+
+    Building one loads no HTTP client; ``requests`` is imported by the first
+    ``embed_texts`` call (see ``http_embed``).
+    """
 
     def __init__(
         self,
@@ -353,8 +362,11 @@ def http_embed(
     Transport failures (connection errors, timeouts) are retried with
     exponential backoff up to ``max_attempts`` total attempts; protocol errors
     (bad status, malformed JSON, dimension mismatch) are surfaced immediately
-    as distinct exception types.
+    as distinct exception types. ``requests`` is imported here, on first
+    use, rather than with the module.
     """
+    import requests
+
     if len(texts) == 0:
         raise DataError("http_embed requires at least one text")
     if len(texts) > max_batch:

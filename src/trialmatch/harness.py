@@ -360,7 +360,7 @@ class FeatureSet:
     seconds: float  # duration of the feature pass that built this set
 
 
-def _expected_feature_length(spec: PipelineSpec, d_hidden: int) -> Optional[int]:
+def _expected_feature_length(spec: PipelineSpec, d_hidden: int) -> int:
     if spec.dimred is not None:
         cfg = spec.dimred
         if cfg.fit_scope == "dataset":
@@ -373,13 +373,13 @@ def _expected_feature_length(spec: PipelineSpec, d_hidden: int) -> Optional[int]
         if spec.pooling == "hybrid_last":
             return core + d_hidden
         return core
-    if spec.pooling in ("mean", "last_token"):
-        return d_hidden
     if spec.pooling == "hybrid_last":
         return 2 * d_hidden
     if spec.pooling == "pca_mean":
+        if spec.pooling_components is None:
+            raise ConfigError("pooling 'pca_mean' requires pooling_components")
         return spec.pooling_components
-    return None
+    return d_hidden  # "mean" and "last_token"
 
 
 def _pool_matrix(spec: PipelineSpec, matrix: np.ndarray) -> np.ndarray:
@@ -489,7 +489,12 @@ def _compute_features_multi(
     """One retrieval/encode pass over the dataset, reduced per variant.
 
     All specs must share the retrieval-relevant fields (provider, k, chunking,
-    instructions); only the representation stage may differ.
+    instructions); only the representation stage may differ. Each variant
+    gets one float64 matrix with a row per patient, allocated before the
+    pass; a patient's reduced row is written into it as soon as the patient
+    is encoded, and the variant's ``X`` is the filled prefix. The pass's
+    peak is one matrix per variant plus the token matrices being reduced;
+    there is no list of rows and no stacking copy.
     """
     started = time.perf_counter()
     base = specs[0]
@@ -507,6 +512,12 @@ def _compute_features_multi(
     encoder = PatientEncoder(base, dataset, modality, provider)
     d_hidden = encoder.provider.descriptor.dim
     patients = dataset.patients
+    widths = [_expected_feature_length(spec, d_hidden) for spec in specs]
+    matrices = [np.empty((len(patients), width)) for width in widths]
+    ids: list[list[str]] = [[] for _ in specs]
+    labels: list[list[float]] = [[] for _ in specs]
+    skipped: list[list[tuple[str, str]]] = [[] for _ in specs]
+    fallbacks: list[list[Exception]] = [[] for _ in specs]
 
     def work(patient):
         matrix = encoder.token_matrix(patient)
@@ -514,68 +525,66 @@ def _compute_features_multi(
             return None
         return [_reduce_matrix(spec, matrix) for spec in specs]
 
+    def fill(patient, reduced) -> None:
+        for v, width in enumerate(widths):
+            if reduced is None:
+                skipped[v].append((patient.patient_id, "no_chunks"))
+                continue
+            values, fallback_error = reduced[v]
+            if values.shape[0] != width:
+                skipped[v].append((patient.patient_id, "feature_dim_mismatch"))
+                continue
+            if fallback_error is not None:
+                fallbacks[v].append(fallback_error)
+            matrices[v][len(ids[v])] = values
+            ids[v].append(patient.patient_id)
+            labels[v].append(float(patient.label.value))
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            encoded = list(pool.map(work, patients))
+            for patient, reduced in zip(patients, pool.map(work, patients)):
+                fill(patient, reduced)
     else:
-        encoded = [work(p) for p in patients]
+        for patient in patients:
+            fill(patient, work(patient))
     seconds = time.perf_counter() - started
 
     out: list[FeatureSet] = []
     for v, spec in enumerate(specs):
-        expected = _expected_feature_length(spec, d_hidden)
-        ids: list[str] = []
-        rows: list[np.ndarray] = []
-        labels: list[float] = []
-        skipped: list[tuple[str, str]] = []
-        fallbacks: list[Exception] = []
-        for patient, result in zip(patients, encoded):
-            if result is None:
-                skipped.append((patient.patient_id, "no_chunks"))
-                continue
-            values, fallback_error = result[v]
-            if expected is not None and values.shape[0] != expected:
-                skipped.append((patient.patient_id, "feature_dim_mismatch"))
-                continue
-            if fallback_error is not None:
-                fallbacks.append(fallback_error)
-            ids.append(patient.patient_id)
-            rows.append(values)
-            labels.append(float(patient.label.value))
-        if not rows:
+        if not ids[v]:
             raise DataError(
                 f"variant {spec.variant_name!r}: every patient was skipped"
             )
-        skip_fraction = len(skipped) / len(patients)
+        skip_fraction = len(skipped[v]) / len(patients)
         if skip_fraction > MAX_SKIP_FRACTION:
             raise DataError(
-                f"variant {spec.variant_name!r}: {len(skipped)} of {len(patients)} "
+                f"variant {spec.variant_name!r}: {len(skipped[v])} of {len(patients)} "
                 f"patients skipped ({skip_fraction:.1%} > {MAX_SKIP_FRACTION:.0%})"
             )
-        if fallbacks:
-            reasons = Counter(type(exc).__name__ for exc in fallbacks)
+        if fallbacks[v]:
+            reasons = Counter(type(exc).__name__ for exc in fallbacks[v])
             logger.warning(
                 "variant %s: compression fell back to mean pooling for %d patients "
                 "(%s); first: %s",
                 spec.variant_name,
-                len(fallbacks),
+                len(fallbacks[v]),
                 ", ".join(f"{name}: {count}" for name, count in sorted(reasons.items())),
-                fallbacks[0],
+                fallbacks[v][0],
             )
-        if skipped:
+        if skipped[v]:
             logger.warning(
                 "variant %s skipped %d patients: %s",
                 spec.variant_name,
-                len(skipped),
-                skipped[:5],
+                len(skipped[v]),
+                skipped[v][:5],
             )
         out.append(
             FeatureSet(
-                ids=ids,
-                X=np.vstack(rows),
-                y=np.asarray(labels),
-                skipped=skipped,
-                fallbacks=len(fallbacks),
+                ids=ids[v],
+                X=matrices[v][: len(ids[v])],
+                y=np.asarray(labels[v]),
+                skipped=skipped[v],
+                fallbacks=len(fallbacks[v]),
                 seconds=seconds,
             )
         )

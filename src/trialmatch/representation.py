@@ -9,6 +9,7 @@ All transforms are pure and deterministic; the eigenvector sign convention
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -136,6 +137,19 @@ def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
     return components
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_start(k: int) -> np.ndarray:
+    """The inverse iteration's start: a fixed seeded Gaussian unit vector of
+    length ``k``, read-only and shared by every call of that size (``k`` is
+    at most the hidden dimension). A Gram matrix of column-centered data has
+    the ones vector in its null space, so a structured start can miss the top
+    eigenvector."""
+    x = np.random.default_rng(0).standard_normal(k)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return x
+
+
 def _refine_top_eigenvector(sym: np.ndarray, top: float) -> np.ndarray:
     """Two steps of inverse iteration shifted just above the top eigenvalue.
 
@@ -145,12 +159,9 @@ def _refine_top_eigenvector(sym: np.ndarray, top: float) -> np.ndarray:
     0.995 of the first), where power iteration would need thousands of
     products.
     """
-    shifted = sym - (top + 1e-12 * abs(top)) * np.eye(sym.shape[0])
-    # A fixed seeded Gaussian start: a Gram matrix of column-centered data has
-    # the ones vector in its null space, so a structured start can miss the
-    # top eigenvector.
-    x = np.random.default_rng(0).standard_normal(sym.shape[0])
-    x /= np.linalg.norm(x)
+    shifted = sym.astype(np.float64)  # a copy
+    shifted.flat[:: sym.shape[0] + 1] -= top + 1e-12 * abs(top)
+    x = _unit_start(sym.shape[0])
     for _ in range(2):
         x = np.linalg.solve(shifted, x)
         x /= np.linalg.norm(x)

@@ -353,8 +353,7 @@ class TestTrainingDtype:
 
     ADAPTER_CASES = {
         "trainable": dict(adapter_dims=(5, 3)),
-        "frozen-square": dict(adapter_dims=(5, 5), adapter_trainable=False),
-        "frozen-narrow": dict(adapter_dims=(5, 3), adapter_trainable=False),
+        "trainable-square": dict(adapter_dims=(5, 5)),
     }
 
     @staticmethod
@@ -644,20 +643,6 @@ class TestSvm:
 
 
 class TestAdapter:
-    def test_frozen_identity_reproduces_train_mlp(self):
-        X, y = blobs(4, n=60)
-        config = TrainConfig(seed=21, max_epochs=12)
-        plain, plain_log = train_mlp(X, y, config, hidden_sizes=(5,))
-        frozen, frozen_log = train_with_adapter(
-            X, y, (2, 2), config, hidden_sizes=(5,), adapter_trainable=False
-        )
-        assert np.array_equal(frozen.adapter.matrix, np.eye(2))
-        for a, b in zip(plain.weights, frozen.mlp.weights):
-            assert np.array_equal(a, b)
-        assert [r["monitor_loss"] for r in plain_log.history] == [
-            r["monitor_loss"] for r in frozen_log.history
-        ]
-
     def test_adapter_trains_jointly(self):
         X, y = blobs(5, n=80)
         config = TrainConfig(seed=3, max_epochs=20)

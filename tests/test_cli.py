@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trialmatch
 from trialmatch import cli
 
 
@@ -114,3 +119,41 @@ class TestRetrieve:
         assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
             "3b8671dc778978715785fd4b430c85ff931d9ce3ed8cdccc80955f8f87839e5d"
         )
+
+
+class TestImportFootprint:
+    """A mock run never loads the HTTP client; the HTTP provider loads it on
+    first use (its tests run against a local server)."""
+
+    SCRIPT = """
+import json, sys
+import trialmatch.cli
+http = ("requests", "urllib3")
+on_import = [m for m in http if m in sys.modules]
+code = trialmatch.cli.main(["run", "--config", sys.argv[1]])
+print(json.dumps([code, on_import, [m for m in http if m in sys.modules]]))
+"""
+
+    def test_mock_run_never_imports_requests(self, tmp_path):
+        config = {
+            "task": "task1",
+            "dataset": {
+                "name": "tiny",
+                "synthetic": {"n_trials": 2, "patients_per_trial": 20},
+                "seed": 5,
+            },
+            "variants": [{"train": {"max_epochs": 2}}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        src = str(Path(trialmatch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, write_config(tmp_path, config)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, on_import, after_run = json.loads(proc.stdout.splitlines()[-1])
+        assert (code, on_import, after_run) == (cli.EXIT_OK, [], [])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import tiny_patient, tiny_trial, write_jsonl
 from trialmatch.corpus import (
     LABEL_TAXONOMIES,
+    Dataset,
     SplitSpec,
     StructuredRow,
     SyntheticConfig,
@@ -110,6 +111,53 @@ class TestLoadDataset:
         patients = tmp_path / "p.jsonl"
         patients.write_text("{}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"t\.jsonl:1"):
+            load_dataset(patients, trials)
+
+    # json.dumps(..., ensure_ascii=False) writes these raw; str.splitlines()
+    # would end a line at each of them.
+    UNICODE_BREAKS = ["\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("char", UNICODE_BREAKS, ids=["NEL", "LS", "PS"])
+    def test_round_trip_keeps_unicode_line_breaks_in_text(self, tmp_path, char):
+        text = f"fever{char}and chills"
+        dataset = Dataset(
+            patients=[tiny_patient("P1", text=text), tiny_patient("P2", label=0)],
+            trials=[tiny_trial()],
+        )
+        patients, trials = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        write_dataset(dataset, patients, trials)
+        assert char in patients.read_text(encoding="utf-8")
+        loaded = load_dataset(patients, trials)
+        assert loaded.patients == dataset.patients
+
+    @pytest.mark.parametrize("char", UNICODE_BREAKS, ids=["NEL", "LS", "PS"])
+    def test_line_number_counts_past_unicode_line_breaks(self, tmp_path, char):
+        patients, trials = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        write_dataset(
+            Dataset(patients=[tiny_patient("P1", text=f"a{char}b")], trials=[tiny_trial()]),
+            patients,
+            trials,
+        )
+        with patients.open("a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        with pytest.raises(DataError, match=r"p\.jsonl:2: invalid JSON"):
+            load_dataset(patients, trials)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_line_endings(self, tmp_path, ending):
+        dataset = Dataset(
+            patients=[tiny_patient("P1"), tiny_patient("P2", label=0)],
+            trials=[tiny_trial()],
+        )
+        patients_text, trials_text = dataset_to_jsonl(dataset)
+        patients, trials = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        patients.write_bytes(patients_text.replace("\n", ending).encode("utf-8"))
+        trials.write_bytes(trials_text.replace("\n", ending).encode("utf-8"))
+        assert load_dataset(patients, trials).patients == dataset.patients
+        with patients.open("ab") as handle:
+            handle.write(f"{ending}[]{ending}".encode("utf-8"))
+        # Line 3 is blank and skipped; line 4 holds the array.
+        with pytest.raises(DataError, match=r"p\.jsonl:4: expected a JSON object"):
             load_dataset(patients, trials)
 
 

@@ -1,15 +1,25 @@
+import hashlib
 import json
 import logging
 from dataclasses import asdict
 
 import pytest
 
+from conftest import tiny_patient, tiny_trial
 from trialmatch import cli, harness
 from trialmatch.classifiers import TrainConfig
-from trialmatch.corpus import SyntheticConfig, generate_synthetic, write_dataset
+from trialmatch.corpus import (
+    Dataset,
+    EligibilityLabel,
+    PatientRecord,
+    SyntheticConfig,
+    generate_synthetic,
+    write_dataset,
+)
 from trialmatch.errors import ConfigError
 from trialmatch.harness import (
     ExperimentConfig,
+    FeatureSet,
     PipelineSpec,
     ProviderSpec,
     _compute_features_multi,
@@ -156,6 +166,78 @@ def run_and_write(config: ExperimentConfig, out) -> tuple[bytes, dict]:
     results, _ = run_task(config)
     manifest = write_outputs(results, out, config)
     return (out / "results.csv").read_bytes(), manifest
+
+
+def feature_pass_dataset() -> Dataset:
+    """The tiny corpus plus a patient with no notes, which an unstructured
+    pass skips as ``no_chunks``, and one with a short prompt, which falls
+    back from hidden-axis compression (a ``feature_dim_mismatch`` skip at
+    64 components, a counted fallback at 128)."""
+    synthetic = generate_synthetic(SyntheticConfig(**TINY_CORPUS), 5)
+    no_notes = PatientRecord(
+        "NO-NOTES",
+        synthetic.trials[0].trial_id,
+        (),
+        tiny_patient("X").structured_rows,
+        EligibilityLabel(0, None),
+    )
+    return Dataset(
+        patients=[*synthetic.patients, no_notes, tiny_patient("SHORT", text="fever")],
+        trials=[*synthetic.trials, tiny_trial()],
+    )
+
+
+def feature_set_digest(features: FeatureSet) -> str:
+    h = hashlib.sha256(features.X.tobytes())
+    h.update(features.y.tobytes())
+    h.update(
+        json.dumps(
+            [
+                features.ids,
+                features.X.shape,
+                features.X.dtype.str,
+                features.skipped,
+                features.fallbacks,
+            ]
+        ).encode()
+    )
+    return h.hexdigest()[:16]
+
+
+class TestFeaturePass:
+    # Recorded before the pass wrote its rows in place.
+    DIGESTS = {
+        "task1": ["3cc6025382e0b1a0", "6871e6fc4e404bad"] * 4,
+        "task3": [
+            "6871e6fc4e404bad",
+            "c76aa8cb00fa94eb",
+            "5c89cb72259d90f0",
+            "3168b7f436981a95",
+            "93f479f8027e848a",
+            "e5d2fdf3c3876f07",
+            "6a610f7b55534859",
+        ],
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("task", sorted(DIGESTS))
+    def test_feature_sets_match_recorded_digests(self, task, threads):
+        variants = {"task1": harness._task1_variants, "task3": harness._task3_variants}[task]
+        feature_sets = _compute_features_multi(
+            variants(PipelineSpec()), feature_pass_dataset(), "unstructured", threads
+        )
+        assert [feature_set_digest(f) for f in feature_sets] == self.DIGESTS[task]
+
+    def test_skips_and_fallbacks_are_exercised(self):
+        specs = harness._task3_variants(PipelineSpec())
+        feature_sets = _compute_features_multi(specs, feature_pass_dataset(), "unstructured")
+        by_name = {spec.name: f for spec, f in zip(specs, feature_sets)}
+        assert by_name["hidden-64"].skipped == [
+            ("NO-NOTES", "no_chunks"),
+            ("SHORT", "feature_dim_mismatch"),
+        ]
+        assert by_name["hidden-128"].fallbacks == 1
+        assert by_name["hidden-64"].X.shape == (40, 64)
 
 
 class TestTask1Outputs:
