@@ -14,7 +14,6 @@ else is converted to float64 and trains in float64.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -510,8 +509,6 @@ class TreeNode:
 class DecisionTree:
     root: TreeNode
     n_features: int
-    max_depth: int
-    min_leaf: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
@@ -619,17 +616,13 @@ def train_tree(
     y = _as_labels(labels, X.shape[0])
     _require_both_classes(y)
     root = _grow_tree(X, y, 0, max_depth, min_leaf, None, None)
-    return DecisionTree(root=root, n_features=X.shape[1], max_depth=max_depth, min_leaf=min_leaf)
+    return DecisionTree(root=root, n_features=X.shape[1])
 
 
 @dataclass
 class RandomForest:
     trees: list[DecisionTree]
-    seed: int
-    tree_seeds: list[int]  # spawn indices under the base seed
     n_features: int
-    bootstrap: bool
-    feature_subsample: bool
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         acc = np.zeros(X.shape[0])
@@ -673,17 +666,8 @@ def train_forest(
         root = _grow_tree(
             Xb, yb, 0, max_depth, min_leaf, rng if feature_subsample else None, n_sub
         )
-        trees.append(
-            DecisionTree(root=root, n_features=d, max_depth=max_depth, min_leaf=min_leaf)
-        )
-    return RandomForest(
-        trees=trees,
-        seed=seed,
-        tree_seeds=list(range(n_trees)),
-        n_features=d,
-        bootstrap=bootstrap,
-        feature_subsample=feature_subsample,
-    )
+        trees.append(DecisionTree(root=root, n_features=d))
+    return RandomForest(trees=trees, n_features=d)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +685,6 @@ class LinearSVM:
 
     w: np.ndarray
     b: float
-    lam: float
 
     @property
     def n_features(self) -> int:
@@ -752,11 +735,11 @@ def train_svm(
         step = lr / math.sqrt(t + 1.0)
         w = w - step * grad_w
         b = b - step * grad_b
-    return LinearSVM(w=w, b=b, lam=lam)
+    return LinearSVM(w=w, b=b)
 
 
 # ---------------------------------------------------------------------------
-# Uniform prediction and serialization
+# Uniform prediction
 # ---------------------------------------------------------------------------
 
 TrainedClassifier = MLPModel | DecisionTree | RandomForest | LinearSVM | AdapterModel
@@ -772,120 +755,3 @@ def predict_proba(model: TrainedClassifier, features) -> np.ndarray:
         )
     probs = model.predict_proba(X)
     return np.clip(probs, 0.0, 1.0)
-
-
-def _tree_to_obj(node: TreeNode) -> dict:
-    obj: dict = {"prob": node.prob, "n": node.n}
-    if not node.is_leaf:
-        obj.update(
-            feature=node.feature,
-            threshold=node.threshold,
-            left=_tree_to_obj(node.left),
-            right=_tree_to_obj(node.right),
-        )
-    return obj
-
-
-def _tree_from_obj(obj: dict) -> TreeNode:
-    node = TreeNode(prob=obj["prob"], n=obj["n"])
-    if "feature" in obj:
-        node.feature = obj["feature"]
-        node.threshold = obj["threshold"]
-        node.left = _tree_from_obj(obj["left"])
-        node.right = _tree_from_obj(obj["right"])
-    return node
-
-
-def model_to_json(
-    model: TrainedClassifier,
-    train_config: Optional[TrainConfig] = None,
-    seed: Optional[int] = None,
-) -> str:
-    """Serialize any trained model; floats round-trip at full 64-bit precision."""
-    meta: dict = {}
-    if train_config is not None:
-        meta["train_config"] = train_config.__dict__.copy()
-    if seed is not None:
-        meta["seed"] = seed
-    if isinstance(model, MLPModel):
-        payload = {
-            "kind": "mlp",
-            "layer_sizes": list(model.layer_sizes),
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-        }
-    elif isinstance(model, AdapterModel):
-        payload = {
-            "kind": "adapter_mlp",
-            "adapter": model.adapter.matrix.tolist(),
-            "mlp": json.loads(model_to_json(model.mlp)),
-        }
-    elif isinstance(model, DecisionTree):
-        payload = {
-            "kind": "tree",
-            "n_features": model.n_features,
-            "max_depth": model.max_depth,
-            "min_leaf": model.min_leaf,
-            "root": _tree_to_obj(model.root),
-        }
-    elif isinstance(model, RandomForest):
-        payload = {
-            "kind": "forest",
-            "n_features": model.n_features,
-            "bootstrap": model.bootstrap,
-            "feature_subsample": model.feature_subsample,
-            "seed": model.seed,
-            "tree_seeds": model.tree_seeds,
-            "trees": [json.loads(model_to_json(t)) for t in model.trees],
-        }
-    elif isinstance(model, LinearSVM):
-        payload = {
-            "kind": "svm",
-            "w": model.w.tolist(),
-            "b": model.b,
-            "lam": model.lam,
-        }
-    else:
-        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-    for key, value in meta.items():
-        payload.setdefault(key, value)
-    return json.dumps(payload)
-
-
-def model_from_json(payload: str | dict) -> TrainedClassifier:
-    obj = json.loads(payload) if isinstance(payload, str) else payload
-    kind = obj.get("kind")
-    if kind == "mlp":
-        return MLPModel(
-            layer_sizes=tuple(obj["layer_sizes"]),
-            weights=[np.asarray(w, dtype=np.float64) for w in obj["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in obj["biases"]],
-        )
-    if kind == "adapter_mlp":
-        mlp = model_from_json(obj["mlp"])
-        assert isinstance(mlp, MLPModel)
-        return AdapterModel(
-            adapter=LinearAdapter(matrix=np.asarray(obj["adapter"], dtype=np.float64)),
-            mlp=mlp,
-        )
-    if kind == "tree":
-        return DecisionTree(
-            root=_tree_from_obj(obj["root"]),
-            n_features=obj["n_features"],
-            max_depth=obj["max_depth"],
-            min_leaf=obj["min_leaf"],
-        )
-    if kind == "forest":
-        return RandomForest(
-            trees=[model_from_json(t) for t in obj["trees"]],  # type: ignore[misc]
-            seed=int(obj["seed"]),
-            tree_seeds=list(obj["tree_seeds"]),
-            n_features=obj["n_features"],
-            bootstrap=obj["bootstrap"],
-            feature_subsample=obj["feature_subsample"],
-        )
-    if kind == "svm":
-        return LinearSVM(
-            w=np.asarray(obj["w"], dtype=np.float64), b=float(obj["b"]), lam=float(obj["lam"])
-        )
-    raise DataError(f"unknown model kind {kind!r}")

@@ -1,10 +1,16 @@
 """Command-line interface.
 
-Subcommands: synth, retrieve, run, eval, embed-cache. Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 runtime/provider error. Every
-subcommand prints its config hash, and the seeded ones their resolved seed,
-so runs can be replayed byte-for-byte; pass --json for machine-readable
-stdout.
+Subcommands:
+
+  synth     write a synthetic dataset as patients.jsonl and trials.jsonl
+  retrieve  chunk, embed, score and select the top k chunks per patient
+  run       run an experiment task from a JSON config
+  eval      compute metrics from a label file and a score file
+
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 runtime/provider
+error. Every subcommand prints its config hash, and the seeded ones their
+resolved seed, so runs can be replayed byte-for-byte; pass --json for
+machine-readable stdout.
 """
 
 from __future__ import annotations
@@ -26,12 +32,7 @@ from .corpus import (
     load_dataset,
     write_dataset,
 )
-from .embedding import (
-    DEFAULT_MOCK_DIM,
-    EmbeddingCache,
-    ENDPOINT_ENV_VAR,
-    embed_texts,
-)
+from .embedding import DEFAULT_MOCK_DIM, ENDPOINT_ENV_VAR
 from .errors import (
     ConfigError,
     DataError,
@@ -142,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--config", required=True, help="experiment config JSON file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--plots", action="store_true", help="also write SVG bar charts")
     p_run.add_argument("--threads", type=int, default=None, help="feature-construction threads (results are thread-count invariant)")
     _add_json_flag(p_run)
 
@@ -155,35 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scores", required=True, help="file with one probability per line")
     p_eval.add_argument("--threshold", type=float, default=0.5, help="decision threshold (inclusive)")
     _add_json_flag(p_eval)
-
-    p_cache = sub.add_parser(
-        "embed-cache",
-        help="warm or inspect an on-disk embedding cache",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_warm = cache_sub.add_parser(
-        "warm",
-        help="embed texts and store them in the cache",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p_warm.add_argument("--cache", required=True, help="cache file path")
-    p_warm.add_argument("--texts", required=True, help="file with one text per line")
-    p_warm.add_argument("--provider", choices=("mock", "http"), default="mock", help="embedding provider")
-    p_warm.add_argument("--dim", type=int, default=DEFAULT_MOCK_DIM, help="embedding dimension")
-    p_warm.add_argument("--seed", type=int, default=0, help="mock provider seed")
-    p_warm.add_argument("--endpoint", default=None, help=f"http endpoint (or {ENDPOINT_ENV_VAR})")
-    p_warm.add_argument("--model", default=None, help="model name for the http provider")
-    _add_json_flag(p_warm)
-    p_inspect = cache_sub.add_parser(
-        "inspect",
-        help="print cache header information",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p_inspect.add_argument("--cache", required=True, help="cache file path")
-    p_inspect.add_argument("--dim", type=int, default=DEFAULT_MOCK_DIM, help="expected dimension")
-    p_inspect.add_argument("--keys", action="store_true", help="list cached keys")
-    _add_json_flag(p_inspect)
 
     return parser
 
@@ -331,7 +302,7 @@ def _cmd_run(args) -> int:
     root.setLevel(logging.INFO)
     try:
         results, table = run_task(config)
-        manifest = write_outputs(results, config.output_dir, config, plots=args.plots)
+        manifest = write_outputs(results, config.output_dir, config)
     finally:
         root.removeHandler(handler)
         root.setLevel(previous_level)
@@ -363,8 +334,14 @@ def _read_column(path: str, what: str) -> list[float]:
     p = Path(path)
     if not p.exists():
         raise DataError(f"{what} file not found: {p}")
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{p}:{lineno}: not valid UTF-8") from None
     values = []
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -402,60 +379,6 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_embed_cache(args) -> int:
-    if args.cache_command == "warm":
-        texts = [
-            line
-            for line in Path(args.texts).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        if not texts:
-            raise DataError(f"{args.texts}: no texts to embed")
-        provider = _provider_from_args(args).build()
-        cache = EmbeddingCache(args.cache, provider.descriptor.dim)
-        fresh = [t for t in texts if t not in cache]
-        if fresh:
-            for text, vector in zip(fresh, embed_texts(provider, fresh)):
-                cache.store(text, vector)
-        cache.save()
-        resolved = {
-            "provider": provider.descriptor.name,
-            "dim": provider.descriptor.dim,
-            "seed": getattr(args, "seed", 0),
-        }
-        digest = config_hash(resolved)
-        payload = {
-            "seed": getattr(args, "seed", 0),
-            "config_hash": digest,
-            "cache": str(args.cache),
-            "stored": len(fresh),
-            "total": len(cache),
-        }
-        _emit(
-            args,
-            [
-                f"seed={payload['seed']} config_hash={digest}",
-                f"stored {len(fresh)} new embeddings ({len(cache)} total) in {args.cache}",
-            ],
-            payload,
-        )
-        return EXIT_OK
-
-    cache = EmbeddingCache(args.cache, args.dim)
-    payload = {
-        "cache": str(args.cache),
-        "dim": cache.dim,
-        "count": len(cache),
-    }
-    if args.keys:
-        payload["keys"] = sorted(cache.keys())
-    lines = [f"cache={args.cache} dim={cache.dim} count={len(cache)}"]
-    if args.keys:
-        lines.extend(f"  {key}" for key in sorted(cache.keys()))
-    _emit(args, lines, payload)
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -468,7 +391,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "retrieve": _cmd_retrieve,
         "run": _cmd_run,
         "eval": _cmd_eval,
-        "embed-cache": _cmd_embed_cache,
     }
     handler = handlers[args.command]
     try:

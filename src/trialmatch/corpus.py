@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,22 +21,6 @@ DEFAULT_CHUNK_SIZE = 256
 DEFAULT_CHUNK_OVERLAP = 32
 
 MODALITIES = ("structured", "unstructured", "mixed")
-
-# Raw class -> binary label, per dataset family. Lookups are case-insensitive.
-# The potential and eligible classes both map to the positive class.
-LABEL_TAXONOMIES: dict[str, dict[str, int]] = {
-    "n2c2": {"met": 1, "not met": 0},
-    "sigir": {"eligible": 1, "potential": 1, "irrelevant": 0},
-    "trec": {
-        "eligible": 1,
-        "excluded": 0,
-        "ineligible": 0,
-        "excluded/ineligible": 0,
-        "irrelevant": 0,
-    },
-    "mcpmd": {"eligible": 1, "ineligible": 0},
-}
-
 
 @dataclass(frozen=True)
 class EligibilityLabel:
@@ -195,7 +179,9 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) pairs as the file is read, with
     line-accurate errors; lines split as ``load_dataset`` describes."""
     try:
-        handle = path.open(encoding="utf-8", newline="")
+        # Undecodable bytes become lone surrogates, which no valid UTF-8
+        # line holds, so the line that has them can be named.
+        handle = path.open(encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     found = False
@@ -203,6 +189,10 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -221,9 +211,15 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _objects(value, key: str, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise DataError(f"{where}: {key!r} must be a list of JSON objects")
+    return value
+
+
 def _parse_trial(obj: dict, where: str) -> Trial:
     criteria = []
-    for c in _require(obj, "criteria", where):
+    for c in _objects(_require(obj, "criteria", where), "criteria", where):
         criteria.append(
             Criterion(
                 criterion_id=str(_require(c, "criterion_id", where)),
@@ -236,17 +232,19 @@ def _parse_trial(obj: dict, where: str) -> Trial:
 
 def _parse_patient(obj: dict, where: str) -> PatientRecord:
     label_obj = _require(obj, "label", where)
-    label = EligibilityLabel(
-        value=int(_require(label_obj, "value", where)),
-        raw_class=label_obj.get("raw_class"),
-    )
+    if not isinstance(label_obj, dict):
+        raise DataError(f"{where}: 'label' must be a JSON object")
+    value = _require(label_obj, "value", where)
+    if type(value) is not int or value not in (0, 1):
+        raise DataError(f"{where}: label value must be the integer 0 or 1, got {value!r}")
+    label = EligibilityLabel(value=value, raw_class=label_obj.get("raw_class"))
     notes = tuple(
         ClinicalNote(
             note_id=str(_require(n, "note_id", where)),
             text=str(_require(n, "text", where)),
             date=n.get("date"),
         )
-        for n in obj.get("notes", [])
+        for n in _objects(obj.get("notes", []), "notes", where)
     )
     rows = tuple(
         StructuredRow(
@@ -255,7 +253,7 @@ def _parse_patient(obj: dict, where: str) -> PatientRecord:
             value=str(_require(r, "value", where)),
             timestamp=r.get("timestamp"),
         )
-        for r in obj.get("structured", [])
+        for r in _objects(obj.get("structured", []), "structured", where)
     )
     return PatientRecord(
         patient_id=str(_require(obj, "patient_id", where)),
@@ -274,8 +272,11 @@ def load_dataset(patients_path: str | Path, trials_path: str | Path) -> Dataset:
     ends a line, so U+0085, U+2028 and U+2029 inside a string are read as
     written. Blank lines are ignored.
 
-    Raises DataError on parse errors (with line numbers), duplicate
-    patient ids (citing both lines), dangling trial references, or empty files.
+    Raises DataError, with the line number, on bytes that are not UTF-8,
+    invalid JSON, a missing field, a label value other than the JSON integer
+    0 or 1, or ``criteria``, ``notes`` or ``structured`` that are not lists
+    of objects; also on duplicate patient ids (citing both lines), dangling
+    trial references, or empty files.
     """
     patients_path = Path(patients_path)
     trials_path = Path(trials_path)
@@ -433,32 +434,6 @@ def build_chunks(
         for i, row in enumerate(patient.structured_rows):
             _add("structured", f"row{i}", row.to_text())
     return chunks
-
-
-# ---------------------------------------------------------------------------
-# Label normalization
-# ---------------------------------------------------------------------------
-
-def normalize_label(dataset_family: str, raw_class: str) -> EligibilityLabel:
-    """Map a family-specific taxonomy term onto the binary label.
-
-    Lookup is case-insensitive; the raw term is preserved on the label, so
-    normalization is idempotent over each family's taxonomy.
-    """
-    family = dataset_family.lower().strip()
-    if family not in LABEL_TAXONOMIES:
-        raise ConfigError(
-            f"unknown dataset family {dataset_family!r}; "
-            f"expected one of {sorted(LABEL_TAXONOMIES)}"
-        )
-    taxonomy = LABEL_TAXONOMIES[family]
-    key = raw_class.lower().strip()
-    if key not in taxonomy:
-        raise DataError(
-            f"unknown class {raw_class!r} for family {family!r}; "
-            f"valid terms: {sorted(taxonomy)}"
-        )
-    return EligibilityLabel(value=taxonomy[key], raw_class=raw_class)
 
 
 # ---------------------------------------------------------------------------

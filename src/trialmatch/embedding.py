@@ -1,5 +1,5 @@
-"""Embedding providers, the deterministic mock embedder, an on-disk vector
-cache, and an HTTP client for external embedding services.
+"""Embedding providers, the deterministic mock embedder, and an HTTP client
+for external embedding services.
 
 The HTTP client (``requests``, and with it ``urllib3`` and ``ssl``) is loaded
 on the first HTTP request, so a run on the mock provider never loads it.
@@ -15,16 +15,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import struct
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    CacheFormatError,
     ConfigError,
     DataError,
     DimensionMismatchError,
@@ -234,111 +231,6 @@ def embed_tokens(provider, text: str) -> np.ndarray:
             f"token matrix has shape {matrix.shape}, expected (l, {provider.descriptor.dim})"
         )
     return matrix
-
-
-# ---------------------------------------------------------------------------
-# On-disk cache
-# ---------------------------------------------------------------------------
-#
-# File layout (all integers little-endian):
-#   magic   4 bytes  b"EMBC"
-#   version u16      1
-#   dim     u32
-#   count   u64
-#   then per record:
-#     key_len u32, key bytes (UTF-8), dim * f32 payload
-#
-# Vectors are stored as f32 and re-widened to f64 on load (relative precision
-# loss <= 1e-7). Keys are the raw UTF-8 text, no normalization.
-
-CACHE_MAGIC = b"EMBC"
-CACHE_VERSION = 1
-
-
-class EmbeddingCache:
-    """Exact-match text -> vector cache persisted in a small binary file.
-
-    Reads are safe to share; writing (``store`` + ``save``) assumes a single
-    writer per file.
-    """
-
-    def __init__(self, path: str | Path, dim: int):
-        if dim <= 0:
-            raise ConfigError("cache dim must be positive")
-        self.path = Path(path)
-        self.dim = dim
-        self._entries: dict[str, np.ndarray] = {}
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
-
-    def _load(self) -> None:
-        data = self.path.read_bytes()
-        off = 0
-
-        def take(n: int, what: str) -> bytes:
-            nonlocal off
-            if off + n > len(data):
-                raise CacheFormatError(
-                    f"{self.path}: truncated {what} at offset {off}"
-                )
-            piece = data[off : off + n]
-            off += n
-            return piece
-
-        magic = take(4, "magic")
-        if magic != CACHE_MAGIC:
-            raise CacheFormatError(f"{self.path}: bad magic {magic!r} at offset 0")
-        (version,) = struct.unpack("<H", take(2, "version"))
-        if version != CACHE_VERSION:
-            raise CacheFormatError(
-                f"{self.path}: unsupported version {version} at offset 4"
-            )
-        (dim,) = struct.unpack("<I", take(4, "dim"))
-        if dim != self.dim:
-            raise DimensionMismatchError(
-                f"{self.path}: cache dim {dim} does not match requested dim {self.dim}"
-            )
-        (count,) = struct.unpack("<Q", take(8, "count"))
-        for _ in range(count):
-            (key_len,) = struct.unpack("<I", take(4, "key length"))
-            key = take(key_len, "key").decode("utf-8")
-            payload = take(4 * dim, f"vector for {key!r}")
-            self._entries[key] = np.frombuffer(payload, dtype="<f4").copy()
-
-    def lookup(self, text: str) -> Optional[np.ndarray]:
-        entry = self._entries.get(text)
-        if entry is None:
-            return None
-        return entry.astype(np.float64)
-
-    def store(self, text: str, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"vector has shape {vector.shape}, cache dim is {self.dim}"
-            )
-        self._entries[text] = vector.astype("<f4")
-
-    def save(self) -> None:
-        parts = [CACHE_MAGIC, struct.pack("<H", CACHE_VERSION)]
-        parts.append(struct.pack("<I", self.dim))
-        parts.append(struct.pack("<Q", len(self._entries)))
-        for key, vec in self._entries.items():
-            raw = key.encode("utf-8")
-            parts.append(struct.pack("<I", len(raw)))
-            parts.append(raw)
-            parts.append(vec.astype("<f4").tobytes())
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_bytes(b"".join(parts))
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._entries
 
 
 # ---------------------------------------------------------------------------

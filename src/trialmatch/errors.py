@@ -45,10 +45,6 @@ class UndefinedMetricError(DataError):
     """The metric is undefined for this input (reported as absent, not zero)."""
 
 
-class CacheFormatError(DataError):
-    """The on-disk embedding cache is corrupt or has the wrong format."""
-
-
 class ProviderTimeoutError(ProviderError):
     """The embedding service did not answer within the configured timeout."""
 

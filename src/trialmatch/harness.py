@@ -983,12 +983,13 @@ def write_outputs(
     results: Sequence[RunResult],
     output_dir: str | Path,
     config: Optional[ExperimentConfig] = None,
-    plots: bool = False,
 ) -> dict:
-    """Write results.csv, manifest.json, and optional SVG bar charts.
+    """Write results.csv and manifest.json to ``output_dir``; return the manifest.
 
-    results.csv contains no timing data, so byte-identical reruns stay
-    byte-identical regardless of thread count or machine load.
+    results.csv holds one metrics row per run and no timing data, so reruns
+    stay byte-identical regardless of thread count or machine load.
+    manifest.json adds the resolved config, its hash, and each run's stages,
+    skips, fallbacks and timings.
     """
     out = Path(output_dir)
     try:
@@ -1013,18 +1014,12 @@ def write_outputs(
             row.extend(r.report.to_csv_row())
             writer.writerow(row)
 
-    files = ["results.csv", "manifest.json"]
-    plot_paths: list[str] = []
-    if plots:
-        plot_paths = _write_plots(results, out / "plots")
-        files.extend(plot_paths)
-
     resolved = None if config is None else asdict(config)
     manifest = {
         "generator": f"trialmatch {__version__}",
         "config": resolved,
         "config_hash": None if resolved is None else config_hash(resolved),
-        "files": files,
+        "files": ["results.csv", "manifest.json"],
         "runs": [
             {
                 "task": r.task,
@@ -1049,62 +1044,3 @@ def write_outputs(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
     return manifest
-
-
-def _write_plots(results: Sequence[RunResult], plots_dir: Path) -> list[str]:
-    plots_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    metrics = ("macro_f1", "auroc", "auprc")
-    for metric in metrics:
-        labels: list[str] = []
-        values: list[Optional[float]] = []
-        for r in results:
-            label = r.variant
-            if r.trial:
-                label += f"/{r.trial}"
-            if r.exclusion is not None:
-                label += f"@{r.exclusion:g}"
-            labels.append(label)
-            values.append(getattr(r.report, metric))
-        svg = _bar_svg(metric, labels, values)
-        path = plots_dir / f"{metric}.svg"
-        path.write_text(svg, encoding="utf-8")
-        written.append(f"plots/{metric}.svg")
-    return written
-
-
-def _bar_svg(title: str, labels: Sequence[str], values: Sequence[Optional[float]]) -> str:
-    bar_w = 28
-    gap = 10
-    height = 220
-    base_y = 170
-    width = max(320, len(labels) * (bar_w + gap) + 60)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="10" y="20" font-size="14" font-family="sans-serif">{title}</text>',
-        f'<line x1="40" y1="{base_y}" x2="{width - 10}" y2="{base_y}" stroke="#333"/>',
-    ]
-    for i, (label, value) in enumerate(zip(labels, values)):
-        x = 45 + i * (bar_w + gap)
-        if value is None:
-            parts.append(
-                f'<text x="{x}" y="{base_y - 5}" font-size="9" '
-                f'font-family="sans-serif">n/a</text>'
-            )
-        else:
-            h = max(1.0, 130.0 * max(0.0, min(1.0, value)))
-            y = base_y - h
-            parts.append(
-                f'<rect x="{x}" y="{y:.1f}" width="{bar_w}" height="{h:.1f}" fill="#4878a8"/>'
-            )
-            parts.append(
-                f'<text x="{x}" y="{y - 3:.1f}" font-size="8" '
-                f'font-family="sans-serif">{value:.3f}</text>'
-            )
-        parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 12}" font-size="8" '
-            f'font-family="sans-serif" text-anchor="middle">{label[:14]}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -92,6 +92,8 @@ def _check_pair(labels, scores) -> tuple[np.ndarray, np.ndarray]:
         raise DataError("metrics need at least one sample")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("labels must be 0 or 1")
+    if not np.all(np.isfinite(s)):
+        raise DataError("scores must be finite")
     return y, s
 
 

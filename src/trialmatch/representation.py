@@ -10,7 +10,6 @@ All transforms are pure and deterministic; the eigenvector sign convention
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,26 +44,6 @@ class PCAModel:
     components: np.ndarray    # (f, n_components), orthonormal columns
     eigenvalues: np.ndarray   # (n_components,), non-increasing, >= 0
     n_samples_fit: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean.tolist(),
-                "components": self.components.tolist(),
-                "eigenvalues": self.eigenvalues.tolist(),
-                "n_samples_fit": self.n_samples_fit,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str | dict) -> "PCAModel":
-        obj = json.loads(payload) if isinstance(payload, str) else payload
-        return cls(
-            mean=np.asarray(obj["mean"], dtype=np.float64),
-            components=np.asarray(obj["components"], dtype=np.float64),
-            eigenvalues=np.asarray(obj["eigenvalues"], dtype=np.float64),
-            n_samples_fit=int(obj["n_samples_fit"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -157,7 +136,9 @@ def _refine_top_eigenvector(sym: np.ndarray, top: float) -> np.ndarray:
     eigendirection by about 1e-12 |top| / gap, so two steps reach rounding
     level even on the flat spectra of token matrices (second eigenvalue up to
     0.995 of the first), where power iteration would need thousands of
-    products.
+    products. ``np.linalg.solve`` rounds differently under one and two
+    OpenBLAS threads, so the result's last bits depend on the BLAS thread
+    count; the tests and the benchmark hold BLAS to one thread.
     """
     shifted = sym.astype(np.float64)  # a copy
     shifted.flat[:: sym.shape[0] + 1] -= top + 1e-12 * abs(top)

@@ -8,7 +8,7 @@ chunk counts per patient are small, so there is no approximate index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -15,8 +15,6 @@ from trialmatch.classifiers import (
     gini_impurity,
     mlp_forward,
     mlp_grad,
-    model_from_json,
-    model_to_json,
     predict_proba,
     svm_hinge,
     train_forest,
@@ -734,30 +732,3 @@ class TestPredictProba:
         model, _ = train_mlp(X, y, TrainConfig(seed=1, max_epochs=3), hidden_sizes=(3,))
         with pytest.raises(DimensionMismatchError):
             predict_proba(model, np.zeros((2, 5)))
-
-
-class TestSerialization:
-    def test_round_trips_preserve_predictions(self):
-        X, y = blobs(10, n=60)
-        probe = np.random.default_rng(1).standard_normal((15, 2))
-        config = TrainConfig(seed=2, max_epochs=6)
-        models = [
-            train_mlp(X, y, config, hidden_sizes=(4,))[0],
-            train_with_adapter(X, y, (2, 2), config, hidden_sizes=(4,))[0],
-            train_tree(X, y, max_depth=4),
-            train_forest(X, y, n_trees=3, seed=1),
-            train_svm(X, y, epochs=50),
-        ]
-        for model in models:
-            clone = model_from_json(model_to_json(model, train_config=config, seed=2))
-            assert np.array_equal(predict_proba(model, probe), predict_proba(clone, probe))
-
-    def test_json_carries_kind_and_config(self):
-        import json
-
-        X, y = blobs(11, n=30)
-        model, _ = train_mlp(X, y, TrainConfig(seed=4, max_epochs=3), hidden_sizes=(3,))
-        payload = json.loads(model_to_json(model, TrainConfig(seed=4), seed=4))
-        assert payload["kind"] == "mlp"
-        assert payload["train_config"]["seed"] == 4
-        assert payload["seed"] == 4

@@ -9,6 +9,7 @@ import pytest
 
 import trialmatch
 from trialmatch import cli
+from trialmatch.corpus import load_dataset
 
 
 def run_cli(argv, capsys) -> tuple[int, str]:
@@ -98,6 +99,140 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_DATA
         assert "length mismatch" in err
+
+
+def retrieve_argv(patients, trials) -> list[str]:
+    return ["retrieve", "--patients", str(patients), "--trials", str(trials)]
+
+
+def rewrite_first_record(path, edit) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    obj = json.loads(lines[0])
+    edit(obj)
+    lines[0] = json.dumps(obj) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+class TestMalformedInput:
+    """Each malformed input ends in a data error naming the file (and, for
+    JSONL, the line), never in a traceback or a silent coercion."""
+
+    def test_jsonl_that_is_not_utf8_exits_2(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        data = bytearray(patients.read_bytes())
+        data[data.index(b"\n") + 10] = 0xFF  # inside line 2
+        patients.write_bytes(bytes(data))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {patients}:2: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("which", ["labels", "scores"])
+    def test_eval_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, which):
+        files = {"labels": b"1\n0\n", "scores": b"0.9\n0.1\n"}
+        files[which] = files[which] + b"\xff\n"
+        argv = ["eval"]
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+            argv += [f"--{name}", str(tmp_path / name)]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {tmp_path / which}:3: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("value", ["yes", 1.7, 1.0, True, 2])
+    def test_label_value_that_is_not_0_or_1_exits_2(self, capsys, dataset_files, value):
+        patients, trials = dataset_files
+        rewrite_first_record(patients, lambda obj: obj["label"].update(value=value))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == (
+            f"data error: {patients}:1: label value must be the integer 0 or 1, "
+            f"got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("label", [1, "value", [{"value": 1}]])
+    def test_label_that_is_not_an_object_exits_2(self, capsys, dataset_files, label):
+        patients, trials = dataset_files
+        rewrite_first_record(patients, lambda obj: obj.update(label=label))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {patients}:1: 'label' must be a JSON object\n"
+
+    @pytest.mark.parametrize("key", ["notes", "structured", "criteria"])
+    @pytest.mark.parametrize("value", [[5], "fever", {"note_id": "n"}])
+    def test_record_list_that_is_not_objects_exits_2(self, capsys, dataset_files, key, value):
+        patients, trials = dataset_files
+        path = trials if key == "criteria" else patients
+        rewrite_first_record(path, lambda obj: obj.update({key: value}))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {path}:1: {key!r} must be a list of JSON objects\n"
+
+    def test_eval_non_finite_score_exits_2(self, tmp_path, capsys):
+        (tmp_path / "labels").write_text("1\n0\n1\n", encoding="utf-8")
+        (tmp_path / "scores").write_text("0.9\nnan\n0.4\n", encoding="utf-8")
+        argv = ["eval", "--labels", str(tmp_path / "labels")]
+        code, err = run_cli(argv + ["--scores", str(tmp_path / "scores")], capsys)
+        assert code == cli.EXIT_DATA
+        assert err == "data error: scores must be finite\n"
+
+
+class TestRemovedCommands:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["embed-cache", "inspect", "--cache", "c.bin"], "invalid choice: 'embed-cache'"),
+            (["run", "--config", "c.json", "--plots"], "unrecognized arguments: --plots"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert message in err
+
+
+class TestSynth:
+    def test_json_output_loads_back_and_reruns_byte_identical(self, tmp_path, capsys):
+        argv = ["synth", "--trials", "3", "--patients", "10", "--positive-frac", "0.25"]
+        argv += ["--seed", "4", "--json"]
+        assert cli.main(argv + ["--out", str(tmp_path / "a")]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        dataset = load_dataset(tmp_path / "a" / "patients.jsonl", tmp_path / "a" / "trials.jsonl")
+        # round(0.25 * 10) positives per trial, rounding half up.
+        positives = sum(p.label.value for p in dataset.patients)
+        assert (len(dataset.trials), len(dataset.patients), positives) == (3, 30, 9)
+        assert payload == {
+            "seed": 4,
+            "config_hash": payload["config_hash"],
+            "trials": 3,
+            "patients": 30,
+            "positives": 9,
+            "out": str(tmp_path / "a"),
+        }
+        assert cli.main(argv + ["--out", str(tmp_path / "b")]) == cli.EXIT_OK
+        rerun = json.loads(capsys.readouterr().out)
+        assert rerun == dict(payload, out=str(tmp_path / "b"))
+        for name in ("patients.jsonl", "trials.jsonl"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestEval:
+    def test_json_report_matches_hand_computed_metrics(self, tmp_path, capsys):
+        # Predicted positive at >= 0.5: 0.9, 0.7, 0.6, so tp 2, fp 1, tn 1, fn 0.
+        # F1: positive 2 (2/3)(1) / (5/3) = 4/5, negative 2 (1)(1/2) / (3/2) = 2/3.
+        # AUROC: 3 of the 4 (positive, negative) pairs are ordered right.
+        # AUPRC: precision 1/1 and 2/3 at the two positives' ranks.
+        (tmp_path / "labels").write_text("1\n0\n1\n0\n", encoding="utf-8")
+        (tmp_path / "scores").write_text("0.9\n0.7\n0.6\n0.2\n", encoding="utf-8")
+        argv = ["eval", "--labels", str(tmp_path / "labels")]
+        argv += ["--scores", str(tmp_path / "scores"), "--json"]
+        assert cli.main(argv) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert (report["n"], report["n_pos"], report["threshold"]) == (4, 2, 0.5)
+        assert report["f1_pos"] == pytest.approx(4 / 5, rel=1e-12)
+        assert report["f1_neg"] == pytest.approx(2 / 3, rel=1e-12)
+        assert report["macro_f1"] == pytest.approx(11 / 15, rel=1e-12)
+        assert report["auroc"] == 0.75
+        assert report["auprc"] == pytest.approx(5 / 6, rel=1e-12)
 
 
 class TestRetrieve:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import tiny_patient, tiny_trial, write_jsonl
 from trialmatch.corpus import (
-    LABEL_TAXONOMIES,
     Dataset,
     SplitSpec,
     StructuredRow,
@@ -18,7 +17,6 @@ from trialmatch.corpus import (
     generate_synthetic,
     load_dataset,
     make_split,
-    normalize_label,
     write_dataset,
 )
 from trialmatch.errors import ConfigError, DataError
@@ -243,51 +241,6 @@ class TestBuildChunks:
         # Empty text in one source is fine as long as other chunks exist.
         chunks = build_chunks(patient, 16, 2, "unstructured")
         assert len(chunks) == 1
-
-
-# ---------------------------------------------------------------------------
-# normalize_label
-# ---------------------------------------------------------------------------
-
-class TestNormalizeLabel:
-    @pytest.mark.parametrize(
-        "family,raw,value",
-        [
-            ("sigir", "potential", 1),
-            ("sigir", "eligible", 1),
-            ("sigir", "irrelevant", 0),
-            ("trec", "excluded", 0),
-            ("trec", "ineligible", 0),
-            ("trec", "eligible", 1),
-            ("n2c2", "MET", 1),
-            ("n2c2", "NOT MET", 0),
-            ("mcpmd", "eligible", 1),
-            ("mcpmd", "ineligible", 0),
-        ],
-    )
-    def test_mappings(self, family, raw, value):
-        label = normalize_label(family, raw)
-        assert label.value == value
-        assert label.raw_class == raw
-
-    def test_case_insensitive(self):
-        assert normalize_label("n2c2", "met").value == 1
-        assert normalize_label("SIGIR", "Potential").value == 1
-
-    def test_unknown_term_lists_valid(self):
-        with pytest.raises(DataError, match="eligible"):
-            normalize_label("sigir", "maybe")
-
-    def test_unknown_family(self):
-        with pytest.raises(ConfigError, match="mcpmd"):
-            normalize_label("nope", "eligible")
-
-    def test_idempotent_over_taxonomies(self):
-        for family, taxonomy in LABEL_TAXONOMIES.items():
-            for raw in taxonomy:
-                once = normalize_label(family, raw)
-                twice = normalize_label(family, once.raw_class)
-                assert twice == once
 
 
 # ---------------------------------------------------------------------------

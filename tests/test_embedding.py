@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from trialmatch.embedding import (
-    EmbeddingCache,
     ENDPOINT_ENV_VAR,
     HttpProvider,
     MockProvider,
@@ -15,7 +12,6 @@ from trialmatch.embedding import (
     resolve_endpoint,
 )
 from trialmatch.errors import (
-    CacheFormatError,
     ConfigError,
     DataError,
     DimensionMismatchError,
@@ -133,96 +129,6 @@ class TestEmbedTokens:
         provider = HttpProvider("http://127.0.0.1:9", model="m", dim=4, max_attempts=1)
         with pytest.raises(ConfigError):
             embed_tokens(provider, "x")
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-class TestEmbeddingCache:
-    def test_store_lookup_round_trip(self, tmp_path):
-        cache = EmbeddingCache(tmp_path / "c.bin", dim=8)
-        vec = np.arange(8, dtype=np.float64) / 7.0
-        cache.store("fever", vec)
-        got = cache.lookup("fever")
-        assert got is not None
-        assert np.array_equal(got, np.asarray(vec, dtype=np.float32).astype(np.float64))
-
-    def test_absent_key(self, tmp_path):
-        cache = EmbeddingCache(tmp_path / "c.bin", dim=8)
-        assert cache.lookup("missing") is None
-
-    def test_persistence(self, tmp_path):
-        path = tmp_path / "c.bin"
-        cache = EmbeddingCache(path, dim=4)
-        stored = {}
-        rng = np.random.default_rng(0)
-        for i in range(50):
-            key = f"text {i} é中"
-            vec = rng.standard_normal(4)
-            cache.store(key, vec)
-            stored[key] = cache.lookup(key)
-        cache.save()
-
-        reopened = EmbeddingCache(path, dim=4)
-        assert len(reopened) == 50
-        for key, vec in stored.items():
-            assert np.array_equal(reopened.lookup(key), vec)
-
-    def test_dim_mismatch_on_store(self, tmp_path):
-        cache = EmbeddingCache(tmp_path / "c.bin", dim=4)
-        with pytest.raises(DimensionMismatchError):
-            cache.store("x", np.zeros(5))
-
-    def test_dim_mismatch_on_open(self, tmp_path):
-        path = tmp_path / "c.bin"
-        cache = EmbeddingCache(path, dim=4)
-        cache.store("x", np.zeros(4))
-        cache.save()
-        with pytest.raises(DimensionMismatchError):
-            EmbeddingCache(path, dim=8)
-
-    def test_bad_magic_reports_offset(self, tmp_path):
-        path = tmp_path / "c.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(CacheFormatError, match="offset 0"):
-            EmbeddingCache(path, dim=4)
-
-    def test_bad_version(self, tmp_path):
-        path = tmp_path / "c.bin"
-        path.write_bytes(b"EMBC" + b"\x09\x00" + b"\x00" * 12)
-        with pytest.raises(CacheFormatError, match="version"):
-            EmbeddingCache(path, dim=4)
-
-    def test_truncation_reports_offset(self, tmp_path):
-        path = tmp_path / "c.bin"
-        cache = EmbeddingCache(path, dim=4)
-        cache.store("hello", np.zeros(4))
-        cache.save()
-        payload = path.read_bytes()
-        path.write_bytes(payload[:-3])
-        with pytest.raises(CacheFormatError, match="offset"):
-            EmbeddingCache(path, dim=4)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        keys=st.dictionaries(
-            st.text(min_size=1, max_size=40), st.none(), min_size=1, max_size=8
-        )
-    )
-    def test_unicode_keys_round_trip(self, tmp_path_factory, keys):
-        path = tmp_path_factory.mktemp("cache") / "c.bin"
-        cache = EmbeddingCache(path, dim=3)
-        rng = np.random.default_rng(1)
-        expected = {}
-        for key in keys:
-            vec = rng.standard_normal(3)
-            cache.store(key, vec)
-            expected[key] = cache.lookup(key)
-        cache.save()
-        reopened = EmbeddingCache(path, dim=3)
-        for key, vec in expected.items():
-            assert np.array_equal(reopened.lookup(key), vec)
 
 
 # ---------------------------------------------------------------------------

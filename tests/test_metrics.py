@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from trialmatch.errors import UndefinedMetricError
-from trialmatch.metrics import auprc, auroc
+from trialmatch.errors import DataError, UndefinedMetricError
+from trialmatch.metrics import auprc, auroc, compute_report
 
 
 def pairwise_auroc(y: np.ndarray, s: np.ndarray) -> float:
@@ -117,3 +117,12 @@ class TestAuprc:
     def test_no_positive_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
             auprc([0.0, 0.0], [0.2, 0.7])
+
+
+class TestComputeReport:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_rejected(self, bad):
+        # With a NaN score the rank-based metrics would still report numbers
+        # (AUROC 0.0 and AUPRC 1.0 for this input).
+        with pytest.raises(DataError, match="scores must be finite"):
+            compute_report([1, 0, 1], [0.9, bad, 0.4])

@@ -13,7 +13,6 @@ from trialmatch.representation import (
     DEFAULT_HIDDEN_COMPONENTS,
     DEFAULT_SEQUENCE_COMPONENTS,
     DimRedConfig,
-    PCAModel,
     dimred,
     hybrid_concat,
     mean_pool,
@@ -280,14 +279,6 @@ class TestPcaProject:
         model = pca_fit(np.random.default_rng(0).standard_normal((10, 3)), 2)
         with pytest.raises(DimensionMismatchError):
             pca_project(model, np.zeros((2, 4)))
-
-    def test_json_round_trip(self):
-        model = pca_fit(np.random.default_rng(1).standard_normal((12, 4)), 2)
-        clone = PCAModel.from_json(model.to_json())
-        assert np.array_equal(clone.mean, model.mean)
-        assert np.array_equal(clone.components, model.components)
-        assert np.array_equal(clone.eigenvalues, model.eigenvalues)
-        assert clone.n_samples_fit == model.n_samples_fit
 
 
 class TestPooling:
