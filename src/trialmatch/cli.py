@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -355,6 +356,8 @@ def _read_column(path: str, what: str) -> list[float]:
 
 
 def _cmd_eval(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise ConfigError("threshold must be finite")
     labels = _read_column(args.labels, "labels")
     scores = _read_column(args.scores, "scores")
     if len(labels) != len(scores):

@@ -465,6 +465,12 @@ class SyntheticConfig:
             raise ConfigError("n_trials and patients_per_trial must be positive")
         if not 0.0 < self.positive_fraction < 1.0:
             raise ConfigError("positive_fraction must lie in (0, 1)")
+        n_pos = _round_half_up(self.positive_fraction * self.patients_per_trial)
+        if n_pos in (0, self.patients_per_trial):
+            raise ConfigError(
+                f"positive_fraction {self.positive_fraction} of {self.patients_per_trial} "
+                f"patients per trial rounds to {n_pos} positives; each trial needs both classes"
+            )
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ConfigError("signal_strength must lie in [0, 1]")
         if not 0.0 <= self.trial_shift <= 1.0:

@@ -6,8 +6,8 @@ compression stage is configured) and executes the six standard task designs:
 
   task1  classifier sweep (forest/tree/svm/mlp) x compression on/off
   task2  embedding-backbone sweep under a fixed pipeline
-  task3  compression-strategy sweep (sequence axis, hidden axis at several
-         component counts, last token, hybrid)
+  task3  compression-strategy sweep (sequence axis; train-split PCA of
+         pooled vectors at several component counts; last token; hybrid)
   task4  frozen vs. jointly-trained adapter representations
   task5  externally converted datasets, one run set per dataset
   task6  cross-trial generalization with a progressive exclusion sweep
@@ -61,7 +61,7 @@ from .embedding import (
     embed_texts,
     embed_tokens,
 )
-from .errors import ConfigError, DataError, DegenerateVarianceError, InsufficientTokensError
+from .errors import ConfigError, DataError, DegenerateVarianceError
 from .metrics import CSV_COLUMNS, MetricReport, compute_report
 from .representation import (
     DimRedConfig,
@@ -98,12 +98,6 @@ RESULTS_CSV_COLUMNS = (
     "seed",
     "config_hash",
 ) + CSV_COLUMNS
-
-
-def default_variant_b_dimred() -> DimRedConfig:
-    """Compression stage used when a config asks for Variant B with no detail:
-    sequence axis, one component (the robust aggregation setting)."""
-    return DimRedConfig(axis="sequence", n_components=None, fit_scope="per_chunk")
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +183,8 @@ class PipelineSpec:
 
     ``dimred`` present selects Variant B (RAG-DimRed-MLP); absent it is
     Variant A (RAG-MLP). ``pooling`` collapses the prompt token matrix when no
-    compression stage runs, and provides the base vectors for dataset-scope
-    compression.
+    sequence-axis compression runs, and provides the vectors that hidden-axis
+    compression projects.
     """
 
     provider: ProviderSpec = ProviderSpec()
@@ -360,61 +354,49 @@ class FeatureSet:
     seconds: float  # duration of the feature pass that built this set
 
 
-def _expected_feature_length(spec: PipelineSpec, d_hidden: int) -> int:
-    if spec.dimred is not None:
-        cfg = spec.dimred
-        if cfg.fit_scope == "dataset":
-            return d_hidden  # base vectors; projection happens per split
-        n = cfg.resolved_components
-        if cfg.axis == "sequence":
-            core = d_hidden if n == 1 else n
-        else:
-            core = n
-        if spec.pooling == "hybrid_last":
-            return core + d_hidden
-        return core
+def _compresses_sequence(spec: PipelineSpec) -> bool:
+    return spec.dimred is not None and spec.dimred.axis == "sequence"
+
+
+def _feature_width(spec: PipelineSpec, d_hidden: int) -> int:
+    """Width of a variant's feature rows: the pooled width, or d_hidden
+    (plus d_hidden for ``hybrid_last``) under sequence-axis compression."""
     if spec.pooling == "hybrid_last":
         return 2 * d_hidden
-    if spec.pooling == "pca_mean":
+    if spec.pooling == "pca_mean" and not _compresses_sequence(spec):
         if spec.pooling_components is None:
             raise ConfigError("pooling 'pca_mean' requires pooling_components")
         return spec.pooling_components
-    return d_hidden  # "mean" and "last_token"
+    return d_hidden
 
 
 def _pool_matrix(spec: PipelineSpec, matrix: np.ndarray) -> np.ndarray:
     if spec.pooling == "mean":
-        return mean_pool(matrix).values
+        return mean_pool(matrix)
     if spec.pooling == "last_token":
-        return select_last_token(matrix).values
+        return select_last_token(matrix)
     if spec.pooling == "hybrid_last":
-        return hybrid_concat(mean_pool(matrix), select_last_token(matrix)).values
-    if spec.pooling == "pca_mean":
-        if spec.pooling_components is None:
-            raise ConfigError("pooling 'pca_mean' requires pooling_components")
-        return pool_pca_mean(matrix, spec.pooling_components).values
-    raise ConfigError(f"unknown pooling {spec.pooling!r}")
+        return hybrid_concat(mean_pool(matrix), select_last_token(matrix))
+    return pool_pca_mean(matrix, spec.pooling_components)
 
 
 def _reduce_matrix(
     spec: PipelineSpec, matrix: np.ndarray
 ) -> tuple[np.ndarray, Optional[Exception]]:
     """Token matrix -> feature vector; returns (values, the error that made
-    compression fall back to mean pooling, or None)."""
-    cfg = spec.dimred
-    if cfg is None or cfg.fit_scope == "dataset":
+    sequence-axis compression fall back to mean pooling, or None)."""
+    if not _compresses_sequence(spec):
         return _pool_matrix(spec, matrix), None
+    error = None
     try:
-        pooled = apply_dimred(matrix, cfg)
-        if spec.pooling == "hybrid_last":
-            pooled = hybrid_concat(pooled, select_last_token(matrix))
-        return pooled.values, None
-    except (InsufficientTokensError, DegenerateVarianceError, ConfigError) as exc:
-        fallback = mean_pool(matrix).values
-        if spec.pooling == "hybrid_last":
-            fallback = np.concatenate([fallback, matrix[-1]])
+        values = apply_dimred(matrix, spec.dimred)
+    except DegenerateVarianceError as exc:
+        values = mean_pool(matrix)
         # Without its traceback the error no longer holds the token matrix.
-        return fallback, exc.with_traceback(None)
+        error = exc.with_traceback(None)
+    if spec.pooling == "hybrid_last":
+        values = hybrid_concat(values, select_last_token(matrix))
+    return values, error
 
 
 @dataclass
@@ -512,7 +494,7 @@ def _compute_features_multi(
     encoder = PatientEncoder(base, dataset, modality, provider)
     d_hidden = encoder.provider.descriptor.dim
     patients = dataset.patients
-    widths = [_expected_feature_length(spec, d_hidden) for spec in specs]
+    widths = [_feature_width(spec, d_hidden) for spec in specs]
     matrices = [np.empty((len(patients), width)) for width in widths]
     ids: list[list[str]] = [[] for _ in specs]
     labels: list[list[float]] = [[] for _ in specs]
@@ -526,14 +508,11 @@ def _compute_features_multi(
         return [_reduce_matrix(spec, matrix) for spec in specs]
 
     def fill(patient, reduced) -> None:
-        for v, width in enumerate(widths):
+        for v in range(len(specs)):
             if reduced is None:
                 skipped[v].append((patient.patient_id, "no_chunks"))
                 continue
             values, fallback_error = reduced[v]
-            if values.shape[0] != width:
-                skipped[v].append((patient.patient_id, "feature_dim_mismatch"))
-                continue
             if fallback_error is not None:
                 fallbacks[v].append(fallback_error)
             matrices[v][len(ids[v])] = values
@@ -650,13 +629,14 @@ def _train_eval(
     Xtr, ytr = features.X[train_idx], features.y[train_idx]
     Xte, yte = features.X[test_idx], features.y[test_idx]
 
-    if spec.dimred is not None and spec.dimred.fit_scope == "dataset":
+    if spec.dimred is not None and spec.dimred.axis == "hidden":
         n = spec.dimred.resolved_components
         bound = min(Xtr.shape[0] - 1, Xtr.shape[1])
         if n > bound:
             raise ConfigError(
-                f"dataset-scope compression to {n} components needs more data "
-                f"(max {bound} for {Xtr.shape[0]} train rows x {Xtr.shape[1]} dims)"
+                f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
+                f"components needs more data (max {bound} for {Xtr.shape[0]} train "
+                f"rows x {Xtr.shape[1]} dims)"
             )
         pca = pca_fit(Xtr, n)
         Xtr = pca_project(pca, Xtr)
@@ -770,7 +750,7 @@ def run_pipeline(
 def _task1_variants(base: PipelineSpec) -> list[PipelineSpec]:
     variants = []
     for clf in ("forest", "tree", "svm", "mlp"):
-        for cfg in (None, default_variant_b_dimred()):
+        for cfg in (None, DimRedConfig()):
             suffix = "+dimred" if cfg is not None else ""
             variants.append(
                 replace(base, classifier=clf, dimred=cfg, name=f"{clf}{suffix}")
@@ -810,7 +790,7 @@ def _task3_variants(base: PipelineSpec) -> list[PipelineSpec]:
 
 def _task4_variants(base: PipelineSpec) -> list[PipelineSpec]:
     variants = []
-    for cfg, kind in ((None, "RAG-MLP"), (default_variant_b_dimred(), "RAG-DimRed-MLP")):
+    for cfg, kind in ((None, "RAG-MLP"), (DimRedConfig(), "RAG-DimRed-MLP")):
         for mode in ("frozen", "adapter"):
             variants.append(
                 replace(
@@ -883,7 +863,7 @@ def run_task(config: ExperimentConfig) -> tuple[list[RunResult], list[dict]]:
             spec = replace(
                 base,
                 provider=pspec,
-                dimred=base.dimred or default_variant_b_dimred(),
+                dimred=base.dimred or DimRedConfig(),
                 classifier="mlp",
                 name=f"backbone-{pspec.resolved_name}",
             )

@@ -2,8 +2,10 @@
 
 A token matrix (l tokens x d_hidden) collapses to a fixed-size vector through
 one of: mean pooling, per-matrix PCA projection plus averaging, last-token
-selection, or axis-configurable compression (sequence axis or hidden axis).
-All transforms are pure and deterministic; the eigenvector sign convention
+selection, or sequence-axis compression to one component. Hidden-axis
+compression is not per matrix: ``harness`` fits a PCA (``pca_fit``) on the
+train split's pooled vectors and projects both splits with it. All
+transforms are pure and deterministic; the eigenvector sign convention
 (largest-magnitude coordinate positive) makes repeated fits bit-identical.
 """
 
@@ -24,16 +26,6 @@ from .errors import (
 )
 
 DEFAULT_HIDDEN_COMPONENTS = 128
-DEFAULT_SEQUENCE_COMPONENTS = 1
-
-POOLING_STRATEGIES = (
-    "mean",
-    "pca_mean",
-    "last_token",
-    "dimred_sequence",
-    "dimred_hidden",
-    "hybrid_concat",
-)
 
 
 @dataclass(frozen=True)
@@ -48,51 +40,35 @@ class PCAModel:
 
 @dataclass(frozen=True)
 class DimRedConfig:
-    """Axis and component count for compression.
+    """The axis of compression, which also decides where it is fitted.
 
-    ``n_components=None`` resolves to the per-axis default: 1 for the sequence
-    axis, 128 for the hidden axis. Sequence-axis compression is inherently
-    per-chunk (its feature axis is token position); hidden-axis compression
-    defaults to per-chunk with an optional dataset-level scope fitted on
-    stacked pooled vectors.
+    ``axis="sequence"`` compresses each prompt's token matrix on its own to
+    one component (``dimred``); ``n_components`` must be unset or 1.
+    ``axis="hidden"`` compresses the pooled prompt vectors with a PCA fitted
+    on the train split, to ``n_components`` components (unset: 128).
     """
 
     axis: str = "sequence"  # "sequence" | "hidden"
     n_components: Optional[int] = None
-    fit_scope: str = "per_chunk"  # "per_chunk" | "dataset"
 
     def __post_init__(self) -> None:
         if self.axis not in ("sequence", "hidden"):
             raise ConfigError(f"unknown DimRed axis {self.axis!r}")
-        if self.fit_scope not in ("per_chunk", "dataset"):
-            raise ConfigError(f"unknown fit scope {self.fit_scope!r}")
-        if self.axis == "sequence" and self.fit_scope != "per_chunk":
-            raise ConfigError("sequence-axis DimRed requires per_chunk fit scope")
         if self.n_components is not None and self.n_components < 1:
             raise ConfigError("n_components must be positive")
+        if self.axis == "sequence" and self.n_components not in (None, 1):
+            raise ConfigError(
+                "sequence-axis compression keeps one component, "
+                f"got n_components={self.n_components}"
+            )
 
     @property
     def resolved_components(self) -> int:
-        if self.n_components is not None:
-            return self.n_components
-        return (
-            DEFAULT_SEQUENCE_COMPONENTS
-            if self.axis == "sequence"
-            else DEFAULT_HIDDEN_COMPONENTS
-        )
-
-
-@dataclass(frozen=True)
-class PooledVector:
-    values: np.ndarray
-    strategy: str
-
-    def __post_init__(self) -> None:
-        if self.strategy not in POOLING_STRATEGIES:
-            raise ConfigError(f"unknown pooling strategy {self.strategy!r}")
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
+        if self.axis == "sequence":
+            return 1
+        if self.n_components is None:
+            return DEFAULT_HIDDEN_COMPONENTS
+        return self.n_components
 
 
 def _as_matrix(m: np.ndarray, what: str = "token matrix") -> np.ndarray:
@@ -257,81 +233,48 @@ def _compress(data: np.ndarray, n_components: int) -> np.ndarray:
 # Pooling strategies
 # ---------------------------------------------------------------------------
 
-def mean_pool(m: np.ndarray) -> PooledVector:
+def mean_pool(m: np.ndarray) -> np.ndarray:
     """Average over the token axis; output length d_hidden."""
-    m = _as_matrix(m)
-    return PooledVector(values=m.mean(axis=0), strategy="mean")
+    return _as_matrix(m).mean(axis=0)
 
 
-def select_last_token(m: np.ndarray) -> PooledVector:
+def select_last_token(m: np.ndarray) -> np.ndarray:
     """The final token row as a compact whole-chunk summary."""
-    m = _as_matrix(m)
-    return PooledVector(values=m[-1].copy(), strategy="last_token")
+    return _as_matrix(m)[-1].copy()
 
 
-def pool_pca_mean(m: np.ndarray, n_components: int) -> PooledVector:
+def pool_pca_mean(m: np.ndarray, n_components: int) -> np.ndarray:
     """Per-matrix PCA projection averaged over tokens; output length n_components.
 
     The projection centers the rows, so the row mean of the projected scores
-    is zero by construction; this strategy is kept for parity with the
-    hidden-axis compression it defines.
+    is zero by construction: every output entry is zero up to rounding.
     """
     m = _as_matrix(m)
     if m.shape[0] < 2:
         raise InsufficientTokensError(
             f"pca pooling needs at least 2 token rows, got {m.shape[0]}"
         )
-    projected = _compress(m, n_components)
-    return PooledVector(values=projected.mean(axis=0), strategy="pca_mean")
+    return _compress(m, n_components).mean(axis=0)
 
 
-def dimred(m: np.ndarray, cfg: DimRedConfig) -> PooledVector:
-    """Axis-configurable compression of one token matrix.
+def dimred(m: np.ndarray, cfg: DimRedConfig) -> np.ndarray:
+    """Sequence-axis compression of one token matrix to one component.
 
-    hidden axis: PCA over rows=tokens, features=dims; output is the mean of
-    the projected rows (length n_components, identical to pool_pca_mean).
-
-    sequence axis: PCA over the transposed matrix (samples are the d_hidden
-    per-dimension profiles, features are token positions). With one component
-    the output is the full score column (length d_hidden), a token-axis
-    compression of the sequence; with more components the projected rows are
-    averaged (length n_components).
+    PCA over the transposed matrix: the samples are the d_hidden
+    per-dimension profiles across token positions, and the output is their
+    score column on the top component (length d_hidden). ``cfg`` must name
+    the sequence axis; hidden-axis compression is fitted on the train split
+    instead. Raises ``DegenerateVarianceError`` when every profile is the
+    same.
     """
+    if cfg.axis != "sequence":
+        raise ConfigError("hidden-axis compression is fitted on the train split, not per matrix")
     m = _as_matrix(m)
-    l, d = m.shape
-    n = cfg.resolved_components
-
-    if cfg.axis == "hidden":
-        if l < 2:
-            raise InsufficientTokensError(
-                f"hidden-axis compression needs at least 2 tokens, got {l}"
-            )
-        if n > min(l - 1, d):
-            raise ConfigError(
-                f"n_components={n} out of range [1, {min(l - 1, d)}] for a "
-                f"{l}x{d} matrix on the hidden axis"
-            )
-        pooled = pool_pca_mean(m, n)
-        return PooledVector(values=pooled.values, strategy="dimred_hidden")
-
-    if d < 2:
+    if m.shape[1] < 2:
         raise DataError("sequence-axis compression needs d_hidden >= 2")
-    if n > min(d - 1, l):
-        raise ConfigError(
-            f"n_components={n} out of range [1, {min(d - 1, l)}] for a "
-            f"{l}x{d} matrix on the sequence axis"
-        )
-    # d_hidden rows, one per-dimension profile across positions
-    projected = _compress(m.T, n)
-    if n == 1:
-        values = projected[:, 0].copy()
-    else:
-        values = projected.mean(axis=0)
-    return PooledVector(values=values, strategy="dimred_sequence")
+    return _compress(m.T, 1)[:, 0]
 
 
-def hybrid_concat(a: PooledVector, b: PooledVector) -> PooledVector:
+def hybrid_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Concatenate two pooled vectors; lengths add."""
-    return PooledVector(
-        values=np.concatenate([a.values, b.values]), strategy="hybrid_concat"
-    )
+    return np.concatenate([a, b])

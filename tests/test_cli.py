@@ -214,6 +214,14 @@ class TestSynth:
         for name in ("patients.jsonl", "trials.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("fraction, positives", [("0.1", 0), ("0.9", 3)])
+    def test_one_class_trial_is_a_usage_error(self, tmp_path, capsys, fraction, positives):
+        argv = ["synth", "--trials", "1", "--patients", "3", "--positive-frac", fraction]
+        code, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert f"rounds to {positives} positives" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEval:
     def test_json_report_matches_hand_computed_metrics(self, tmp_path, capsys):
@@ -233,6 +241,17 @@ class TestEval:
         assert report["macro_f1"] == pytest.approx(11 / 15, rel=1e-12)
         assert report["auroc"] == 0.75
         assert report["auprc"] == pytest.approx(5 / 6, rel=1e-12)
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_a_usage_error(self, tmp_path, capsys, threshold):
+        (tmp_path / "labels").write_text("1\n0\n1\n", encoding="utf-8")
+        (tmp_path / "scores").write_text("0.9\n0.2\n0.4\n", encoding="utf-8")
+        argv = ["eval", "--labels", str(tmp_path / "labels")]
+        # The "=" form keeps argparse from reading "-inf" as an option.
+        argv += ["--scores", str(tmp_path / "scores"), f"--threshold={threshold}"]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "error: threshold must be finite\n"
 
 
 class TestRetrieve:

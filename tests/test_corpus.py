@@ -273,6 +273,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             SyntheticConfig(signal_strength=1.2)
 
+    @pytest.mark.parametrize("fraction, positives", [(0.1, 0), (0.9, 3)])
+    def test_one_class_trial_is_rejected(self, fraction, positives):
+        with pytest.raises(ConfigError, match=f"rounds to {positives} positives"):
+            SyntheticConfig(n_trials=1, patients_per_trial=3, positive_fraction=fraction)
+
     def test_round_trip_through_files(self, tmp_path):
         config = SyntheticConfig(n_trials=2, patients_per_trial=10)
         dataset = generate_synthetic(config, 5)

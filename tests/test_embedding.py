@@ -110,7 +110,7 @@ class TestEmbedTokens:
     def test_single_token_equals_mean_pool(self):
         provider = MockProvider(dim=16, seed=0)
         matrix = embed_tokens(provider, "solo")
-        assert np.array_equal(mean_pool(matrix).values, matrix[0])
+        assert np.array_equal(mean_pool(matrix), matrix[0])
 
     def test_deterministic(self):
         provider = MockProvider(dim=16, seed=2)
@@ -120,7 +120,7 @@ class TestEmbedTokens:
         # Renormalized mean pooling of the token matrix equals the text vector.
         provider = MockProvider(dim=48, seed=4)
         for text in ("fever", "fever chills cough", "a b c d e a b"):
-            pooled = mean_pool(embed_tokens(provider, text)).values
+            pooled = mean_pool(embed_tokens(provider, text))
             pooled = pooled / np.linalg.norm(pooled)
             direct = embed_texts(provider, [text])[0]
             assert np.allclose(pooled, direct, atol=1e-9)

@@ -3,6 +3,7 @@ import json
 import logging
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from conftest import tiny_patient, tiny_trial
@@ -16,12 +17,13 @@ from trialmatch.corpus import (
     generate_synthetic,
     write_dataset,
 )
+from trialmatch.embedding import MockProvider
 from trialmatch.errors import ConfigError
 from trialmatch.harness import (
     ExperimentConfig,
     FeatureSet,
+    PatientEncoder,
     PipelineSpec,
-    ProviderSpec,
     _compute_features_multi,
     config_hash,
     run_task,
@@ -56,6 +58,7 @@ class TestConfigLoading:
             ({"task": "task1", "dataset": {"patient_path": "p"}}, "patient_path"),
             ({"task": "task1", "split": {"seeds": 1}}, "seeds"),
             ({"task": "task1", "thread": 2}, "thread"),
+            ({"task": "task3", "variants": [{"dimred": {"fit_scope": "dataset"}}]}, "fit_scope"),
         ],
     )
     def test_unknown_key_is_named(self, obj, key):
@@ -114,7 +117,7 @@ class TestConfigLoading:
                     train=TrainConfig(max_epochs=7, learning_rate=0.01),
                     mlp_hidden=(32, 8),
                 ),
-                "2ab755a55f67a424",
+                "b8b0ac85f19234b3",
             ),
         ],
     )
@@ -123,28 +126,48 @@ class TestConfigLoading:
         assert config_hash(asdict(spec)) == digest
 
 
+class FlatTokenProvider(MockProvider):
+    """A mock provider whose token rows each hold one value (the row mean of
+    the mock token vector): every hidden dimension then has the same profile
+    across tokens, so sequence-axis compression has no variance to find."""
+
+    def embed_tokens(self, text: str) -> np.ndarray:
+        matrix = super().embed_tokens(text)
+        return np.repeat(matrix.mean(axis=1, keepdims=True), matrix.shape[1], axis=1)
+
+
 class TestFallbackWarning:
     def test_one_warning_per_variant_with_counts(self, tiny_dataset, caplog):
-        # The tiny prompts have fewer than 129 tokens, so 128 hidden-axis
-        # components are out of range for every patient.
-        specs = [
-            PipelineSpec(
-                provider=ProviderSpec(dim=128),
-                dimred=DimRedConfig(axis="hidden", n_components=128),
-                name=name,
-            )
-            for name in ("first", "second")
-        ]
+        specs = [PipelineSpec(dimred=DimRedConfig(), name=name) for name in ("first", "second")]
         with caplog.at_level(logging.WARNING, logger="trialmatch.harness"):
-            feature_sets = _compute_features_multi(specs, tiny_dataset, "mixed")
+            feature_sets = _compute_features_multi(
+                specs, tiny_dataset, "mixed", provider=FlatTokenProvider()
+            )
         assert [f.fallbacks for f in feature_sets] == [2, 2]
         warnings = [r.getMessage() for r in caplog.records if "fell back" in r.getMessage()]
         assert len(warnings) == 2
         assert warnings[0].startswith(
             "variant first: compression fell back to mean pooling for 2 patients "
-            "(ConfigError: 2); first: n_components=128 out of range"
+            "(DegenerateVarianceError: 2); first: input has zero variance"
         )
         assert warnings[1].startswith("variant second:")
+
+
+class TestHiddenAxis:
+    @pytest.mark.parametrize(
+        "pooling, components, width",
+        [("mean", None, 128), ("hybrid_last", None, 256), ("pca_mean", 3, 3)],
+    )
+    def test_features_take_the_pooled_width(self, tiny_dataset, pooling, components, width):
+        # The train-split PCA projects these rows later; the pass only pools.
+        spec = PipelineSpec(
+            dimred=DimRedConfig(axis="hidden", n_components=2),
+            pooling=pooling,
+            pooling_components=components,
+        )
+        features = harness.compute_features(spec, tiny_dataset)
+        assert features.X.shape == (2, width)
+        assert features.skipped == [] and features.fallbacks == 0
 
 
 TINY_CORPUS = {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5}
@@ -170,9 +193,8 @@ def run_and_write(config: ExperimentConfig, out) -> tuple[bytes, dict]:
 
 def feature_pass_dataset() -> Dataset:
     """The tiny corpus plus a patient with no notes, which an unstructured
-    pass skips as ``no_chunks``, and one with a short prompt, which falls
-    back from hidden-axis compression (a ``feature_dim_mismatch`` skip at
-    64 components, a counted fallback at 128)."""
+    pass skips as ``no_chunks``, and one with a prompt shorter than 64
+    tokens, which every variant keeps."""
     synthetic = generate_synthetic(SyntheticConfig(**TINY_CORPUS), 5)
     no_notes = PatientRecord(
         "NO-NOTES",
@@ -206,18 +228,13 @@ def feature_set_digest(features: FeatureSet) -> str:
 
 class TestFeaturePass:
     # Recorded before the pass wrote its rows in place, under one BLAS
-    # thread (the root conftest.py holds the session to one).
+    # thread (the root conftest.py holds the session to one). The hidden-*
+    # variants of task3 pass on mean-pooled rows, so they share the mean-pool
+    # digest of task1.
+    MEAN, SEQUENCE = "3cc6025382e0b1a0", "4fa86f50cdcb7075"
     DIGESTS = {
-        "task1": ["3cc6025382e0b1a0", "4fa86f50cdcb7075"] * 4,
-        "task3": [
-            "4fa86f50cdcb7075",
-            "c76aa8cb00fa94eb",
-            "5c89cb72259d90f0",
-            "3168b7f436981a95",
-            "93f479f8027e848a",
-            "e5d2fdf3c3876f07",
-            "b1ff69c0456c8bbb",
-        ],
+        "task1": [MEAN, SEQUENCE] * 4,
+        "task3": [SEQUENCE, MEAN, MEAN, MEAN, MEAN, "e5d2fdf3c3876f07", "b1ff69c0456c8bbb"],
     }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -229,16 +246,19 @@ class TestFeaturePass:
         )
         assert [feature_set_digest(f) for f in feature_sets] == self.DIGESTS[task]
 
-    def test_skips_and_fallbacks_are_exercised(self):
+    def test_skips_are_exercised(self):
         specs = harness._task3_variants(PipelineSpec())
-        feature_sets = _compute_features_multi(specs, feature_pass_dataset(), "unstructured")
-        by_name = {spec.name: f for spec, f in zip(specs, feature_sets)}
-        assert by_name["hidden-64"].skipped == [
-            ("NO-NOTES", "no_chunks"),
-            ("SHORT", "feature_dim_mismatch"),
-        ]
-        assert by_name["hidden-128"].fallbacks == 1
-        assert by_name["hidden-64"].X.shape == (40, 64)
+        dataset = feature_pass_dataset()
+        short = PatientEncoder(PipelineSpec(), dataset, "unstructured").token_matrix(
+            dataset.patients[-1]
+        )
+        assert short.shape[0] < 64
+        feature_sets = _compute_features_multi(specs, dataset, "unstructured")
+        for spec, features in zip(specs, feature_sets):
+            assert features.skipped == [("NO-NOTES", "no_chunks")]
+            assert features.fallbacks == 0
+            assert features.ids[-1] == "SHORT"
+            assert features.X.shape == (41, 256 if spec.name == "hybrid" else 128)
 
 
 class TestTask1Outputs:
@@ -350,3 +370,43 @@ class TestOtherTasks:
             _, first = run_cli(obj, tmp_path / f"{task}-a", capsys)
             _, rerun = run_cli(obj, tmp_path / f"{task}-b", capsys)
             assert first == rerun
+
+
+class TestTask3:
+    """The compression sweep: sequence-1, hidden-16/32/64/128 (train-split
+    PCA of mean-pooled vectors), last_token and hybrid."""
+
+    CORPUS = {"n_trials": 2, "patients_per_trial": 90, "signal_strength": 0.5}
+
+    def config(self, corpus: dict) -> dict:
+        return {
+            "task": "task3",
+            "dataset": {"name": "t3", "synthetic": corpus, "seed": 5},
+            "variants": [{"train": {"max_epochs": 5}}],
+        }
+
+    def test_tiny_run_and_rerun(self, tmp_path, capsys):
+        obj = self.config(self.CORPUS)
+        code, first = run_cli(obj, tmp_path / "a", capsys)
+        assert code == cli.EXIT_OK
+        rows = first.decode().splitlines()
+        header = rows[0].split(",")
+        hidden = [f"hidden-{n}" for n in (16, 32, 64, 128)]
+        variants = [row.split(",")[1] for row in rows[1:]]
+        assert variants == ["sequence-1", *hidden, "last_token", "hybrid"]
+        aurocs = [float(row.split(",")[header.index("auroc")]) for row in rows[1:]]
+        assert all(0.0 <= a <= 1.0 for a in aurocs)
+        _, rerun = run_cli(obj, tmp_path / "b", capsys)
+        assert rerun == first
+
+    def test_too_few_train_rows_names_the_variant(self, tmp_path, capsys):
+        # 40 patients leave 32 train rows: 16 components fit, 32 do not.
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({**self.config(TINY_CORPUS), "output_dir": str(tmp_path / "out")}),
+            encoding="utf-8",
+        )
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: variant 'hidden-32': hidden-axis compression to 32 ")
+        assert "max 31 for 32 train rows" in err

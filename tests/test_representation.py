@@ -11,7 +11,6 @@ from trialmatch.errors import (
 from trialmatch import representation
 from trialmatch.representation import (
     DEFAULT_HIDDEN_COMPONENTS,
-    DEFAULT_SEQUENCE_COMPONENTS,
     DimRedConfig,
     dimred,
     hybrid_concat,
@@ -284,31 +283,29 @@ class TestPcaProject:
 class TestPooling:
     def test_mean_pool_arithmetic(self):
         got = mean_pool(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(got.values, np.array([2.0, 3.0]))
-        assert got.strategy == "mean"
+        assert np.array_equal(got, np.array([2.0, 3.0]))
 
     def test_mean_pool_single_row(self):
-        assert np.array_equal(mean_pool(np.array([[5.0, 6.0]])).values, np.array([5.0, 6.0]))
+        assert np.array_equal(mean_pool(np.array([[5.0, 6.0]])), np.array([5.0, 6.0]))
 
     def test_mean_pool_zeros(self):
-        assert np.array_equal(mean_pool(np.zeros((3, 4))).values, np.zeros(4))
+        assert np.array_equal(mean_pool(np.zeros((3, 4))), np.zeros(4))
 
     def test_mean_pool_linearity(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((6, 5))
         b = rng.standard_normal((6, 5))
-        lhs = mean_pool(2.5 * a + (-1.25) * b).values
-        rhs = 2.5 * mean_pool(a).values - 1.25 * mean_pool(b).values
+        lhs = mean_pool(2.5 * a + (-1.25) * b)
+        rhs = 2.5 * mean_pool(a) - 1.25 * mean_pool(b)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_last_token(self):
         got = select_last_token(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(got.values, np.array([3.0, 4.0]))
-        assert got.strategy == "last_token"
+        assert np.array_equal(got, np.array([3.0, 4.0]))
 
     def test_last_token_single_row_equals_mean(self):
         m = np.array([[7.0, 8.0]])
-        assert np.array_equal(select_last_token(m).values, mean_pool(m).values)
+        assert np.array_equal(select_last_token(m), mean_pool(m))
 
     def test_pca_mean_identical_rows_degenerate(self):
         with pytest.raises(DegenerateVarianceError):
@@ -316,8 +313,7 @@ class TestPooling:
 
     def test_pca_mean_worked_example(self):
         got = pool_pca_mean(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), 1)
-        assert got.values == pytest.approx(np.array([0.0]), abs=1e-9)
-        assert got.strategy == "pca_mean"
+        assert got == pytest.approx(np.array([0.0]), abs=1e-9)
 
     def test_pca_mean_shape(self):
         rng = np.random.default_rng(11)
@@ -325,7 +321,7 @@ class TestPooling:
             l = int(rng.integers(3, 20))
             d = int(rng.integers(2, 10))
             n = int(rng.integers(1, min(l - 1, d) + 1))
-            assert pool_pca_mean(rng.standard_normal((l, d)), n).values.shape == (n,)
+            assert pool_pca_mean(rng.standard_normal((l, d)), n).shape == (n,)
 
     def test_pca_mean_insufficient_tokens(self):
         with pytest.raises(InsufficientTokensError):
@@ -334,16 +330,11 @@ class TestPooling:
     def test_hybrid_concat(self):
         a = mean_pool(np.array([[1.0]]))
         b = mean_pool(np.array([[2.0, 3.0]]))
-        got = hybrid_concat(a, b)
-        assert np.array_equal(got.values, np.array([1.0, 2.0, 3.0]))
-        assert got.strategy == "hybrid_concat"
+        assert np.array_equal(hybrid_concat(a, b), np.array([1.0, 2.0, 3.0]))
 
     def test_hybrid_concat_with_empty(self):
-        from trialmatch.representation import PooledVector
-
-        a = PooledVector(values=np.array([]), strategy="mean")
         b = mean_pool(np.array([[2.0, 3.0]]))
-        assert np.array_equal(hybrid_concat(a, b).values, b.values)
+        assert np.array_equal(hybrid_concat(np.array([]), b), b)
 
     def test_hybrid_lengths_add(self):
         rng = np.random.default_rng(12)
@@ -354,22 +345,27 @@ class TestPooling:
 
 class TestDimRed:
     def test_defaults(self):
+        assert DimRedConfig().axis == "sequence"
         assert DimRedConfig(axis="hidden").resolved_components == DEFAULT_HIDDEN_COMPONENTS == 128
-        assert DimRedConfig(axis="sequence").resolved_components == DEFAULT_SEQUENCE_COMPONENTS == 1
+        assert DimRedConfig(axis="sequence").resolved_components == 1
 
     def test_hidden_axis_shape(self):
+        # The hidden axis compresses pooled vectors with a PCA fitted on the
+        # train rows; ``dimred`` compresses one token matrix and refuses it.
         rng = np.random.default_rng(13)
-        matrix = rng.standard_normal((300, 512))
-        got = dimred(matrix, DimRedConfig(axis="hidden", n_components=128))
-        assert got.values.shape == (128,)
-        assert got.strategy == "dimred_hidden"
+        train, test = rng.standard_normal((300, 512)), rng.standard_normal((40, 512))
+        cfg = DimRedConfig(axis="hidden", n_components=128)
+        model = pca_fit(train, cfg.resolved_components)
+        assert pca_project(model, train).shape == (300, 128)
+        assert pca_project(model, test).shape == (40, 128)
+        with pytest.raises(ConfigError, match="train split"):
+            dimred(train, cfg)
 
     def test_sequence_axis_single_component_shape(self):
         rng = np.random.default_rng(14)
         matrix = rng.standard_normal((60, 24))
         got = dimred(matrix, DimRedConfig(axis="sequence", n_components=1))
-        assert got.values.shape == (24,)
-        assert got.strategy == "dimred_sequence"
+        assert got.shape == (24,)
 
     def test_sequence_axis_equals_fit_then_project(self):
         # One centered copy serves the check, the fit and the projection;
@@ -379,36 +375,27 @@ class TestDimRed:
             matrix = rng.standard_normal((l, d))
             got = dimred(matrix, DimRedConfig(axis="sequence", n_components=1))
             model = pca_fit(matrix.T, 1)
-            assert np.array_equal(got.values, pca_project(model, matrix.T)[:, 0])
+            assert np.array_equal(got, pca_project(model, matrix.T)[:, 0])
 
-    def test_sequence_axis_multi_component_shape(self):
-        rng = np.random.default_rng(15)
-        matrix = rng.standard_normal((40, 16))
-        got = dimred(matrix, DimRedConfig(axis="sequence", n_components=3))
-        assert got.values.shape == (3,)
-
-    def test_hidden_equals_pool_pca_mean(self):
-        rng = np.random.default_rng(16)
-        matrix = rng.standard_normal((30, 12))
-        via_dimred = dimred(matrix, DimRedConfig(axis="hidden", n_components=5))
-        via_pool = pool_pca_mean(matrix, 5)
-        assert np.array_equal(via_dimred.values, via_pool.values)
+    @pytest.mark.parametrize("n", [2, 3, 128])
+    def test_sequence_axis_keeps_one_component(self, n):
+        with pytest.raises(ConfigError, match=f"n_components={n}"):
+            DimRedConfig(axis="sequence", n_components=n)
 
     def test_component_range_checks(self):
-        rng = np.random.default_rng(17)
-        matrix = rng.standard_normal((10, 6))
-        with pytest.raises(ConfigError):
-            dimred(matrix, DimRedConfig(axis="hidden", n_components=7))
-        with pytest.raises(ConfigError):
-            dimred(matrix, DimRedConfig(axis="sequence", n_components=6))
+        for axis in ("sequence", "hidden"):
+            with pytest.raises(ConfigError, match="positive"):
+                DimRedConfig(axis=axis, n_components=0)
+        # The hidden axis is checked against the train rows when it is fitted.
+        assert DimRedConfig(axis="hidden", n_components=4096).resolved_components == 4096
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateVarianceError):
-            dimred(np.ones((5, 4)), DimRedConfig(axis="hidden", n_components=2))
-
-    def test_sequence_requires_per_chunk(self):
-        with pytest.raises(ConfigError):
-            DimRedConfig(axis="sequence", fit_scope="dataset")
+            dimred(np.ones((5, 4)), DimRedConfig())
+        # Token rows that hold one value each give every hidden dimension the
+        # same profile across tokens.
+        with pytest.raises(DegenerateVarianceError):
+            dimred(np.arange(5.0)[:, None] * np.ones((1, 4)), DimRedConfig())
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
@@ -417,15 +404,7 @@ class TestDimRed:
     def test_shape_contract_random(self):
         rng = np.random.default_rng(18)
         for _ in range(200):
-            l = int(rng.integers(3, 24))
-            d = int(rng.integers(3, 12))
-            matrix = rng.standard_normal((l, d))
-            axis = "sequence" if rng.random() < 0.5 else "hidden"
-            if axis == "hidden":
-                n = int(rng.integers(1, min(l - 1, d) + 1))
-                expected = (n,)
-            else:
-                n = int(rng.integers(1, min(d - 1, l) + 1))
-                expected = (d,) if n == 1 else (n,)
-            got = dimred(matrix, DimRedConfig(axis=axis, n_components=n))
-            assert got.values.shape == expected
+            l = int(rng.integers(1, 24))
+            d = int(rng.integers(2, 12))
+            got = dimred(rng.standard_normal((l, d)), DimRedConfig())
+            assert got.shape == (d,)
