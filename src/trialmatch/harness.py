@@ -12,6 +12,13 @@ compression stage is configured) and executes the six standard task designs:
   task5  externally converted datasets, one run set per dataset
   task6  cross-trial generalization with a progressive exclusion sweep
 
+Every task runs one plan: dataset x cell x variant. A task names its
+datasets (``datasets`` for task5, ``dataset`` otherwise), its variants, and
+its cells (the configured split, or task6's trial x exclusion grid). Per
+dataset, retrieval and encoding run once for each distinct retrieval setting
+(provider, k, chunking, instructions) and each variant reduces that pass's
+token matrices; every variant is then trained and evaluated on every cell.
+
 Per-patient feature construction may run on a thread pool; results are
 assembled in dataset order, so thread count never changes any output byte.
 """
@@ -319,9 +326,11 @@ class RunResult:
     """One train/evaluate cell.
 
     ``feature_seconds`` is the duration of the feature pass the run used and
-    ``wall_seconds`` includes it. Runs that share one pass (the variants of
-    tasks 1, 3 and 4, the cells of task 6) each repeat that pass's time, so
-    summing ``wall_seconds`` over them counts the pass once per run.
+    ``wall_seconds`` adds the run's split, training and evaluation to it.
+    All runs on one dataset whose variants share a retrieval setting share
+    one pass (every variant of tasks 1, 3 and 4, task5's variants with equal
+    retrieval settings, all cells of task6); each repeats that pass's time,
+    so summing ``wall_seconds`` over them counts the pass once per run.
     """
 
     task: str
@@ -461,6 +470,12 @@ class PatientEncoder:
         return np.stack([vec_by_id[s.chunk_id] for s in found.selected])
 
 
+def _retrieval_key(spec: PipelineSpec) -> tuple:
+    """The fields retrieval and encoding read; specs equal on them share
+    one feature pass."""
+    return (spec.provider, spec.k_retrieve, spec.chunk_size, spec.chunk_overlap, spec.instructions)
+
+
 def _compute_features_multi(
     specs: Sequence[PipelineSpec],
     dataset: Dataset,
@@ -468,37 +483,47 @@ def _compute_features_multi(
     threads: int = 1,
     provider=None,
 ) -> list[FeatureSet]:
+    """One feature set per spec, in spec order.
+
+    Specs are grouped by retrieval key, and each group gets one
+    retrieval/encode pass over the dataset, reduced per spec; the passes run
+    in the order their groups first appear in ``specs``.
+    """
+    groups: dict[tuple, list[PipelineSpec]] = {}
+    for spec in specs:
+        groups.setdefault(_retrieval_key(spec), []).append(spec)
+    passes = {
+        key: iter(_feature_pass(group, dataset, modality, threads, provider))
+        for key, group in groups.items()
+    }
+    return [next(passes[_retrieval_key(spec)]) for spec in specs]
+
+
+def _feature_pass(
+    specs: Sequence[PipelineSpec],
+    dataset: Dataset,
+    modality: str,
+    threads: int,
+    provider,
+) -> list[FeatureSet]:
     """One retrieval/encode pass over the dataset, reduced per variant.
 
-    All specs must share the retrieval-relevant fields (provider, k, chunking,
-    instructions); only the representation stage may differ. Each variant
-    gets one float64 matrix with a row per patient, allocated before the
-    pass; a patient's reduced row is written into it as soon as the patient
-    is encoded, and the variant's ``X`` is the filled prefix. The pass's
-    peak is one matrix per variant plus the token matrices being reduced;
-    there is no list of rows and no stacking copy.
+    The specs share one retrieval key; only the representation stage
+    differs. Each variant gets one float64 matrix with a row per patient,
+    allocated before the pass; a patient's reduced row is written into it as
+    soon as the patient is encoded, and the variant's ``X`` is the filled
+    prefix. The pass's peak is one matrix per variant plus the token matrices
+    being reduced; there is no list of rows and no stacking copy.
     """
     started = time.perf_counter()
-    base = specs[0]
-    for other in specs[1:]:
-        same = (
-            other.provider == base.provider
-            and other.k_retrieve == base.k_retrieve
-            and other.chunk_size == base.chunk_size
-            and other.chunk_overlap == base.chunk_overlap
-            and other.instructions == base.instructions
-        )
-        if not same:
-            raise ConfigError("variants in one feature pass must share retrieval settings")
-
-    encoder = PatientEncoder(base, dataset, modality, provider)
+    encoder = PatientEncoder(specs[0], dataset, modality, provider)
     d_hidden = encoder.provider.descriptor.dim
     patients = dataset.patients
-    widths = [_feature_width(spec, d_hidden) for spec in specs]
-    matrices = [np.empty((len(patients), width)) for width in widths]
-    ids: list[list[str]] = [[] for _ in specs]
-    labels: list[list[float]] = [[] for _ in specs]
-    skipped: list[list[tuple[str, str]]] = [[] for _ in specs]
+    matrices = [np.empty((len(patients), _feature_width(spec, d_hidden))) for spec in specs]
+    # A skip depends on the retrieval key only, so the variants share them.
+    ids: list[str] = []
+    labels: list[float] = []
+    skipped: list[tuple[str, str]] = []
     fallbacks: list[list[Exception]] = [[] for _ in specs]
 
     def work(patient):
@@ -508,16 +533,15 @@ def _compute_features_multi(
         return [_reduce_matrix(spec, matrix) for spec in specs]
 
     def fill(patient, reduced) -> None:
-        for v in range(len(specs)):
-            if reduced is None:
-                skipped[v].append((patient.patient_id, "no_chunks"))
-                continue
-            values, fallback_error = reduced[v]
+        if reduced is None:
+            skipped.append((patient.patient_id, "no_chunks"))
+            return
+        for v, (values, fallback_error) in enumerate(reduced):
             if fallback_error is not None:
                 fallbacks[v].append(fallback_error)
-            matrices[v][len(ids[v])] = values
-            ids[v].append(patient.patient_id)
-            labels[v].append(float(patient.label.value))
+            matrices[v][len(ids)] = values
+        ids.append(patient.patient_id)
+        labels.append(float(patient.label.value))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -528,56 +552,34 @@ def _compute_features_multi(
             fill(patient, work(patient))
     seconds = time.perf_counter() - started
 
+    first = specs[0].variant_name
+    if not ids:
+        raise DataError(f"variant {first!r}: every patient was skipped")
+    skip_fraction = len(skipped) / len(patients)
+    if skip_fraction > MAX_SKIP_FRACTION:
+        raise DataError(
+            f"variant {first!r}: {len(skipped)} of {len(patients)} "
+            f"patients skipped ({skip_fraction:.1%} > {MAX_SKIP_FRACTION:.0%})"
+        )
+    y = np.asarray(labels)
     out: list[FeatureSet] = []
-    for v, spec in enumerate(specs):
-        if not ids[v]:
-            raise DataError(
-                f"variant {spec.variant_name!r}: every patient was skipped"
-            )
-        skip_fraction = len(skipped[v]) / len(patients)
-        if skip_fraction > MAX_SKIP_FRACTION:
-            raise DataError(
-                f"variant {spec.variant_name!r}: {len(skipped[v])} of {len(patients)} "
-                f"patients skipped ({skip_fraction:.1%} > {MAX_SKIP_FRACTION:.0%})"
-            )
-        if fallbacks[v]:
-            reasons = Counter(type(exc).__name__ for exc in fallbacks[v])
+    for spec, errors, matrix in zip(specs, fallbacks, matrices):
+        if errors:
+            reasons = Counter(type(exc).__name__ for exc in errors)
             logger.warning(
                 "variant %s: compression fell back to mean pooling for %d patients "
                 "(%s); first: %s",
                 spec.variant_name,
-                len(fallbacks[v]),
+                len(errors),
                 ", ".join(f"{name}: {count}" for name, count in sorted(reasons.items())),
-                fallbacks[v][0],
+                errors[0],
             )
-        if skipped[v]:
+        if skipped:
             logger.warning(
-                "variant %s skipped %d patients: %s",
-                spec.variant_name,
-                len(skipped[v]),
-                skipped[v][:5],
+                "variant %s skipped %d patients: %s", spec.variant_name, len(skipped), skipped[:5]
             )
-        out.append(
-            FeatureSet(
-                ids=ids[v],
-                X=matrices[v][: len(ids[v])],
-                y=np.asarray(labels[v]),
-                skipped=skipped[v],
-                fallbacks=len(fallbacks[v]),
-                seconds=seconds,
-            )
-        )
+        out.append(FeatureSet(ids, matrix[: len(ids)], y, skipped, len(errors), seconds))
     return out
-
-
-def compute_features(
-    spec: PipelineSpec,
-    dataset: Dataset,
-    modality: str = "mixed",
-    threads: int = 1,
-    provider=None,
-) -> FeatureSet:
-    return _compute_features_multi([spec], dataset, modality, threads, provider)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -614,31 +616,43 @@ def _carve_validation(
     return X[~val_mask], y[~val_mask], (X[val_mask], y[val_mask])
 
 
+def _check_split(
+    spec: PipelineSpec, features: FeatureSet, train_ids: set[str], test_ids: set[str]
+) -> None:
+    """Reject a cell the variant cannot be trained on: an empty train or test
+    side after skips, or more hidden-axis components than its train rows and
+    feature width allow."""
+    train_rows = sum(pid in train_ids for pid in features.ids)
+    if not train_rows or not any(pid in test_ids for pid in features.ids):
+        raise DataError("split leaves an empty train or test side after skips")
+    if spec.dimred is not None and spec.dimred.axis == "hidden":
+        n = spec.dimred.resolved_components
+        width = features.X.shape[1]
+        bound = min(train_rows - 1, width)
+        if n > bound:
+            raise ConfigError(
+                f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
+                f"components needs more data (max {bound} for {train_rows} train "
+                f"rows x {width} dims)"
+            )
+
+
 def _train_eval(
     spec: PipelineSpec,
     features: FeatureSet,
     train_ids: set[str],
     test_ids: set[str],
 ) -> MetricReport:
-    index = {pid: i for i, pid in enumerate(features.ids)}
-    train_idx = [index[pid] for pid in features.ids if pid in train_ids]
-    test_idx = [index[pid] for pid in features.ids if pid in test_ids]
-    if not train_idx or not test_idx:
-        raise DataError("split leaves an empty train or test side after skips")
+    """Train on the cell's train side and evaluate on its test side; the
+    cell has passed ``_check_split``."""
+    train_idx = [i for i, pid in enumerate(features.ids) if pid in train_ids]
+    test_idx = [i for i, pid in enumerate(features.ids) if pid in test_ids]
 
     Xtr, ytr = features.X[train_idx], features.y[train_idx]
     Xte, yte = features.X[test_idx], features.y[test_idx]
 
     if spec.dimred is not None and spec.dimred.axis == "hidden":
-        n = spec.dimred.resolved_components
-        bound = min(Xtr.shape[0] - 1, Xtr.shape[1])
-        if n > bound:
-            raise ConfigError(
-                f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
-                f"components needs more data (max {bound} for {Xtr.shape[0]} train "
-                f"rows x {Xtr.shape[1]} dims)"
-            )
-        pca = pca_fit(Xtr, n)
+        pca = pca_fit(Xtr, spec.dimred.resolved_components)
         Xtr = pca_project(pca, Xtr)
         Xte = pca_project(pca, Xte)
 
@@ -703,46 +717,6 @@ def _spec_hash(spec: PipelineSpec, dataset_name: str, modality: str, split: Spli
     )
 
 
-def run_pipeline(
-    spec: PipelineSpec,
-    dataset: Dataset,
-    split: SplitSpec,
-    modality: str = "mixed",
-    task: str = "adhoc",
-    dataset_name: str = "dataset",
-    trial: Optional[str] = None,
-    exclusion: Optional[float] = None,
-    threads: int = 1,
-    features: Optional[FeatureSet] = None,
-) -> RunResult:
-    """Execute one pipeline variant end to end on one split.
-
-    ``features`` is a feature pass already made for ``spec`` (shared by
-    several runs); without it the pass runs here.
-    """
-    if features is None:
-        features = compute_features(spec, dataset, modality, threads)
-    started = time.perf_counter()
-    train_ids, test_ids = make_split(dataset, split)
-    report = _train_eval(spec, features, train_ids, test_ids)
-    train_seconds = time.perf_counter() - started
-    return RunResult(
-        task=task,
-        variant=spec.variant_name,
-        dataset_name=dataset_name,
-        trial=trial,
-        exclusion=exclusion,
-        seed=spec.seed,
-        config_hash=_spec_hash(spec, dataset_name, modality, split),
-        report=report,
-        wall_seconds=features.seconds + train_seconds,
-        feature_seconds=features.seconds,
-        stages=spec.stages(),
-        skipped=len(features.skipped),
-        fallbacks=features.fallbacks,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Task sweeps
 # ---------------------------------------------------------------------------
@@ -804,130 +778,116 @@ def _task4_variants(base: PipelineSpec) -> list[PipelineSpec]:
     return variants
 
 
-def run_task(config: ExperimentConfig) -> tuple[list[RunResult], list[dict]]:
-    """Execute one task's sweep; returns (results, comparison table rows)."""
-    results: list[RunResult] = []
+def _task2_variants(base: PipelineSpec, providers: Sequence[ProviderSpec]) -> list[PipelineSpec]:
+    providers = providers or (
+        ProviderSpec(kind="mock", name="mock-a", dim=base.provider.dim, seed=101),
+        ProviderSpec(kind="mock", name="mock-b", dim=max(32, base.provider.dim // 2), seed=202),
+        ProviderSpec(kind="mock", name="mock-c", dim=base.provider.dim + 32, seed=303),
+    )
+    return [
+        replace(
+            base,
+            provider=pspec,
+            dimred=base.dimred or DimRedConfig(),
+            classifier="mlp",
+            name=f"backbone-{pspec.resolved_name}",
+        )
+        for pspec in providers
+    ]
+
+
+def _variants(config: ExperimentConfig) -> list[PipelineSpec]:
     base = config.variants[0]
+    if config.task == "task1":
+        return _task1_variants(base)
+    if config.task == "task2":
+        return _task2_variants(base, config.providers)
+    if config.task == "task3":
+        return _task3_variants(base)
+    if config.task == "task4":
+        return _task4_variants(base)
+    if config.task == "task5":
+        return list(config.variants)
+    return [base]
+
+
+def _cells(
+    config: ExperimentConfig, dataset: Dataset
+) -> list[tuple[SplitSpec, Optional[str], Optional[float]]]:
+    """The (split, trial, exclusion) cells every variant is trained on: the
+    configured split, or task6's trial x exclusion grid."""
+    if config.task != "task6":
+        return [(config.split, None, None)]
+    trial_ids = dataset.trial_ids()
+    if len(trial_ids) < 2:
+        raise DataError("task6 needs at least 2 trials for cross-trial evaluation")
+    return [
+        (replace(config.split, mode="cross_trial", target_trial=t, exclusion_fraction=e), t, e)
+        for t in trial_ids
+        for e in config.exclusions
+    ]
+
+
+def run_task(config: ExperimentConfig) -> tuple[list[RunResult], list[dict]]:
+    """Execute one task's sweep; returns (results, comparison table rows).
+
+    Results come in dataset, cell, variant order. Every cell is split and
+    checked against every variant before the first model is trained.
+    """
+    if config.task == "task5" and not config.datasets:
+        raise ConfigError("task5 requires dataset paths in 'datasets'")
+    if config.task != "task5" and config.dataset is None:
+        raise ConfigError(f"{config.task} requires a dataset")
+    sources = config.datasets if config.task == "task5" else (config.dataset,)
+    variants = _variants(config)
+    # The mixed-data setting is part of the task6 design.
+    modality = "mixed" if config.task == "task6" else config.modality
     log_path = str(Path(config.output_dir) / "run.log") if config.output_dir else None
+    results: list[RunResult] = []
 
-    def record(run: RunResult) -> None:
-        run.log_path = log_path
-        results.append(run)
-        logger.info(
-            "run %s/%s dataset=%s trial=%s exclusion=%s macro_f1=%s auroc=%s",
-            run.task,
-            run.variant,
-            run.dataset_name,
-            run.trial,
-            run.exclusion,
-            f"{run.report.macro_f1:.4f}",
-            "absent" if run.report.auroc is None else f"{run.report.auroc:.4f}",
-        )
+    for source in sources:
+        dataset = source.load()
+        cells = _cells(config, dataset)
+        feature_sets = _compute_features_multi(variants, dataset, modality, config.threads)
+        splits = []
+        for split, _, _ in cells:
+            started = time.perf_counter()
+            train_ids, test_ids = make_split(dataset, split)
+            splits.append((train_ids, test_ids, time.perf_counter() - started))
+            for spec, features in zip(variants, feature_sets):
+                _check_split(spec, features, train_ids, test_ids)
 
-    if config.task in ("task1", "task3", "task4"):
-        if config.dataset is None:
-            raise ConfigError(f"{config.task} requires a dataset")
-        dataset = config.dataset.load()
-        if config.task == "task1":
-            variants = _task1_variants(base)
-        elif config.task == "task3":
-            variants = _task3_variants(base)
-        else:
-            variants = _task4_variants(base)
-        feature_sets = _compute_features_multi(
-            variants, dataset, config.modality, config.threads
-        )
-        for spec, features in zip(variants, feature_sets):
-            record(
-                run_pipeline(
-                    spec,
-                    dataset,
-                    config.split,
-                    modality=config.modality,
+        for (split, trial, exclusion), (train_ids, test_ids, split_seconds) in zip(cells, splits):
+            for spec, features in zip(variants, feature_sets):
+                started = time.perf_counter()
+                report = _train_eval(spec, features, train_ids, test_ids)
+                cell_seconds = split_seconds + time.perf_counter() - started
+                run = RunResult(
                     task=config.task,
-                    dataset_name=config.dataset.name,
-                    features=features,
+                    variant=spec.variant_name,
+                    dataset_name=source.name,
+                    trial=trial,
+                    exclusion=exclusion,
+                    seed=spec.seed,
+                    config_hash=_spec_hash(spec, source.name, modality, split),
+                    report=report,
+                    wall_seconds=features.seconds + cell_seconds,
+                    feature_seconds=features.seconds,
+                    stages=spec.stages(),
+                    skipped=len(features.skipped),
+                    fallbacks=features.fallbacks,
+                    log_path=log_path,
                 )
-            )
-
-    elif config.task == "task2":
-        if config.dataset is None:
-            raise ConfigError("task2 requires a dataset")
-        dataset = config.dataset.load()
-        providers = config.providers or (
-            ProviderSpec(kind="mock", name="mock-a", dim=base.provider.dim, seed=101),
-            ProviderSpec(kind="mock", name="mock-b", dim=max(32, base.provider.dim // 2), seed=202),
-            ProviderSpec(kind="mock", name="mock-c", dim=base.provider.dim + 32, seed=303),
-        )
-        for pspec in providers:
-            spec = replace(
-                base,
-                provider=pspec,
-                dimred=base.dimred or DimRedConfig(),
-                classifier="mlp",
-                name=f"backbone-{pspec.resolved_name}",
-            )
-            record(
-                run_pipeline(
-                    spec,
-                    dataset,
-                    config.split,
-                    modality=config.modality,
-                    task="task2",
-                    dataset_name=config.dataset.name,
-                    threads=config.threads,
-                )
-            )
-
-    elif config.task == "task5":
-        if not config.datasets:
-            raise ConfigError("task5 requires dataset paths in 'datasets'")
-        for source in config.datasets:
-            dataset = source.load()
-            for spec in config.variants:
-                record(
-                    run_pipeline(
-                        spec,
-                        dataset,
-                        config.split,
-                        modality=config.modality,
-                        task="task5",
-                        dataset_name=source.name,
-                        threads=config.threads,
-                    )
-                )
-
-    else:  # task6
-        if config.dataset is None:
-            raise ConfigError("task6 requires a dataset")
-        dataset = config.dataset.load()
-        trial_ids = dataset.trial_ids()
-        if len(trial_ids) < 2:
-            raise DataError("task6 needs at least 2 trials for cross-trial evaluation")
-        # The mixed-data setting is part of the task design.
-        modality = "mixed"
-        features = compute_features(base, dataset, modality, config.threads)
-        for trial_id in trial_ids:
-            for exclusion in config.exclusions:
-                split = SplitSpec(
-                    mode="cross_trial",
-                    test_fraction=config.split.test_fraction,
-                    target_trial=trial_id,
-                    exclusion_fraction=exclusion,
-                    seed=config.split.seed,
-                )
-                record(
-                    run_pipeline(
-                        base,
-                        dataset,
-                        split,
-                        modality=modality,
-                        task="task6",
-                        dataset_name=config.dataset.name,
-                        trial=trial_id,
-                        exclusion=exclusion,
-                        features=features,
-                    )
+                results.append(run)
+                logger.info(
+                    "run %s/%s dataset=%s trial=%s exclusion=%s macro_f1=%s auroc=%s",
+                    run.task,
+                    run.variant,
+                    run.dataset_name,
+                    run.trial,
+                    run.exclusion,
+                    f"{report.macro_f1:.4f}",
+                    "absent" if report.auroc is None else f"{report.auroc:.4f}",
                 )
 
     table = [

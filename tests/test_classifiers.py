@@ -7,7 +7,6 @@ import pytest
 
 from trialmatch.classifiers import (
     AdamState,
-    DecisionTree,
     MLPModel,
     TrainConfig,
     adam_step,
@@ -27,7 +26,7 @@ from trialmatch.classifiers import (
     _init_params,
     _sigmoid,
 )
-from trialmatch.errors import ConfigError, DataError, DimensionMismatchError, SingleClassError
+from trialmatch.errors import DataError, DimensionMismatchError, SingleClassError
 
 
 def blobs(seed: int, n: int = 100, margin: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestHiddenAxis:
             pooling=pooling,
             pooling_components=components,
         )
-        features = harness.compute_features(spec, tiny_dataset)
+        features = _compute_features_multi([spec], tiny_dataset, "mixed")[0]
         assert features.X.shape == (2, width)
         assert features.skipped == [] and features.fallbacks == 0
 
@@ -259,6 +260,25 @@ class TestFeaturePass:
             assert features.fallbacks == 0
             assert features.ids[-1] == "SHORT"
             assert features.X.shape == (41, 256 if spec.name == "hybrid" else 128)
+
+    def test_mixed_retrieval_settings_match_single_spec_passes(self):
+        specs = [
+            PipelineSpec(),
+            PipelineSpec(k_retrieve=2),
+            PipelineSpec(dimred=DimRedConfig()),
+            PipelineSpec(chunk_size=64),
+            PipelineSpec(k_retrieve=2, pooling="last_token"),
+        ]
+        dataset = feature_pass_dataset()
+        feature_sets = _compute_features_multi(specs, dataset, "unstructured")
+        assert [feature_set_digest(f) for f in feature_sets] == [
+            feature_set_digest(_compute_features_multi([spec], dataset, "unstructured")[0])
+            for spec in specs
+        ]
+        # Three retrieval settings, three passes; a group's specs share one.
+        seconds = [f.seconds for f in feature_sets]
+        assert seconds[0] == seconds[2] and seconds[1] == seconds[4]
+        assert len(set(seconds)) == 3
 
 
 class TestTask1Outputs:
@@ -372,6 +392,57 @@ class TestOtherTasks:
             assert first == rerun
 
 
+class TestPlan:
+    """One plan for every task: dataset x cell x variant, with one feature
+    pass per dataset and retrieval setting."""
+
+    @pytest.mark.parametrize("task", harness.TASKS)
+    def test_a_missing_source_is_a_config_error(self, task):
+        if task == "task5":
+            message = "task5 requires dataset paths in 'datasets'"
+        else:
+            message = f"{task} requires a dataset"
+        with pytest.raises(ConfigError) as info:
+            run_task(ExperimentConfig(task=task))
+        assert str(info.value) == message
+
+    def test_task5_variants_with_equal_retrieval_settings_share_a_pass(
+        self, tmp_path, monkeypatch
+    ):
+        loaded: list[str] = []
+        encoded: list[str] = []
+        load, embed = harness.DatasetSource.load, harness.embed_tokens
+
+        def counting_load(source):
+            loaded.append(source.name)
+            return load(source)
+
+        def counting_embed(provider, text):
+            encoded.append(loaded[-1])
+            return embed(provider, text)
+
+        monkeypatch.setattr(harness.DatasetSource, "load", counting_load)
+        monkeypatch.setattr(harness, "embed_tokens", counting_embed)
+        obj = tiny_config("task5", tmp_path)
+        train = {"max_epochs": 5}
+        obj["variants"] = [
+            {"train": train, "name": "mean"},
+            {"train": train, "k_retrieve": 2, "name": "k2"},
+            {"train": train, "dimred": {}, "name": "sequence"},
+        ]
+        _, manifest = run_and_write(ExperimentConfig.from_dict(obj), tmp_path / "out")
+        # Two retrieval settings: each of the 40 patients is encoded twice.
+        assert loaded == ["tiny-5", "tiny-6"]
+        assert Counter(encoded) == {"tiny-5": 2 * 40, "tiny-6": 2 * 40}
+        for name in loaded:
+            seconds = {
+                r["variant"]: r["feature_seconds"]
+                for r in manifest["runs"]
+                if r["dataset"] == name
+            }
+            assert seconds["mean"] == seconds["sequence"]
+
+
 class TestTask3:
     """The compression sweep: sequence-1, hidden-16/32/64/128 (train-split
     PCA of mean-pooled vectors), last_token and hybrid."""
@@ -410,3 +481,23 @@ class TestTask3:
         err = capsys.readouterr().err
         assert err.startswith("error: variant 'hidden-32': hidden-axis compression to 32 ")
         assert "max 31 for 32 train rows" in err
+
+    def test_components_are_checked_before_any_variant_trains(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fits = []
+        train = harness.train_mlp
+
+        def counting_train(*args, **kwargs):
+            fits.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_mlp", counting_train)
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({**self.config(TINY_CORPUS), "output_dir": str(tmp_path / "out")}),
+            encoding="utf-8",
+        )
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_USAGE
+        assert "variant 'hidden-32'" in capsys.readouterr().err
+        assert fits == []

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trialmatch"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trialmatch"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TEST_SOURCES = sorted((ROOT / "tests").glob("*.py")) + [ROOT / "conftest.py"]
 
 
 def _annotation_names(tree: ast.Module) -> set[str]:
@@ -43,7 +45,11 @@ def test_sources_are_found():
     assert {"harness.py", "representation.py", "cli.py"} <= {p.name for p in SOURCES}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    SOURCES + TEST_SOURCES,
+    ids=lambda p: p.name if p.parent == PACKAGE else str(p.relative_to(ROOT)),
+)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
