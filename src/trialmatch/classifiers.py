@@ -171,17 +171,6 @@ def _backward_stack(
     return delta @ weights[0].T if input_grad else None
 
 
-def mlp_forward(model: MLPModel, x: np.ndarray) -> float:
-    """Probability for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != model.n_features:
-        raise DimensionMismatchError(
-            f"input has {x.shape[0]} features, model expects {model.n_features}"
-        )
-    _, probs = _forward_stack(model.weights, model.biases, x[None, :])
-    return float(probs[0])
-
-
 def bce_loss(
     probs: Sequence[float], labels: Sequence[float], clamp_epsilon: float = 1e-7
 ) -> float:
@@ -192,30 +181,6 @@ def bce_loss(
         raise DataError(f"{p.shape[0]} probabilities but {y.shape[0]} labels")
     p = np.clip(p, clamp_epsilon, 1.0 - clamp_epsilon)
     return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def mlp_grad(
-    model: MLPModel, batch: tuple[np.ndarray, np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Backpropagation gradient of the summed BCE over one batch.
-
-    Returns (weight gradients, bias gradients) shaped like the model's
-    parameters.
-    """
-    X, y = batch
-    X = _as_features(X)
-    y = _as_labels(y, X.shape[0], X.dtype)
-    if X.shape[0] == 0:
-        raise DataError("gradient of an empty batch is undefined")
-    if X.shape[1] != model.n_features:
-        raise DimensionMismatchError(
-            f"batch has {X.shape[1]} features, model expects {model.n_features}"
-        )
-    activations, probs = _forward_stack(model.weights, model.biases, X)
-    grads_w = [np.empty_like(w) for w in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
-    _backward_stack(model.weights, activations, probs, y, grads_w, grads_b)
-    return grads_w, grads_b
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +485,6 @@ class DecisionTree:
         return out
 
 
-def gini_impurity(labels: Sequence[float]) -> float:
-    """2 p (1 - p) for binary labels; 0 for a pure node."""
-    y = np.asarray(labels, dtype=np.float64)
-    if y.size == 0:
-        return 0.0
-    p = float(y.mean())
-    return 2.0 * p * (1.0 - p)
-
-
 _SPLIT_BLOCK = 16  # features searched together; bounds the (block x n) temporaries
 
 
@@ -695,14 +651,6 @@ class LinearSVM:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.margins(X))
-
-
-def svm_hinge(model: LinearSVM, features, labels) -> float:
-    """Mean hinge loss (regularization excluded)."""
-    X = _as_features(features)
-    y = _as_labels(labels, X.shape[0])
-    signed = 2.0 * y - 1.0
-    return float(np.mean(np.maximum(0.0, 1.0 - signed * model.margins(X))))
 
 
 def train_svm(

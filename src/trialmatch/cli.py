@@ -16,6 +16,7 @@ machine-readable stdout.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -51,7 +52,7 @@ from .harness import (
     write_outputs,
 )
 from .metrics import compute_report
-from .retrieval import DEFAULT_K_RETRIEVE, audit_rows
+from .retrieval import DEFAULT_K_RETRIEVE
 
 logger = logging.getLogger("trialmatch.cli")
 
@@ -220,7 +221,7 @@ def _cmd_retrieve(args) -> int:
     }
     digest = config_hash(resolved)
 
-    all_audit_rows: list[dict] = []
+    audit: list[list[str]] = []
     patients_payload: list[dict] = []
     lines = [
         f"k={args.k} provider={provider.descriptor.name} dim={provider.descriptor.dim} "
@@ -235,42 +236,42 @@ def _cmd_retrieve(args) -> int:
                 {"patient_id": patient.patient_id, "selected": [], "skipped": True}
             )
             continue
-        selected = found.selected
-        selected_ids = {s.chunk_id for s in selected}
+        chunks, scores = found.chunks, found.cosines.sum(axis=1).tolist()
         if args.audit:
-            all_audit_rows.extend(audit_rows(patient.patient_id, found.scored, selected_ids))
+            selected = set(found.selected.tolist())
+            for i, row in enumerate(found.cosines.tolist()):
+                flag = "true" if i in selected else "false"
+                for criterion, cosine in zip(found.criteria, row):
+                    audit.append(
+                        [
+                            patient.patient_id,
+                            chunks[i].chunk_id,
+                            criterion.criterion_id,
+                            repr(cosine),
+                            repr(scores[i]),
+                            flag,
+                        ]
+                    )
         listing = [
-            {"chunk_id": s.chunk_id, "ordinal": s.ordinal, "score": s.aggregate_score}
-            for s in selected
+            {"chunk_id": chunks[i].chunk_id, "ordinal": chunks[i].ordinal, "score": scores[i]}
+            for i in found.selected
         ]
         patients_payload.append(
             {"patient_id": patient.patient_id, "selected": listing, "skipped": False}
         )
-        shown = ", ".join(f"{s.chunk_id}({s.aggregate_score:.4f})" for s in selected)
+        shown = ", ".join(f"{s['chunk_id']}({s['score']:.4f})" for s in listing)
         lines.append(f"{patient.patient_id}: {shown}")
 
     if args.audit:
-        import csv as _csv
-
         audit_path = Path(args.audit)
         audit_path.parent.mkdir(parents=True, exist_ok=True)
         with audit_path.open("w", encoding="utf-8", newline="") as handle:
-            writer = _csv.writer(handle, lineterminator="\n")
+            writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(
                 ["patient_id", "chunk_id", "criterion_id", "cosine", "aggregate", "selected"]
             )
-            for row in all_audit_rows:
-                writer.writerow(
-                    [
-                        row["patient_id"],
-                        row["chunk_id"],
-                        row["criterion_id"],
-                        repr(row["cosine"]),
-                        repr(row["aggregate"]),
-                        str(row["selected"]).lower(),
-                    ]
-                )
-        lines.append(f"audit written to {audit_path} ({len(all_audit_rows)} rows)")
+            writer.writerows(audit)
+        lines.append(f"audit written to {audit_path} ({len(audit)} rows)")
 
     payload = {
         "seed": args.seed,
@@ -278,7 +279,7 @@ def _cmd_retrieve(args) -> int:
         "k": args.k,
         "provider": provider.descriptor.name,
         "patients": patients_payload,
-        "audit_rows": len(all_audit_rows) if args.audit else None,
+        "audit_rows": len(audit) if args.audit else None,
     }
     _emit(args, lines, payload)
     return EXIT_OK

@@ -286,6 +286,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown modality {self.modality!r}")
         if not self.variants:
             raise ConfigError("at least one pipeline variant is required")
+        if self.task != "task5" and len(self.variants) > 1:
+            raise ConfigError(
+                f"{self.task} takes one variant, got {len(self.variants)}; "
+                "only task5 runs a list of variants"
+            )
         if self.task == "task6" and not self.exclusions:
             raise ConfigError("task6 requires a non-empty exclusion sweep")
         if self.threads < 1:
@@ -410,14 +415,16 @@ def _reduce_matrix(
 
 @dataclass
 class Retrieval:
-    """One patient's retrieval: its chunks and their vectors, the trial's
-    criteria, every chunk scored against them, and the top k of those."""
+    """One patient's retrieval: its chunks, their vectors as one
+    ``(n_chunks, dim)`` array, the trial's criteria, the ``(n_chunks,
+    n_criteria)`` cosine matrix, and ``selected``, the row indices of the
+    top k chunks, best first. Row i is ``chunks[i]``."""
 
     chunks: list
-    chunk_vectors: list[np.ndarray]
+    chunk_vectors: np.ndarray
     criteria: list
-    scored: list
-    selected: list
+    cosines: np.ndarray
+    selected: np.ndarray
 
 
 class PatientEncoder:
@@ -448,26 +455,28 @@ class PatientEncoder:
         if not chunks:
             return None
         criteria, criteria_vectors = self._criteria_for(patient.trial_id)
-        chunk_vectors = embed_texts(self.provider, [c.text for c in chunks])
-        scored = score_chunks(chunks, chunk_vectors, criteria, criteria_vectors)
-        selected = select_top_k(scored, self.spec.k_retrieve)
-        return Retrieval(chunks, chunk_vectors, criteria, scored, selected)
+        chunk_vectors = np.asarray(embed_texts(self.provider, [c.text for c in chunks]))
+        cosines = score_chunks(chunks, chunk_vectors, criteria, criteria_vectors)
+        selected = select_top_k(cosines, self.spec.k_retrieve)
+        return Retrieval(chunks, chunk_vectors, criteria, cosines, selected)
 
     def token_matrix(self, patient) -> Optional[np.ndarray]:
-        """Retrieval + prompt + encode for one patient; None when unchunkable."""
+        """Retrieval + prompt + encode for one patient; None when unchunkable.
+
+        For a provider without token matrices the rows are the selected
+        chunks' vectors in rank order, and no prompt is built.
+        """
         found = self.retrieve(patient)
         if found is None:
             return None
-        text_by_id = {c.chunk_id: c.text for c in found.chunks}
+        if not self.provider.descriptor.supports_token_matrix:
+            return found.chunk_vectors[found.selected]
         prompt = assemble_prompt(
             self.spec.instructions,
             found.criteria,
-            [(s, text_by_id[s.chunk_id]) for s in found.selected],
+            [found.chunks[i].text for i in found.selected],
         )
-        if self.provider.descriptor.supports_token_matrix:
-            return embed_tokens(self.provider, prompt.full_text)
-        vec_by_id = {c.chunk_id: v for c, v in zip(found.chunks, found.chunk_vectors)}
-        return np.stack([vec_by_id[s.chunk_id] for s in found.selected])
+        return embed_tokens(self.provider, prompt)
 
 
 def _retrieval_key(spec: PipelineSpec) -> tuple:

@@ -1,13 +1,20 @@
 """Chunk scoring against trial criteria, top-k selection, prompt assembly.
 
+One patient's retrieval is a pair of arrays. ``score_chunks`` returns the
+``(n_chunks, n_criteria)`` matrix of cosines, rows in chunk order and
+columns in criterion order. ``select_top_k`` returns the row indices of the
+chosen chunks, best first; a row index is the chunk's position in the list
+that was scored, which ``build_chunks`` makes equal to its ordinal.
+
 Relevance of a chunk is the unweighted sum of its cosine similarities to every
 criterion (inclusion and exclusion alike; no sign flip). Selection is exact:
-chunk counts per patient are small, so there is no approximate index.
+chunk counts per patient are small, so there is no approximate index. Equal
+chunk vectors get bit-equal scores, so their tie is broken by position: the
+lower row goes first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,44 +30,14 @@ DEFAULT_INSTRUCTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class ScoredChunk:
-    chunk_id: str
-    ordinal: int
-    aggregate_score: float
-    per_criterion_scores: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class AssembledPrompt:
-    system_instructions: str
-    criteria_block: str
-    chunks_block: str
-    full_text: str
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|); symmetric and scale-invariant, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionMismatchError(
-            f"cosine requires equal-length vectors, got {a.shape} and {b.shape}"
-        )
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a <= 1e-12 or norm_b <= 1e-12:
-        raise DataError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(a, b) / (norm_a * norm_b))
-
-
 def score_chunks(
     chunks: Sequence[Chunk],
     chunk_vectors: Sequence[np.ndarray],
     criteria: Sequence[Criterion],
     criteria_vectors: Sequence[np.ndarray],
-) -> list[ScoredChunk]:
-    """Score every chunk as the sum of cosines against every criterion."""
+) -> np.ndarray:
+    """The ``(n_chunks, n_criteria)`` cosines of every chunk against every
+    criterion."""
     if len(criteria) == 0:
         raise DataError("score_chunks requires at least one criterion")
     if len(chunks) != len(chunk_vectors):
@@ -71,90 +48,51 @@ def score_chunks(
         raise DataError(
             f"{len(criteria)} criteria but {len(criteria_vectors)} criterion vectors"
         )
-    scored = []
-    for chunk, vec in zip(chunks, chunk_vectors):
-        per: list[tuple[str, float]] = []
-        aggregate = 0.0
-        for criterion, cvec in zip(criteria, criteria_vectors):
-            try:
-                cos = cosine_similarity(vec, cvec)
-            except DataError as exc:
-                raise type(exc)(
-                    f"chunk {chunk.chunk_id!r} vs criterion "
-                    f"{criterion.criterion_id!r}: {exc}"
-                ) from exc
-            per.append((criterion.criterion_id, cos))
-            aggregate += cos
-        scored.append(
-            ScoredChunk(
-                chunk_id=chunk.chunk_id,
-                ordinal=chunk.ordinal,
-                aggregate_score=aggregate,
-                per_criterion_scores=tuple(per),
-            )
+    a = np.asarray(chunk_vectors, dtype=np.float64)
+    b = np.asarray(criteria_vectors, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionMismatchError(
+            f"cosine requires equal-length vectors, got {a.shape} and {b.shape}"
         )
-    return scored
+    a_norm = np.linalg.norm(a, axis=1)
+    b_norm = np.linalg.norm(b, axis=1)
+    i, j = int(np.argmin(a_norm)), int(np.argmin(b_norm))
+    if a_norm[i] <= 1e-12 or b_norm[j] <= 1e-12:
+        raise DataError(
+            f"chunk {chunks[i].chunk_id!r} vs criterion {criteria[j].criterion_id!r}: "
+            "cosine similarity undefined for zero-norm vector"
+        )
+    # einsum without ``optimize`` computes every entry by the same loop, so
+    # equal rows give bit-equal cosines and their tie goes by position. A
+    # BLAS product (``a @ b.T``) blocks rows differently and can round two
+    # equal rows apart.
+    return np.einsum("ij,kj->ik", a / a_norm[:, None], b / b_norm[:, None])
 
 
-def select_top_k(scored: Sequence[ScoredChunk], k: int = DEFAULT_K_RETRIEVE) -> list[ScoredChunk]:
-    """Top min(k, n) chunks by descending aggregate score, ties by ordinal."""
+def select_top_k(cosines: np.ndarray, k: int = DEFAULT_K_RETRIEVE) -> np.ndarray:
+    """Row indices of the top min(k, n) chunks by descending sum of
+    cosines; ties go to the lower row."""
     if k < 1:
         raise ConfigError("k must be at least 1")
-    if len(scored) == 0:
+    if len(cosines) == 0:
         raise NoChunksError("no chunks to select from; patient had no retrievable text")
-    ranked = sorted(scored, key=lambda s: (-s.aggregate_score, s.ordinal))
-    return ranked[:k]
+    return np.argsort(-cosines.sum(axis=1), kind="stable")[:k]
 
 
 def assemble_prompt(
-    instructions: str,
-    criteria: Sequence[Criterion],
-    selected: Sequence[tuple[ScoredChunk, str]],
-) -> AssembledPrompt:
-    """Deterministic prompt: instructions, tagged criteria, then ranked chunks.
+    instructions: str, criteria: Sequence[Criterion], texts: Sequence[str]
+) -> str:
+    """Deterministic prompt: instructions, tagged criteria, then the
+    selected chunk texts in rank order.
 
-    Criteria keep file order with [INCLUSION]/[EXCLUSION] tags; chunks are
-    emitted in descending aggregate-score order with [EHR i/n] tags. Blocks
-    are joined by a fixed separator.
+    Criteria keep file order with [INCLUSION]/[EXCLUSION] tags; chunks get
+    [EHR i/n] tags. Blocks are joined by a fixed separator.
     """
-    if len(selected) == 0:
+    if len(texts) == 0:
         raise DataError("assemble_prompt requires at least one selected chunk")
-    criteria_lines = [
+    criteria_block = "\n".join(
         f"[{c.kind.upper()}] {c.criterion_id}: {c.text}" for c in criteria
-    ]
-    ordered = sorted(selected, key=lambda pair: (-pair[0].aggregate_score, pair[0].ordinal))
-    n = len(ordered)
-    chunk_lines = [
-        f"[EHR {i + 1}/{n}] {text}" for i, (_, text) in enumerate(ordered)
-    ]
-    criteria_block = "\n".join(criteria_lines)
-    chunks_block = "\n".join(chunk_lines)
-    full_text = PROMPT_SEPARATOR.join([instructions, criteria_block, chunks_block])
-    return AssembledPrompt(
-        system_instructions=instructions,
-        criteria_block=criteria_block,
-        chunks_block=chunks_block,
-        full_text=full_text,
     )
-
-
-def audit_rows(
-    patient_id: str,
-    scored: Sequence[ScoredChunk],
-    selected_ids: set[str],
-) -> list[dict]:
-    """Flatten per-(chunk, criterion) cosines for the retrieval audit CSV."""
-    rows = []
-    for chunk in scored:
-        for criterion_id, cos in chunk.per_criterion_scores:
-            rows.append(
-                {
-                    "patient_id": patient_id,
-                    "chunk_id": chunk.chunk_id,
-                    "criterion_id": criterion_id,
-                    "cosine": cos,
-                    "aggregate": chunk.aggregate_score,
-                    "selected": chunk.chunk_id in selected_ids,
-                }
-            )
-    return rows
+    n = len(texts)
+    chunks_block = "\n".join(f"[EHR {i}/{n}] {text}" for i, text in enumerate(texts, 1))
+    return PROMPT_SEPARATOR.join([instructions, criteria_block, chunks_block])

@@ -11,22 +11,25 @@ from trialmatch.classifiers import (
     TrainConfig,
     adam_step,
     bce_loss,
-    gini_impurity,
-    mlp_forward,
-    mlp_grad,
     predict_proba,
-    svm_hinge,
     train_forest,
     train_mlp,
     train_svm,
     train_tree,
     train_with_adapter,
+    _backward_stack,
     _best_split,
     _forward_stack,
     _init_params,
     _sigmoid,
 )
 from trialmatch.errors import DataError, DimensionMismatchError, SingleClassError
+
+
+def gini(labels: np.ndarray) -> float:
+    """2 p (1 - p) for binary labels; 0 for a pure node."""
+    p = float(labels.mean())
+    return 2.0 * p * (1.0 - p)
 
 
 def blobs(seed: int, n: int = 100, margin: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -88,6 +91,21 @@ class TestBceLoss:
             bce_loss([0.5, 0.5], [1.0])
 
 
+def probability(model: MLPModel, x: np.ndarray) -> float:
+    """The model's probability for one feature vector."""
+    return float(predict_proba(model, x[None, :])[0])
+
+
+def summed_bce_grads(model: MLPModel, X: np.ndarray, y: np.ndarray):
+    """(weight, bias) gradients of the summed BCE over one batch, as the
+    training loop computes them."""
+    activations, probs = _forward_stack(model.weights, model.biases, X)
+    grads_w = [np.empty_like(w) for w in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    _backward_stack(model.weights, activations, probs, y, grads_w, grads_b)
+    return grads_w, grads_b
+
+
 class TestMlpForward:
     def test_zero_parameters_give_half(self):
         model = MLPModel(
@@ -96,7 +114,7 @@ class TestMlpForward:
             biases=[np.zeros(2), np.zeros(1)],
         )
         for x in (np.zeros(3), np.ones(3), np.array([-5.0, 2.0, 9.0])):
-            assert mlp_forward(model, x) == pytest.approx(0.5)
+            assert probability(model, x) == pytest.approx(0.5)
 
     def test_single_logistic_unit(self):
         model = MLPModel(
@@ -104,14 +122,14 @@ class TestMlpForward:
             weights=[np.zeros((1, 1))],
             biases=[np.array([2.0])],
         )
-        assert mlp_forward(model, np.array([3.0])) == pytest.approx(0.880797, abs=1e-6)
+        assert probability(model, np.array([3.0])) == pytest.approx(0.880797, abs=1e-6)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         w, b = _init_params((4, 8, 1), rng)
         model = MLPModel(layer_sizes=(4, 8, 1), weights=w, biases=b)
         for _ in range(20):
-            p = mlp_forward(model, rng.standard_normal(4) * 10)
+            p = probability(model, rng.standard_normal(4) * 10)
             assert 0.0 < p < 1.0
 
     def test_dim_mismatch(self):
@@ -119,7 +137,7 @@ class TestMlpForward:
             layer_sizes=(2, 1), weights=[np.zeros((2, 1))], biases=[np.zeros(1)]
         )
         with pytest.raises(DimensionMismatchError):
-            mlp_forward(model, np.zeros(3))
+            probability(model, np.zeros(3))
 
 
 class TestMlpGrad:
@@ -127,7 +145,7 @@ class TestMlpGrad:
         model = MLPModel(
             layer_sizes=(1, 1), weights=[np.zeros((1, 1))], biases=[np.zeros(1)]
         )
-        grads_w, grads_b = mlp_grad(model, (np.array([[1.0]]), np.array([1.0])))
+        grads_w, grads_b = summed_bce_grads(model, np.array([[1.0]]), np.array([1.0]))
         assert grads_b[0][0] == pytest.approx(-0.5, abs=1e-12)
         assert grads_w[0][0, 0] == pytest.approx(-0.5, abs=1e-12)
 
@@ -144,7 +162,7 @@ class TestMlpGrad:
             n = int(rng.integers(2, 9))
             X = rng.standard_normal((n, sizes[0]))
             y = (rng.random(n) < 0.5).astype(float)
-            grads_w, grads_b = mlp_grad(model, (X, y))
+            grads_w, grads_b = summed_bce_grads(model, X, y)
 
             h = 1e-5
             for li in range(len(weights)):
@@ -163,11 +181,8 @@ class TestMlpGrad:
         assert worst < 1e-4
 
     def test_empty_batch_rejected(self):
-        model = MLPModel(
-            layer_sizes=(2, 1), weights=[np.zeros((2, 1))], biases=[np.zeros(1)]
-        )
         with pytest.raises(DataError):
-            mlp_grad(model, (np.zeros((0, 2)), np.zeros(0)))
+            train_mlp(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestAdamStep:
@@ -513,8 +528,12 @@ class TestBestSplit:
 
 class TestTreesAndForests:
     def test_gini_even_split(self):
-        assert gini_impurity([1, 1, 0, 0]) == pytest.approx(0.5)
-        assert gini_impurity([1, 1, 1]) == 0.0
+        # The split search's cost is the size-weighted child Gini over n.
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        cost, threshold, feature = _best_split(X, np.array([1.0, 0.0, 1.0, 0.0]), np.arange(1), 1)
+        assert (cost, threshold, feature) == (pytest.approx(0.5), 0.5, 0)
+        cost, _, _ = _best_split(X, np.array([1.0, 1.0, 0.0, 0.0]), np.arange(1), 1)
+        assert cost == 0.0
 
     def test_one_dimensional_threshold(self):
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
@@ -540,7 +559,7 @@ class TestTreesAndForests:
                 if len(left) == 0 or len(right) == 0:
                     continue
                 cost = (
-                    len(left) * gini_impurity(left) + len(right) * gini_impurity(right)
+                    len(left) * gini(left) + len(right) * gini(right)
                 ) / n
                 cand = (cost, thr)
                 if best is None or cand < best:
@@ -619,7 +638,8 @@ class TestSvm:
     def test_separable_hinge_converges(self):
         X, y = blobs(0, n=120, margin=1.0)
         model = train_svm(X, y, lam=1e-4, epochs=400, lr=0.5)
-        assert svm_hinge(model, X, y) < 0.01
+        hinge = np.maximum(0.0, 1.0 - (2.0 * y - 1.0) * model.margins(X))
+        assert hinge.mean() < 0.01
 
     def test_probability_surrogate_thresholding(self):
         X, y = blobs(1, n=80)

@@ -268,10 +268,10 @@ class TestRetrieve:
         # Digests of a known-good run: chunking, scoring, selection and the
         # output format all feed them.
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "b3486c657c7e782927f1924b70d4c2e9ba87a65e9a702ce125226de30047304b"
+            "22462902a976801928cef84c2cf9d9f58180fedf55480154fdaebb52a828590a"
         )
         assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
-            "3b8671dc778978715785fd4b430c85ff931d9ce3ed8cdccc80955f8f87839e5d"
+            "f9e3421386e43adb8fbf84021f69aa64ba73221024c1c52250fb2c83c44e527a"
         )
 
 

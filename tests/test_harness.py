@@ -15,10 +15,11 @@ from trialmatch.corpus import (
     EligibilityLabel,
     PatientRecord,
     SyntheticConfig,
+    build_chunks,
     generate_synthetic,
     write_dataset,
 )
-from trialmatch.embedding import MockProvider
+from trialmatch.embedding import ENDPOINT_ENV_VAR, MockProvider
 from trialmatch.errors import ConfigError
 from trialmatch.harness import (
     ExperimentConfig,
@@ -100,6 +101,12 @@ class TestConfigLoading:
             ExperimentConfig.from_dict(obj)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("task", ["task1", "task2", "task3", "task4", "task6"])
+    def test_a_second_variant_is_rejected_outside_task5(self, task):
+        obj = {"task": task, "variants": [{}, {"k_retrieve": 2}]}
+        with pytest.raises(ConfigError, match=f"^{task} takes one variant, got 2"):
+            ExperimentConfig.from_dict(obj)
+
     def test_int_is_read_as_float(self):
         config = ExperimentConfig.from_dict(
             {"task": "task6", "variants": [{"svm_lambda": 1}], "exclusions": [1, 0.5]}
@@ -125,6 +132,34 @@ class TestConfigLoading:
     def test_spec_hash_is_unchanged(self, spec, digest):
         # These hashes fill the config_hash column of results.csv.
         assert config_hash(asdict(spec)) == digest
+
+
+class TestHttpFeatures:
+    """A provider without token matrices hands the variants the selected
+    chunks' own vectors."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_rows_are_the_selected_chunk_vectors_in_rank_order(
+        self, monkeypatch, tiny_dataset, embed_server, k
+    ):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        provider = harness.ProviderSpec(kind="http", model="m", dim=4, endpoint=embed_server.url)
+        spec = PipelineSpec(provider=provider, k_retrieve=k)
+        patient = tiny_dataset.patients[0]
+        n_chunks = len(build_chunks(patient, spec.chunk_size, spec.chunk_overlap, "mixed"))
+        matrix = PatientEncoder(spec, tiny_dataset, "mixed").token_matrix(patient)
+        # The server embeds text i of a request as [i, i + 1, ..., i + dim - 1];
+        # one request carries the trial's criteria, the next the chunks.
+        chunk_vecs = np.arange(4.0) + np.arange(n_chunks)[:, None]
+        crit_vecs = np.arange(4.0) + np.arange(len(tiny_dataset.trials[0].criteria))[:, None]
+
+        def cos(a, b):
+            return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+        scores = [sum(cos(c, q) for q in crit_vecs) for c in chunk_vecs]
+        ranked = sorted(range(n_chunks), key=lambda i: (-scores[i], i))[:k]
+        assert matrix.shape == (min(k, n_chunks), 4)
+        assert np.array_equal(matrix, chunk_vecs[ranked])
 
 
 class FlatTokenProvider(MockProvider):

@@ -1,15 +1,16 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from trialmatch import cli
 from trialmatch.corpus import Chunk, Criterion
 from trialmatch.errors import ConfigError, DataError, DimensionMismatchError, NoChunksError
 from trialmatch.retrieval import (
     DEFAULT_K_RETRIEVE,
     PROMPT_SEPARATOR,
-    ScoredChunk,
     assemble_prompt,
-    audit_rows,
-    cosine_similarity,
     score_chunks,
     select_top_k,
 )
@@ -29,71 +30,80 @@ def _criterion(i: int) -> Criterion:
     return Criterion(f"C{i}", "inclusion" if i % 2 == 0 else "exclusion", f"criterion {i}")
 
 
+def cosine(a, b) -> float:
+    """The cosine of one chunk vector against one criterion vector."""
+    return float(score_chunks([_chunk(0)], [a], [_criterion(0)], [b])[0, 0])
+
+
 class TestCosine:
     def test_identical_direction(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
 
     def test_analytic_45_degrees(self):
-        got = cosine_similarity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        got = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert got == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
     def test_scale_invariance(self):
-        assert cosine_similarity(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert cosine(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            cosine_similarity(np.zeros(2), np.zeros(3))
+            cosine(np.ones(2), np.ones(3))
 
     def test_zero_norm(self):
         with pytest.raises(DataError, match="zero-norm"):
-            cosine_similarity(np.zeros(2), np.array([1.0, 0.0]))
+            cosine(np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(DataError, match="zero-norm"):
+            cosine(np.array([1.0, 0.0]), np.zeros(2))
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(5), rng.standard_normal(5)
-        assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a), abs=1e-15)
+        assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-15)
 
 
 class TestScoreChunks:
     def test_single_criterion_degenerate_sum(self):
-        chunks = [_chunk(0)]
-        scored = score_chunks(
-            chunks, [np.array([1.0, 1.0])], [_criterion(0)], [np.array([1.0, 0.0])]
+        cosines = score_chunks(
+            [_chunk(0)], [np.array([1.0, 1.0])], [_criterion(0)], [np.array([1.0, 0.0])]
         )
-        assert scored[0].aggregate_score == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
-        assert len(scored[0].per_criterion_scores) == 1
+        assert cosines.shape == (1, 1)
+        assert cosines.sum(axis=1)[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
     def test_sum_of_two(self):
         # cosines 0.3 and 0.5 against a unit x-axis chunk vector
         chunk_vec = np.array([1.0, 0.0])
         c1 = np.array([0.3, np.sqrt(1 - 0.09)])
         c2 = np.array([0.5, np.sqrt(1 - 0.25)])
-        scored = score_chunks(
+        cosines = score_chunks(
             [_chunk(0)], [chunk_vec], [_criterion(0), _criterion(1)], [c1, c2]
         )
-        assert scored[0].aggregate_score == pytest.approx(0.8, abs=1e-9)
+        assert cosines[0] == pytest.approx([0.3, 0.5], abs=1e-12)
+        assert cosines.sum(axis=1)[0] == pytest.approx(0.8, abs=1e-9)
 
     def test_orthogonal_chunk(self):
-        scored = score_chunks(
+        cosines = score_chunks(
             [_chunk(0)],
             [np.array([0.0, 0.0, 1.0])],
             [_criterion(0), _criterion(1)],
             [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])],
         )
-        assert scored[0].aggregate_score == pytest.approx(0.0, abs=1e-12)
+        assert cosines.sum(axis=1)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_aggregate_matches_breakdown(self):
+        # Row i, column j is the cosine of chunk i against criterion j alone.
         rng = np.random.default_rng(3)
         chunks = [_chunk(i) for i in range(5)]
         cvecs = [rng.standard_normal(8) for _ in range(4)]
         kvecs = [rng.standard_normal(8) for _ in chunks]
-        for sc in score_chunks(chunks, kvecs, [_criterion(i) for i in range(4)], cvecs):
-            assert sc.aggregate_score == pytest.approx(
-                sum(v for _, v in sc.per_criterion_scores), abs=1e-9
-            )
+        cosines = score_chunks(chunks, kvecs, [_criterion(i) for i in range(4)], cvecs)
+        assert cosines.shape == (5, 4)
+        for i, kvec in enumerate(kvecs):
+            for j, cvec in enumerate(cvecs):
+                assert cosines[i, j] == pytest.approx(cosine(kvec, cvec), abs=1e-12)
 
     def test_error_names_ids(self):
         with pytest.raises(DataError, match=r"P1:c0.*C0"):
@@ -106,46 +116,31 @@ class TestScoreChunks:
             score_chunks([_chunk(0)], [np.ones(2)], [], [])
 
 
-def _scored(scores_ordinals) -> list[ScoredChunk]:
-    return [
-        ScoredChunk(
-            chunk_id=f"c{i}",
-            ordinal=ordinal,
-            aggregate_score=score,
-            per_criterion_scores=(("C0", score),),
-        )
-        for i, (score, ordinal) in enumerate(scores_ordinals)
-    ]
-
-
 class TestSelectTopK:
     def test_default_k_is_four(self):
         assert DEFAULT_K_RETRIEVE == 4
-        scored = _scored([(0.9, 0), (0.8, 1), (0.7, 2), (0.6, 3), (0.5, 4), (0.4, 5)])
-        top = select_top_k(scored)
-        assert [s.chunk_id for s in top] == ["c0", "c1", "c2", "c3"]
+        cosines = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4])[:, None]
+        assert select_top_k(cosines).tolist() == [0, 1, 2, 3]
 
     def test_tie_broken_by_ordinal(self):
-        scored = _scored([(0.9, 1), (0.9, 0)])
-        top = select_top_k(scored, 1)
-        assert top[0].ordinal == 0
+        assert select_top_k(np.array([[0.9], [0.9]]), 2).tolist() == [0, 1]
+        assert select_top_k(np.array([[0.2], [0.9], [0.9]]), 1).tolist() == [1]
 
     def test_k_larger_than_n(self):
-        scored = _scored([(0.2, 0), (0.1, 1)])
-        assert len(select_top_k(scored, 5)) == 2
+        assert len(select_top_k(np.array([[0.2], [0.1]]), 5)) == 2
 
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError):
-            select_top_k(_scored([(0.5, 0)]), 0)
+            select_top_k(np.array([[0.5]]), 0)
 
     def test_empty_input(self):
         with pytest.raises(NoChunksError):
-            select_top_k([], 4)
+            select_top_k(np.empty((0, 3)), 4)
 
     def test_output_in_selection_order(self):
-        scored = _scored([(0.1, 0), (0.9, 1), (0.5, 2)])
-        top = select_top_k(scored, 3)
-        assert [s.aggregate_score for s in top] == [0.9, 0.5, 0.1]
+        # Ranked by the row sum, not by any one criterion.
+        cosines = np.array([[0.1, 0.0], [0.4, 0.5], [0.6, -0.1]])
+        assert select_top_k(cosines, 3).tolist() == [1, 2, 0]
 
 
 class TestOracleEquivalence:
@@ -178,7 +173,7 @@ class TestOracleEquivalence:
                     total += cos(cv, qv)
                 sums.append((i, total))
             expected = sorted(sums, key=lambda item: (-item[1], item[0]))[:k]
-            assert [s.chunk_id for s in got] == [f"P1:c{i}" for i, _ in expected]
+            assert got.tolist() == [i for i, _ in expected]
 
     def test_scale_invariance_of_selection(self):
         rng = np.random.default_rng(7)
@@ -190,7 +185,7 @@ class TestOracleEquivalence:
         scaled = select_top_k(
             score_chunks(chunks, [v * 37.5 for v in chunk_vecs], criteria, crit_vecs), 5
         )
-        assert [s.chunk_id for s in base] == [s.chunk_id for s in scaled]
+        assert base.tolist() == scaled.tolist()
 
     def test_duplicated_criterion_doubles_contribution(self):
         rng = np.random.default_rng(11)
@@ -205,11 +200,10 @@ class TestOracleEquivalence:
             criteria + [Criterion("C1-copy", "inclusion", "criterion 1")],
             crit_vecs + [crit_vecs[1]],
         )
-        for before, after in zip(base, doubled):
-            c1 = dict(before.per_criterion_scores)["C1"]
-            assert after.aggregate_score == pytest.approx(
-                before.aggregate_score + c1, abs=1e-12
-            )
+        assert np.array_equal(doubled[:, 2], base[:, 1])
+        assert doubled.sum(axis=1) == pytest.approx(
+            base.sum(axis=1) + base[:, 1], abs=1e-12
+        )
 
 
 class TestAssemblePrompt:
@@ -218,30 +212,29 @@ class TestAssemblePrompt:
             Criterion("C0", "inclusion", "fever required"),
             Criterion("C1", "exclusion", "no prior enrollment"),
         ]
-        selected = [(_scored([(0.5, 0)])[0], "the chunk text")]
-        prompt = assemble_prompt("instructions here", criteria, selected)
-        assert prompt.full_text.count("[INCLUSION]") == 1
-        assert prompt.full_text.count("[EXCLUSION]") == 1
-        assert prompt.full_text.count("[EHR 1/1]") == 1
-        assert prompt.criteria_block.splitlines()[0] == "[INCLUSION] C0: fever required"
-        assert prompt.full_text == PROMPT_SEPARATOR.join(
-            ["instructions here", prompt.criteria_block, prompt.chunks_block]
+        prompt = assemble_prompt("instructions here", criteria, ["the chunk text"])
+        assert prompt == PROMPT_SEPARATOR.join(
+            [
+                "instructions here",
+                "[INCLUSION] C0: fever required\n[EXCLUSION] C1: no prior enrollment",
+                "[EHR 1/1] the chunk text",
+            ]
         )
 
     def test_deterministic(self):
         criteria = [Criterion("C0", "inclusion", "fever")]
-        selected = [(_scored([(0.5, 0)])[0], "text")]
-        a = assemble_prompt("i", criteria, selected)
-        b = assemble_prompt("i", criteria, selected)
-        assert a.full_text == b.full_text
+        assert assemble_prompt("i", criteria, ["text"]) == assemble_prompt(
+            "i", criteria, ["text"]
+        )
 
     def test_chunks_ordered_by_score(self):
-        criteria = [Criterion("C0", "inclusion", "fever")]
-        low, high = _scored([(0.2, 0), (0.9, 1)])
-        prompt = assemble_prompt("i", criteria, [(low, "LOW"), (high, "HIGH")])
-        lines = prompt.chunks_block.splitlines()
-        assert lines[0] == "[EHR 1/2] HIGH"
-        assert lines[1] == "[EHR 2/2] LOW"
+        # The texts arrive in rank order (select_top_k's order) and keep it.
+        cosines = np.array([[0.2], [0.9]])
+        texts = ["LOW", "HIGH"]
+        ranked = [texts[i] for i in select_top_k(cosines, 2)]
+        prompt = assemble_prompt("i", [Criterion("C0", "inclusion", "fever")], ranked)
+        lines = prompt.split(PROMPT_SEPARATOR)[-1].splitlines()
+        assert lines == ["[EHR 1/2] HIGH", "[EHR 2/2] LOW"]
 
     def test_requires_selection(self):
         with pytest.raises(DataError):
@@ -249,14 +242,24 @@ class TestAssemblePrompt:
 
 
 class TestAuditRows:
-    def test_row_count_is_chunks_times_criteria(self):
-        rng = np.random.default_rng(5)
-        chunks = [_chunk(i) for i in range(4)]
-        chunk_vecs = [rng.standard_normal(4) for _ in chunks]
-        criteria = [_criterion(j) for j in range(3)]
-        crit_vecs = [rng.standard_normal(4) for _ in criteria]
-        scored = score_chunks(chunks, chunk_vecs, criteria, crit_vecs)
-        selected = {s.chunk_id for s in select_top_k(scored, 2)}
-        rows = audit_rows("P1", scored, selected)
-        assert len(rows) == 4 * 3
-        assert sum(1 for r in rows if r["selected"]) == 2 * 3
+    def test_row_count_is_chunks_times_criteria(self, tmp_path, capsys, dataset_files):
+        # Each tiny patient has 6 chunks of at most 4 tokens and its trial 2
+        # criteria; k = 2 of the 6 chunks are selected.
+        patients, trials = dataset_files
+        audit = tmp_path / "audit.csv"
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials)]
+        argv += ["--chunk-size", "4", "--overlap", "1", "--k", "2"]
+        assert cli.main(argv + ["--json", "--audit", str(audit)]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        with audit.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert payload["audit_rows"] == len(rows) == 2 * 6 * 2
+        for patient in payload["patients"]:
+            mine = [r for r in rows if r["patient_id"] == patient["patient_id"]]
+            assert len(mine) == 6 * 2
+            chosen = {r["chunk_id"] for r in mine if r["selected"] == "true"}
+            assert chosen == {s["chunk_id"] for s in patient["selected"]}
+            for s in patient["selected"]:
+                cosines = [float(r["cosine"]) for r in mine if r["chunk_id"] == s["chunk_id"]]
+                assert len(cosines) == 2
+                assert sum(cosines) == pytest.approx(s["score"], abs=1e-12)
