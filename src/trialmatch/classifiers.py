@@ -272,24 +272,20 @@ class TrainingLog:
     monitor: str = "train"
 
 
-@dataclass(frozen=True)
-class LinearAdapter:
-    """Input transform trained jointly with the MLP (fine-tuning analog)."""
-
-    matrix: np.ndarray  # (d_in, d_out)
-
-
 @dataclass
 class AdapterModel:
-    adapter: LinearAdapter
+    """An MLP behind a linear input transform trained jointly with it
+    (fine-tuning analog)."""
+
+    adapter: np.ndarray  # (d_in, d_out)
     mlp: MLPModel
 
     @property
     def n_features(self) -> int:
-        return self.adapter.matrix.shape[0]
+        return self.adapter.shape[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.mlp.predict_proba(X @ self.adapter.matrix)
+        return self.mlp.predict_proba(X @ self.adapter)
 
 
 def _train_core(
@@ -449,7 +445,7 @@ def train_with_adapter(
         raise ConfigError("adapter output dimension must be positive")
     adapter, model, log = _train_core(X, labels, config, validation, hidden_sizes, d_out)
     assert adapter is not None
-    return AdapterModel(adapter=LinearAdapter(matrix=adapter), mlp=model), log
+    return AdapterModel(adapter=adapter, mlp=model), log
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +655,11 @@ def train_svm(
     lam: float = 1e-4,
     epochs: int = 400,
     lr: float = 0.5,
-    seed: int = 0,
 ) -> LinearSVM:
     """Full-batch subgradient descent on the L2-regularized hinge loss.
 
-    The step size decays as lr / sqrt(t + 1). The seed is accepted for
-    interface uniformity; the full-batch schedule consumes no randomness.
+    The step size decays as lr / sqrt(t + 1); the full-batch schedule is
+    deterministic.
     """
     if lam < 0 or lr <= 0 or epochs < 1:
         raise ConfigError("lam must be >= 0, lr > 0, epochs >= 1")

@@ -303,7 +303,7 @@ def _cmd_run(args) -> int:
     root.addHandler(handler)
     root.setLevel(logging.INFO)
     try:
-        results, table = run_task(config)
+        results = run_task(config)
         manifest = write_outputs(results, config.output_dir, config)
     finally:
         root.removeHandler(handler)
@@ -313,20 +313,33 @@ def _cmd_run(args) -> int:
     digest = manifest["config_hash"]
     seeds = sorted({r.seed for r in results})
     lines = [f"seed={seeds} config_hash={digest}", f"wrote {len(results)} runs to {config.output_dir}"]
-    for row in table:
-        auroc = "absent" if row["auroc"] is None else f"{row['auroc']:.4f}"
-        tag = row["variant"]
-        if row["trial"]:
-            tag += f" trial={row['trial']} excl={row['exclusion']:g}"
-        if row["dataset"] and row["dataset"] != "dataset":
-            tag += f" dataset={row['dataset']}"
-        lines.append(f"  {tag}: macro_f1={row['macro_f1']:.4f} auroc={auroc}")
+    for r in results:
+        auroc = "absent" if r.report.auroc is None else f"{r.report.auroc:.4f}"
+        tag = r.variant
+        if r.trial:
+            tag += f" trial={r.trial} excl={r.exclusion:g}"
+        if r.dataset_name and r.dataset_name != "dataset":
+            tag += f" dataset={r.dataset_name}"
+        lines.append(f"  {tag}: macro_f1={r.report.macro_f1:.4f} auroc={auroc}")
     payload = {
         "seed": seeds,
         "config_hash": digest,
         "output_dir": str(config.output_dir),
         "runs": len(results),
-        "table": table,
+        "table": [
+            {
+                "task": r.task,
+                "variant": r.variant,
+                "dataset": r.dataset_name,
+                "trial": r.trial,
+                "exclusion": r.exclusion,
+                "macro_f1": r.report.macro_f1,
+                "auroc": r.report.auroc,
+                "auprc": r.report.auprc,
+                "n": r.report.n,
+            }
+            for r in results
+        ],
     }
     _emit(args, lines, payload)
     return EXIT_OK

@@ -84,8 +84,6 @@ def mock_embed(text: str, dim: int = DEFAULT_MOCK_DIM, seed: int = 0) -> np.ndar
     embedding is the L2-normalized sum, so lexical overlap between two texts
     raises their cosine similarity.
     """
-    if dim < 2:
-        raise ConfigError("mock embedding dim must be at least 2")
     return MockProvider(dim=dim, seed=seed).embed_text(text)
 
 
@@ -97,6 +95,8 @@ class MockProvider:
     """
 
     def __init__(self, dim: int = DEFAULT_MOCK_DIM, seed: int = 0, name: str = "mock"):
+        if dim < 2:
+            raise ConfigError("mock embedding dim must be at least 2")
         self.descriptor = ProviderDescriptor(name=name, dim=dim, supports_token_matrix=True)
         self._dim = dim
         self._seed = seed

@@ -32,7 +32,7 @@ import logging
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -69,7 +69,7 @@ from .embedding import (
     embed_tokens,
 )
 from .errors import ConfigError, DataError, DegenerateVarianceError
-from .metrics import CSV_COLUMNS, MetricReport, compute_report
+from .metrics import CSV_COLUMNS, MetricReport, compute_report, csv_cell
 from .representation import (
     DimRedConfig,
     dimred as apply_dimred,
@@ -228,6 +228,17 @@ class PipelineSpec:
             raise ConfigError("k_retrieve must be at least 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie in [0, 1)")
+        if any(width < 1 for width in self.mlp_hidden):
+            raise ConfigError("every 'mlp_hidden' width must be at least 1")
+        if self.adapter_dim is not None and self.adapter_dim < 1:
+            raise ConfigError("'adapter_dim' must be at least 1")
+        for key in ("forest_trees", "tree_max_depth", "tree_min_leaf", "svm_epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key!r} must be at least 1")
+        if self.svm_lr <= 0:
+            raise ConfigError("'svm_lr' must be positive")
+        if self.svm_lambda < 0:
+            raise ConfigError("'svm_lambda' must not be negative")
 
     @property
     def variant_name(self) -> str:
@@ -677,7 +688,7 @@ def _train_eval(
         )
         if spec.adapter_mode == "adapter":
             d_in = core_x.shape[1]
-            d_out = spec.adapter_dim or d_in
+            d_out = d_in if spec.adapter_dim is None else spec.adapter_dim
             model, _ = train_with_adapter(
                 core_x,
                 core_y,
@@ -708,7 +719,6 @@ def _train_eval(
             lam=spec.svm_lambda,
             epochs=spec.svm_epochs,
             lr=spec.svm_lr,
-            seed=train_seed,
         )
 
     probs = predict_proba(model, Xte)
@@ -837,11 +847,12 @@ def _cells(
     ]
 
 
-def run_task(config: ExperimentConfig) -> tuple[list[RunResult], list[dict]]:
-    """Execute one task's sweep; returns (results, comparison table rows).
+def run_task(config: ExperimentConfig) -> list[RunResult]:
+    """Execute one task's sweep; returns one ``RunResult`` per run, in
+    dataset, cell, variant order.
 
-    Results come in dataset, cell, variant order. Every cell is split and
-    checked against every variant before the first model is trained.
+    Every cell is split and checked against every variant before the first
+    model is trained.
     """
     if config.task == "task5" and not config.datasets:
         raise ConfigError("task5 requires dataset paths in 'datasets'")
@@ -899,34 +910,12 @@ def run_task(config: ExperimentConfig) -> tuple[list[RunResult], list[dict]]:
                     "absent" if report.auroc is None else f"{report.auroc:.4f}",
                 )
 
-    table = [
-        {
-            "task": r.task,
-            "variant": r.variant,
-            "dataset": r.dataset_name,
-            "trial": r.trial,
-            "exclusion": r.exclusion,
-            "macro_f1": r.report.macro_f1,
-            "auroc": r.report.auroc,
-            "auprc": r.report.auprc,
-            "n": r.report.n,
-        }
-        for r in results
-    ]
-    return results, table
+    return results
 
 
 # ---------------------------------------------------------------------------
 # Outputs
 # ---------------------------------------------------------------------------
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
 
 def write_outputs(
     results: Sequence[RunResult],
@@ -951,17 +940,8 @@ def write_outputs(
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RESULTS_CSV_COLUMNS)
         for r in results:
-            row = [
-                r.task,
-                r.variant,
-                r.dataset_name,
-                r.trial or "",
-                _format_cell(r.exclusion),
-                str(r.seed),
-                r.config_hash,
-            ]
-            row.extend(r.report.to_csv_row())
-            writer.writerow(row)
+            prefix = (r.task, r.variant, r.dataset_name, r.trial, r.exclusion, r.seed, r.config_hash)
+            writer.writerow([csv_cell(v) for v in (*prefix, *astuple(r.report))])
 
     resolved = None if config is None else asdict(config)
     manifest = {

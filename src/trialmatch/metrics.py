@@ -1,86 +1,57 @@
 """Binary classification metrics with exact tie handling.
 
-Thresholded metrics predict positive when prob >= threshold (inclusive).
-AUROC is the Mann-Whitney statistic computed by rank sum with tie correction,
-exactly equal to the pairwise definition (ties credit 0.5). Average precision
-is step-wise with no interpolation and takes each distinct score as one
-threshold, so tied scores never depend on input order. Undefined metrics are
-reported as absent, never coerced to 0 or 0.5.
+``MetricReport`` is the metric part of one results.csv row: its fields, in
+order, are the metric columns, and ``csv_cell`` is the one rule for how a
+row's values are written. Thresholded metrics predict positive when prob >=
+threshold (inclusive). AUROC is the Mann-Whitney statistic computed by rank
+sum with tie correction, exactly equal to the pairwise definition (ties
+credit 0.5). Average precision is step-wise with no interpolation and takes
+each distinct score as one threshold, so tied scores never depend on input
+order. Undefined metrics are reported as absent, never coerced to 0 or 0.5.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import DataError, UndefinedMetricError
 
-CSV_COLUMNS = (
-    "n",
-    "n_pos",
-    "threshold",
-    "precision",
-    "recall",
-    "f1_pos",
-    "f1_neg",
-    "macro_f1",
-    "auroc",
-    "auprc",
-)
 
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    threshold: float = 0.5
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+def csv_cell(value) -> str:
+    """One results.csv cell: absent is empty, a float its ``repr``."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
 class MetricReport:
     n: int
-    n_positive: int
+    n_pos: int
     threshold: float
     precision: float
     recall: float
-    f1_positive: float
-    f1_negative: float
+    f1_pos: float
+    f1_neg: float
     macro_f1: float
     auroc: Optional[float]
     auprc: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_pos": self.n_positive,
-            "threshold": self.threshold,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1_pos": self.f1_positive,
-            "f1_neg": self.f1_negative,
-            "macro_f1": self.macro_f1,
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     def to_csv_row(self) -> list[str]:
-        out = []
-        for column in CSV_COLUMNS:
-            value = self.to_dict()[column]
-            out.append("" if value is None else repr(value) if isinstance(value, float) else str(value))
-        return out
+        return [csv_cell(value) for value in astuple(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricReport))
 
 
 def _check_pair(labels, scores) -> tuple[np.ndarray, np.ndarray]:
@@ -97,44 +68,6 @@ def _check_pair(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return y, s
 
 
-def confusion(labels, probs, threshold: float = 0.5) -> ConfusionMatrix:
-    """Counts under the inclusive rule: predict positive iff prob >= threshold."""
-    y, p = _check_pair(labels, probs)
-    pred = p >= threshold
-    pos = y == 1.0
-    return ConfusionMatrix(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-        threshold=threshold,
-    )
-
-
-def precision_recall_f1(cm: ConfusionMatrix) -> tuple[float, float, float]:
-    """Standard formulas with the 0/0 -> 0 convention."""
-    precision = cm.tp / (cm.tp + cm.fp) if (cm.tp + cm.fp) > 0 else 0.0
-    recall = cm.tp / (cm.tp + cm.fn) if (cm.tp + cm.fn) > 0 else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if (precision + recall) > 0
-        else 0.0
-    )
-    return precision, recall, f1
-
-
-def _complement(cm: ConfusionMatrix) -> ConfusionMatrix:
-    return ConfusionMatrix(tp=cm.tn, fp=cm.fn, tn=cm.tp, fn=cm.fp, threshold=cm.threshold)
-
-
-def macro_f1(labels, probs, threshold: float = 0.5) -> float:
-    """Unweighted mean of the positive-class and negative-class F1."""
-    cm = confusion(labels, probs, threshold)
-    _, _, f1_pos = precision_recall_f1(cm)
-    _, _, f1_neg = precision_recall_f1(_complement(cm))
-    return (f1_pos + f1_neg) / 2.0
-
-
 def _tied_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties replaced by the group average.
 
@@ -142,18 +75,12 @@ def _tied_ranks(scores: np.ndarray) -> np.ndarray:
     stay exact in float64.
     """
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.shape[0])
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        avg = (i + j + 2) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    ranked = scores[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], ranked.shape[0]] - 1
+    # positions start..end (0-based) share the average of ranks start+1..end+1
+    ranks = np.empty(ranked.shape[0])
+    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
     return ranks
 
 
@@ -195,12 +122,29 @@ def auprc(labels, scores) -> float:
     return float(np.cumsum(group_pos * (found[ends] / (ends + 1)))[-1]) / n_pos
 
 
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 with the 0/0 -> 0 convention."""
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
+    f1 = (
+        2.0 * precision * recall / (precision + recall)
+        if (precision + recall) > 0
+        else 0.0
+    )
+    return precision, recall, f1
+
+
 def compute_report(labels, probs, threshold: float = 0.5) -> MetricReport:
     """All metrics in one report; undefined ones are set to None."""
     y, p = _check_pair(labels, probs)
-    cm = confusion(y, p, threshold)
-    precision, recall, f1_pos = precision_recall_f1(cm)
-    _, _, f1_neg = precision_recall_f1(_complement(cm))
+    pred = p >= threshold
+    pos = y == 1.0
+    tp = int(np.sum(pred & pos))
+    fp = int(np.sum(pred & ~pos))
+    tn = int(np.sum(~pred & ~pos))
+    fn = int(np.sum(~pred & pos))
+    precision, recall, f1_pos = _prf(tp, fp, fn)
+    _, _, f1_neg = _prf(tn, fn, fp)
     try:
         roc: Optional[float] = auroc(y, p)
     except UndefinedMetricError:
@@ -211,12 +155,12 @@ def compute_report(labels, probs, threshold: float = 0.5) -> MetricReport:
         ap = None
     return MetricReport(
         n=int(y.shape[0]),
-        n_positive=int(np.sum(y == 1.0)),
+        n_pos=tp + fn,
         threshold=threshold,
         precision=precision,
         recall=recall,
-        f1_positive=f1_pos,
-        f1_negative=f1_neg,
+        f1_pos=f1_pos,
+        f1_neg=f1_neg,
         macro_f1=(f1_pos + f1_neg) / 2.0,
         auroc=roc,
         auprc=ap,

@@ -384,7 +384,7 @@ class TestTrainingDtype:
             hidden_sizes=(4,),
             **TestTrainingDtype.ADAPTER_CASES[case],
         )
-        return [model.adapter.matrix, *model.mlp.weights, *model.mlp.biases]
+        return [model.adapter, *model.mlp.weights, *model.mlp.biases]
 
     @pytest.mark.parametrize("case", ["none", *ADAPTER_CASES])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -664,7 +664,7 @@ class TestAdapter:
         X, y = blobs(5, n=80)
         config = TrainConfig(seed=3, max_epochs=20)
         model, _ = train_with_adapter(X, y, (2, 2), config, hidden_sizes=(5,))
-        assert not np.array_equal(model.adapter.matrix, np.eye(2))
+        assert not np.array_equal(model.adapter, np.eye(2))
         preds = (predict_proba(model, X) >= 0.5).astype(float)
         assert (preds == y).mean() >= 0.9
 
@@ -709,7 +709,7 @@ class TestAdapter:
         config = TrainConfig(seed=13, max_epochs=8)
         a, _ = train_with_adapter(X, y, (2, 2), config, hidden_sizes=(4,))
         b, _ = train_with_adapter(X, y, (2, 2), config, hidden_sizes=(4,))
-        assert np.array_equal(a.adapter.matrix, b.adapter.matrix)
+        assert np.array_equal(a.adapter, b.adapter)
 
     def test_feature_width_checked(self):
         X, y = blobs(7, n=30)
@@ -724,7 +724,7 @@ class TestAdapter:
         )
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
         assert params_digest(
-            [model.adapter.matrix, *model.mlp.weights, *model.mlp.biases]
+            [model.adapter, *model.mlp.weights, *model.mlp.biases]
         ) == "15ab9f684779eafa142b0ecf9bc265944227481a8f4ecf774d9a4eb4df3ecb7a"
 
 

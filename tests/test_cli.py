@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import trialmatch
-from trialmatch import cli
+from trialmatch import cli, harness
 from trialmatch.corpus import load_dataset
 
 
@@ -61,12 +61,56 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert err == "error: threads must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "task, key, value",
+        [
+            ("task1", "mlp_hidden", [0]),
+            ("task1", "mlp_hidden", [8, 0]),
+            ("task4", "adapter_dim", 0),
+            ("task4", "adapter_dim", -2),
+            ("task1", "forest_trees", 0),
+            ("task1", "tree_max_depth", 0),
+            ("task1", "tree_min_leaf", 0),
+            ("task1", "svm_epochs", 0),
+            ("task1", "svm_lr", 0.0),
+            ("task1", "svm_lambda", -0.5),
+        ],
+    )
+    def test_bad_model_setting_exits_1_before_the_feature_pass(
+        self, tmp_path, capsys, monkeypatch, task, key, value
+    ):
+        passes = []
+        feature_pass = harness._compute_features_multi
+
+        def counting(*args):
+            passes.append(args)
+            return feature_pass(*args)
+
+        monkeypatch.setattr(harness, "_compute_features_multi", counting)
+        obj = {
+            "task": task,
+            "dataset": {"synthetic": {"n_trials": 2, "patients_per_trial": 20}, "seed": 5},
+            "variants": [{"train": {"max_epochs": 5}, key: value}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error: ") and repr(key) in err
+        assert passes == []
+
     def test_retrieve_zero_k_exits_1(self, capsys, dataset_files):
         patients, trials = dataset_files
         argv = ["retrieve", "--patients", str(patients), "--trials", str(trials), "--k", "0"]
         code, err = run_cli(argv, capsys)
         assert code == cli.EXIT_USAGE
         assert err == "error: k_retrieve must be at least 1\n"
+
+    def test_retrieve_one_dimensional_mock_exits_1(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials), "--dim", "1"]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "error: mock embedding dim must be at least 2\n"
 
     def test_provider_failure_exits_3(self, capsys, monkeypatch, dataset_files, embed_server):
         monkeypatch.delenv("TRIALMATCH_EMBED_ENDPOINT", raising=False)

@@ -31,6 +31,7 @@ from trialmatch.harness import (
     run_task,
     write_outputs,
 )
+from trialmatch.metrics import compute_report
 from trialmatch.representation import DimRedConfig
 
 
@@ -222,7 +223,7 @@ def tiny_task1(tmp_path, threads: int) -> ExperimentConfig:
 
 
 def run_and_write(config: ExperimentConfig, out) -> tuple[bytes, dict]:
-    results, _ = run_task(config)
+    results = run_task(config)
     manifest = write_outputs(results, out, config)
     return (out / "results.csv").read_bytes(), manifest
 
@@ -335,6 +336,44 @@ class TestTask1Outputs:
         assert runs[0]["feature_seconds"] > 0.0
         assert all(r["wall_seconds"] > r["feature_seconds"] for r in runs)
         assert b"seconds" not in csv_bytes
+
+
+def hand_built_run(trial, exclusion, labels, probs) -> harness.RunResult:
+    return harness.RunResult(
+        task="task6" if trial else "task1",
+        variant="mlp+dimred",
+        dataset_name="tiny",
+        trial=trial,
+        exclusion=exclusion,
+        seed=3,
+        config_hash="0123456789abcdef",
+        report=compute_report(labels, probs, threshold=0.5),
+        wall_seconds=2.5,
+        feature_seconds=1.5,
+        stages=("chunk", "classify"),
+        skipped=0,
+        fallbacks=0,
+    )
+
+
+class TestWriteOutputs:
+    def test_results_csv_matches_recorded_text(self, tmp_path):
+        runs = [
+            hand_built_run(None, None, [1, 0, 1, 0], [0.9, 0.5, 0.6, 0.2]),
+            hand_built_run("NCT002", 0.8, [1, 0, 0], [0.7, 0.7, 0.1]),
+            hand_built_run("NCT002", 1.0, [0, 0, 0], [0.2, 0.6, 0.1]),
+        ]
+        write_outputs(runs, tmp_path)
+        assert (tmp_path / "results.csv").read_text(encoding="utf-8") == (
+            "task,variant,dataset,trial,exclusion,seed,config_hash,n,n_pos,threshold,"
+            "precision,recall,f1_pos,f1_neg,macro_f1,auroc,auprc\n"
+            "task1,mlp+dimred,tiny,,,3,0123456789abcdef,4,2,0.5,0.6666666666666666,"
+            "1.0,0.8,0.6666666666666666,0.7333333333333334,1.0,1.0\n"
+            "task6,mlp+dimred,tiny,NCT002,0.8,3,0123456789abcdef,3,1,0.5,0.5,1.0,"
+            "0.6666666666666666,0.6666666666666666,0.6666666666666666,0.75,0.5\n"
+            "task6,mlp+dimred,tiny,NCT002,1.0,3,0123456789abcdef,3,0,0.5,0.0,0.0,"
+            "0.0,0.8,0.4,,\n"
+        )
 
 
 class TestClassifierDtypes:

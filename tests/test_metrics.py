@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -126,3 +129,27 @@ class TestComputeReport:
         # (AUROC 0.0 and AUPRC 1.0 for this input).
         with pytest.raises(DataError, match="scores must be finite"):
             compute_report([1, 0, 1], [0.9, bad, 0.4])
+
+    def test_rows_and_dicts_match_recorded_digest(self):
+        # ~300 seeded inputs: quarter-step scores, so most tie across classes
+        # and many equal the threshold; every tenth input has one class only
+        # (AUROC absent, and AUPRC too without positives).
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        single_class = 0
+        for i in range(300):
+            n = int(rng.integers(1, 25))
+            threshold = float(rng.choice([0.25, 0.5, 0.75]))
+            if i % 10 == 0:
+                y = np.full(n, float(rng.integers(0, 2)))
+            else:
+                y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+            scores = rng.integers(0, 5, n) / 4.0 if i % 2 == 0 else rng.random(n)
+            report = compute_report(y, scores, threshold)
+            single_class += report.auroc is None
+            digest.update(json.dumps(report.to_dict()).encode())
+            digest.update(",".join(report.to_csv_row()).encode() + b"\n")
+        assert single_class >= 30
+        assert digest.hexdigest() == (
+            "e61070706562037eba7989b252ca805c6523e25787f0f3aaf69e6be6803eedba"
+        )
