@@ -228,6 +228,8 @@ class PipelineSpec:
             raise ConfigError("k_retrieve must be at least 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie in [0, 1)")
+        if not self.mlp_hidden:
+            raise ConfigError("'mlp_hidden' must list at least one hidden layer width")
         if any(width < 1 for width in self.mlp_hidden):
             raise ConfigError("every 'mlp_hidden' width must be at least 1")
         if self.adapter_dim is not None and self.adapter_dim < 1:
@@ -847,6 +849,23 @@ def _cells(
     ]
 
 
+def _check_adapter_dim(config: ExperimentConfig, variants: Sequence[PipelineSpec]) -> None:
+    """Reject an ``adapter_dim`` that no run reads: only an ``mlp`` with
+    ``adapter_mode: "adapter"`` has an adapter. task5 runs its configured
+    variants as they are; every other task builds all of ``variants`` from
+    its one configured variant (task4's ``:adapter`` arms among them)."""
+    built = [[spec] for spec in variants] if config.task == "task5" else [variants]
+    for configured, group in zip(config.variants, built):
+        if configured.adapter_dim is not None and not any(
+            spec.classifier == "mlp" and spec.adapter_mode == "adapter" for spec in group
+        ):
+            raise ConfigError(
+                f"'adapter_dim' in variant {configured.variant_name!r} is read by no "
+                f"{config.task} run; only classifier 'mlp' with adapter_mode "
+                "'adapter' trains an adapter"
+            )
+
+
 def run_task(config: ExperimentConfig) -> list[RunResult]:
     """Execute one task's sweep; returns one ``RunResult`` per run, in
     dataset, cell, variant order.
@@ -860,6 +879,7 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
         raise ConfigError(f"{config.task} requires a dataset")
     sources = config.datasets if config.task == "task5" else (config.dataset,)
     variants = _variants(config)
+    _check_adapter_dim(config, variants)
     # The mixed-data setting is part of the task6 design.
     modality = "mixed" if config.task == "task6" else config.modality
     log_path = str(Path(config.output_dir) / "run.log") if config.output_dir else None

@@ -7,6 +7,13 @@ compression is not per matrix: ``harness`` fits a PCA (``pca_fit``) on the
 train split's pooled vectors and projects both splits with it. All
 transforms are pure and deterministic; the eigenvector sign convention
 (largest-magnitude coordinate positive) makes repeated fits bit-identical.
+
+``dimred`` keeps an exact one-entry memo: the last token matrix it
+compressed (a private copy) and the scores it returned. A call whose matrix
+equals that copy in shape and in every bit returns a copy of the stored
+scores instead of compressing again; an error is never stored. The feature
+pass hands each patient's one token matrix to every variant in turn, so the
+one entry serves every variant that compresses it.
 """
 
 from __future__ import annotations
@@ -257,6 +264,12 @@ def pool_pca_mean(m: np.ndarray, n_components: int) -> np.ndarray:
     return _compress(m, n_components).mean(axis=0)
 
 
+# ``dimred``'s last (input copy, scores) pair. It is read and replaced as one
+# tuple, so callers on several threads each see a whole entry; interleaved
+# matrices only make it miss.
+_dimred_memo: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+
 def dimred(m: np.ndarray, cfg: DimRedConfig) -> np.ndarray:
     """Sequence-axis compression of one token matrix to one component.
 
@@ -266,13 +279,32 @@ def dimred(m: np.ndarray, cfg: DimRedConfig) -> np.ndarray:
     the sequence axis; hidden-axis compression is fitted on the train split
     instead. Raises ``DegenerateVarianceError`` when every profile is the
     same.
+
+    After the checks, a matrix whose shape and bits (compared as ``uint64``,
+    so ``-0.0`` is not ``0.0``) equal those of the last matrix compressed
+    gets a fresh copy of that matrix's scores, which is what compressing it
+    again would give. The memo lives here rather than in the caller because
+    only this function knows which inputs give equal outputs; a call that
+    raises stores nothing, so every caller gets its own error.
     """
+    global _dimred_memo
     if cfg.axis != "sequence":
         raise ConfigError("hidden-axis compression is fitted on the train split, not per matrix")
     m = _as_matrix(m)
     if m.shape[1] < 2:
         raise DataError("sequence-axis compression needs d_hidden >= 2")
-    return _compress(m.T, 1)[:, 0]
+    memo = _dimred_memo
+    if (
+        memo is not None
+        and memo[0].shape == m.shape
+        and np.array_equal(memo[0].view(np.uint64), m.view(np.uint64))
+    ):
+        return memo[1].copy()
+    # Drop the old entry first, so the new copy can reuse its memory.
+    _dimred_memo = memo = None
+    scores = _compress(m.T, 1)[:, 0]
+    _dimred_memo = (m.copy(), scores.copy())
+    return scores
 
 
 def hybrid_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -64,6 +64,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "task, key, value",
         [
+            ("task1", "mlp_hidden", []),
             ("task1", "mlp_hidden", [0]),
             ("task1", "mlp_hidden", [8, 0]),
             ("task4", "adapter_dim", 0),
@@ -97,6 +98,31 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert err.startswith("error: ") and repr(key) in err
         assert passes == []
+
+    def test_adapter_dim_needs_a_run_that_trains_an_adapter(self, tmp_path, capsys, monkeypatch):
+        passes = []
+        feature_pass = harness._compute_features_multi
+
+        def counting(*args):
+            passes.append(args)
+            return feature_pass(*args)
+
+        monkeypatch.setattr(harness, "_compute_features_multi", counting)
+        obj = {
+            "task": "task1",
+            "dataset": {"synthetic": {"n_trials": 2, "patients_per_trial": 20}, "seed": 5},
+            "variants": [{"train": {"max_epochs": 5}, "adapter_dim": 8}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error: ") and "'adapter_dim'" in err
+        assert passes == []
+        # task4 builds its ':adapter' arms from the configured variant.
+        obj["task"] = "task4"
+        code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert len(passes) == 1
 
     def test_retrieve_zero_k_exits_1(self, capsys, dataset_files):
         patients, trials = dataset_files

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_patient, tiny_trial
-from trialmatch import cli, harness
+from trialmatch import cli, harness, representation
 from trialmatch.classifiers import TrainConfig
 from trialmatch.corpus import (
     Dataset,
@@ -515,6 +515,47 @@ class TestPlan:
                 if r["dataset"] == name
             }
             assert seconds["mean"] == seconds["sequence"]
+
+
+class TestDimRedMemo:
+    """Every variant still calls ``dimred``; the memo in it compresses each
+    patient's token matrix once."""
+
+    def test_task1_compresses_each_patient_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(representation, "_dimred_memo", None, raising=False)
+        reduced, compressed = [], []
+        apply_dimred, compress = harness.apply_dimred, representation._compress
+
+        def counting_dimred(matrix, cfg):
+            reduced.append(matrix.shape)
+            return apply_dimred(matrix, cfg)
+
+        def counting_compress(data, n_components):
+            compressed.append(data.shape)
+            return compress(data, n_components)
+
+        monkeypatch.setattr(harness, "apply_dimred", counting_dimred)
+        monkeypatch.setattr(representation, "_compress", counting_compress)
+        code, _ = run_cli(tiny_config("task1", tmp_path), tmp_path / "out", capsys)
+        assert code == cli.EXIT_OK
+        assert len(reduced) == 4 * 40
+        assert len(compressed) == 40
+
+    def test_every_compressing_variant_counts_its_own_fallbacks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            harness.ProviderSpec,
+            "build",
+            lambda spec: FlatTokenProvider(dim=spec.dim, seed=spec.seed, name=spec.resolved_name),
+        )
+        code, _ = run_cli(tiny_config("task1", tmp_path), tmp_path / "out", capsys)
+        assert code == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert {r["variant"]: r["fallbacks"] for r in manifest["runs"]} == {
+            spec.variant_name: 40 if spec.dimred else 0
+            for spec in harness._task1_variants(PipelineSpec())
+        }
 
 
 class TestTask3:

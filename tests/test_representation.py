@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -408,3 +411,94 @@ class TestDimRed:
             d = int(rng.integers(2, 12))
             got = dimred(rng.standard_normal((l, d)), DimRedConfig())
             assert got.shape == (d,)
+
+
+def fresh_scores(matrix: np.ndarray) -> np.ndarray:
+    """Sequence-axis scores computed by the public fit and projection, with
+    no memo involved."""
+    return pca_project(pca_fit(matrix.T, 1), matrix.T)[:, 0]
+
+
+@pytest.fixture
+def compress_calls(monkeypatch) -> list:
+    """Start from an empty ``dimred`` memo and record each compression."""
+    monkeypatch.setattr(representation, "_dimred_memo", None, raising=False)
+    calls = []
+    compress = representation._compress
+
+    def counting(data, n_components):
+        calls.append(data.shape)
+        return compress(data, n_components)
+
+    monkeypatch.setattr(representation, "_compress", counting)
+    return calls
+
+
+class TestDimRedMemo:
+    CFG = DimRedConfig()
+
+    def test_equal_bits_reuse_and_signed_zero_does_not(self, compress_calls):
+        matrix = np.random.default_rng(30).standard_normal((9, 6))
+        matrix[2, 3] = 0.0
+        first = dimred(matrix, self.CFG)
+        # Another object with the same bits is the same input.
+        assert np.array_equal(dimred(matrix.copy(), self.CFG), first)
+        assert len(compress_calls) == 1
+        signed = matrix.copy()
+        signed[2, 3] = -0.0
+        dimred(signed, self.CFG)
+        assert len(compress_calls) == 2
+
+    def test_in_place_mutation_is_a_new_input(self, compress_calls):
+        matrix = np.random.default_rng(31).standard_normal((9, 6))
+        before = dimred(matrix, self.CFG)
+        matrix[4] *= 3.0
+        after = dimred(matrix, self.CFG)
+        assert len(compress_calls) == 2
+        assert np.array_equal(after, fresh_scores(matrix))
+        assert not np.array_equal(after, before)
+
+    def test_alternating_inputs_are_bit_exact(self, compress_calls):
+        rng = np.random.default_rng(32)
+        a, b = rng.standard_normal((9, 6)), rng.standard_normal((9, 6))
+        results = [dimred(m, self.CFG) for m in (a, b, a, a)]
+        for got, m in zip(results, (a, b, a, a)):
+            assert np.array_equal(got, fresh_scores(m))
+        assert len(compress_calls) == 3  # the last call reuses the third
+
+    def test_degenerate_input_raises_on_every_call(self, compress_calls):
+        flat = np.arange(5.0)[:, None] * np.ones((1, 4))
+        for _ in range(3):
+            with pytest.raises(DegenerateVarianceError):
+                dimred(flat, self.CFG)
+        assert len(compress_calls) == 3
+        assert representation._dimred_memo is None
+
+    def test_returned_scores_do_not_alias_the_memo(self, compress_calls):
+        matrix = np.random.default_rng(33).standard_normal((9, 6))
+        expected = fresh_scores(matrix)
+        dimred(matrix, self.CFG)[:] = 7.0  # the computed result
+        dimred(matrix, self.CFG)[:] = 7.0  # a reused result
+        assert np.array_equal(dimred(matrix, self.CFG), expected)
+        assert len(compress_calls) == 1
+
+    def test_threads_sharing_the_memo_get_their_own_scores(self, monkeypatch):
+        monkeypatch.setattr(representation, "_dimred_memo", None, raising=False)
+        rng = np.random.default_rng(34)
+        matrices = [rng.standard_normal((7, 5)) for _ in range(3)]
+        expected = [fresh_scores(m) for m in matrices]
+
+        def work(start: int) -> bool:
+            return all(
+                np.array_equal(dimred(matrices[i % 3], self.CFG), expected[i % 3])
+                for i in range(start, start + 300)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(work, start) for start in range(6)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
