@@ -10,6 +10,12 @@ Training is a single logical thread and fully deterministic under its seed;
 trained models are immutable and safe for concurrent prediction. The MLP trains
 in the dtype of its features: a float32 array trains in float32, and anything
 else is converted to float64 and trains in float64.
+
+Trees grow array-at-a-time. The features are transposed once per fit, a node
+is an array of sample indices, and a split search gathers only the drawn
+features at the node's samples and sorts them a block of features at a time,
+so no node copies the feature matrix. A tree predicts every row at once, one
+level per step.
 """
 
 from __future__ import annotations
@@ -92,12 +98,13 @@ def _require_both_classes(y: np.ndarray) -> None:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function in the dtype of ``z``; ``exp`` only ever sees
+    -|z|, so it cannot overflow. ``minimum(z, -z)`` is -|z| but keeps the sign
+    of a NaN, so every bit matches 1/(1+exp(-z)) for z >= 0 and
+    exp(z)/(1+exp(z)) otherwise."""
+    e = np.exp(np.minimum(z, -z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -468,93 +475,134 @@ class TreeNode:
 
 @dataclass
 class DecisionTree:
+    """A grown tree. Prediction routes all rows one level per step through
+    the nodes laid out as arrays in breadth-first order, where a leaf is
+    its own child on both sides."""
+
     root: TreeNode
     n_features: int
+    _layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nodes, left, right, depths = [self.root], [], [], [0]
+        for i, node in enumerate(nodes):  # also visits the children appended here
+            if node.is_leaf:
+                left.append(i)
+                right.append(i)
+            else:
+                left.append(len(nodes))
+                right.append(len(nodes) + 1)
+                nodes += (node.left, node.right)
+                depths += (depths[i] + 1, depths[i] + 1)
+        feature = np.array([0 if node.is_leaf else node.feature for node in nodes])
+        threshold = np.array([0.0 if node.is_leaf else node.threshold for node in nodes])
+        prob = np.array([node.prob for node in nodes])
+        self._layout = (feature, threshold, np.array(left), np.array(right), prob, max(depths))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if X[i, node.feature] < node.threshold else node.right
-            out[i] = node.prob
-        return out
+        feature, threshold, left, right, prob, depth = self._layout
+        # Compared in the dtype of X, as one value against a Python float
+        # threshold would be: float32 features meet float32 thresholds.
+        threshold = threshold.astype(X.dtype, copy=False)
+        rows = np.arange(X.shape[0])
+        at = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(depth):
+            at = np.where(X[rows, feature[at]] < threshold[at], left[at], right[at])
+        return prob[at]
 
 
-_SPLIT_BLOCK = 16  # features searched together; bounds the (block x n) temporaries
+_SPLIT_BLOCK = 16  # features sorted together; bounds the (block x n) temporaries
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
+    values: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int
 ) -> Optional[tuple[float, float, int]]:
     """Exhaustive threshold search at midpoints of sorted distinct values.
 
-    Returns (weighted child Gini, threshold, feature) minimizing the cost;
-    ties prefer the lower threshold, then the lower feature index. Features
-    are searched in blocks of ``_SPLIT_BLOCK``: one stable sort, one prefix
-    sum and one cost array per block, with each block's best candidate kept.
-    A split after sorted position ``i`` leaves ``i + 1`` rows on the left, so
-    only positions ``min_leaf - 1 .. n - min_leaf - 1`` can satisfy the leaf
-    limit.
+    ``values`` holds one row per candidate feature (row ``k`` is feature
+    ``features[k]``) over a node's samples, and ``y`` their labels. Returns
+    (weighted child Gini, threshold, feature) minimizing the cost; ties
+    prefer the lower threshold, then the lower feature index.
+
+    Rows are searched in blocks of ``_SPLIT_BLOCK``. Each row is sorted once
+    and the cost is computed at every sorted position. A split after
+    position ``i`` leaves ``i + 1`` rows on the left, so only positions
+    ``min_leaf - 1 .. n - min_leaf - 1`` can satisfy the leaf limit, and a
+    position whose next value is equal costs inf. The order of equal values
+    is therefore immaterial: the last position of a run counts the whole
+    run. A row's first minimum is its lowest threshold, so one ``lexsort``
+    over the rows' winners breaks the remaining ties.
     """
     n = y.shape[0]
     lo, hi = min_leaf - 1, n - min_leaf  # candidate positions lo .. hi - 1
     if lo >= hi:
         return None
-    winners: list[tuple[float, float, int]] = []
-    for start in range(0, len(feature_indices), _SPLIT_BLOCK):
-        block = feature_indices[start : start + _SPLIT_BLOCK]
-        values = X[:, block].T  # one row per feature
-        order = np.argsort(values, axis=1, kind="stable")
-        sv = np.take_along_axis(values, order, axis=1)
+    n_left = np.arange(lo + 1, hi + 1)
+    n_right = n - n_left
+    found = []  # (cost, threshold, feature) of each row's first minimum
+    for start in range(0, len(features), _SPLIT_BLOCK):
+        block = values[start : start + _SPLIT_BLOCK]
+        order = np.argsort(block, axis=1)
+        sv = block[np.arange(block.shape[0])[:, None], order]
         prefix_pos = np.cumsum(y[order], axis=1)
-        rows, cols = np.nonzero(sv[:, lo:hi] < sv[:, lo + 1 : hi + 1])
-        if rows.size == 0:
-            continue
-        boundaries = cols + lo
-        n_left = boundaries + 1
-        n_right = n - n_left
-        pos_left = prefix_pos[rows, boundaries]
-        pos_right = prefix_pos[rows, -1] - pos_left
+        pos_left = prefix_pos[:, lo:hi]
+        pos_right = prefix_pos[:, -1:] - pos_left
         p_left = pos_left / n_left
         p_right = pos_right / n_right
         cost = (
             n_left * 2.0 * p_left * (1.0 - p_left)
             + n_right * 2.0 * p_right * (1.0 - p_right)
         ) / n
-        thresholds = (sv[rows, boundaries] + sv[rows, boundaries + 1]) / 2.0
-        features = block[rows]
-        j = int(np.lexsort((features, thresholds, cost))[0])
-        winners.append((float(cost[j]), float(thresholds[j]), int(features[j])))
-    return min(winners, default=None)
+        cost[sv[:, lo:hi] >= sv[:, lo + 1 : hi + 1]] = np.inf
+        best = np.argmin(cost, axis=1)
+        costs = cost[np.arange(best.shape[0]), best]
+        rows = np.nonzero(costs < np.inf)[0]
+        positions = best[rows] + lo
+        thresholds = (sv[rows, positions] + sv[rows, positions + 1]) / 2.0
+        found.append((costs[rows], thresholds, features[start + rows]))
+    costs, thresholds, winners = (np.concatenate(part) for part in zip(*found))
+    if costs.size == 0:
+        return None
+    j = int(np.lexsort((winners, thresholds, costs))[0])
+    return float(costs[j]), float(thresholds[j]), int(winners[j])
 
 
 def _grow_tree(
-    X: np.ndarray,
+    XT: np.ndarray,
     y: np.ndarray,
+    rows: np.ndarray,
     depth: int,
     max_depth: int,
     min_leaf: int,
     rng: Optional[np.random.Generator],
     n_feature_subsample: Optional[int],
 ) -> TreeNode:
-    node = TreeNode(prob=float(y.mean()), n=y.shape[0])
-    if depth >= max_depth or y.min() == y.max() or y.shape[0] < 2 * min_leaf:
+    """Grow the subtree of the samples ``rows`` (indices into ``y`` and the
+    columns of the transposed features ``XT``, in sample order)."""
+    y_node = y[rows]
+    n = rows.shape[0]
+    positives = float(y_node.sum())  # exact: the labels are 0 and 1
+    node = TreeNode(prob=positives / n, n=n)
+    if depth >= max_depth or positives in (0.0, n) or n < 2 * min_leaf:
         return node
-    d = X.shape[1]
+    d = XT.shape[0]
     if rng is not None and n_feature_subsample is not None and n_feature_subsample < d:
         features = np.sort(rng.choice(d, size=n_feature_subsample, replace=False))
+        values = XT[features].take(rows, axis=1)
     else:
         features = np.arange(d)
-    best = _best_split(X, y, features, min_leaf)
+        values = XT.take(rows, axis=1)
+    best = _best_split(values, y_node, features, min_leaf)
+    del values  # not held while the subtrees grow
     if best is None:
         return node
     _, threshold, feature = best
-    mask = X[:, feature] < threshold
+    mask = XT[feature, rows] < threshold
     node.feature = feature
     node.threshold = threshold
-    node.left = _grow_tree(X[mask], y[mask], depth + 1, max_depth, min_leaf, rng, n_feature_subsample)
-    node.right = _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, min_leaf, rng, n_feature_subsample)
+    grow = (depth + 1, max_depth, min_leaf, rng, n_feature_subsample)
+    node.left = _grow_tree(XT, y, rows[mask], *grow)
+    node.right = _grow_tree(XT, y, rows[~mask], *grow)
     return node
 
 
@@ -567,7 +615,8 @@ def train_tree(
     X = _as_features(features)
     y = _as_labels(labels, X.shape[0])
     _require_both_classes(y)
-    root = _grow_tree(X, y, 0, max_depth, min_leaf, None, None)
+    XT = np.ascontiguousarray(X.T)
+    root = _grow_tree(XT, y, np.arange(X.shape[0]), 0, max_depth, min_leaf, None, None)
     return DecisionTree(root=root, n_features=X.shape[1])
 
 
@@ -606,17 +655,17 @@ def train_forest(
     _require_both_classes(y)
     d = X.shape[1]
     n_sub = int(math.ceil(math.sqrt(d))) if feature_subsample else None
+    XT = np.ascontiguousarray(X.T)
     children = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for child in children:
         rng = np.random.default_rng(child)
         if bootstrap:
-            idx = rng.integers(0, X.shape[0], size=X.shape[0])
-            Xb, yb = X[idx], y[idx]
+            rows = rng.integers(0, X.shape[0], size=X.shape[0])
         else:
-            Xb, yb = X, y
+            rows = np.arange(X.shape[0])
         root = _grow_tree(
-            Xb, yb, 0, max_depth, min_leaf, rng if feature_subsample else None, n_sub
+            XT, y, rows, 0, max_depth, min_leaf, rng if feature_subsample else None, n_sub
         )
         trees.append(DecisionTree(root=root, n_features=d))
     return RandomForest(trees=trees, n_features=d)

@@ -294,7 +294,9 @@ def _cmd_run(args) -> int:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    handler = logging.FileHandler(out_dir / "run.log", mode="w", encoding="utf-8")
+    # Opened at the first record: a run rejected before it logs anything
+    # leaves the previous run's log as it was.
+    handler = logging.FileHandler(out_dir / "run.log", mode="w", encoding="utf-8", delay=True)
     handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
     )

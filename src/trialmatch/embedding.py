@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -44,6 +45,7 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 0.5
 DEFAULT_BACKOFF_FACTOR = 2.0
+_INITIAL_TABLE_ROWS = 64  # MockProvider token table; doubles when full
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,10 @@ def mock_embed(text: str, dim: int = DEFAULT_MOCK_DIM, seed: int = 0) -> np.ndar
 class MockProvider:
     """In-process stand-in for a real embedding model.
 
-    Token vectors are cached per instance, so repeated tokens across a corpus
-    cost one hash each.
+    Each distinct token is hashed once per instance: its vector becomes a
+    row of a growable token table, and a text is encoded by gathering the
+    rows of its token ids. The table grows under a lock, so threads sharing
+    one provider see the same ids and rows.
     """
 
     def __init__(self, dim: int = DEFAULT_MOCK_DIM, seed: int = 0, name: str = "mock"):
@@ -100,22 +104,40 @@ class MockProvider:
         self.descriptor = ProviderDescriptor(name=name, dim=dim, supports_token_matrix=True)
         self._dim = dim
         self._seed = seed
-        self._token_cache: dict[str, np.ndarray] = {}
+        self._ids: dict[str, int] = {}
+        self._table = np.empty((_INITIAL_TABLE_ROWS, dim))
+        self._lock = threading.Lock()
 
-    def _tok(self, token: str) -> np.ndarray:
-        vec = self._token_cache.get(token)
-        if vec is None:
-            vec = _token_vector(token, self._dim, self._seed)
-            self._token_cache[token] = vec
-        return vec
-
-    def embed_text(self, text: str) -> np.ndarray:
+    def _rows(self, text: str) -> np.ndarray:
+        """The token vectors of ``text``, one row per whitespace token."""
         tokens = text.split()
         if not tokens:
             raise DataError("cannot embed a text with no tokens")
-        acc = np.zeros(self._dim)
-        for token in tokens:
-            acc += self._tok(token)
+        try:
+            found = np.fromiter(map(self._ids.__getitem__, tokens), np.intp, len(tokens))
+        except KeyError:
+            found = self._add(tokens)
+        # Rows are written, and a grown table published, before their ids.
+        return self._table.take(found, axis=0)
+
+    def _add(self, tokens: list[str]) -> list[int]:
+        with self._lock:
+            ids, table = self._ids, self._table
+            for token in tokens:
+                if token in ids:
+                    continue
+                row = len(ids)
+                if row == table.shape[0]:
+                    grown = np.empty((2 * row, self._dim))
+                    grown[:row] = table
+                    self._table = table = grown
+                table[row] = _token_vector(token, self._dim, self._seed)
+                ids[token] = row
+            return [ids[token] for token in tokens]
+
+    def embed_text(self, text: str) -> np.ndarray:
+        # The axis-0 sum adds the rows in token order, as a running sum would.
+        acc = self._rows(text).sum(axis=0)
         norm = float(np.linalg.norm(acc))
         if norm < 1e-12:
             raise DataError("token vectors cancelled; cannot normalize embedding")
@@ -125,10 +147,7 @@ class MockProvider:
         return [self.embed_text(t) for t in texts]
 
     def embed_tokens(self, text: str) -> np.ndarray:
-        tokens = text.split()
-        if not tokens:
-            raise DataError("cannot embed a text with no tokens")
-        return np.stack([self._tok(t) for t in tokens])
+        return self._rows(text)
 
 
 class HttpProvider:
@@ -201,7 +220,7 @@ def embed_texts(provider, texts: Sequence[str]) -> list[np.ndarray]:
     if len(texts) == 0:
         raise DataError("embed_texts requires a non-empty list of texts")
     for i, text in enumerate(texts):
-        if not text or not text.split():
+        if not text or text.isspace():  # no whitespace-separated token
             raise DataError(f"text at index {i} is empty")
     vectors = provider.embed_texts(list(texts))
     if len(vectors) != len(texts):
@@ -223,7 +242,7 @@ def embed_tokens(provider, text: str) -> np.ndarray:
         raise ConfigError(
             f"provider {provider.descriptor.name!r} does not support token matrices"
         )
-    if not text or not text.split():
+    if not text or text.isspace():
         raise DataError("cannot build a token matrix for empty text")
     matrix = provider.embed_tokens(text)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] != provider.descriptor.dim:

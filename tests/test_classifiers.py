@@ -415,6 +415,29 @@ class TestTrainingDtype:
         assert bce_loss(probs, [1.0, 0.0]) == pytest.approx(-2.0 * math.log(1e-7), rel=1e-6)
 
 
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function evaluated separately on each sign, as a
+    reference for ``_sigmoid``."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_the_masked_formula(self, dtype):
+        edges = [0.0, -0.0, 700.0, -700.0, 1e30, -1e30, np.nan, -np.nan, 1e-8, -1e-8, 88.0, -88.0]
+        rng = np.random.default_rng(11)
+        z = np.concatenate([edges, rng.standard_normal(500) * 20.0]).astype(dtype)
+        got = _sigmoid(z)
+        assert got.dtype == dtype
+        # Equal bits, so NaN matches NaN and a signed zero its sign.
+        assert got.tobytes() == masked_sigmoid(z).tobytes()
+
+
 def tied_problem():
     """150 rows x 40 features; two of every three features take only six
     values, so sorted columns hold long runs of ties."""
@@ -479,7 +502,7 @@ class TestBestSplit:
             rows = rng.choice(150, size=int(rng.integers(2, 150)), replace=False)
             features = np.sort(rng.choice(40, size=int(rng.integers(1, 41)), replace=False))
             Xs, ys = X[rows], y[rows]
-            assert _best_split(Xs, ys, features, min_leaf) == per_feature_split(
+            assert _best_split(Xs[:, features].T, ys, features, min_leaf) == per_feature_split(
                 Xs, ys, features, min_leaf
             )
 
@@ -490,14 +513,15 @@ class TestBestSplit:
         X = np.zeros((4, 40))
         X[:, [0, 17, 33]] = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
         X[:, 5] = [5.0, 6.0, 7.0, 8.0]
-        assert _best_split(X, y, np.arange(40), 1) == (0.0, 2.5, 0)
-        assert _best_split(X, y, np.array([5, 17, 33]), 1) == (0.0, 2.5, 17)
+        assert _best_split(X.T, y, np.arange(40), 1) == (0.0, 2.5, 0)
+        features = np.array([5, 17, 33])
+        assert _best_split(X[:, features].T, y, features, 1) == (0.0, 2.5, 17)
 
     def test_no_admissible_split(self):
         X = np.array([[1.0], [1.0], [1.0]])
         y = np.array([0.0, 1.0, 0.0])
-        assert _best_split(X, y, np.array([0]), 1) is None
-        assert _best_split(np.array([[1.0], [2.0]]), y[:2], np.array([0]), 2) is None
+        assert _best_split(X.T, y, np.array([0]), 1) is None
+        assert _best_split(np.array([[1.0, 2.0]]), y[:2], np.array([0]), 2) is None
 
     # Digests recorded before the split search was vectorized (NumPy 2.4,
     # x86_64); the vectorized search must grow the same trees.
@@ -525,14 +549,37 @@ class TestBestSplit:
         joined = "".join(tree_digest(tree.root) for tree in forest.trees)
         assert hashlib.sha256(joined.encode()).hexdigest() == expected
 
+    # Recorded with the grower that copied each node's rows, before nodes
+    # became index arrays: bootstrap rows repeat, so nodes hold duplicates.
+    def test_bootstrap_forests_match_recorded_digest(self):
+        X, y = tied_problem()
+        parts = []
+        for min_leaf in (2, 5):
+            for max_depth in (3, 12):
+                forest = train_forest(
+                    X, y, n_trees=6, seed=33, max_depth=max_depth, min_leaf=min_leaf
+                )
+                parts.extend(tree_digest(tree.root) for tree in forest.trees)
+        assert hashlib.sha256("".join(parts).encode()).hexdigest() == (
+            "65c30571b74a4649e6bfaa1065ce5a9d4366950cdd8b9712ced44fd0b4e9a720"
+        )
+
+
+def walk(root, x) -> float:
+    """The leaf probability of one row, by walking the tree from the root."""
+    node = root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] < node.threshold else node.right
+    return node.prob
+
 
 class TestTreesAndForests:
     def test_gini_even_split(self):
         # The split search's cost is the size-weighted child Gini over n.
-        X = np.array([[0.0], [0.0], [1.0], [1.0]])
-        cost, threshold, feature = _best_split(X, np.array([1.0, 0.0, 1.0, 0.0]), np.arange(1), 1)
+        values = np.array([[0.0, 0.0, 1.0, 1.0]])
+        cost, threshold, feature = _best_split(values, np.array([1.0, 0.0, 1.0, 0.0]), np.arange(1), 1)
         assert (cost, threshold, feature) == (pytest.approx(0.5), 0.5, 0)
-        cost, _, _ = _best_split(X, np.array([1.0, 1.0, 0.0, 0.0]), np.arange(1), 1)
+        cost, _, _ = _best_split(values, np.array([1.0, 1.0, 0.0, 0.0]), np.arange(1), 1)
         assert cost == 0.0
 
     def test_one_dimensional_threshold(self):
@@ -616,6 +663,35 @@ class TestTreesAndForests:
         probe = rng.standard_normal((10, 3))
         stacked = np.stack([predict_proba(t, probe) for t in forest.trees])
         assert np.allclose(predict_proba(forest, probe), stacked.mean(axis=0), atol=1e-12)
+
+    def test_forest_prediction_matches_a_per_row_walk(self):
+        X, y = tied_problem()
+        forest = train_forest(X, y, n_trees=7, seed=8, max_depth=6, min_leaf=2)
+        probe = np.vstack([X[:40], np.random.default_rng(9).standard_normal((60, 40))])
+        expected = np.zeros(probe.shape[0])
+        for tree in forest.trees:
+            walked = np.array([walk(tree.root, x) for x in probe])
+            assert np.array_equal(predict_proba(tree, probe), walked)
+            expected += walked
+        assert np.array_equal(predict_proba(forest, probe), expected / len(forest.trees))
+
+    def test_float32_rows_compare_in_float32_like_a_per_row_walk(self):
+        # Rows set to each threshold rounded to float32 fall on the side a
+        # float32 comparison puts them, not the side float64 would.
+        X, y = tied_problem()
+        tree = train_tree(X + np.random.default_rng(4).standard_normal(X.shape) * 1e-3, y, max_depth=5)
+        splits, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                splits.append((node.feature, node.threshold))
+                stack += (node.left, node.right)
+        probe = np.repeat(X[:1], len(splits), axis=0).astype(np.float32)
+        for i, (feature, threshold) in enumerate(splits):
+            probe[i, feature] = threshold
+        probe = np.vstack([probe, X.astype(np.float32)])
+        walked = np.array([walk(tree.root, x) for x in probe])
+        assert np.array_equal(predict_proba(tree, probe), walked)
 
     def test_forest_deterministic(self):
         rng = np.random.default_rng(7)

@@ -124,6 +124,22 @@ class TestExitCodes:
         assert (code, err) == (cli.EXIT_OK, "")
         assert len(passes) == 1
 
+    def test_rejected_rerun_leaves_the_previous_log(self, tmp_path, capsys):
+        obj = {
+            "task": "task1",
+            "dataset": {"synthetic": {"n_trials": 2, "patients_per_trial": 20}, "seed": 5},
+            "variants": [{"train": {"max_epochs": 5}}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        code, _ = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
+        assert code == cli.EXIT_OK
+        log = (tmp_path / "out" / "run.log").read_bytes()
+        assert b"macro_f1=" in log
+        obj["variants"][0]["adapter_dim"] = 8
+        code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
+        assert code == cli.EXIT_USAGE and "'adapter_dim'" in err
+        assert (tmp_path / "out" / "run.log").read_bytes() == log
+
     def test_retrieve_zero_k_exits_1(self, capsys, dataset_files):
         patients, trials = dataset_files
         argv = ["retrieve", "--patients", str(patients), "--trials", str(trials), "--k", "0"]

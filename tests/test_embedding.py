@@ -1,7 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from trialmatch.embedding import (
+    _INITIAL_TABLE_ROWS,
+    _token_vector,
     ENDPOINT_ENV_VAR,
     HttpProvider,
     MockProvider,
@@ -99,6 +104,74 @@ class TestMockProvider:
             embed_texts(provider, [])
         with pytest.raises(DataError):
             embed_texts(provider, ["ok", ""])
+
+
+def reference_rows(text: str, dim: int, seed: int) -> list[np.ndarray]:
+    """Each token's vector, hashed on its own."""
+    return [_token_vector(token, dim, seed) for token in text.split()]
+
+
+def reference_text(text: str, dim: int, seed: int) -> np.ndarray:
+    """The text vector as a running sum over its tokens, then normalized."""
+    acc = np.zeros(dim)
+    for row in reference_rows(text, dim, seed):
+        acc += row
+    return acc / float(np.linalg.norm(acc))
+
+
+def vocabulary_texts(seed: int, n_texts: int, vocabulary: int) -> list[str]:
+    """Texts of 1-40 tokens drawn with repeats from ``vocabulary`` words."""
+    rng = np.random.default_rng(seed)
+    return [
+        " ".join(f"w{i}" for i in rng.integers(0, vocabulary, int(rng.integers(1, 41))))
+        for _ in range(n_texts)
+    ]
+
+
+class TestTokenTable:
+    # More distinct tokens than four initial tables: the table grows at least
+    # twice while these texts are embedded.
+    VOCABULARY = 5 * _INITIAL_TABLE_ROWS
+
+    def test_bit_equal_to_per_token_reference_across_growths(self):
+        texts = vocabulary_texts(0, 200, self.VOCABULARY)
+        assert len({t for text in texts for t in text.split()}) > 4 * _INITIAL_TABLE_ROWS
+        provider = MockProvider(dim=24, seed=3)
+        for text in texts:
+            assert np.array_equal(provider.embed_text(text), reference_text(text, 24, 3))
+            assert np.array_equal(
+                embed_tokens(provider, text), np.stack(reference_rows(text, 24, 3))
+            )
+        # Every text again, now that every row is in the grown table.
+        vectors = embed_texts(provider, texts)
+        assert all(
+            np.array_equal(v, reference_text(text, 24, 3)) for v, text in zip(vectors, texts)
+        )
+
+    def test_threads_sharing_a_provider_match_a_serial_run(self):
+        texts = vocabulary_texts(1, 400, self.VOCABULARY)
+        serial = MockProvider(dim=16, seed=5)
+        expected = [(serial.embed_text(t), serial.embed_tokens(t)) for t in texts]
+        shared = MockProvider(dim=16, seed=5)
+
+        def work(start: int) -> bool:
+            # Each worker starts at its own offset, so the workers add
+            # overlapping vocabularies in different orders.
+            order = [(start + 97 * i) % len(texts) for i in range(len(texts))]
+            return all(
+                np.array_equal(shared.embed_text(texts[i]), expected[i][0])
+                and np.array_equal(shared.embed_tokens(texts[i]), expected[i][1])
+                for i in order
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, start) for start in (0, 100, 200, 300)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEmbedTokens:
