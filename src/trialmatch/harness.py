@@ -14,7 +14,10 @@ compression stage is configured) and executes the six standard task designs:
 
 Every task runs one plan: dataset x cell x variant. A task names its
 datasets (``datasets`` for task5, ``dataset`` otherwise), its variants, and
-its cells (the configured split, or task6's trial x exclusion grid). Per
+its cells (the configured split, or task6's trial x exclusion grid). A
+task's variants are its arms, the rows of ``_ARMS``: each row overrides
+fields of a configured variant (task2 makes one row per provider), and a
+config key that no arm of the task reads is a ``ConfigError``. Per
 dataset, retrieval and encoding run once for each distinct retrieval setting
 (provider, k, chunking, instructions) and each variant reduces that pass's
 token matrices; every variant is then trained and evaluated on every cell.
@@ -742,94 +745,56 @@ def _spec_hash(spec: PipelineSpec, dataset_name: str, modality: str, split: Spli
 # Task sweeps
 # ---------------------------------------------------------------------------
 
-def _task1_variants(base: PipelineSpec) -> list[PipelineSpec]:
-    variants = []
-    for clf in ("forest", "tree", "svm", "mlp"):
-        for cfg in (None, DimRedConfig()):
-            suffix = "+dimred" if cfg is not None else ""
-            variants.append(
-                replace(base, classifier=clf, dimred=cfg, name=f"{clf}{suffix}")
-            )
-    return variants
-
-
-def _task3_variants(base: PipelineSpec) -> list[PipelineSpec]:
-    variants = [
-        replace(
-            base,
-            dimred=DimRedConfig(axis="sequence", n_components=1),
-            pooling="mean",
-            name="sequence-1",
+# Each task's arms, in output order: overrides of a configured variant,
+# applied with ``replace``. task5 and task6 run each configured variant as it
+# is; task2's arms come from its providers (``_arms``).
+_ARMS: dict[str, list[dict]] = {
+    "task1": [
+        {"classifier": clf, "dimred": cfg, "name": f"{clf}{suffix}"}
+        for clf in ("forest", "tree", "svm", "mlp")
+        for cfg, suffix in ((None, ""), (DimRedConfig(), "+dimred"))
+    ],
+    "task3": [
+        {"dimred": dimred, "pooling": pooling, "name": name}
+        for name, dimred, pooling in (
+            ("sequence-1", DimRedConfig(axis="sequence", n_components=1), "mean"),
+            *(
+                (f"hidden-{n}", DimRedConfig(axis="hidden", n_components=n), "mean")
+                for n in (16, 32, 64, 128)
+            ),
+            ("last_token", None, "last_token"),
+            ("hybrid", DimRedConfig(axis="sequence", n_components=1), "hybrid_last"),
         )
-    ]
-    for n in (16, 32, 64, 128):
-        variants.append(
-            replace(
-                base,
-                dimred=DimRedConfig(axis="hidden", n_components=n),
-                pooling="mean",
-                name=f"hidden-{n}",
-            )
-        )
-    variants.append(replace(base, dimred=None, pooling="last_token", name="last_token"))
-    variants.append(
-        replace(
-            base,
-            dimred=DimRedConfig(axis="sequence", n_components=1),
-            pooling="hybrid_last",
-            name="hybrid",
-        )
-    )
-    return variants
+    ],
+    "task4": [
+        {"classifier": "mlp", "dimred": cfg, "adapter_mode": mode, "name": f"{kind}:{mode}"}
+        for cfg, kind in ((None, "RAG-MLP"), (DimRedConfig(), "RAG-DimRed-MLP"))
+        for mode in ("frozen", "adapter")
+    ],
+    "task5": [{}],
+    "task6": [{}],
+}
 
 
-def _task4_variants(base: PipelineSpec) -> list[PipelineSpec]:
-    variants = []
-    for cfg, kind in ((None, "RAG-MLP"), (DimRedConfig(), "RAG-DimRed-MLP")):
-        for mode in ("frozen", "adapter"):
-            variants.append(
-                replace(
-                    base,
-                    classifier="mlp",
-                    dimred=cfg,
-                    adapter_mode=mode,
-                    name=f"{kind}:{mode}",
-                )
-            )
-    return variants
-
-
-def _task2_variants(base: PipelineSpec, providers: Sequence[ProviderSpec]) -> list[PipelineSpec]:
-    providers = providers or (
+def _arms(config: ExperimentConfig, base: PipelineSpec) -> list[dict]:
+    """The overrides that make ``base`` into the task's arms."""
+    if config.task != "task2":
+        return _ARMS[config.task]
+    providers = config.providers or (
         ProviderSpec(kind="mock", name="mock-a", dim=base.provider.dim, seed=101),
         ProviderSpec(kind="mock", name="mock-b", dim=max(32, base.provider.dim // 2), seed=202),
         ProviderSpec(kind="mock", name="mock-c", dim=base.provider.dim + 32, seed=303),
     )
+    cfg = base.dimred or DimRedConfig()
     return [
-        replace(
-            base,
-            provider=pspec,
-            dimred=base.dimred or DimRedConfig(),
-            classifier="mlp",
-            name=f"backbone-{pspec.resolved_name}",
-        )
-        for pspec in providers
+        {"provider": p, "dimred": cfg, "classifier": "mlp", "name": f"backbone-{p.resolved_name}"}
+        for p in providers
     ]
 
 
-def _variants(config: ExperimentConfig) -> list[PipelineSpec]:
-    base = config.variants[0]
-    if config.task == "task1":
-        return _task1_variants(base)
-    if config.task == "task2":
-        return _task2_variants(base, config.providers)
-    if config.task == "task3":
-        return _task3_variants(base)
-    if config.task == "task4":
-        return _task4_variants(base)
-    if config.task == "task5":
-        return list(config.variants)
-    return [base]
+def _variants(config: ExperimentConfig) -> list[list[PipelineSpec]]:
+    """For each configured variant, its arms."""
+    return [[replace(base, **arm) for arm in _arms(config, base)] for base in config.variants]
 
 
 def _cells(
@@ -849,13 +814,24 @@ def _cells(
     ]
 
 
-def _check_adapter_dim(config: ExperimentConfig, variants: Sequence[PipelineSpec]) -> None:
+def _check_unread_keys(config: ExperimentConfig) -> None:
+    """Reject a config key that no run of the task reads."""
+    task = config.task
+    for key, unread, reason in (
+        ("providers", config.providers and task != "task2", "only task2 sweeps providers"),
+        ("datasets", config.datasets and task != "task5", "only task5 runs a list of datasets"),
+        ("dataset", config.dataset is not None and task == "task5", "task5 reads 'datasets'"),
+        ("modality", config.modality != "mixed" and task == "task6", "task6 runs 'mixed'"),
+    ):
+        if unread:
+            raise ConfigError(f"{key!r} is read by no {task} run; {reason}")
+
+
+def _check_adapter_dim(config: ExperimentConfig, groups: Sequence[list[PipelineSpec]]) -> None:
     """Reject an ``adapter_dim`` that no run reads: only an ``mlp`` with
-    ``adapter_mode: "adapter"`` has an adapter. task5 runs its configured
-    variants as they are; every other task builds all of ``variants`` from
-    its one configured variant (task4's ``:adapter`` arms among them)."""
-    built = [[spec] for spec in variants] if config.task == "task5" else [variants]
-    for configured, group in zip(config.variants, built):
+    ``adapter_mode: "adapter"`` has an adapter. ``groups`` holds each
+    configured variant's arms (task4's ``:adapter`` arms among them)."""
+    for configured, group in zip(config.variants, groups):
         if configured.adapter_dim is not None and not any(
             spec.classifier == "mlp" and spec.adapter_mode == "adapter" for spec in group
         ):
@@ -878,17 +854,17 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
     if config.task != "task5" and config.dataset is None:
         raise ConfigError(f"{config.task} requires a dataset")
     sources = config.datasets if config.task == "task5" else (config.dataset,)
-    variants = _variants(config)
-    _check_adapter_dim(config, variants)
-    # The mixed-data setting is part of the task6 design.
-    modality = "mixed" if config.task == "task6" else config.modality
+    _check_unread_keys(config)
+    groups = _variants(config)
+    _check_adapter_dim(config, groups)
+    variants = [spec for group in groups for spec in group]
     log_path = str(Path(config.output_dir) / "run.log") if config.output_dir else None
     results: list[RunResult] = []
 
     for source in sources:
         dataset = source.load()
         cells = _cells(config, dataset)
-        feature_sets = _compute_features_multi(variants, dataset, modality, config.threads)
+        feature_sets = _compute_features_multi(variants, dataset, config.modality, config.threads)
         splits = []
         for split, _, _ in cells:
             started = time.perf_counter()
@@ -909,7 +885,7 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
                     trial=trial,
                     exclusion=exclusion,
                     seed=spec.seed,
-                    config_hash=_spec_hash(spec, source.name, modality, split),
+                    config_hash=_spec_hash(spec, source.name, config.modality, split),
                     report=report,
                     wall_seconds=features.seconds + cell_seconds,
                     feature_seconds=features.seconds,

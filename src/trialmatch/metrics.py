@@ -13,7 +13,7 @@ order. Undefined metrics are reported as absent, never coerced to 0 or 0.5.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -46,9 +46,6 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    def to_csv_row(self) -> list[str]:
-        return [csv_cell(value) for value in astuple(self)]
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricReport))

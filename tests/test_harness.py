@@ -135,6 +135,54 @@ class TestConfigLoading:
         assert config_hash(asdict(spec)) == digest
 
 
+class TestArms:
+    """Each task's arms in output order, pinned by name and by a digest of
+    their config hashes (recorded before the arms were rows of ``_ARMS``).
+    The second base sets fields that some arms override, so an override the
+    default hides (task3's ``pooling: "mean"``) still shows."""
+
+    OTHER = {
+        "pooling": "last_token",
+        "classifier": "svm",
+        "dimred": {"axis": "hidden", "n_components": 8},
+    }
+    PROVIDERS = [
+        {"kind": "mock", "name": "small", "dim": 32, "seed": 7},
+        {"kind": "mock", "dim": 48},
+    ]
+    TASK1 = [f"{c}{s}" for c in ("forest", "tree", "svm", "mlp") for s in ("", "+dimred")]
+    TASK2 = ["backbone-mock-a", "backbone-mock-b", "backbone-mock-c"]
+    TASK3 = ["sequence-1", *(f"hidden-{n}" for n in (16, 32, 64, 128)), "last_token", "hybrid"]
+    TASK4 = [f"RAG-{k}MLP:{m}" for k in ("", "DimRed-") for m in ("frozen", "adapter")]
+
+    @pytest.mark.parametrize(
+        "task, base, providers, names, digest",
+        [
+            ("task1", {}, [], TASK1, "a92fb5b3f5174368"),
+            ("task1", OTHER, [], TASK1, "b1da5c2cf9f5df13"),
+            ("task2", {}, [], TASK2, "f7ce8c3393c54f7c"),
+            ("task2", OTHER, [], TASK2, "dad7a58e7527b27e"),
+            ("task2", {}, PROVIDERS, ["backbone-small", "backbone-mock"], "18f62e21041bf7ec"),
+            ("task3", {}, [], TASK3, "17a7e136854773c4"),
+            ("task3", OTHER, [], TASK3, "44d2f65ce0170a09"),
+            ("task4", {}, [], TASK4, "29641902b1d267d4"),
+            ("task4", OTHER, [], TASK4, "6fa3abad598da533"),
+            ("task6", {}, [], ["mlp"], "68dffc3322d7d470"),
+            ("task6", OTHER, [], ["svm+dimred"], "cd500751cc8902db"),
+        ],
+    )
+    def test_arms_are_unchanged(self, task, base, providers, names, digest):
+        obj = {"task": task, "variants": [base], "providers": providers}
+        config = ExperimentConfig.from_dict(obj)
+        (specs,) = harness._variants(config)
+        pairs = [
+            (spec.variant_name, harness._spec_hash(spec, "tiny", config.modality, config.split))
+            for spec in specs
+        ]
+        assert [name for name, _ in pairs] == names
+        assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16] == digest
+
+
 class TestHttpFeatures:
     """A provider without token matrices hands the variants the selected
     chunks' own vectors."""
@@ -277,14 +325,13 @@ class TestFeaturePass:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("task", sorted(DIGESTS))
     def test_feature_sets_match_recorded_digests(self, task, threads):
-        variants = {"task1": harness._task1_variants, "task3": harness._task3_variants}[task]
-        feature_sets = _compute_features_multi(
-            variants(PipelineSpec()), feature_pass_dataset(), "unstructured", threads
-        )
+        (specs,) = harness._variants(ExperimentConfig(task=task))
+        dataset = feature_pass_dataset()
+        feature_sets = _compute_features_multi(specs, dataset, "unstructured", threads)
         assert [feature_set_digest(f) for f in feature_sets] == self.DIGESTS[task]
 
     def test_skips_are_exercised(self):
-        specs = harness._task3_variants(PipelineSpec())
+        (specs,) = harness._variants(ExperimentConfig(task="task3"))
         dataset = feature_pass_dataset()
         short = PatientEncoder(PipelineSpec(), dataset, "unstructured").token_matrix(
             dataset.patients[-1]
@@ -480,6 +527,28 @@ class TestPlan:
             run_task(ExperimentConfig(task=task))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "task, key, value",
+        [
+            ("task1", "providers", [{"kind": "mock", "dim": 64}]),
+            ("task6", "providers", [{"kind": "mock", "dim": 64}]),
+            ("task3", "datasets", [{"patients_path": "p", "trials_path": "t"}]),
+            ("task5", "dataset", {"patients_path": "p", "trials_path": "t"}),
+            ("task6", "modality", "structured"),
+        ],
+    )
+    def test_a_key_no_run_reads_is_a_config_error(
+        self, task, key, value, tmp_path, monkeypatch
+    ):
+        def no_load(source):
+            pytest.fail(f"{task} loaded a dataset")
+
+        monkeypatch.setattr(harness.DatasetSource, "load", no_load)
+        obj = tiny_config(task, tmp_path)
+        obj[key] = value
+        with pytest.raises(ConfigError, match=f"^'{key}' is read by no {task} run"):
+            run_task(ExperimentConfig.from_dict(obj))
+
     def test_task5_variants_with_equal_retrieval_settings_share_a_pass(
         self, tmp_path, monkeypatch
     ):
@@ -554,7 +623,7 @@ class TestDimRedMemo:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
         assert {r["variant"]: r["fallbacks"] for r in manifest["runs"]} == {
             spec.variant_name: 40 if spec.dimred else 0
-            for spec in harness._task1_variants(PipelineSpec())
+            for spec in harness._variants(ExperimentConfig(task="task1"))[0]
         }
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from trialmatch.errors import DataError, UndefinedMetricError
-from trialmatch.metrics import auprc, auroc, compute_report
+from trialmatch.metrics import auprc, auroc, compute_report, csv_cell
 
 
 def pairwise_auroc(y: np.ndarray, s: np.ndarray) -> float:
@@ -148,7 +149,7 @@ class TestComputeReport:
             report = compute_report(y, scores, threshold)
             single_class += report.auroc is None
             digest.update(json.dumps(report.to_dict()).encode())
-            digest.update(",".join(report.to_csv_row()).encode() + b"\n")
+            digest.update(",".join([csv_cell(v) for v in astuple(report)]).encode() + b"\n")
         assert single_class >= 30
         assert digest.hexdigest() == (
             "e61070706562037eba7989b252ca805c6523e25787f0f3aaf69e6be6803eedba"

@@ -65,3 +65,69 @@ def test_an_unused_import_is_caught():
         "    raise DataError(os.path.sep)\n"
     )
     assert unused_imports(ast.parse(source)) == ["InsufficientTokensError"]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """A module's top-level functions, classes and constants, and its
+    classes' methods, in source order; dunder names are left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body if isinstance(m, functions)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not _is_dunder(name)]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names a module reads, as a bare name or an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_every_definition_is_referenced():
+    # Tests do not count: a definition only a test reads is dead code.
+    readers = [
+        path
+        for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+        if "tests" not in path.relative_to(ROOT).parts
+    ]
+    read = set().union(*(references(ast.parse(p.read_text(encoding="utf-8"))) for p in readers))
+    unread = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_an_unreferenced_definition_is_caught():
+    source = (
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "class Box:\n"
+        "    def __init__(self): self.size = LIMIT\n"
+        "    def grow(self): return helper(self.size)\n"
+        "    def shrink(self): pass\n"
+        "def helper(x): return x\n"
+        "Box().grow()\n"
+    )
+    tree = ast.parse(source)
+    assert [name for name in definitions(tree) if name not in references(tree)] == [
+        "UNUSED",
+        "shrink",
+    ]
