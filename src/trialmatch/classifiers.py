@@ -639,14 +639,11 @@ def train_forest(
     seed: int = 0,
     max_depth: int = 12,
     min_leaf: int = 1,
-    bootstrap: bool = True,
-    feature_subsample: bool = True,
 ) -> RandomForest:
     """Bootstrap forest with per-split subsampling of ceil(sqrt(d)) features.
 
     Per-tree generators derive from independent seed-sequence children, so
-    tree training could run in any order with identical results. With one tree
-    and both randomizations off, the forest reduces exactly to train_tree.
+    tree training could run in any order with identical results.
     """
     if n_trees < 1:
         raise ConfigError("forest needs at least one tree")
@@ -654,19 +651,14 @@ def train_forest(
     y = _as_labels(labels, X.shape[0])
     _require_both_classes(y)
     d = X.shape[1]
-    n_sub = int(math.ceil(math.sqrt(d))) if feature_subsample else None
+    n_sub = int(math.ceil(math.sqrt(d)))
     XT = np.ascontiguousarray(X.T)
     children = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for child in children:
         rng = np.random.default_rng(child)
-        if bootstrap:
-            rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        else:
-            rows = np.arange(X.shape[0])
-        root = _grow_tree(
-            XT, y, rows, 0, max_depth, min_leaf, rng if feature_subsample else None, n_sub
-        )
+        rows = rng.integers(0, X.shape[0], size=X.shape[0])
+        root = _grow_tree(XT, y, rows, 0, max_depth, min_leaf, rng, n_sub)
         trees.append(DecisionTree(root=root, n_features=d))
     return RandomForest(trees=trees, n_features=d)
 

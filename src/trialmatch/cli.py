@@ -320,8 +320,8 @@ def _cmd_run(args) -> int:
         tag = r.variant
         if r.trial:
             tag += f" trial={r.trial} excl={r.exclusion:g}"
-        if r.dataset_name and r.dataset_name != "dataset":
-            tag += f" dataset={r.dataset_name}"
+        if r.dataset and r.dataset != "dataset":
+            tag += f" dataset={r.dataset}"
         lines.append(f"  {tag}: macro_f1={r.report.macro_f1:.4f} auroc={auroc}")
     payload = {
         "seed": seeds,
@@ -332,7 +332,7 @@ def _cmd_run(args) -> int:
             {
                 "task": r.task,
                 "variant": r.variant,
-                "dataset": r.dataset_name,
+                "dataset": r.dataset,
                 "trial": r.trial,
                 "exclusion": r.exclusion,
                 "macro_f1": r.report.macro_f1,

@@ -18,7 +18,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from .errors import (
     ProviderStatusError,
     ProviderTimeoutError,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger("trialmatch.embedding")
 
@@ -168,7 +165,6 @@ class HttpProvider:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
-        session: Optional[requests.Session] = None,
     ):
         self.descriptor = ProviderDescriptor(
             name=name or model, dim=dim, supports_token_matrix=False
@@ -180,7 +176,6 @@ class HttpProvider:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
-        self.session = session
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         out: list[np.ndarray] = []
@@ -196,7 +191,6 @@ class HttpProvider:
                     backoff_base=self.backoff_base,
                     backoff_factor=self.backoff_factor,
                     max_batch=self.max_batch,
-                    session=self.session,
                 )
             )
         return out
@@ -266,7 +260,6 @@ def http_embed(
     backoff_base: float = DEFAULT_BACKOFF_BASE,
     backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
     max_batch: int = DEFAULT_MAX_BATCH,
-    session: Optional[requests.Session] = None,
 ) -> list[np.ndarray]:
     """POST one batch to ``{endpoint}/embed`` and validate the response.
 
@@ -284,13 +277,12 @@ def http_embed(
         raise ConfigError(f"batch of {len(texts)} exceeds max batch size {max_batch}")
     url = endpoint.rstrip("/") + "/embed"
     body = {"model": model, "texts": list(texts)}
-    post = (session or requests).post
 
     last_exc: Optional[Exception] = None
     response = None
     for attempt in range(1, max_attempts + 1):
         try:
-            response = post(url, json=body, timeout=timeout)
+            response = requests.post(url, json=body, timeout=timeout)
             break
         except requests.Timeout as exc:
             last_exc = ProviderTimeoutError(f"embed request to {url} timed out: {exc}")

@@ -99,16 +99,6 @@ POOLINGS = ("mean", "last_token", "pca_mean", "hybrid_last")
 ADAPTER_MODES = ("frozen", "adapter")
 MAX_SKIP_FRACTION = 0.05
 
-RESULTS_CSV_COLUMNS = (
-    "task",
-    "variant",
-    "dataset",
-    "trial",
-    "exclusion",
-    "seed",
-    "config_hash",
-) + CSV_COLUMNS
-
 
 # ---------------------------------------------------------------------------
 # Configuration model
@@ -344,7 +334,11 @@ def config_hash(payload: dict) -> str:
 
 @dataclass
 class RunResult:
-    """One train/evaluate cell.
+    """One train/evaluate cell, and its ``manifest.json`` entry.
+
+    The field order is the manifest entry's key order, and the first seven
+    fields are the results.csv key columns (``KEY_COLUMNS``), ahead of the
+    metric columns of ``report``. A new field is one line here.
 
     ``feature_seconds`` is the duration of the feature pass the run used and
     ``wall_seconds`` adds the run's split, training and evaluation to it.
@@ -356,18 +350,21 @@ class RunResult:
 
     task: str
     variant: str
-    dataset_name: str
+    dataset: str
     trial: Optional[str]
     exclusion: Optional[float]
     seed: int
     config_hash: str
-    report: MetricReport
-    wall_seconds: float
-    feature_seconds: float
-    stages: tuple[str, ...]
+    stages: list[str]
     skipped: int
     fallbacks: int
+    wall_seconds: float
+    feature_seconds: float
+    report: MetricReport
     log_path: Optional[str] = None
+
+
+KEY_COLUMNS = tuple(f.name for f in fields(RunResult)[:7])
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +727,11 @@ def _train_eval(
     return compute_report(yte, probs, threshold=0.5)
 
 
-def _spec_hash(spec: PipelineSpec, dataset_name: str, modality: str, split: SplitSpec) -> str:
+def _spec_hash(spec: PipelineSpec, dataset: str, modality: str, split: SplitSpec) -> str:
     return config_hash(
         {
             "spec": asdict(spec),
-            "dataset": dataset_name,
+            "dataset": dataset,
             "modality": modality,
             "split": asdict(split),
         }
@@ -822,6 +819,11 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
         ("datasets", config.datasets and task != "task5", "only task5 runs a list of datasets"),
         ("dataset", config.dataset is not None and task == "task5", "task5 reads 'datasets'"),
         ("modality", config.modality != "mixed" and task == "task6", "task6 runs 'mixed'"),
+        (
+            "split",
+            task == "task6" and replace(config.split, seed=0) != SplitSpec(),
+            "task6 reads only the split's seed",
+        ),
     ):
         if unread:
             raise ConfigError(f"{key!r} is read by no {task} run; {reason}")
@@ -881,17 +883,17 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
                 run = RunResult(
                     task=config.task,
                     variant=spec.variant_name,
-                    dataset_name=source.name,
+                    dataset=source.name,
                     trial=trial,
                     exclusion=exclusion,
                     seed=spec.seed,
                     config_hash=_spec_hash(spec, source.name, config.modality, split),
-                    report=report,
-                    wall_seconds=features.seconds + cell_seconds,
-                    feature_seconds=features.seconds,
-                    stages=spec.stages(),
+                    stages=list(spec.stages()),
                     skipped=len(features.skipped),
                     fallbacks=features.fallbacks,
+                    wall_seconds=features.seconds + cell_seconds,
+                    feature_seconds=features.seconds,
+                    report=report,
                     log_path=log_path,
                 )
                 results.append(run)
@@ -899,7 +901,7 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
                     "run %s/%s dataset=%s trial=%s exclusion=%s macro_f1=%s auroc=%s",
                     run.task,
                     run.variant,
-                    run.dataset_name,
+                    run.dataset,
                     run.trial,
                     run.exclusion,
                     f"{report.macro_f1:.4f}",
@@ -920,10 +922,11 @@ def write_outputs(
 ) -> dict:
     """Write results.csv and manifest.json to ``output_dir``; return the manifest.
 
-    results.csv holds one metrics row per run and no timing data, so reruns
-    stay byte-identical regardless of thread count or machine load.
-    manifest.json adds the resolved config, its hash, and each run's stages,
-    skips, fallbacks and timings.
+    results.csv holds one row per run: its ``KEY_COLUMNS`` and then its
+    report's metric columns, and no timing data, so reruns stay
+    byte-identical regardless of thread count or machine load. manifest.json
+    adds the resolved config and its hash, and lists each run as its
+    ``RunResult`` fields in field order.
     """
     out = Path(output_dir)
     try:
@@ -934,10 +937,10 @@ def write_outputs(
     csv_path = out / "results.csv"
     with csv_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESULTS_CSV_COLUMNS)
+        writer.writerow(KEY_COLUMNS + CSV_COLUMNS)
         for r in results:
-            prefix = (r.task, r.variant, r.dataset_name, r.trial, r.exclusion, r.seed, r.config_hash)
-            writer.writerow([csv_cell(v) for v in (*prefix, *astuple(r.report))])
+            keys = (getattr(r, name) for name in KEY_COLUMNS)
+            writer.writerow([csv_cell(v) for v in (*keys, *astuple(r.report))])
 
     resolved = None if config is None else asdict(config)
     manifest = {
@@ -945,25 +948,7 @@ def write_outputs(
         "config": resolved,
         "config_hash": None if resolved is None else config_hash(resolved),
         "files": ["results.csv", "manifest.json"],
-        "runs": [
-            {
-                "task": r.task,
-                "variant": r.variant,
-                "dataset": r.dataset_name,
-                "trial": r.trial,
-                "exclusion": r.exclusion,
-                "seed": r.seed,
-                "config_hash": r.config_hash,
-                "stages": list(r.stages),
-                "skipped": r.skipped,
-                "fallbacks": r.fallbacks,
-                "wall_seconds": r.wall_seconds,
-                "feature_seconds": r.feature_seconds,
-                "report": r.report.to_dict(),
-                "log_path": r.log_path,
-            }
-            for r in results
-        ],
+        "runs": [asdict(r) for r in results],
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"

@@ -637,24 +637,6 @@ class TestTreesAndForests:
 
         walk(tree.root)
 
-    def test_forest_reduces_to_single_tree(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((80, 4))
-        y = (X[:, 1] > 0).astype(float)
-        tree = train_tree(X, y, max_depth=6, min_leaf=2)
-        forest = train_forest(
-            X,
-            y,
-            n_trees=1,
-            seed=9,
-            max_depth=6,
-            min_leaf=2,
-            bootstrap=False,
-            feature_subsample=False,
-        )
-        probe = rng.standard_normal((40, 4))
-        assert np.array_equal(predict_proba(tree, probe), predict_proba(forest, probe))
-
     def test_forest_probability_is_tree_mean(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((60, 3))

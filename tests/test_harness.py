@@ -389,7 +389,7 @@ def hand_built_run(trial, exclusion, labels, probs) -> harness.RunResult:
     return harness.RunResult(
         task="task6" if trial else "task1",
         variant="mlp+dimred",
-        dataset_name="tiny",
+        dataset="tiny",
         trial=trial,
         exclusion=exclusion,
         seed=3,
@@ -397,20 +397,130 @@ def hand_built_run(trial, exclusion, labels, probs) -> harness.RunResult:
         report=compute_report(labels, probs, threshold=0.5),
         wall_seconds=2.5,
         feature_seconds=1.5,
-        stages=("chunk", "classify"),
+        stages=["chunk", "classify"],
         skipped=0,
         fallbacks=0,
     )
 
 
+def hand_built_runs() -> list[harness.RunResult]:
+    return [
+        hand_built_run(None, None, [1, 0, 1, 0], [0.9, 0.5, 0.6, 0.2]),
+        hand_built_run("NCT002", 0.8, [1, 0, 0], [0.7, 0.7, 0.1]),
+        hand_built_run("NCT002", 1.0, [0, 0, 0], [0.2, 0.6, 0.1]),
+    ]
+
+
+# manifest.json for ``hand_built_runs()`` and no config: the key order and
+# the format of each run entry.
+RECORDED_MANIFEST = """\
+{
+  "generator": "trialmatch 0.1.0",
+  "config": null,
+  "config_hash": null,
+  "files": [
+    "results.csv",
+    "manifest.json"
+  ],
+  "runs": [
+    {
+      "task": "task1",
+      "variant": "mlp+dimred",
+      "dataset": "tiny",
+      "trial": null,
+      "exclusion": null,
+      "seed": 3,
+      "config_hash": "0123456789abcdef",
+      "stages": [
+        "chunk",
+        "classify"
+      ],
+      "skipped": 0,
+      "fallbacks": 0,
+      "wall_seconds": 2.5,
+      "feature_seconds": 1.5,
+      "report": {
+        "n": 4,
+        "n_pos": 2,
+        "threshold": 0.5,
+        "precision": 0.6666666666666666,
+        "recall": 1.0,
+        "f1_pos": 0.8,
+        "f1_neg": 0.6666666666666666,
+        "macro_f1": 0.7333333333333334,
+        "auroc": 1.0,
+        "auprc": 1.0
+      },
+      "log_path": null
+    },
+    {
+      "task": "task6",
+      "variant": "mlp+dimred",
+      "dataset": "tiny",
+      "trial": "NCT002",
+      "exclusion": 0.8,
+      "seed": 3,
+      "config_hash": "0123456789abcdef",
+      "stages": [
+        "chunk",
+        "classify"
+      ],
+      "skipped": 0,
+      "fallbacks": 0,
+      "wall_seconds": 2.5,
+      "feature_seconds": 1.5,
+      "report": {
+        "n": 3,
+        "n_pos": 1,
+        "threshold": 0.5,
+        "precision": 0.5,
+        "recall": 1.0,
+        "f1_pos": 0.6666666666666666,
+        "f1_neg": 0.6666666666666666,
+        "macro_f1": 0.6666666666666666,
+        "auroc": 0.75,
+        "auprc": 0.5
+      },
+      "log_path": null
+    },
+    {
+      "task": "task6",
+      "variant": "mlp+dimred",
+      "dataset": "tiny",
+      "trial": "NCT002",
+      "exclusion": 1.0,
+      "seed": 3,
+      "config_hash": "0123456789abcdef",
+      "stages": [
+        "chunk",
+        "classify"
+      ],
+      "skipped": 0,
+      "fallbacks": 0,
+      "wall_seconds": 2.5,
+      "feature_seconds": 1.5,
+      "report": {
+        "n": 3,
+        "n_pos": 0,
+        "threshold": 0.5,
+        "precision": 0.0,
+        "recall": 0.0,
+        "f1_pos": 0.0,
+        "f1_neg": 0.8,
+        "macro_f1": 0.4,
+        "auroc": null,
+        "auprc": null
+      },
+      "log_path": null
+    }
+  ]
+}
+"""
+
+
 class TestWriteOutputs:
     def test_results_csv_matches_recorded_text(self, tmp_path):
-        runs = [
-            hand_built_run(None, None, [1, 0, 1, 0], [0.9, 0.5, 0.6, 0.2]),
-            hand_built_run("NCT002", 0.8, [1, 0, 0], [0.7, 0.7, 0.1]),
-            hand_built_run("NCT002", 1.0, [0, 0, 0], [0.2, 0.6, 0.1]),
-        ]
-        write_outputs(runs, tmp_path)
+        write_outputs(hand_built_runs(), tmp_path)
         assert (tmp_path / "results.csv").read_text(encoding="utf-8") == (
             "task,variant,dataset,trial,exclusion,seed,config_hash,n,n_pos,threshold,"
             "precision,recall,f1_pos,f1_neg,macro_f1,auroc,auprc\n"
@@ -421,6 +531,10 @@ class TestWriteOutputs:
             "task6,mlp+dimred,tiny,NCT002,1.0,3,0123456789abcdef,3,0,0.5,0.0,0.0,"
             "0.0,0.8,0.4,,\n"
         )
+
+    def test_manifest_matches_recorded_text(self, tmp_path):
+        write_outputs(hand_built_runs(), tmp_path)
+        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == RECORDED_MANIFEST
 
 
 class TestClassifierDtypes:
@@ -535,6 +649,9 @@ class TestPlan:
             ("task3", "datasets", [{"patients_path": "p", "trials_path": "t"}]),
             ("task5", "dataset", {"patients_path": "p", "trials_path": "t"}),
             ("task6", "modality", "structured"),
+            ("task6", "split", {"test_fraction": 0.5}),
+            ("task6", "split", {"exclusion_fraction": 0.3, "seed": 9}),
+            ("task6", "split", {"mode": "cross_trial", "target_trial": "SYN001"}),
         ],
     )
     def test_a_key_no_run_reads_is_a_config_error(
