@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--config", required=True, help="experiment config JSON file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--threads", type=int, default=None, help="feature-construction threads (results are thread-count invariant)")
+    p_run.add_argument("--threads", type=int, default=None, help="feature-construction threads; only 1 is accepted")
     _add_json_flag(p_run)
 
     p_eval = sub.add_parser(

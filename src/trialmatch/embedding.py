@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,8 +90,8 @@ class MockProvider:
 
     Each distinct token is hashed once per instance: its vector becomes a
     row of a growable token table, and a text is encoded by gathering the
-    rows of its token ids. The table grows under a lock, so threads sharing
-    one provider see the same ids and rows.
+    rows of its token ids. The table doubles when full, so a token's id
+    and row never change.
     """
 
     def __init__(self, dim: int = DEFAULT_MOCK_DIM, seed: int = 0, name: str = "mock"):
@@ -103,7 +102,6 @@ class MockProvider:
         self._seed = seed
         self._ids: dict[str, int] = {}
         self._table = np.empty((_INITIAL_TABLE_ROWS, dim))
-        self._lock = threading.Lock()
 
     def _rows(self, text: str) -> np.ndarray:
         """The token vectors of ``text``, one row per whitespace token."""
@@ -114,23 +112,21 @@ class MockProvider:
             found = np.fromiter(map(self._ids.__getitem__, tokens), np.intp, len(tokens))
         except KeyError:
             found = self._add(tokens)
-        # Rows are written, and a grown table published, before their ids.
         return self._table.take(found, axis=0)
 
     def _add(self, tokens: list[str]) -> list[int]:
-        with self._lock:
-            ids, table = self._ids, self._table
-            for token in tokens:
-                if token in ids:
-                    continue
-                row = len(ids)
-                if row == table.shape[0]:
-                    grown = np.empty((2 * row, self._dim))
-                    grown[:row] = table
-                    self._table = table = grown
-                table[row] = _token_vector(token, self._dim, self._seed)
-                ids[token] = row
-            return [ids[token] for token in tokens]
+        ids, table = self._ids, self._table
+        for token in tokens:
+            if token in ids:
+                continue
+            row = len(ids)
+            if row == table.shape[0]:
+                grown = np.empty((2 * row, self._dim))
+                grown[:row] = table
+                self._table = table = grown
+            table[row] = _token_vector(token, self._dim, self._seed)
+            ids[token] = row
+        return [ids[token] for token in tokens]
 
     def embed_text(self, text: str) -> np.ndarray:
         # The axis-0 sum adds the rows in token order, as a running sum would.

@@ -22,8 +22,7 @@ dataset, retrieval and encoding run once for each distinct retrieval setting
 (provider, k, chunking, instructions) and each variant reduces that pass's
 token matrices; every variant is then trained and evaluated on every cell.
 
-Per-patient feature construction may run on a thread pool; results are
-assembled in dataset order, so thread count never changes any output byte.
+Features are built on one thread, one patient at a time in dataset order.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import json
 import logging
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -283,7 +281,7 @@ class ExperimentConfig:
     exclusions: tuple[float, ...] = (1.0, 0.8, 0.6, 0.4, 0.2)
     datasets: tuple[DatasetSource, ...] = ()
     providers: tuple[ProviderSpec, ...] = ()
-    threads: int = 1
+    threads: int = 1  # only 1 is accepted: features are built on one thread
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -299,8 +297,8 @@ class ExperimentConfig:
             )
         if self.task == "task6" and not self.exclusions:
             raise ConfigError("task6 requires a non-empty exclusion sweep")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        if self.threads != 1:
+            raise ConfigError("threads must be 1: feature construction runs on one thread")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -502,7 +500,6 @@ def _compute_features_multi(
     specs: Sequence[PipelineSpec],
     dataset: Dataset,
     modality: str,
-    threads: int = 1,
     provider=None,
 ) -> list[FeatureSet]:
     """One feature set per spec, in spec order.
@@ -515,7 +512,7 @@ def _compute_features_multi(
     for spec in specs:
         groups.setdefault(_retrieval_key(spec), []).append(spec)
     passes = {
-        key: iter(_feature_pass(group, dataset, modality, threads, provider))
+        key: iter(_feature_pass(group, dataset, modality, provider))
         for key, group in groups.items()
     }
     return [next(passes[_retrieval_key(spec)]) for spec in specs]
@@ -525,7 +522,6 @@ def _feature_pass(
     specs: Sequence[PipelineSpec],
     dataset: Dataset,
     modality: str,
-    threads: int,
     provider,
 ) -> list[FeatureSet]:
     """One retrieval/encode pass over the dataset, reduced per variant.
@@ -534,8 +530,8 @@ def _feature_pass(
     differs. Each variant gets one float64 matrix with a row per patient,
     allocated before the pass; a patient's reduced row is written into it as
     soon as the patient is encoded, and the variant's ``X`` is the filled
-    prefix. The pass's peak is one matrix per variant plus the token matrices
-    being reduced; there is no list of rows and no stacking copy.
+    prefix. The pass's peak is one matrix per variant plus one token matrix
+    at a time; there is no list of rows and no stacking copy.
     """
     started = time.perf_counter()
     encoder = PatientEncoder(specs[0], dataset, modality, provider)
@@ -548,30 +544,18 @@ def _feature_pass(
     skipped: list[tuple[str, str]] = []
     fallbacks: list[list[Exception]] = [[] for _ in specs]
 
-    def work(patient):
+    for patient in patients:
         matrix = encoder.token_matrix(patient)
         if matrix is None:
-            return None
-        return [_reduce_matrix(spec, matrix) for spec in specs]
-
-    def fill(patient, reduced) -> None:
-        if reduced is None:
             skipped.append((patient.patient_id, "no_chunks"))
-            return
-        for v, (values, fallback_error) in enumerate(reduced):
+            continue
+        for v, spec in enumerate(specs):
+            values, fallback_error = _reduce_matrix(spec, matrix)
             if fallback_error is not None:
                 fallbacks[v].append(fallback_error)
             matrices[v][len(ids)] = values
         ids.append(patient.patient_id)
         labels.append(float(patient.label.value))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for patient, reduced in zip(patients, pool.map(work, patients)):
-                fill(patient, reduced)
-    else:
-        for patient in patients:
-            fill(patient, work(patient))
     seconds = time.perf_counter() - started
 
     first = specs[0].variant_name
@@ -582,6 +566,13 @@ def _feature_pass(
         raise DataError(
             f"variant {first!r}: {len(skipped)} of {len(patients)} "
             f"patients skipped ({skip_fraction:.1%} > {MAX_SKIP_FRACTION:.0%})"
+        )
+    if skipped:
+        logger.warning(
+            "variants %s skipped %d patients: %s",
+            ", ".join(spec.variant_name for spec in specs),
+            len(skipped),
+            skipped[:5],
         )
     y = np.asarray(labels)
     out: list[FeatureSet] = []
@@ -595,10 +586,6 @@ def _feature_pass(
                 len(errors),
                 ", ".join(f"{name}: {count}" for name, count in sorted(reasons.items())),
                 errors[0],
-            )
-        if skipped:
-            logger.warning(
-                "variant %s skipped %d patients: %s", spec.variant_name, len(skipped), skipped[:5]
             )
         out.append(FeatureSet(ids, matrix[: len(ids)], y, skipped, len(errors), seconds))
     return out
@@ -866,7 +853,7 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
     for source in sources:
         dataset = source.load()
         cells = _cells(config, dataset)
-        feature_sets = _compute_features_multi(variants, dataset, config.modality, config.threads)
+        feature_sets = _compute_features_multi(variants, dataset, config.modality)
         splits = []
         for split, _, _ in cells:
             started = time.perf_counter()
@@ -924,7 +911,7 @@ def write_outputs(
 
     results.csv holds one row per run: its ``KEY_COLUMNS`` and then its
     report's metric columns, and no timing data, so reruns stay
-    byte-identical regardless of thread count or machine load. manifest.json
+    byte-identical regardless of machine load. manifest.json
     adds the resolved config and its hash, and lists each run as its
     ``RunResult`` fields in field order.
     """

@@ -264,9 +264,7 @@ def pool_pca_mean(m: np.ndarray, n_components: int) -> np.ndarray:
     return _compress(m, n_components).mean(axis=0)
 
 
-# ``dimred``'s last (input copy, scores) pair. It is read and replaced as one
-# tuple, so callers on several threads each see a whole entry; interleaved
-# matrices only make it miss.
+# ``dimred``'s last (input copy, scores) pair.
 _dimred_memo: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 

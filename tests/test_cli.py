@@ -55,11 +55,12 @@ class TestExitCodes:
         code, _ = run_cli(["run", "--no-such-flag"], capsys)
         assert code == cli.EXIT_USAGE
 
-    def test_zero_threads_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["0", "2"])
+    def test_threads_other_than_1_exits_1(self, tmp_path, capsys, threads):
         path = write_config(tmp_path, {"task": "task1"})
-        code, err = run_cli(["run", "--config", path, "--threads", "0"], capsys)
+        code, err = run_cli(["run", "--config", path, "--threads", threads], capsys)
         assert code == cli.EXIT_USAGE
-        assert err == "error: threads must be at least 1\n"
+        assert err == "error: threads must be 1: feature construction runs on one thread\n"
 
     @pytest.mark.parametrize(
         "task, key, value",

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -147,31 +144,6 @@ class TestTokenTable:
         assert all(
             np.array_equal(v, reference_text(text, 24, 3)) for v, text in zip(vectors, texts)
         )
-
-    def test_threads_sharing_a_provider_match_a_serial_run(self):
-        texts = vocabulary_texts(1, 400, self.VOCABULARY)
-        serial = MockProvider(dim=16, seed=5)
-        expected = [(serial.embed_text(t), serial.embed_tokens(t)) for t in texts]
-        shared = MockProvider(dim=16, seed=5)
-
-        def work(start: int) -> bool:
-            # Each worker starts at its own offset, so the workers add
-            # overlapping vocabularies in different orders.
-            order = [(start + 97 * i) % len(texts) for i in range(len(texts))]
-            return all(
-                np.array_equal(shared.embed_text(texts[i]), expected[i][0])
-                and np.array_equal(shared.embed_tokens(texts[i]), expected[i][1])
-                for i in order
-            )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(work, start) for start in (0, 100, 200, 300)]
-                assert all(f.result(timeout=60) for f in futures)
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestEmbedTokens:

@@ -68,6 +68,11 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             ExperimentConfig.from_dict(obj)
 
+    def test_threads_other_than_1_is_rejected(self):
+        message = "^threads must be 1: feature construction runs on one thread$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"task": "task1", "threads": 2})
+
     def test_missing_task_is_named(self):
         with pytest.raises(ConfigError, match="missing required key 'task'"):
             ExperimentConfig.from_dict({"variants": [{}]})
@@ -258,14 +263,13 @@ class TestHiddenAxis:
 TINY_CORPUS = {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5}
 
 
-def tiny_task1(tmp_path, threads: int) -> ExperimentConfig:
+def tiny_task1(tmp_path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(
         {
             "task": "task1",
             "dataset": {"name": "tiny", "synthetic": TINY_CORPUS, "seed": 5},
             "variants": [{"train": {"max_epochs": 5}}],
-            "output_dir": str(tmp_path / f"out-{threads}"),
-            "threads": threads,
+            "output_dir": str(tmp_path / "out"),
         }
     )
 
@@ -322,12 +326,11 @@ class TestFeaturePass:
         "task3": [SEQUENCE, MEAN, MEAN, MEAN, MEAN, "e5d2fdf3c3876f07", "b1ff69c0456c8bbb"],
     }
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("task", sorted(DIGESTS))
-    def test_feature_sets_match_recorded_digests(self, task, threads):
+    def test_feature_sets_match_recorded_digests(self, task):
         (specs,) = harness._variants(ExperimentConfig(task=task))
         dataset = feature_pass_dataset()
-        feature_sets = _compute_features_multi(specs, dataset, "unstructured", threads)
+        feature_sets = _compute_features_multi(specs, dataset, "unstructured")
         assert [feature_set_digest(f) for f in feature_sets] == self.DIGESTS[task]
 
     def test_skips_are_exercised(self):
@@ -343,6 +346,14 @@ class TestFeaturePass:
             assert features.fallbacks == 0
             assert features.ids[-1] == "SHORT"
             assert features.X.shape == (41, 256 if spec.name == "hybrid" else 128)
+
+    def test_one_skip_warning_per_pass(self, caplog):
+        (specs,) = harness._variants(ExperimentConfig(task="task1"))
+        with caplog.at_level(logging.WARNING, logger="trialmatch.harness"):
+            _compute_features_multi(specs, feature_pass_dataset(), "unstructured")
+        warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        names = ", ".join(spec.variant_name for spec in specs)
+        assert warnings == [f"variants {names} skipped 1 patients: [('NO-NOTES', 'no_chunks')]"]
 
     def test_mixed_retrieval_settings_match_single_spec_passes(self):
         specs = [
@@ -365,16 +376,15 @@ class TestFeaturePass:
 
 
 class TestTask1Outputs:
-    def test_results_csv_is_byte_identical_across_threads_and_reruns(self, tmp_path):
-        serial = tiny_task1(tmp_path, threads=1)
-        first, _ = run_and_write(serial, tmp_path / "a")
-        rerun, _ = run_and_write(serial, tmp_path / "b")
-        threaded, _ = run_and_write(tiny_task1(tmp_path, threads=2), tmp_path / "c")
-        assert first == rerun == threaded
+    def test_results_csv_is_byte_identical_across_reruns(self, tmp_path):
+        config = tiny_task1(tmp_path)
+        first, _ = run_and_write(config, tmp_path / "a")
+        rerun, _ = run_and_write(config, tmp_path / "b")
+        assert first == rerun
         assert len(first.decode().splitlines()) == 1 + 8
 
     def test_wall_seconds_include_the_shared_feature_pass(self, tmp_path):
-        csv_bytes, manifest = run_and_write(tiny_task1(tmp_path, threads=1), tmp_path)
+        csv_bytes, manifest = run_and_write(tiny_task1(tmp_path), tmp_path)
         runs = manifest["runs"]
         on_disk = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert on_disk["runs"] == runs

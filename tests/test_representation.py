@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -481,24 +478,3 @@ class TestDimRedMemo:
         dimred(matrix, self.CFG)[:] = 7.0  # a reused result
         assert np.array_equal(dimred(matrix, self.CFG), expected)
         assert len(compress_calls) == 1
-
-    def test_threads_sharing_the_memo_get_their_own_scores(self, monkeypatch):
-        monkeypatch.setattr(representation, "_dimred_memo", None, raising=False)
-        rng = np.random.default_rng(34)
-        matrices = [rng.standard_normal((7, 5)) for _ in range(3)]
-        expected = [fresh_scores(m) for m in matrices]
-
-        def work(start: int) -> bool:
-            return all(
-                np.array_equal(dimred(matrices[i % 3], self.CFG), expected[i % 3])
-                for i in range(start, start + 300)
-            )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(work, start) for start in range(6)]
-                assert all(f.result(timeout=60) for f in futures)
-        finally:
-            sys.setswitchinterval(interval)
