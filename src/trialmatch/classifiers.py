@@ -11,11 +11,15 @@ trained models are immutable and safe for concurrent prediction. The MLP trains
 in the dtype of its features: a float32 array trains in float32, and anything
 else is converted to float64 and trains in float64.
 
-Trees grow array-at-a-time. The features are transposed once per fit, a node
-is an array of sample indices, and a split search gathers only the drawn
-features at the node's samples and sorts them a block of features at a time,
-so no node copies the feature matrix. A tree predicts every row at once, one
-level per step.
+A fitted tree or forest is one ``Forest``: a node table of arrays (split
+feature, threshold, left and right child, leaf probability, sample count)
+with one root per tree, where a leaf is its own child; a tree is a forest of
+one. Trees grow array-at-a-time, appending nodes to the table in depth-first
+preorder. The features are transposed once per fit, a node's samples are an
+array of indices, and a split search gathers only the drawn features at
+those samples and sorts them a block of features at a time, so no node
+copies the feature matrix. Prediction routes every row through every tree
+at once, one level per step.
 """
 
 from __future__ import annotations
@@ -460,55 +464,40 @@ def train_with_adapter(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TreeNode:
-    prob: float
-    n: int
-    feature: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
+class Forest:
+    """Trees as one node table; a single tree is a forest of one.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    Node ``i`` sends a row to ``left[i]`` if ``row[feature[i]] <
+    threshold[i]`` and to ``right[i]`` if not; ``prob[i]`` is the positive
+    share of its ``n[i]`` training samples. A leaf is its own child, so
+    ``depth`` steps from a tree's root in ``roots`` reach every row's leaf.
+    """
 
-
-@dataclass
-class DecisionTree:
-    """A grown tree. Prediction routes all rows one level per step through
-    the nodes laid out as arrays in breadth-first order, where a leaf is
-    its own child on both sides."""
-
-    root: TreeNode
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
+    n: np.ndarray
+    roots: np.ndarray
+    depth: int
     n_features: int
-    _layout: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        nodes, left, right, depths = [self.root], [], [], [0]
-        for i, node in enumerate(nodes):  # also visits the children appended here
-            if node.is_leaf:
-                left.append(i)
-                right.append(i)
-            else:
-                left.append(len(nodes))
-                right.append(len(nodes) + 1)
-                nodes += (node.left, node.right)
-                depths += (depths[i] + 1, depths[i] + 1)
-        feature = np.array([0 if node.is_leaf else node.feature for node in nodes])
-        threshold = np.array([0.0 if node.is_leaf else node.threshold for node in nodes])
-        prob = np.array([node.prob for node in nodes])
-        self._layout = (feature, threshold, np.array(left), np.array(right), prob, max(depths))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        feature, threshold, left, right, prob, depth = self._layout
         # Compared in the dtype of X, as one value against a Python float
         # threshold would be: float32 features meet float32 thresholds.
-        threshold = threshold.astype(X.dtype, copy=False)
+        threshold = self.threshold.astype(X.dtype, copy=False)
         rows = np.arange(X.shape[0])
-        at = np.zeros(X.shape[0], dtype=np.intp)
-        for _ in range(depth):
-            at = np.where(X[rows, feature[at]] < threshold[at], left[at], right[at])
-        return prob[at]
+        at = np.repeat(self.roots[:, None], X.shape[0], axis=1)  # (trees, rows)
+        for _ in range(self.depth):
+            below = X[rows, self.feature[at]] < threshold[at]
+            at = np.where(below, self.left[at], self.right[at])
+        # Summed tree by tree, then divided once: a forest of one returns its
+        # leaves' probabilities unchanged.
+        acc = np.zeros(X.shape[0])
+        for leaf_probs in self.prob[at]:
+            acc += leaf_probs
+        return acc / len(self.roots)
 
 
 _SPLIT_BLOCK = 16  # features sorted together; bounds the (block x n) temporaries
@@ -567,27 +556,35 @@ def _best_split(
     return float(costs[j]), float(thresholds[j]), int(winners[j])
 
 
-def _grow_tree(
+def _grow(
+    nodes: list[list],
     XT: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
     depth: int,
-    max_depth: int,
-    min_leaf: int,
+    limits: tuple[int, int, int],
     rng: Optional[np.random.Generator],
-    n_feature_subsample: Optional[int],
-) -> TreeNode:
-    """Grow the subtree of the samples ``rows`` (indices into ``y`` and the
-    columns of the transposed features ``XT``, in sample order)."""
+) -> int:
+    """Append the subtree of the samples ``rows`` (indices into ``y`` and the
+    columns of the transposed features ``XT``) to ``nodes`` in preorder, one
+    ``[feature, threshold, left, right, prob, n, depth]`` row per node, and
+    return its root's index. ``limits`` is (max_depth, min_leaf, features
+    drawn per split); fewer than all are drawn with ``rng``.
+
+    Not a closure that calls itself: that is a reference cycle, which keeps
+    ``XT`` alive after the fit until the garbage collector runs.
+    """
+    max_depth, min_leaf, n_drawn = limits
     y_node = y[rows]
     n = rows.shape[0]
     positives = float(y_node.sum())  # exact: the labels are 0 and 1
-    node = TreeNode(prob=positives / n, n=n)
+    at = len(nodes)
+    nodes.append([0, 0.0, at, at, positives / n, n, depth])
     if depth >= max_depth or positives in (0.0, n) or n < 2 * min_leaf:
-        return node
+        return at
     d = XT.shape[0]
-    if rng is not None and n_feature_subsample is not None and n_feature_subsample < d:
-        features = np.sort(rng.choice(d, size=n_feature_subsample, replace=False))
+    if n_drawn < d:
+        features = np.sort(rng.choice(d, size=n_drawn, replace=False))
         values = XT[features].take(rows, axis=1)
     else:
         features = np.arange(d)
@@ -595,41 +592,45 @@ def _grow_tree(
     best = _best_split(values, y_node, features, min_leaf)
     del values  # not held while the subtrees grow
     if best is None:
-        return node
+        return at
     _, threshold, feature = best
     mask = XT[feature, rows] < threshold
-    node.feature = feature
-    node.threshold = threshold
-    grow = (depth + 1, max_depth, min_leaf, rng, n_feature_subsample)
-    node.left = _grow_tree(XT, y, rows[mask], *grow)
-    node.right = _grow_tree(XT, y, rows[~mask], *grow)
-    return node
+    left = _grow(nodes, XT, y, rows[mask], depth + 1, limits, rng)
+    right = _grow(nodes, XT, y, rows[~mask], depth + 1, limits, rng)
+    nodes[at][:4] = feature, threshold, left, right
+    return at
 
 
-def train_tree(
-    features, labels, max_depth: int = 12, min_leaf: int = 1
-) -> DecisionTree:
-    """Greedy Gini tree; stops on purity, depth, or leaf-size limits."""
+def _fit_forest(
+    features, labels, seeds: Optional[list], max_depth: int, min_leaf: int
+) -> Forest:
+    """One tree on every sample and feature when ``seeds`` is None; else one
+    tree per seed on a bootstrap draw, with ceil(sqrt(d)) features drawn per
+    split by that seed's generator."""
     if max_depth < 1 or min_leaf < 1:
         raise ConfigError("max_depth and min_leaf must be positive")
     X = _as_features(features)
     y = _as_labels(labels, X.shape[0])
     _require_both_classes(y)
+    n, d = X.shape
     XT = np.ascontiguousarray(X.T)
-    root = _grow_tree(XT, y, np.arange(X.shape[0]), 0, max_depth, min_leaf, None, None)
-    return DecisionTree(root=root, n_features=X.shape[1])
+    nodes: list[list] = []
+    if seeds is None:
+        roots = [_grow(nodes, XT, y, np.arange(n), 0, (max_depth, min_leaf, d), None)]
+    else:
+        limits = (max_depth, min_leaf, int(math.ceil(math.sqrt(d))))
+        roots = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            roots.append(_grow(nodes, XT, y, rng.integers(0, n, size=n), 0, limits, rng))
+    *table, depths = (np.array(column) for column in zip(*nodes))
+    return Forest(*table, roots=np.array(roots), depth=int(depths.max()), n_features=d)
 
 
-@dataclass
-class RandomForest:
-    trees: list[DecisionTree]
-    n_features: int
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.predict_proba(X)
-        return acc / len(self.trees)
+def train_tree(features, labels, max_depth: int = 12, min_leaf: int = 1) -> Forest:
+    """Greedy Gini tree, a forest of one; stops on purity, depth, or
+    leaf-size limits."""
+    return _fit_forest(features, labels, None, max_depth, min_leaf)
 
 
 def train_forest(
@@ -639,7 +640,7 @@ def train_forest(
     seed: int = 0,
     max_depth: int = 12,
     min_leaf: int = 1,
-) -> RandomForest:
+) -> Forest:
     """Bootstrap forest with per-split subsampling of ceil(sqrt(d)) features.
 
     Per-tree generators derive from independent seed-sequence children, so
@@ -647,20 +648,9 @@ def train_forest(
     """
     if n_trees < 1:
         raise ConfigError("forest needs at least one tree")
-    X = _as_features(features)
-    y = _as_labels(labels, X.shape[0])
-    _require_both_classes(y)
-    d = X.shape[1]
-    n_sub = int(math.ceil(math.sqrt(d)))
-    XT = np.ascontiguousarray(X.T)
-    children = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        root = _grow_tree(XT, y, rows, 0, max_depth, min_leaf, rng, n_sub)
-        trees.append(DecisionTree(root=root, n_features=d))
-    return RandomForest(trees=trees, n_features=d)
+    return _fit_forest(
+        features, labels, np.random.SeedSequence(seed).spawn(n_trees), max_depth, min_leaf
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +716,7 @@ def train_svm(
 # Uniform prediction
 # ---------------------------------------------------------------------------
 
-TrainedClassifier = MLPModel | DecisionTree | RandomForest | LinearSVM | AdapterModel
+TrainedClassifier = MLPModel | Forest | LinearSVM | AdapterModel
 
 
 def predict_proba(model: TrainedClassifier, features) -> np.ndarray:

@@ -7,10 +7,11 @@ Subcommands:
   run       run an experiment task from a JSON config
   eval      compute metrics from a label file and a score file
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 runtime/provider
-error. Every subcommand prints its config hash, and the seeded ones their
-resolved seed, so runs can be replayed byte-for-byte; pass --json for
-machine-readable stdout.
+Exit codes: 0 success, 1 usage/config error, 2 data error (an output path
+that cannot be written among them), 3 runtime/provider error. Every
+subcommand prints its config hash, and the seeded ones their resolved seed,
+so runs can be replayed byte-for-byte; pass --json for machine-readable
+stdout.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .harness import (
     PipelineSpec,
     ProviderSpec,
     config_hash,
+    make_output_dir,
     run_task,
     write_outputs,
 )
@@ -175,7 +177,7 @@ def _cmd_synth(args) -> int:
         vocabulary_size=args.vocab,
     )
     dataset = generate_synthetic(config, args.seed)
-    out = Path(args.out)
+    out = make_output_dir(args.out)
     write_dataset(dataset, out / "patients.jsonl", out / "trials.jsonl")
     resolved = {"synthetic": dict(config.__dict__), "seed": args.seed}
     digest = config_hash(resolved)
@@ -264,7 +266,7 @@ def _cmd_retrieve(args) -> int:
 
     if args.audit:
         audit_path = Path(args.audit)
-        audit_path.parent.mkdir(parents=True, exist_ok=True)
+        make_output_dir(audit_path.parent)
         with audit_path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(
@@ -292,8 +294,7 @@ def _cmd_run(args) -> int:
     if args.threads is not None:
         config = replace(config, threads=args.threads)
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(config.output_dir)
     # Opened at the first record: a run rejected before it logs anything
     # leaves the previous run's log as it was.
     handler = logging.FileHandler(out_dir / "run.log", mode="w", encoding="utf-8", delay=True)

@@ -36,11 +36,13 @@ logger = logging.getLogger("trialmatch.embedding")
 ENDPOINT_ENV_VAR = "TRIALMATCH_EMBED_ENDPOINT"
 
 DEFAULT_MOCK_DIM = 128
-DEFAULT_MAX_BATCH = 64
-DEFAULT_TIMEOUT = 30.0
-DEFAULT_MAX_ATTEMPTS = 3
-DEFAULT_BACKOFF_BASE = 0.5
-DEFAULT_BACKOFF_FACTOR = 2.0
+# HTTP client settings: texts per request, seconds per request, attempts per
+# request, and the retry delay base * factor ** (attempt - 1) in seconds.
+HTTP_MAX_BATCH = 64
+HTTP_TIMEOUT = 30.0
+HTTP_MAX_ATTEMPTS = 3
+HTTP_BACKOFF_BASE = 0.5
+HTTP_BACKOFF_FACTOR = 2.0
 _INITIAL_TABLE_ROWS = 64  # MockProvider token table; doubles when full
 
 
@@ -150,49 +152,19 @@ class HttpProvider:
     ``embed_texts`` call (see ``http_embed``).
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        dim: int,
-        name: Optional[str] = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
-    ):
+    def __init__(self, endpoint: str, model: str, dim: int, name: Optional[str] = None):
         self.descriptor = ProviderDescriptor(
             name=name or model, dim=dim, supports_token_matrix=False
         )
         self.endpoint = resolve_endpoint(endpoint)
         self.model = model
-        self.timeout = timeout
-        self.max_batch = max_batch
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         out: list[np.ndarray] = []
-        for start in range(0, len(texts), self.max_batch):
-            out.extend(
-                http_embed(
-                    self.endpoint,
-                    self.model,
-                    texts[start : start + self.max_batch],
-                    expected_dim=self.descriptor.dim,
-                    timeout=self.timeout,
-                    max_attempts=self.max_attempts,
-                    backoff_base=self.backoff_base,
-                    backoff_factor=self.backoff_factor,
-                    max_batch=self.max_batch,
-                )
-            )
+        for start in range(0, len(texts), HTTP_MAX_BATCH):
+            batch = texts[start : start + HTTP_MAX_BATCH]
+            out.extend(http_embed(self.endpoint, self.model, batch, self.descriptor.dim))
         return out
-
-    def embed_tokens(self, text: str) -> np.ndarray:
-        raise ConfigError(f"provider {self.descriptor.name!r} does not emit token matrices")
 
 
 def resolve_endpoint(configured: Optional[str]) -> str:
@@ -251,45 +223,40 @@ def http_embed(
     model: str,
     texts: Sequence[str],
     expected_dim: Optional[int] = None,
-    timeout: float = DEFAULT_TIMEOUT,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base: float = DEFAULT_BACKOFF_BASE,
-    backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
-    max_batch: int = DEFAULT_MAX_BATCH,
 ) -> list[np.ndarray]:
     """POST one batch to ``{endpoint}/embed`` and validate the response.
 
     Transport failures (connection errors, timeouts) are retried with
-    exponential backoff up to ``max_attempts`` total attempts; protocol errors
-    (bad status, malformed JSON, dimension mismatch) are surfaced immediately
-    as distinct exception types. ``requests`` is imported here, on first
-    use, rather than with the module.
+    exponential backoff up to ``HTTP_MAX_ATTEMPTS`` total attempts; protocol
+    errors (bad status, malformed JSON, dimension mismatch) are surfaced
+    immediately as distinct exception types. ``requests`` is imported here,
+    on first use, rather than with the module.
     """
     import requests
 
     if len(texts) == 0:
         raise DataError("http_embed requires at least one text")
-    if len(texts) > max_batch:
-        raise ConfigError(f"batch of {len(texts)} exceeds max batch size {max_batch}")
+    if len(texts) > HTTP_MAX_BATCH:
+        raise ConfigError(f"batch of {len(texts)} exceeds max batch size {HTTP_MAX_BATCH}")
     url = endpoint.rstrip("/") + "/embed"
     body = {"model": model, "texts": list(texts)}
 
     last_exc: Optional[Exception] = None
     response = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, HTTP_MAX_ATTEMPTS + 1):
         try:
-            response = requests.post(url, json=body, timeout=timeout)
+            response = requests.post(url, json=body, timeout=HTTP_TIMEOUT)
             break
         except requests.Timeout as exc:
             last_exc = ProviderTimeoutError(f"embed request to {url} timed out: {exc}")
         except requests.RequestException as exc:
             last_exc = ProviderError(f"embed request to {url} failed: {exc}")
-        if attempt < max_attempts:
-            delay = backoff_base * backoff_factor ** (attempt - 1)
+        if attempt < HTTP_MAX_ATTEMPTS:
+            delay = HTTP_BACKOFF_BASE * HTTP_BACKOFF_FACTOR ** (attempt - 1)
             logger.warning(
                 "embed request attempt %d/%d failed, retrying in %.3fs",
                 attempt,
-                max_attempts,
+                HTTP_MAX_ATTEMPTS,
                 delay,
             )
             time.sleep(delay)

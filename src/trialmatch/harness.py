@@ -241,10 +241,17 @@ class PipelineSpec:
         return f"{self.classifier}{suffix}"
 
     def stages(self) -> tuple[str, ...]:
-        base = ("chunk", "embed", "retrieve", "prompt", "encode")
-        if self.dimred is not None:
-            return base + ("dimred", "pool", "classify")
-        return base + ("pool", "classify")
+        """The stages a run of this variant goes through, in order. An http
+        provider's rows are its selected chunk vectors, so no prompt is built
+        or encoded; hidden-axis compression projects the pooled vectors."""
+        encode = ("prompt", "encode") if self.provider.kind == "mock" else ()
+        if self.dimred is None:
+            reduce = ("pool",)
+        elif self.dimred.axis == "sequence":
+            reduce = ("dimred", "pool")
+        else:
+            reduce = ("pool", "dimred")
+        return ("chunk", "embed", "retrieve", *encode, *reduce, "classify")
 
 
 @dataclass(frozen=True)
@@ -902,6 +909,17 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
 # Outputs
 # ---------------------------------------------------------------------------
 
+def make_output_dir(path: str | Path) -> Path:
+    """Create the directory ``path`` and its parents; a path that cannot be
+    a directory is a ``DataError`` that names it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def write_outputs(
     results: Sequence[RunResult],
     output_dir: str | Path,
@@ -915,12 +933,7 @@ def write_outputs(
     adds the resolved config and its hash, and lists each run as its
     ``RunResult`` fields in field order.
     """
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from exc
-
+    out = make_output_dir(output_dir)
     csv_path = out / "results.csv"
     with csv_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

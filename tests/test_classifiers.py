@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -448,15 +451,30 @@ def tied_problem():
     return X, y
 
 
-def tree_digest(root) -> str:
-    """sha256 over (feature, threshold, prob, n) of every node, pre-order."""
-    digest = hashlib.sha256()
-    stack = [root]
+def is_leaf(forest, i) -> bool:
+    return forest.left[i] == i
+
+
+def tree_nodes(forest, root) -> list[int]:
+    """The node indices of the tree at ``root``, pre-order."""
+    order, stack = [], [int(root)]
     while stack:
-        node = stack.pop()
-        digest.update(repr((node.feature, node.threshold, node.prob, node.n)).encode())
-        if not node.is_leaf:
-            stack.extend((node.right, node.left))
+        i = stack.pop()
+        order.append(i)
+        if not is_leaf(forest, i):
+            stack.extend((int(forest.right[i]), int(forest.left[i])))
+    return order
+
+
+def tree_digest(forest, root) -> str:
+    """sha256 over (feature, threshold, prob, n) of every node, pre-order; a
+    leaf's feature and threshold read None."""
+    digest = hashlib.sha256()
+    for i in tree_nodes(forest, root):
+        split = (None, None)
+        if not is_leaf(forest, i):
+            split = (int(forest.feature[i]), float(forest.threshold[i]))
+        digest.update(repr((*split, float(forest.prob[i]), int(forest.n[i]))).encode())
     return digest.hexdigest()
 
 
@@ -534,7 +552,8 @@ class TestBestSplit:
     )
     def test_tree_matches_recorded_digest(self, min_leaf, expected):
         X, y = tied_problem()
-        assert tree_digest(train_tree(X, y, max_depth=12, min_leaf=min_leaf).root) == expected
+        tree = train_tree(X, y, max_depth=12, min_leaf=min_leaf)
+        assert tree_digest(tree, tree.roots[0]) == expected
 
     @pytest.mark.parametrize(
         "min_leaf, expected",
@@ -546,7 +565,7 @@ class TestBestSplit:
     def test_forest_matches_recorded_digest(self, min_leaf, expected):
         X, y = tied_problem()
         forest = train_forest(X, y, n_trees=8, seed=21, max_depth=12, min_leaf=min_leaf)
-        joined = "".join(tree_digest(tree.root) for tree in forest.trees)
+        joined = "".join(tree_digest(forest, root) for root in forest.roots)
         assert hashlib.sha256(joined.encode()).hexdigest() == expected
 
     # Recorded with the grower that copied each node's rows, before nodes
@@ -559,18 +578,25 @@ class TestBestSplit:
                 forest = train_forest(
                     X, y, n_trees=6, seed=33, max_depth=max_depth, min_leaf=min_leaf
                 )
-                parts.extend(tree_digest(tree.root) for tree in forest.trees)
+                parts.extend(tree_digest(forest, root) for root in forest.roots)
         assert hashlib.sha256("".join(parts).encode()).hexdigest() == (
             "65c30571b74a4649e6bfaa1065ce5a9d4366950cdd8b9712ced44fd0b4e9a720"
         )
 
 
-def walk(root, x) -> float:
-    """The leaf probability of one row, by walking the tree from the root."""
-    node = root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.prob
+def walk(forest, root, x) -> float:
+    """The leaf probability of one row, by walking the tree from its root and
+    comparing with a Python float threshold."""
+    i = root
+    while not is_leaf(forest, i):
+        below = x[forest.feature[i]] < float(forest.threshold[i])
+        i = forest.left[i] if below else forest.right[i]
+    return forest.prob[i]
+
+
+def one_tree(forest, k):
+    """The forest's ``k``-th tree as a forest of one over the same table."""
+    return replace(forest, roots=forest.roots[k : k + 1])
 
 
 class TestTreesAndForests:
@@ -586,9 +612,10 @@ class TestTreesAndForests:
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         tree = train_tree(X, y, max_depth=5)
-        assert tree.root.feature == 0
-        assert tree.root.threshold == pytest.approx(0.0)
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        root = tree.roots[0]
+        assert tree.feature[root] == 0
+        assert tree.threshold[root] == pytest.approx(0.0)
+        assert is_leaf(tree, tree.left[root]) and is_leaf(tree, tree.right[root])
         preds = (predict_proba(tree, X) >= 0.5).astype(float)
         assert (preds == y).mean() == 1.0
 
@@ -619,7 +646,7 @@ class TestTreesAndForests:
                 continue
             tree = train_tree(X, y, max_depth=1)
             expected = oracle(y)
-            assert tree.root.threshold == pytest.approx(expected[1])
+            assert tree.threshold[tree.roots[0]] == pytest.approx(expected[1])
 
     def test_depth_and_leaf_limits(self):
         rng = np.random.default_rng(4)
@@ -627,15 +654,15 @@ class TestTreesAndForests:
         y = (X[:, 0] + 0.3 * rng.standard_normal(200) > 0).astype(float)
         tree = train_tree(X, y, max_depth=3, min_leaf=10)
 
-        def walk(node, depth=0):
+        def walk(i, depth=0):
             assert depth <= 3
-            if node.is_leaf:
-                assert node.n >= 10 or depth == 0
+            if is_leaf(tree, i):
+                assert tree.n[i] >= 10 or depth == 0
                 return
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
+            walk(tree.left[i], depth + 1)
+            walk(tree.right[i], depth + 1)
 
-        walk(tree.root)
+        walk(tree.roots[0])
 
     def test_forest_probability_is_tree_mean(self):
         rng = np.random.default_rng(6)
@@ -643,7 +670,7 @@ class TestTreesAndForests:
         y = (X[:, 0] > 0).astype(float)
         forest = train_forest(X, y, n_trees=5, seed=2)
         probe = rng.standard_normal((10, 3))
-        stacked = np.stack([predict_proba(t, probe) for t in forest.trees])
+        stacked = np.stack([predict_proba(one_tree(forest, k), probe) for k in range(5)])
         assert np.allclose(predict_proba(forest, probe), stacked.mean(axis=0), atol=1e-12)
 
     def test_forest_prediction_matches_a_per_row_walk(self):
@@ -651,28 +678,27 @@ class TestTreesAndForests:
         forest = train_forest(X, y, n_trees=7, seed=8, max_depth=6, min_leaf=2)
         probe = np.vstack([X[:40], np.random.default_rng(9).standard_normal((60, 40))])
         expected = np.zeros(probe.shape[0])
-        for tree in forest.trees:
-            walked = np.array([walk(tree.root, x) for x in probe])
-            assert np.array_equal(predict_proba(tree, probe), walked)
+        for k, root in enumerate(forest.roots):
+            walked = np.array([walk(forest, root, x) for x in probe])
+            assert np.array_equal(predict_proba(one_tree(forest, k), probe), walked)
             expected += walked
-        assert np.array_equal(predict_proba(forest, probe), expected / len(forest.trees))
+        assert np.array_equal(predict_proba(forest, probe), expected / len(forest.roots))
 
     def test_float32_rows_compare_in_float32_like_a_per_row_walk(self):
         # Rows set to each threshold rounded to float32 fall on the side a
         # float32 comparison puts them, not the side float64 would.
         X, y = tied_problem()
         tree = train_tree(X + np.random.default_rng(4).standard_normal(X.shape) * 1e-3, y, max_depth=5)
-        splits, stack = [], [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                splits.append((node.feature, node.threshold))
-                stack += (node.left, node.right)
+        splits = [
+            (tree.feature[i], tree.threshold[i])
+            for i in tree_nodes(tree, tree.roots[0])
+            if not is_leaf(tree, i)
+        ]
         probe = np.repeat(X[:1], len(splits), axis=0).astype(np.float32)
         for i, (feature, threshold) in enumerate(splits):
             probe[i, feature] = threshold
         probe = np.vstack([probe, X.astype(np.float32)])
-        walked = np.array([walk(tree.root, x) for x in probe])
+        walked = np.array([walk(tree, tree.roots[0], x) for x in probe])
         assert np.array_equal(predict_proba(tree, probe), walked)
 
     def test_forest_deterministic(self):
@@ -683,6 +709,24 @@ class TestTreesAndForests:
         a = predict_proba(train_forest(X, y, n_trees=4, seed=3), probe)
         b = predict_proba(train_forest(X, y, n_trees=4, seed=3), probe)
         assert np.array_equal(a, b)
+
+    def test_a_fit_keeps_no_feature_matrix_alive(self):
+        # Held without the garbage collector: a grower that is a reference
+        # cycle keeps the transposed features until a collection.
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((400, 128))
+        y = (X[:, 0] > 0).astype(float)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = train_tree(X, y)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert tree.n[tree.roots[0]] == 400
+        assert kept < X.nbytes
 
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))

@@ -176,6 +176,23 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert err.startswith("data error: ") and "at least 2 trials" in err
 
+    @pytest.mark.parametrize("command", ["run", "synth", "retrieve"])
+    def test_output_path_under_a_file_exits_2(self, tmp_path, capsys, dataset_files, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n", encoding="utf-8")
+        target = blocker / "out"
+        if command == "run":
+            obj = {"task": "task1", "output_dir": str(target)}
+            argv = ["run", "--config", write_config(tmp_path, obj)]
+        elif command == "synth":
+            argv = ["synth", "--out", str(target)]
+        else:
+            argv = [*retrieve_argv(*dataset_files), "--audit", str(target / "audit.csv")]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(f"data error: cannot create output directory {target}: ")
+        assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
     def test_eval_length_mismatch_exits_2(self, tmp_path, capsys):
         labels = tmp_path / "labels.txt"
         scores = tmp_path / "scores.txt"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trialmatch import embedding
 from trialmatch.embedding import (
     _INITIAL_TABLE_ROWS,
     _token_vector,
@@ -171,7 +172,7 @@ class TestEmbedTokens:
             assert np.allclose(pooled, direct, atol=1e-9)
 
     def test_unsupported_provider(self):
-        provider = HttpProvider("http://127.0.0.1:9", model="m", dim=4, max_attempts=1)
+        provider = HttpProvider("http://127.0.0.1:9", model="m", dim=4)
         with pytest.raises(ConfigError):
             embed_tokens(provider, "x")
 
@@ -205,32 +206,38 @@ class TestHttpEmbed:
         with pytest.raises(ProviderResponseError):
             http_embed(embed_server.url, "m", ["a"])
 
-    def test_retries_then_success(self, embed_server, caplog):
+    def test_retries_then_success(self, embed_server, caplog, monkeypatch):
+        monkeypatch.setattr(embedding, "HTTP_BACKOFF_BASE", 0.01)
         embed_server.behavior.update(mode="fail_then_ok", fail_times=2)
         with caplog.at_level("WARNING", logger="trialmatch.embedding"):
-            vectors = http_embed(
-                embed_server.url, "m", ["a"], expected_dim=4, backoff_base=0.01
-            )
+            vectors = http_embed(embed_server.url, "m", ["a"], expected_dim=4)
         assert len(vectors) == 1
         retries = [r for r in caplog.records if "retrying" in r.message]
         assert len(retries) == 2
 
-    def test_retries_exhausted(self, embed_server):
+    def test_retries_exhausted(self, embed_server, monkeypatch):
+        monkeypatch.setattr(embedding, "HTTP_BACKOFF_BASE", 0.01)
+        monkeypatch.setattr(embedding, "HTTP_MAX_ATTEMPTS", 2)
         embed_server.behavior.update(mode="fail_then_ok", fail_times=99)
         with pytest.raises(ProviderError):
-            http_embed(embed_server.url, "m", ["a"], backoff_base=0.01, max_attempts=2)
+            http_embed(embed_server.url, "m", ["a"])
+        assert embed_server.calls["count"] == 2
 
-    def test_timeout(self, embed_server):
+    def test_timeout(self, embed_server, monkeypatch):
+        monkeypatch.setattr(embedding, "HTTP_TIMEOUT", 0.05)
+        monkeypatch.setattr(embedding, "HTTP_MAX_ATTEMPTS", 1)
         embed_server.behavior["delay"] = 0.5
         with pytest.raises(ProviderTimeoutError):
-            http_embed(embed_server.url, "m", ["a"], timeout=0.05, max_attempts=1)
+            http_embed(embed_server.url, "m", ["a"])
 
-    def test_batch_limit(self, embed_server):
+    def test_batch_limit(self, embed_server, monkeypatch):
+        monkeypatch.setattr(embedding, "HTTP_MAX_BATCH", 2)
         with pytest.raises(ConfigError):
-            http_embed(embed_server.url, "m", ["a", "b", "c"], max_batch=2)
+            http_embed(embed_server.url, "m", ["a", "b", "c"])
 
-    def test_provider_batches(self, embed_server):
-        provider = HttpProvider(embed_server.url, model="m", dim=4, max_batch=2)
+    def test_provider_batches(self, embed_server, monkeypatch):
+        monkeypatch.setattr(embedding, "HTTP_MAX_BATCH", 2)
+        provider = HttpProvider(embed_server.url, model="m", dim=4)
         vectors = provider.embed_texts(["a", "b", "c", "d", "e"])
         assert len(vectors) == 5
         # 5 texts at batch size 2 -> 3 round trips

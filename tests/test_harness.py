@@ -188,6 +188,35 @@ class TestArms:
         assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16] == digest
 
 
+RETRIEVE = ("chunk", "embed", "retrieve")
+HTTP = harness.ProviderSpec(kind="http", model="m", endpoint="http://127.0.0.1:9")
+
+
+@pytest.mark.parametrize(
+    "spec, stages",
+    [
+        (PipelineSpec(), (*RETRIEVE, "prompt", "encode", "pool", "classify")),
+        (
+            PipelineSpec(dimred=DimRedConfig()),
+            (*RETRIEVE, "prompt", "encode", "dimred", "pool", "classify"),
+        ),
+        # Hidden-axis compression projects the vectors the feature pass pooled.
+        (
+            PipelineSpec(dimred=DimRedConfig(axis="hidden", n_components=16)),
+            (*RETRIEVE, "prompt", "encode", "pool", "dimred", "classify"),
+        ),
+        # An http provider's rows are chunk vectors: no prompt is built.
+        (PipelineSpec(provider=HTTP), (*RETRIEVE, "pool", "classify")),
+        (
+            PipelineSpec(provider=HTTP, dimred=DimRedConfig()),
+            (*RETRIEVE, "dimred", "pool", "classify"),
+        ),
+    ],
+)
+def test_stages_are_the_ones_a_run_goes_through(spec, stages):
+    assert spec.stages() == stages
+
+
 class TestHttpFeatures:
     """A provider without token matrices hands the variants the selected
     chunks' own vectors."""
@@ -812,3 +841,27 @@ class TestTask3:
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_USAGE
         assert "variant 'hidden-32'" in capsys.readouterr().err
         assert fits == []
+
+
+# sha256 of results.csv from a tiny run of each task, recorded before trees
+# and forests became one node table (NumPy 2.4, x86_64): a change that keeps
+# every reported number keeps these bytes.
+RESULTS_DIGESTS = {
+    "task1": "81849329f19640c0f54c5f3be1ce270807ef645ad2b2def05638f53f209344cc",
+    "task2": "ff38a84c85c680a3a5c30a56e552cf2c436f13b97462195d4afd8fa91f4fd827",
+    "task3": "a6b0e442bc28d4db432c2514cdf27058201296429802ec1250d73ab4c141f5e5",
+    "task4": "a66e8d91054a171d967cc2087471058433e3f937b1e05c1ade9eec85e992eb7f",
+    "task5": "c2eff43598ad746c54ee7c4dadb2b90fcaf6c39cf1827488a04c8410320e1063",
+    "task6": "7974f2af5967bd27fda0ae75b59b1392acefeee0c9421133f82849b3424bcf6c",
+}
+
+
+@pytest.mark.parametrize("task", harness.TASKS)
+def test_results_csv_matches_recorded_digest(tmp_path, capsys, task):
+    if task == "task3":
+        obj = TestTask3().config(TestTask3.CORPUS)
+    else:
+        obj = tiny_config(task, tmp_path)
+    code, csv_bytes = run_cli(obj, tmp_path / "out", capsys)
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(csv_bytes).hexdigest() == RESULTS_DIGESTS[task]
