@@ -148,13 +148,17 @@ def _init_params(
 def _forward_stack(
     weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], X: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns (layer activations incl. input, output probabilities)."""
+    """Returns (layer activations incl. input, output probabilities). The
+    bias and the rectifier act in place on each layer's product."""
     activations = [X]
     a = X
     for i in range(len(weights) - 1):
-        a = np.maximum(a @ weights[i] + biases[i], 0.0)
+        a = a @ weights[i]
+        a += biases[i]
+        np.maximum(a, 0.0, out=a)
         activations.append(a)
-    z = a @ weights[-1] + biases[-1]
+    z = a @ weights[-1]
+    z += biases[-1]
     return activations, _sigmoid(z[:, 0])
 
 
@@ -171,14 +175,16 @@ def _backward_stack(
 
     Returns dLoss/dInput when ``input_grad`` is set, else None. The
     probability clamp lives in the loss value only, so the gradient keeps
-    flowing at saturated outputs.
+    flowing at saturated outputs. Every delta is a C-contiguous product, so
+    the bias-gradient reduction sums in one fixed order.
     """
     delta = (probs - y)[:, None]
     for i in reversed(range(len(weights))):
         np.matmul(activations[i].T, delta, out=grads_w[i])
-        np.sum(delta, axis=0, out=grads_b[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ weights[i].T) * (activations[i] > 0)
+            delta = delta @ weights[i].T
+            delta *= activations[i] > 0
     return delta @ weights[0].T if input_grad else None
 
 
@@ -373,9 +379,11 @@ def _train_core(
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng_shuffle.permutation(n)
+        # One gather per epoch; each batch is a contiguous slice of it.
+        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            Xb, yb = X[idx], y[idx]
+            Xb = X_epoch[start : start + config.batch_size]
+            yb = y_epoch[start : start + config.batch_size]
             activations, probs = _forward_stack(weights, biases, transform(Xb))
             input_delta = _backward_stack(
                 weights, activations, probs, yb, grads_w, grads_b, adapter is not None

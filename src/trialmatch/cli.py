@@ -8,9 +8,13 @@ Subcommands:
   eval      compute metrics from a label file and a score file
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (an output path
-that cannot be written among them), 3 runtime/provider error. Every
-subcommand prints its config hash, and the seeded ones their resolved seed,
-so runs can be replayed byte-for-byte; pass --json for machine-readable
+that cannot be written among them), 3 runtime/provider error. A config error
+comes from building the config, so ``run`` rejects a bad config before it
+creates the output directory or reads a dataset; ``run_task`` raises only
+data errors and the few config errors that need the data (see ``harness``).
+
+Every subcommand prints its config hash, and the seeded ones their resolved
+seed, so runs can be replayed byte-for-byte; pass --json for machine-readable
 stdout.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -34,6 +39,7 @@ from .corpus import (
     generate_synthetic,
     load_dataset,
     write_dataset,
+    write_file,
 )
 from .embedding import DEFAULT_MOCK_DIM, ENDPOINT_ENV_VAR
 from .errors import (
@@ -267,12 +273,13 @@ def _cmd_retrieve(args) -> int:
     if args.audit:
         audit_path = Path(args.audit)
         make_output_dir(audit_path.parent)
-        with audit_path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(
-                ["patient_id", "chunk_id", "criterion_id", "cosine", "aggregate", "selected"]
-            )
-            writer.writerows(audit)
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        writer.writerow(
+            ["patient_id", "chunk_id", "criterion_id", "cosine", "aggregate", "selected"]
+        )
+        writer.writerows(audit)
+        write_file(audit_path, table.getvalue())
         lines.append(f"audit written to {audit_path} ({len(audit)} rows)")
 
     payload = {

@@ -354,17 +354,36 @@ def dataset_to_jsonl(dataset: Dataset) -> tuple[str, str]:
     return patients, trials
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF line endings; a path that
+    cannot be written is a ``DataError`` that names it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def write_dataset(dataset: Dataset, patients_path: str | Path, trials_path: str | Path) -> None:
     patients, trials = dataset_to_jsonl(dataset)
     Path(patients_path).parent.mkdir(parents=True, exist_ok=True)
     Path(trials_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(patients_path).write_text(patients, encoding="utf-8", newline="\n")
-    Path(trials_path).write_text(trials, encoding="utf-8", newline="\n")
+    write_file(patients_path, patients)
+    write_file(trials_path, trials)
 
 
 # ---------------------------------------------------------------------------
 # Chunking
 # ---------------------------------------------------------------------------
+
+def check_chunking(chunk_size: int, overlap: int) -> None:
+    """The chunking rule: a positive size and an overlap in [0, size)."""
+    if chunk_size <= 0:
+        raise ConfigError("chunk_size must be positive")
+    if overlap < 0:
+        raise ConfigError("overlap must be non-negative")
+    if overlap >= chunk_size:
+        raise ConfigError(f"overlap ({overlap}) must be smaller than chunk_size ({chunk_size})")
+
 
 def chunk_text(
     text: str,
@@ -376,14 +395,10 @@ def chunk_text(
     Consecutive chunks start ``chunk_size - overlap`` tokens apart; the final
     chunk runs to the end of the text even if shorter. Empty text yields an
     empty list. Tokenization is plain whitespace splitting so chunk boundaries
-    are provider-agnostic and reproducible.
+    are provider-agnostic and reproducible. The sizes must pass
+    ``check_chunking``.
     """
-    if chunk_size <= 0:
-        raise ConfigError("chunk_size must be positive")
-    if overlap < 0:
-        raise ConfigError("overlap must be non-negative")
-    if overlap >= chunk_size:
-        raise ConfigError(f"overlap ({overlap}) must be smaller than chunk_size ({chunk_size})")
+    check_chunking(chunk_size, overlap)
     tokens = text.split()
     if not tokens:
         return []

@@ -56,8 +56,13 @@ class ProviderDescriptor:
     supports_token_matrix: bool
 
     def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ConfigError("provider dim must be positive")
+        check_dim(self.dim)
+
+
+def check_dim(dim: int) -> None:
+    """Every provider's dimension rule."""
+    if dim <= 0:
+        raise ConfigError("provider dim must be positive")
 
 
 def _token_seed(token: str, seed: int) -> int:
@@ -87,6 +92,13 @@ def mock_embed(text: str, dim: int = DEFAULT_MOCK_DIM, seed: int = 0) -> np.ndar
     return MockProvider(dim=dim, seed=seed).embed_text(text)
 
 
+def check_mock_dim(dim: int) -> None:
+    """The mock provider's dimension rule: sequence-axis compression of its
+    token matrices needs at least 2 hidden dims."""
+    if dim < 2:
+        raise ConfigError("mock embedding dim must be at least 2")
+
+
 class MockProvider:
     """In-process stand-in for a real embedding model.
 
@@ -97,8 +109,7 @@ class MockProvider:
     """
 
     def __init__(self, dim: int = DEFAULT_MOCK_DIM, seed: int = 0, name: str = "mock"):
-        if dim < 2:
-            raise ConfigError("mock embedding dim must be at least 2")
+        check_mock_dim(dim)
         self.descriptor = ProviderDescriptor(name=name, dim=dim, supports_token_matrix=True)
         self._dim = dim
         self._seed = seed

@@ -22,6 +22,15 @@ dataset, retrieval and encoding run once for each distinct retrieval setting
 (provider, k, chunking, instructions) and each variant reduces that pass's
 token matrices; every variant is then trained and evaluated on every cell.
 
+A config is checked once, when it is built: ``ExperimentConfig`` (with the
+arms of each configured variant), ``PipelineSpec`` and ``ProviderSpec``
+raise every ``ConfigError`` that the config alone decides. ``run_task`` then
+raises data errors, plus one ``ConfigError`` that needs the split: more
+hidden-axis components than a cell's train rows allow. Two checks wait for
+the pass: an http provider's endpoint, a deployment setting looked up when
+the provider is built, and ``pca_mean``'s component range, which
+``pool_pca_mean`` checks against each prompt.
+
 Features are built on one thread, one patient at a time in dataset order.
 """
 
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import time
@@ -58,14 +68,18 @@ from .corpus import (
     SplitSpec,
     SyntheticConfig,
     build_chunks,
+    check_chunking,
     generate_synthetic,
     load_dataset,
     make_split,
+    write_file,
 )
 from .embedding import (
     DEFAULT_MOCK_DIM,
     HttpProvider,
     MockProvider,
+    check_dim,
+    check_mock_dim,
     embed_texts,
     embed_tokens,
 )
@@ -159,6 +173,10 @@ class ProviderSpec:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind == "http" and not self.model:
             raise ConfigError("http provider requires a model name")
+        if self.kind == "mock":
+            check_mock_dim(self.dim)
+        else:
+            check_dim(self.dim)
 
     @property
     def resolved_name(self) -> str:
@@ -232,6 +250,7 @@ class PipelineSpec:
             raise ConfigError("'svm_lr' must be positive")
         if self.svm_lambda < 0:
             raise ConfigError("'svm_lambda' must not be negative")
+        check_chunking(self.chunk_size, self.chunk_overlap)
 
     @property
     def variant_name(self) -> str:
@@ -306,6 +325,13 @@ class ExperimentConfig:
             raise ConfigError("task6 requires a non-empty exclusion sweep")
         if self.threads != 1:
             raise ConfigError("threads must be 1: feature construction runs on one thread")
+        if self.task == "task5" and not self.datasets:
+            raise ConfigError("task5 requires dataset paths in 'datasets'")
+        if self.task != "task5" and self.dataset is None:
+            raise ConfigError(f"{self.task} requires a dataset")
+        _check_unread_keys(self)
+        for base in self.variants:
+            _check_arms(self, base)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -390,14 +416,14 @@ def _compresses_sequence(spec: PipelineSpec) -> bool:
     return spec.dimred is not None and spec.dimred.axis == "sequence"
 
 
-def _feature_width(spec: PipelineSpec, d_hidden: int) -> int:
+def _feature_width(spec: PipelineSpec, d_hidden: int) -> Optional[int]:
     """Width of a variant's feature rows: the pooled width, or d_hidden
-    (plus d_hidden for ``hybrid_last``) under sequence-axis compression."""
+    (plus d_hidden for ``hybrid_last``) under sequence-axis compression.
+    None for ``pca_mean`` pooling without ``pooling_components``, which
+    config loading rejects."""
     if spec.pooling == "hybrid_last":
         return 2 * d_hidden
     if spec.pooling == "pca_mean" and not _compresses_sequence(spec):
-        if spec.pooling_components is None:
-            raise ConfigError("pooling 'pca_mean' requires pooling_components")
         return spec.pooling_components
     return d_hidden
 
@@ -636,20 +662,18 @@ def _check_split(
     spec: PipelineSpec, features: FeatureSet, train_ids: set[str], test_ids: set[str]
 ) -> None:
     """Reject a cell the variant cannot be trained on: an empty train or test
-    side after skips, or more hidden-axis components than its train rows and
-    feature width allow."""
+    side after skips, or more hidden-axis components than its train rows
+    allow (config loading has checked them against the feature width)."""
     train_rows = sum(pid in train_ids for pid in features.ids)
     if not train_rows or not any(pid in test_ids for pid in features.ids):
         raise DataError("split leaves an empty train or test side after skips")
     if spec.dimred is not None and spec.dimred.axis == "hidden":
         n = spec.dimred.resolved_components
-        width = features.X.shape[1]
-        bound = min(train_rows - 1, width)
-        if n > bound:
+        if n > train_rows - 1:
             raise ConfigError(
                 f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
-                f"components needs more data (max {bound} for {train_rows} train "
-                f"rows x {width} dims)"
+                f"components needs more data (max {train_rows - 1} for {train_rows} "
+                f"train rows x {features.X.shape[1]} dims)"
             )
 
 
@@ -783,9 +807,9 @@ def _arms(config: ExperimentConfig, base: PipelineSpec) -> list[dict]:
     ]
 
 
-def _variants(config: ExperimentConfig) -> list[list[PipelineSpec]]:
-    """For each configured variant, its arms."""
-    return [[replace(base, **arm) for arm in _arms(config, base)] for base in config.variants]
+def _variants(config: ExperimentConfig) -> list[PipelineSpec]:
+    """Every configured variant's arms, in output order."""
+    return [replace(base, **arm) for base in config.variants for arm in _arms(config, base)]
 
 
 def _cells(
@@ -823,19 +847,32 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
             raise ConfigError(f"{key!r} is read by no {task} run; {reason}")
 
 
-def _check_adapter_dim(config: ExperimentConfig, groups: Sequence[list[PipelineSpec]]) -> None:
-    """Reject an ``adapter_dim`` that no run reads: only an ``mlp`` with
-    ``adapter_mode: "adapter"`` has an adapter. ``groups`` holds each
-    configured variant's arms (task4's ``:adapter`` arms among them)."""
-    for configured, group in zip(config.variants, groups):
-        if configured.adapter_dim is not None and not any(
-            spec.classifier == "mlp" and spec.adapter_mode == "adapter" for spec in group
-        ):
-            raise ConfigError(
-                f"'adapter_dim' in variant {configured.variant_name!r} is read by no "
-                f"{config.task} run; only classifier 'mlp' with adapter_mode "
-                "'adapter' trains an adapter"
-            )
+def _check_arms(config: ExperimentConfig, base: PipelineSpec) -> None:
+    """Reject what the arms built from the configured variant ``base`` cannot
+    run: an ``adapter_dim`` that no arm reads (only an ``mlp`` with
+    ``adapter_mode: "adapter"`` has an adapter; task4 builds such arms), a
+    ``pca_mean`` pooling without its width, or more hidden-axis components
+    than an arm's feature width."""
+    arms = [replace(base, **arm) for arm in _arms(config, base)]
+    if base.adapter_dim is not None and not any(
+        spec.classifier == "mlp" and spec.adapter_mode == "adapter" for spec in arms
+    ):
+        raise ConfigError(
+            f"'adapter_dim' in variant {base.variant_name!r} is read by no "
+            f"{config.task} run; only classifier 'mlp' with adapter_mode "
+            "'adapter' trains an adapter"
+        )
+    for spec in arms:
+        width = _feature_width(spec, spec.provider.dim)
+        if width is None:
+            raise ConfigError("pooling 'pca_mean' requires pooling_components")
+        if spec.dimred is not None and spec.dimred.axis == "hidden":
+            n = spec.dimred.resolved_components
+            if n > width:
+                raise ConfigError(
+                    f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
+                    f"components exceeds its feature width ({width} dims)"
+                )
 
 
 def run_task(config: ExperimentConfig) -> list[RunResult]:
@@ -845,15 +882,8 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
     Every cell is split and checked against every variant before the first
     model is trained.
     """
-    if config.task == "task5" and not config.datasets:
-        raise ConfigError("task5 requires dataset paths in 'datasets'")
-    if config.task != "task5" and config.dataset is None:
-        raise ConfigError(f"{config.task} requires a dataset")
     sources = config.datasets if config.task == "task5" else (config.dataset,)
-    _check_unread_keys(config)
-    groups = _variants(config)
-    _check_adapter_dim(config, groups)
-    variants = [spec for group in groups for spec in group]
+    variants = _variants(config)
     log_path = str(Path(config.output_dir) / "run.log") if config.output_dir else None
     results: list[RunResult] = []
 
@@ -934,13 +964,13 @@ def write_outputs(
     ``RunResult`` fields in field order.
     """
     out = make_output_dir(output_dir)
-    csv_path = out / "results.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(KEY_COLUMNS + CSV_COLUMNS)
-        for r in results:
-            keys = (getattr(r, name) for name in KEY_COLUMNS)
-            writer.writerow([csv_cell(v) for v in (*keys, *astuple(r.report))])
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(KEY_COLUMNS + CSV_COLUMNS)
+    for r in results:
+        keys = (getattr(r, name) for name in KEY_COLUMNS)
+        writer.writerow([csv_cell(v) for v in (*keys, *astuple(r.report))])
+    write_file(out / "results.csv", table.getvalue())
 
     resolved = None if config is None else asdict(config)
     manifest = {
@@ -950,7 +980,5 @@ def write_outputs(
         "files": ["results.csv", "manifest.json"],
         "runs": [asdict(r) for r in results],
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_file(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return manifest

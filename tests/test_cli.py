@@ -10,11 +10,15 @@ import pytest
 import trialmatch
 from trialmatch import cli, harness
 from trialmatch.corpus import load_dataset
+from trialmatch.errors import ConfigError
 
 
 def run_cli(argv, capsys) -> tuple[int, str]:
     code = cli.main(argv)
     return code, capsys.readouterr().err
+
+
+TINY_DATASET = {"synthetic": {"n_trials": 2, "patients_per_trial": 20}, "seed": 5}
 
 
 def write_config(tmp_path, obj) -> str:
@@ -57,7 +61,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("threads", ["0", "2"])
     def test_threads_other_than_1_exits_1(self, tmp_path, capsys, threads):
-        path = write_config(tmp_path, {"task": "task1"})
+        path = write_config(tmp_path, {"task": "task1", "dataset": TINY_DATASET})
         code, err = run_cli(["run", "--config", path, "--threads", threads], capsys)
         assert code == cli.EXIT_USAGE
         assert err == "error: threads must be 1: feature construction runs on one thread\n"
@@ -111,14 +115,16 @@ class TestExitCodes:
         monkeypatch.setattr(harness, "_compute_features_multi", counting)
         obj = {
             "task": "task1",
-            "dataset": {"synthetic": {"n_trials": 2, "patients_per_trial": 20}, "seed": 5},
+            "dataset": TINY_DATASET,
             "variants": [{"train": {"max_epochs": 5}, "adapter_dim": 8}],
             "output_dir": str(tmp_path / "out"),
         }
+        with pytest.raises(ConfigError, match="^'adapter_dim' in variant 'mlp' is read by no"):
+            harness.ExperimentConfig.from_dict(obj)
         code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
         assert code == cli.EXIT_USAGE
         assert err.startswith("error: ") and "'adapter_dim'" in err
-        assert passes == []
+        assert passes == [] and not (tmp_path / "out").exists()
         # task4 builds its ':adapter' arms from the configured variant.
         obj["task"] = "task4"
         code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
@@ -182,7 +188,7 @@ class TestExitCodes:
         blocker.write_text("a regular file\n", encoding="utf-8")
         target = blocker / "out"
         if command == "run":
-            obj = {"task": "task1", "output_dir": str(target)}
+            obj = {"task": "task1", "dataset": TINY_DATASET, "output_dir": str(target)}
             argv = ["run", "--config", write_config(tmp_path, obj)]
         elif command == "synth":
             argv = ["synth", "--out", str(target)]
@@ -192,6 +198,28 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert err.startswith(f"data error: cannot create output directory {target}: ")
         assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
+    @pytest.mark.parametrize("command", ["run", "synth", "retrieve"])
+    def test_output_file_that_is_a_directory_exits_2(
+        self, tmp_path, capsys, dataset_files, command
+    ):
+        out = tmp_path / "out"
+        if command == "run":
+            target = out / "results.csv"
+            obj = {"task": "task1", "dataset": TINY_DATASET, "output_dir": str(out)}
+            obj["variants"] = [{"train": {"max_epochs": 2}}]
+            argv = ["run", "--config", write_config(tmp_path, obj)]
+        elif command == "synth":
+            target = out / "patients.jsonl"
+            argv = ["synth", "--out", str(out), "--trials", "2", "--patients", "10"]
+        else:
+            target = out
+            argv = [*retrieve_argv(*dataset_files), "--audit", str(target)]
+        target.mkdir(parents=True)
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(f"data error: cannot write {target}: ")
+        assert list(target.iterdir()) == []
 
     def test_eval_length_mismatch_exits_2(self, tmp_path, capsys):
         labels = tmp_path / "labels.txt"

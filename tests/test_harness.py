@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 from collections import Counter
 from dataclasses import asdict
 
@@ -39,11 +40,11 @@ class TestConfigLoading:
     def test_round_trip(self):
         config = ExperimentConfig.from_dict(
             {
-                "task": "task6",
+                "task": "task2",
                 "dataset": {"name": "s", "synthetic": {"n_trials": 3}, "seed": 4},
                 "variants": [{"dimred": {"axis": "hidden"}, "train": {"max_epochs": 5}}],
                 "split": {"test_fraction": 0.3},
-                "providers": [{"kind": "mock", "dim": 64}],
+                "providers": [{"kind": "mock", "dim": 128}],
             }
         )
         assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
@@ -115,7 +116,12 @@ class TestConfigLoading:
 
     def test_int_is_read_as_float(self):
         config = ExperimentConfig.from_dict(
-            {"task": "task6", "variants": [{"svm_lambda": 1}], "exclusions": [1, 0.5]}
+            {
+                "task": "task6",
+                "dataset": {"synthetic": {}},
+                "variants": [{"svm_lambda": 1}],
+                "exclusions": [1, 0.5],
+            }
         )
         assert type(config.variants[0].svm_lambda) is float
         assert config.variants[0].svm_lambda == 1.0
@@ -178,8 +184,8 @@ class TestArms:
     )
     def test_arms_are_unchanged(self, task, base, providers, names, digest):
         obj = {"task": task, "variants": [base], "providers": providers}
-        config = ExperimentConfig.from_dict(obj)
-        (specs,) = harness._variants(config)
+        config = ExperimentConfig.from_dict({**obj, "dataset": {"synthetic": {}}})
+        specs = harness._variants(config)
         pairs = [
             (spec.variant_name, harness._spec_hash(spec, "tiny", config.modality, config.split))
             for spec in specs
@@ -309,6 +315,12 @@ def run_and_write(config: ExperimentConfig, out) -> tuple[bytes, dict]:
     return (out / "results.csv").read_bytes(), manifest
 
 
+def task_arms(task: str) -> list[PipelineSpec]:
+    """The arms of ``task`` built from the default variant."""
+    source = harness.DatasetSource(synthetic=SyntheticConfig(**TINY_CORPUS))
+    return harness._variants(ExperimentConfig(task=task, dataset=source))
+
+
 def feature_pass_dataset() -> Dataset:
     """The tiny corpus plus a patient with no notes, which an unstructured
     pass skips as ``no_chunks``, and one with a prompt shorter than 64
@@ -357,13 +369,13 @@ class TestFeaturePass:
 
     @pytest.mark.parametrize("task", sorted(DIGESTS))
     def test_feature_sets_match_recorded_digests(self, task):
-        (specs,) = harness._variants(ExperimentConfig(task=task))
+        specs = task_arms(task)
         dataset = feature_pass_dataset()
         feature_sets = _compute_features_multi(specs, dataset, "unstructured")
         assert [feature_set_digest(f) for f in feature_sets] == self.DIGESTS[task]
 
     def test_skips_are_exercised(self):
-        (specs,) = harness._variants(ExperimentConfig(task="task3"))
+        specs = task_arms("task3")
         dataset = feature_pass_dataset()
         short = PatientEncoder(PipelineSpec(), dataset, "unstructured").token_matrix(
             dataset.patients[-1]
@@ -377,7 +389,7 @@ class TestFeaturePass:
             assert features.X.shape == (41, 256 if spec.name == "hybrid" else 128)
 
     def test_one_skip_warning_per_pass(self, caplog):
-        (specs,) = harness._variants(ExperimentConfig(task="task1"))
+        specs = task_arms("task1")
         with caplog.at_level(logging.WARNING, logger="trialmatch.harness"):
             _compute_features_multi(specs, feature_pass_dataset(), "unstructured")
         warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
@@ -666,6 +678,86 @@ class TestOtherTasks:
             assert first == rerun
 
 
+def no_data(monkeypatch) -> None:
+    """Fail the test if anything reads a dataset or encodes a prompt."""
+
+    def no_load(source):
+        pytest.fail(f"dataset {source.name!r} was loaded")
+
+    def no_encode(provider, text):
+        pytest.fail("a prompt was encoded")
+
+    monkeypatch.setattr(harness.DatasetSource, "load", no_load)
+    monkeypatch.setattr(harness, "embed_tokens", no_encode)
+
+
+class TestConfigChecks:
+    """A config that cannot run fails when it is built. Each of these was
+    caught only after a dataset was loaded."""
+
+    # case -> (task, top-level keys, keys of the variant that breaks, message);
+    # task5's second variant breaks, other tasks' only one.
+    CASES = {
+        "task2-mock-dim-1": (
+            "task2",
+            {"providers": [{"kind": "mock", "dim": 16}, {"kind": "mock", "dim": 1}]},
+            {},
+            "mock embedding dim must be at least 2",
+        ),
+        "task5-overlap": (
+            "task5",
+            {},
+            {"chunk_overlap": 256},
+            r"overlap \(256\) must be smaller than chunk_size \(256\)",
+        ),
+        "task5-pca-mean": (
+            "task5",
+            {},
+            {"pooling": "pca_mean"},
+            "pooling 'pca_mean' requires pooling_components",
+        ),
+        "task1-http-dim-0": (
+            "task1",
+            {},
+            {"provider": {"kind": "http", "model": "m", "dim": 0}},
+            "provider dim must be positive",
+        ),
+        "task3-dim-64": (
+            "task3",
+            {},
+            {"provider": {"dim": 64}},
+            r"variant 'hidden-128': hidden-axis compression to 128 components "
+            r"exceeds its feature width \(64 dims\)",
+        ),
+    }
+
+    def config(self, case: str, tmp_path) -> dict:
+        task, keys, variant, _ = self.CASES[case]
+        obj = {**tiny_config(task, tmp_path), **keys}
+        base = obj["variants"][0]
+        broken = {**base, **variant}
+        obj["variants"] = [base, broken] if task == "task5" else [broken]
+        return obj
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_by_config_loading(self, tmp_path, monkeypatch, case):
+        no_data(monkeypatch)
+        with pytest.raises(ConfigError, match=f"^{self.CASES[case][-1]}$"):
+            ExperimentConfig.from_dict(self.config(case, tmp_path))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_exits_1_and_creates_no_output_directory(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        no_data(monkeypatch)
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        obj = {**self.config(case, tmp_path), "output_dir": str(out)}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_USAGE
+        assert re.fullmatch(f"error: {self.CASES[case][-1]}\n", capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestPlan:
     """One plan for every task: dataset x cell x variant, with one feature
     pass per dataset and retrieval setting."""
@@ -677,7 +769,7 @@ class TestPlan:
         else:
             message = f"{task} requires a dataset"
         with pytest.raises(ConfigError) as info:
-            run_task(ExperimentConfig(task=task))
+            ExperimentConfig.from_dict({"task": task})
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -696,14 +788,11 @@ class TestPlan:
     def test_a_key_no_run_reads_is_a_config_error(
         self, task, key, value, tmp_path, monkeypatch
     ):
-        def no_load(source):
-            pytest.fail(f"{task} loaded a dataset")
-
-        monkeypatch.setattr(harness.DatasetSource, "load", no_load)
+        no_data(monkeypatch)
         obj = tiny_config(task, tmp_path)
         obj[key] = value
         with pytest.raises(ConfigError, match=f"^'{key}' is read by no {task} run"):
-            run_task(ExperimentConfig.from_dict(obj))
+            ExperimentConfig.from_dict(obj)
 
     def test_task5_variants_with_equal_retrieval_settings_share_a_pass(
         self, tmp_path, monkeypatch
@@ -779,7 +868,7 @@ class TestDimRedMemo:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
         assert {r["variant"]: r["fallbacks"] for r in manifest["runs"]} == {
             spec.variant_name: 40 if spec.dimred else 0
-            for spec in harness._variants(ExperimentConfig(task="task1"))[0]
+            for spec in task_arms("task1")
         }
 
 
