@@ -443,23 +443,20 @@ def train_mlp(
 def train_with_adapter(
     features,
     labels,
-    adapter_dims: tuple[int, int],
+    adapter_dim: Optional[int] = None,
     config: TrainConfig = TrainConfig(),
     validation: Optional[tuple[np.ndarray, np.ndarray]] = None,
     hidden_sizes: Sequence[int] = DEFAULT_MLP_HIDDEN,
 ) -> tuple[AdapterModel, TrainingLog]:
     """Jointly optimize a linear input adapter and the MLP.
 
-    A square adapter starts at the identity, a narrowing one from scaled
-    Gaussian draws. Like ``train_mlp``, trains in the features' dtype
+    The adapter maps the feature width to ``adapter_dim`` columns (None:
+    square). A square adapter starts at the identity, a narrowing one from
+    scaled Gaussian draws. Like ``train_mlp``, trains in the features' dtype
     (float32 or float64), and the adapter has that dtype too.
     """
-    d_in, d_out = adapter_dims
     X = _as_features(features)
-    if X.shape[1] != d_in:
-        raise DimensionMismatchError(
-            f"features have {X.shape[1]} columns, adapter expects {d_in}"
-        )
+    d_out = X.shape[1] if adapter_dim is None else adapter_dim
     if d_out < 1:
         raise ConfigError("adapter output dimension must be positive")
     adapter, model, log = _train_core(X, labels, config, validation, hidden_sizes, d_out)

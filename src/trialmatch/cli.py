@@ -42,13 +42,7 @@ from .corpus import (
     write_file,
 )
 from .embedding import DEFAULT_MOCK_DIM, ENDPOINT_ENV_VAR
-from .errors import (
-    ConfigError,
-    DataError,
-    ProviderError,
-    TrialMatchError,
-    UndefinedMetricError,
-)
+from .errors import ConfigError, DataError, ProviderError, TrialMatchError
 from .harness import (
     ExperimentConfig,
     PatientEncoder,
@@ -98,8 +92,8 @@ def _provider_from_args(args) -> ProviderSpec:
     return ProviderSpec(
         kind="http",
         dim=args.dim,
-        endpoint=getattr(args, "endpoint", None),
-        model=getattr(args, "model", None) or "default",
+        endpoint=args.endpoint,
+        model=args.model or "default",
     )
 
 
@@ -209,18 +203,18 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    provider = _provider_from_args(args)
     spec = PipelineSpec(
-        provider=_provider_from_args(args),
+        provider=provider,
         k_retrieve=args.k,
         chunk_size=args.chunk_size,
         chunk_overlap=args.overlap,
     )
     encoder = PatientEncoder(spec, load_dataset(args.patients, args.trials), args.modality)
-    provider = encoder.provider
 
     resolved = {
-        "provider": provider.descriptor.name,
-        "dim": provider.descriptor.dim,
+        "provider": provider.resolved_name,
+        "dim": provider.dim,
         "k": args.k,
         "chunk_size": args.chunk_size,
         "overlap": args.overlap,
@@ -232,7 +226,7 @@ def _cmd_retrieve(args) -> int:
     audit: list[list[str]] = []
     patients_payload: list[dict] = []
     lines = [
-        f"k={args.k} provider={provider.descriptor.name} dim={provider.descriptor.dim} "
+        f"k={args.k} provider={provider.resolved_name} dim={provider.dim} "
         f"seed={args.seed} config_hash={digest}"
     ]
 
@@ -286,7 +280,7 @@ def _cmd_retrieve(args) -> int:
         "seed": args.seed,
         "config_hash": digest,
         "k": args.k,
-        "provider": provider.descriptor.name,
+        "provider": provider.resolved_name,
         "patients": patients_payload,
         "audit_rows": len(audit) if args.audit else None,
     }
@@ -428,9 +422,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except UndefinedMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -4,10 +4,11 @@ for external embedding services.
 The HTTP client (``requests``, and with it ``urllib3`` and ``ssl``) is loaded
 on the first HTTP request, so a run on the mock provider never loads it.
 
-Providers expose a uniform surface: a ``descriptor`` plus ``embed_texts`` and
-(optionally) ``embed_tokens``. Every provider must be deterministic and
-batch-invariant: the vector for a text is identical regardless of batch
-composition.
+Providers expose a uniform surface: their output ``dim`` plus ``embed_texts``
+and (the mock only) ``embed_tokens``. A provider's name and kind live in
+``harness.ProviderSpec``, the one description of a backend. Every provider
+must be deterministic and batch-invariant: the vector for a text is identical
+regardless of batch composition.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import hashlib
 import logging
 import os
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,19 +44,6 @@ HTTP_MAX_ATTEMPTS = 3
 HTTP_BACKOFF_BASE = 0.5
 HTTP_BACKOFF_FACTOR = 2.0
 _INITIAL_TABLE_ROWS = 64  # MockProvider token table; doubles when full
-
-
-@dataclass(frozen=True)
-class ProviderDescriptor:
-    """Identity of an embedding backend: a name, its output dimension, and
-    whether it can emit per-token hidden-state matrices."""
-
-    name: str
-    dim: int
-    supports_token_matrix: bool
-
-    def __post_init__(self) -> None:
-        check_dim(self.dim)
 
 
 def check_dim(dim: int) -> None:
@@ -108,10 +95,9 @@ class MockProvider:
     and row never change.
     """
 
-    def __init__(self, dim: int = DEFAULT_MOCK_DIM, seed: int = 0, name: str = "mock"):
+    def __init__(self, dim: int = DEFAULT_MOCK_DIM, seed: int = 0):
         check_mock_dim(dim)
-        self.descriptor = ProviderDescriptor(name=name, dim=dim, supports_token_matrix=True)
-        self._dim = dim
+        self.dim = dim
         self._seed = seed
         self._ids: dict[str, int] = {}
         self._table = np.empty((_INITIAL_TABLE_ROWS, dim))
@@ -134,10 +120,10 @@ class MockProvider:
                 continue
             row = len(ids)
             if row == table.shape[0]:
-                grown = np.empty((2 * row, self._dim))
+                grown = np.empty((2 * row, self.dim))
                 grown[:row] = table
                 self._table = table = grown
-            table[row] = _token_vector(token, self._dim, self._seed)
+            table[row] = _token_vector(token, self.dim, self._seed)
             ids[token] = row
         return [ids[token] for token in tokens]
 
@@ -163,10 +149,9 @@ class HttpProvider:
     ``embed_texts`` call (see ``http_embed``).
     """
 
-    def __init__(self, endpoint: str, model: str, dim: int, name: Optional[str] = None):
-        self.descriptor = ProviderDescriptor(
-            name=name or model, dim=dim, supports_token_matrix=False
-        )
+    def __init__(self, endpoint: Optional[str], model: str, dim: int):
+        check_dim(dim)
+        self.dim = dim
         self.endpoint = resolve_endpoint(endpoint)
         self.model = model
 
@@ -174,7 +159,7 @@ class HttpProvider:
         out: list[np.ndarray] = []
         for start in range(0, len(texts), HTTP_MAX_BATCH):
             batch = texts[start : start + HTTP_MAX_BATCH]
-            out.extend(http_embed(self.endpoint, self.model, batch, self.descriptor.dim))
+            out.extend(http_embed(self.endpoint, self.model, batch, self.dim))
         return out
 
 
@@ -189,40 +174,23 @@ def resolve_endpoint(configured: Optional[str]) -> str:
 
 
 def embed_texts(provider, texts: Sequence[str]) -> list[np.ndarray]:
-    """Embed a batch of texts through any provider, validating the contract."""
+    """Embed a batch of non-empty texts through any provider: one ``(dim,)``
+    vector per text, which ``http_embed`` checks and the mock cannot miss."""
     if len(texts) == 0:
         raise DataError("embed_texts requires a non-empty list of texts")
     for i, text in enumerate(texts):
         if not text or text.isspace():  # no whitespace-separated token
             raise DataError(f"text at index {i} is empty")
-    vectors = provider.embed_texts(list(texts))
-    if len(vectors) != len(texts):
-        raise ProviderError(
-            f"provider returned {len(vectors)} vectors for {len(texts)} texts"
-        )
-    dim = provider.descriptor.dim
-    for i, vec in enumerate(vectors):
-        if vec.shape != (dim,):
-            raise DimensionMismatchError(
-                f"vector {i} has shape {vec.shape}, expected ({dim},)"
-            )
-    return vectors
+    return provider.embed_texts(list(texts))
 
 
 def embed_tokens(provider, text: str) -> np.ndarray:
     """Per-token hidden-state matrix (one row per token) for a single text."""
-    if not provider.descriptor.supports_token_matrix:
-        raise ConfigError(
-            f"provider {provider.descriptor.name!r} does not support token matrices"
-        )
+    if not hasattr(provider, "embed_tokens"):
+        raise ConfigError(f"{type(provider).__name__} does not support token matrices")
     if not text or text.isspace():
         raise DataError("cannot build a token matrix for empty text")
-    matrix = provider.embed_tokens(text)
-    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] != provider.descriptor.dim:
-        raise DimensionMismatchError(
-            f"token matrix has shape {matrix.shape}, expected (l, {provider.descriptor.dim})"
-        )
-    return matrix
+    return provider.embed_tokens(text)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,10 @@ def _load_value(tp, value, key: str, where: str):
 
 @dataclass(frozen=True)
 class ProviderSpec:
-    """Declarative reference to an embedding backend."""
+    """The one description of an embedding backend: its name, kind and
+    output dim. ``kind`` decides whether a run encodes a prompt (mock) or
+    takes its selected chunk vectors as the rows (http); the provider that
+    ``build`` makes carries its dim but no name."""
 
     kind: str = "mock"  # "mock" | "http"
     name: Optional[str] = None
@@ -184,13 +187,8 @@ class ProviderSpec:
 
     def build(self):
         if self.kind == "mock":
-            return MockProvider(dim=self.dim, seed=self.seed, name=self.resolved_name)
-        return HttpProvider(
-            endpoint=self.endpoint,
-            model=self.model or "",
-            dim=self.dim,
-            name=self.resolved_name,
-        )
+            return MockProvider(dim=self.dim, seed=self.seed)
+        return HttpProvider(endpoint=self.endpoint, model=self.model, dim=self.dim)
 
 
 @dataclass(frozen=True)
@@ -507,13 +505,13 @@ class PatientEncoder:
     def token_matrix(self, patient) -> Optional[np.ndarray]:
         """Retrieval + prompt + encode for one patient; None when unchunkable.
 
-        For a provider without token matrices the rows are the selected
-        chunks' vectors in rank order, and no prompt is built.
+        For an http provider the rows are the selected chunks' vectors in
+        rank order, and no prompt is built.
         """
         found = self.retrieve(patient)
         if found is None:
             return None
-        if not self.provider.descriptor.supports_token_matrix:
+        if self.spec.provider.kind == "http":
             return found.chunk_vectors[found.selected]
         prompt = assemble_prompt(
             self.spec.instructions,
@@ -568,7 +566,7 @@ def _feature_pass(
     """
     started = time.perf_counter()
     encoder = PatientEncoder(specs[0], dataset, modality, provider)
-    d_hidden = encoder.provider.descriptor.dim
+    d_hidden = encoder.provider.dim
     patients = dataset.patients
     matrices = [np.empty((len(patients), _feature_width(spec, d_hidden))) for spec in specs]
     # A skip depends on the retrieval key only, so the variants share them.
@@ -707,12 +705,10 @@ def _train_eval(
             Xtr.astype(np.float32), ytr, spec.validation_fraction, carve_seed
         )
         if spec.adapter_mode == "adapter":
-            d_in = core_x.shape[1]
-            d_out = d_in if spec.adapter_dim is None else spec.adapter_dim
             model, _ = train_with_adapter(
                 core_x,
                 core_y,
-                (d_in, d_out),
+                spec.adapter_dim,
                 config,
                 validation=validation,
                 hidden_sizes=spec.mlp_hidden,

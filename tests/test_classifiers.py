@@ -367,8 +367,8 @@ class TestTrainingDtype:
     """A fit trains and returns its parameters in the features' dtype."""
 
     ADAPTER_CASES = {
-        "trainable": dict(adapter_dims=(5, 3)),
-        "trainable-square": dict(adapter_dims=(5, 5)),
+        "trainable": dict(adapter_dim=3),
+        "trainable-square": dict(adapter_dim=5),
     }
 
     @staticmethod
@@ -765,7 +765,7 @@ class TestAdapter:
     def test_adapter_trains_jointly(self):
         X, y = blobs(5, n=80)
         config = TrainConfig(seed=3, max_epochs=20)
-        model, _ = train_with_adapter(X, y, (2, 2), config, hidden_sizes=(5,))
+        model, _ = train_with_adapter(X, y, 2, config, hidden_sizes=(5,))
         assert not np.array_equal(model.adapter, np.eye(2))
         preds = (predict_proba(model, X) >= 0.5).astype(float)
         assert (preds == y).mean() >= 0.9
@@ -775,7 +775,7 @@ class TestAdapter:
         X = rng.standard_normal((6, 3))
         y = (rng.random(6) < 0.5).astype(float)
         config = TrainConfig(seed=1, max_epochs=1, batch_size=6)
-        model, _ = train_with_adapter(X, y, (3, 3), config, hidden_sizes=(4,))
+        model, _ = train_with_adapter(X, y, 3, config, hidden_sizes=(4,))
         # One Adam step from identity with summed BCE: verify the step moved
         # the adapter in the direction opposite the finite-difference gradient.
         A = np.eye(3)
@@ -809,20 +809,15 @@ class TestAdapter:
     def test_deterministic_under_seed(self):
         X, y = blobs(6, n=50)
         config = TrainConfig(seed=13, max_epochs=8)
-        a, _ = train_with_adapter(X, y, (2, 2), config, hidden_sizes=(4,))
-        b, _ = train_with_adapter(X, y, (2, 2), config, hidden_sizes=(4,))
+        a, _ = train_with_adapter(X, y, 2, config, hidden_sizes=(4,))
+        b, _ = train_with_adapter(X, y, 2, config, hidden_sizes=(4,))
         assert np.array_equal(a.adapter, b.adapter)
-
-    def test_feature_width_checked(self):
-        X, y = blobs(7, n=30)
-        with pytest.raises(DimensionMismatchError):
-            train_with_adapter(X, y, (3, 3), TrainConfig(max_epochs=1))
 
     def test_fit_matches_recorded_digest(self):
         # Recorded like the digests in TestTrainMlp.
         X, y, validation, config = pinned_problem()
         model, log = train_with_adapter(
-            X, y, (5, 3), config, validation=validation, hidden_sizes=(6,)
+            X, y, 3, config, validation=validation, hidden_sizes=(6,)
         )
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
         assert params_digest(

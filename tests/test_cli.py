@@ -374,6 +374,24 @@ class TestEval:
         assert report["auroc"] == 0.75
         assert report["auprc"] == pytest.approx(5 / 6, rel=1e-12)
 
+    @pytest.mark.parametrize("label", ["0", "1"])
+    def test_single_class_labels_report_undefined_metrics_as_null(
+        self, tmp_path, capsys, label
+    ):
+        (tmp_path / "labels").write_text(f"{label}\n{label}\n{label}\n", encoding="utf-8")
+        (tmp_path / "scores").write_text("0.9\n0.2\n0.4\n", encoding="utf-8")
+        argv = ["eval", "--labels", str(tmp_path / "labels")]
+        assert cli.main(argv + ["--scores", str(tmp_path / "scores"), "--json"]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: some metrics are undefined for single-class input and "
+            "reported as absent\n"
+        )
+        report = json.loads(captured.out)["report"]
+        assert report["auroc"] is None
+        # Average precision needs a positive only.
+        assert (report["auprc"] is None) == (label == "0")
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_is_a_usage_error(self, tmp_path, capsys, threshold):
         (tmp_path / "labels").write_text("1\n0\n1\n", encoding="utf-8")
@@ -405,6 +423,27 @@ class TestRetrieve:
         assert hashlib.sha256(audit.read_bytes()).hexdigest() == (
             "f9e3421386e43adb8fbf84021f69aa64ba73221024c1c52250fb2c83c44e527a"
         )
+
+    def test_http_outputs_match_recorded_digest(
+        self, capsys, monkeypatch, dataset_files, embed_server
+    ):
+        monkeypatch.delenv("TRIALMATCH_EMBED_ENDPOINT", raising=False)
+        patients, trials = dataset_files
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials)]
+        argv += ["--provider", "http", "--endpoint", embed_server.url, "--dim", "4"]
+        argv += ["--chunk-size", "4", "--overlap", "1", "--k", "2"]
+        assert cli.main(argv + ["--json"]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        payload = json.loads(stdout)
+        assert payload["provider"] == "default"
+        # The provider name and dim feed the config hash; the service's
+        # vectors feed the scores and the selection.
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "a20f3cb6e414d857bf3e7e2c9a24516beb927a654ca6dedcf617557a0fee58c3"
+        )
+        assert cli.main(argv) == cli.EXIT_OK
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"k=2 provider=default dim=4 seed=0 config_hash={payload['config_hash']}"
 
 
 class TestImportFootprint:

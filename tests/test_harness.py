@@ -861,7 +861,7 @@ class TestDimRedMemo:
         monkeypatch.setattr(
             harness.ProviderSpec,
             "build",
-            lambda spec: FlatTokenProvider(dim=spec.dim, seed=spec.seed, name=spec.resolved_name),
+            lambda spec: FlatTokenProvider(dim=spec.dim, seed=spec.seed),
         )
         code, _ = run_cli(tiny_config("task1", tmp_path), tmp_path / "out", capsys)
         assert code == cli.EXIT_OK

@@ -131,3 +131,41 @@ def test_an_unreferenced_definition_is_caught():
         "UNUSED",
         "shrink",
     ]
+
+
+def traced_layers() -> list[str]:
+    """The keys of ``LAYERS`` in bench/tracing.py: the names a traced run
+    rebinds in ``trialmatch.harness``."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS":
+            return [key.value for key in node.value.keys]
+    raise AssertionError("bench/tracing.py defines no LAYERS")
+
+
+def called_names(tree: ast.Module) -> set[str]:
+    """Names a module calls as a bare name, ``f(...)``."""
+    return {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_every_traced_layer_is_called_by_name_in_harness():
+    # A call made anywhere else escapes the tracer's rebinding, and its layer
+    # metric then reads 0.
+    layers = traced_layers()
+    assert "score_chunks" in layers
+    called = called_names(ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8")))
+    assert [name for name in layers if name not in called] == []
+
+
+def test_a_layer_called_through_its_module_is_caught():
+    source = (
+        "from . import retrieval\n"
+        "from .retrieval import score_chunks\n"
+        "score_chunks(a)\n"
+        "retrieval.select_top_k(b)\n"
+    )
+    assert called_names(ast.parse(source)) == {"score_chunks"}
