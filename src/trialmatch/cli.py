@@ -8,10 +8,12 @@ Subcommands:
   eval      compute metrics from a label file and a score file
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (an output path
-that cannot be written among them), 3 runtime/provider error. A config error
-comes from building the config, so ``run`` rejects a bad config before it
-creates the output directory or reads a dataset; ``run_task`` raises only
-data errors and the few config errors that need the data (see ``harness``).
+that cannot be written, or a stdout closed by its reader, among them), 3
+runtime/provider error. A config error comes from building the config, so
+``run`` rejects a bad config before it creates the output directory or reads
+a dataset; ``run_task`` raises only data errors and the few config errors
+that need the data (see ``harness``). A flag that ``retrieve``'s provider
+does not read is a config error too.
 
 Every subcommand prints its config hash, and the seeded ones their resolved
 seed, so runs can be replayed byte-for-byte; pass --json for machine-readable
@@ -26,6 +28,7 @@ import io
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -87,8 +90,14 @@ def _emit(args, human_lines: list[str], payload: dict) -> None:
 
 
 def _provider_from_args(args) -> ProviderSpec:
+    """The provider that ``retrieve`` names; a flag that it does not read is
+    a ConfigError naming the flag."""
+    unread = ("endpoint", "model") if args.provider == "mock" else ("seed",)
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} is read by no {args.provider} provider")
     if args.provider == "mock":
-        return ProviderSpec(kind="mock", dim=args.dim, seed=args.seed)
+        return ProviderSpec(kind="mock", dim=args.dim, seed=0 if args.seed is None else args.seed)
     return ProviderSpec(
         kind="http",
         dim=args.dim,
@@ -130,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retr.add_argument("--trials", required=True, help="trials.jsonl path")
     p_retr.add_argument("--provider", choices=("mock", "http"), default="mock", help="embedding provider")
     p_retr.add_argument("--dim", type=int, default=DEFAULT_MOCK_DIM, help="embedding dimension")
-    p_retr.add_argument("--seed", type=int, default=0, help="mock provider seed")
+    p_retr.add_argument("--seed", type=int, default=None, help="mock provider seed; 0 if not given")
     p_retr.add_argument("--endpoint", default=None, help=f"http endpoint (or {ENDPOINT_ENV_VAR})")
     p_retr.add_argument("--model", default=None, help="model name for the http provider")
     p_retr.add_argument("--k", type=int, default=DEFAULT_K_RETRIEVE, help="chunks to select per patient")
@@ -219,7 +228,7 @@ def _cmd_retrieve(args) -> int:
         "chunk_size": args.chunk_size,
         "overlap": args.overlap,
         "modality": args.modality,
-        "seed": args.seed,
+        "seed": provider.seed,
     }
     digest = config_hash(resolved)
 
@@ -227,7 +236,7 @@ def _cmd_retrieve(args) -> int:
     patients_payload: list[dict] = []
     lines = [
         f"k={args.k} provider={provider.resolved_name} dim={provider.dim} "
-        f"seed={args.seed} config_hash={digest}"
+        f"seed={provider.seed} config_hash={digest}"
     ]
 
     for patient in encoder.dataset.patients:
@@ -277,7 +286,7 @@ def _cmd_retrieve(args) -> int:
         lines.append(f"audit written to {audit_path} ({len(audit)} rows)")
 
     payload = {
-        "seed": args.seed,
+        "seed": provider.seed,
         "config_hash": digest,
         "k": args.k,
         "provider": provider.resolved_name,
@@ -400,6 +409,18 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that the flush at exit cannot
+    fail again on a reader that has gone."""
+    devnull = open(os.devnull, "w", encoding="utf-8")
+    try:
+        # What is still buffered in the old stream goes there too.
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        pass  # a stream with no descriptor of its own
+    sys.stdout = devnull
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -415,7 +436,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     handler = handlers[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        # Inside the try, so that a reader that has gone is met here.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_DATA
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

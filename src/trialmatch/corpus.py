@@ -3,6 +3,11 @@
 Datasets are exchanged as two JSONL files (``patients.jsonl`` and
 ``trials.jsonl``, UTF-8, LF line endings, one object per line). All corpus
 objects are immutable after load or generation; concurrent reads are safe.
+
+A synthetic corpus is a function of its ``SyntheticConfig``, of the PCG64
+word stream of ``np.random.default_rng(seed)`` and of the fixed draw schedule
+that ``generate_synthetic`` states. A new ``SyntheticConfig`` setting must
+draw nothing at its default, so that every existing corpus keeps its bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -500,9 +505,140 @@ _BASE_MARKER_RATE = 0.05
 _MAX_MARKER_RATE = 0.5
 _SHARED_MARKERS = tuple(f"finding{j:02d}" for j in range(6))
 
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+class _Pcg64Stream:
+    """numpy's ``Generator.random()`` and ``Generator.integers(n)`` (for
+    ``n < 2**32``), read in bulk from a PCG64 generator's raw 64-bit words.
+
+    ``random()`` is ``(w >> 11) * 2**-53`` of one fresh word ``w`` and leaves
+    the generator's uint32 buffer alone. ``integers(n)`` takes a 32-bit value
+    ``u`` from that buffer: a fresh word gives its low half and leaves its
+    high half buffered. The result is ``(u * n) >> 32``, unless Lemire's
+    method (Lemire 2019) rejects ``u`` because ``(u * n) mod 2**32 < (2**32 -
+    n) mod n``; then it takes the next 32-bit value. ``integers(1)`` takes
+    nothing. The stream takes the buffer over when it is opened and hands it
+    back in ``close``, so calls on the generator before and after it see the
+    state that the same draws made one by one would have left.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        self._bitgen = bit_generator
+        self._opened = bit_generator.state
+        self._buffered = bool(self._opened["has_uint32"])
+        self._half = self._opened["uinteger"]
+        self._words = np.empty(0, dtype=np.uint64)  # pulled from the generator
+        self._next = 0  # index in _words of the first word not read
+        self._read = 0  # words read since the stream was opened
+
+    def _ahead(self, count: int) -> np.ndarray:
+        """The next ``count`` words, pulled as needed; none is marked read."""
+        missing = count - (len(self._words) - self._next)
+        if missing > 0:
+            pulled = self._bitgen.random_raw(missing)
+            self._words = np.concatenate((self._words[self._next :], pulled))
+            self._next = 0
+        return self._words[self._next : self._next + count]
+
+    def _skip(self, count: int) -> None:
+        self._next += count
+        self._read += count
+
+    def _uint32(self) -> int:
+        if self._buffered:
+            self._buffered = False
+            return self._half
+        word = int(self._ahead(1)[0])
+        self._skip(1)
+        self._buffered, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def _integer(self, n: int) -> int:
+        """One ``integers(n)``, a value at a time."""
+        if n == 1:
+            return 0
+        product = self._uint32() * n
+        while product & 0xFFFFFFFF < ((1 << 32) - n) % n:
+            product = self._uint32() * n
+        return product >> 32
+
+    def draw(
+        self, is_int: np.ndarray, bounds: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Make ``len(is_int)`` draws in order: ``integers(n)`` where
+        ``is_int`` is set, ``random()`` elsewhere.
+
+        ``bounds(doubles)`` gives the ``n`` of every draw (its entries for
+        ``random()`` draws are not read). It is called with the doubles drawn
+        so far, indexed by draw, so an integer's bound may depend on the
+        doubles drawn before it. Returns ``(doubles, integers)``, each indexed
+        by draw and 0 where the draw is of the other kind.
+
+        Every word is placed before any is pulled: doubles take one word
+        each, and integer draws alternate between taking a fresh word and
+        reading the half it buffered. A draw that breaks this (a Lemire
+        rejection, or ``n`` of 1) is made a value at a time, and the draws
+        after it are placed again from there.
+        """
+        total = len(is_int)
+        doubles = np.zeros(total)
+        integers = np.zeros(total, dtype=np.int64)
+        start = 0
+        while start < total:
+            is_double = ~is_int[start:]
+            where = np.flatnonzero(~is_double)
+            buffered = int(self._buffered)
+            takes_word = is_double.copy()
+            takes_word[where[buffered::2]] = True
+            word_of = np.cumsum(takes_word) - 1
+            words = self._ahead(int(word_of[-1]) + 1)
+
+            doubles[start:][is_double] = (
+                words[word_of[is_double]] >> np.uint64(11)
+            ).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+            fresh = words[word_of[where[buffered::2]]]
+            halves = np.empty(buffered + 2 * len(fresh), dtype=np.uint64)
+            halves[:buffered] = self._half
+            halves[buffered::2] = fresh & _LOW_HALF
+            halves[buffered + 1 :: 2] = fresh >> np.uint64(32)
+            n = bounds(doubles)[start:][where].astype(np.uint64)
+            product = halves[: len(where)] * n
+            integers[start:][where] = product >> np.uint64(32)
+            rejected = (n == 1) | ((product & _LOW_HALF) < (np.uint64(1 << 32) - n) % n)
+            if not rejected.any():
+                self._skip(len(words))
+                self._buffered = len(halves) > len(where)
+                if len(halves):
+                    self._half = int(halves[-1])
+                return doubles, integers
+
+            # Read up to the first such draw, make it, and place the rest anew.
+            q = int(np.argmax(rejected))
+            at = int(where[q])
+            self._skip(int(word_of[at]) + 1 - int(takes_word[at]))
+            self._buffered = not takes_word[at]
+            last = q if self._buffered else q - 1
+            if last >= 0:
+                self._half = int(halves[last])
+            integers[start + at] = self._integer(int(n[q]))
+            start += at + 1
+        return doubles, integers
+
+    def close(self) -> None:
+        """Hand the read position and the uint32 buffer back to the generator."""
+        if self._next < len(self._words):
+            # Words were pulled that no draw read: step back to the last read.
+            self._bitgen.state = self._opened
+            self._bitgen.advance(self._read)
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._buffered), self._half
+        self._bitgen.state = state
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
@@ -510,12 +646,46 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
 
     Eligible patients' notes and diagnosis rows carry marker tokens that also
     appear in the trial's inclusion criteria, so retrieval and downstream
-    classification have real signal to find. Identical (config, seed) pairs
-    produce byte-identical serialized datasets.
+    classification have real signal to find.
+
+    The bytes are a function of ``config``, of the PCG64 word stream of
+    ``np.random.default_rng(seed)`` and of this draw schedule:
+
+    - per trial, one ``permutation`` of its labels, then its patients;
+    - per patient, each note's tokens then its date, then age and sex, then
+      each diagnosis row's token and date;
+    - per token, ``random()`` (marker or background), ``random()`` (trial or
+      shared pool), then ``integers(pool size)``;
+    - per date, ``integers(12)`` for the month, then ``integers(28)`` for
+      the day; age is ``integers(50)`` and sex one ``random()``.
+
+    The patient draws are read in bulk (``_Pcg64Stream``), with the values
+    that the same draws made one by one give. A new ``SyntheticConfig``
+    setting must draw nothing at its default, so that existing corpora keep
+    their bytes.
     """
     rng = np.random.default_rng(seed)
     shared_vocab = [f"term{i:04d}" for i in range(config.vocabulary_size)]
     trial_vocab_size = max(8, config.vocabulary_size // 4)
+    # Pools in the order marker/trial, marker/shared, background/trial,
+    # background/shared, so a token's pool is 2 * background + shared.
+    pool_sizes = np.array([3, len(_SHARED_MARKERS), trial_vocab_size, config.vocabulary_size])
+    pool_starts = np.concatenate(([0], np.cumsum(pool_sizes)[:-1]))
+
+    # One patient's draws: 0 is random(), -1 a token's integers(pool size),
+    # any other value the bound of integers(n). A token is (0, 0, -1), a
+    # date (12, 28), and age and sex are (50, 0).
+    note = [0, 0, -1] * config.note_tokens + [12, 28]
+    bound_template = np.array(note * config.notes_per_patient + [50, 0] + [0, 0, -1, 12, 28] * 2)
+    is_int = bound_template != 0
+    tokens = np.flatnonzero(bound_template == -1)
+    dates = np.flatnonzero(bound_template == 12)
+    age_draw = int(np.flatnonzero(bound_template == 50)[0])
+
+    def _pools(doubles: np.ndarray, marker_rate: float) -> np.ndarray:
+        background = doubles[tokens - 2] >= marker_rate
+        shared = doubles[tokens - 1] >= config.trial_shift
+        return 2 * background + shared
 
     trials: list[Trial] = []
     patients: list[PatientRecord] = []
@@ -524,6 +694,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
         trial_id = f"SYN{t + 1:03d}"
         trial_vocab = [f"t{t:02d}w{i:03d}" for i in range(trial_vocab_size)]
         trial_markers = [f"t{t:02d}sign{j}" for j in range(3)]
+        vocab = trial_markers + list(_SHARED_MARKERS) + trial_vocab + shared_vocab
 
         criteria = []
         for j in range(3):
@@ -552,13 +723,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
         labels = np.array([1] * n_pos + [0] * (config.patients_per_trial - n_pos))
         labels = labels[rng.permutation(config.patients_per_trial)]
 
-        def _signal_token(marker_rate: float) -> str:
-            if rng.random() < marker_rate:
-                pool = trial_markers if rng.random() < config.trial_shift else list(_SHARED_MARKERS)
-            else:
-                pool = trial_vocab if rng.random() < config.trial_shift else shared_vocab
-            return pool[int(rng.integers(len(pool)))]
-
+        stream = _Pcg64Stream(rng.bit_generator)
         for i in range(config.patients_per_trial):
             label_value = int(labels[i])
             patient_id = f"{trial_id}-P{i:04d}"
@@ -568,19 +733,33 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
                 else 0.0
             )
 
-            notes = []
-            for k in range(config.notes_per_patient):
-                tokens = [_signal_token(marker_rate) for _ in range(config.note_tokens)]
-                date = f"2023-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
-                notes.append(ClinicalNote(f"{patient_id}-note{k}", " ".join(tokens), date))
+            def _bounds(doubles: np.ndarray) -> np.ndarray:
+                bounds = bound_template.copy()
+                bounds[tokens] = pool_sizes[_pools(doubles, marker_rate)]
+                return bounds
 
-            rows = [
-                StructuredRow("demographic", "age", str(int(rng.integers(40, 90)))),
-                StructuredRow("demographic", "sex", "female" if rng.random() < 0.5 else "male"),
+            doubles, ints = stream.draw(is_int, _bounds)
+            picked = pool_starts[_pools(doubles, marker_rate)] + ints[tokens]
+            words = [vocab[k] for k in picked.tolist()]
+            stamps = [
+                f"2023-{month + 1:02d}-{day + 1:02d}"
+                for month, day in zip(ints[dates].tolist(), ints[dates + 1].tolist())
             ]
-            for d in range(2):
-                tok = _signal_token(marker_rate)
-                stamp = f"2023-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+
+            n_tok = config.note_tokens
+            notes = [
+                ClinicalNote(
+                    f"{patient_id}-note{k}", " ".join(words[k * n_tok : (k + 1) * n_tok]), stamps[k]
+                )
+                for k in range(config.notes_per_patient)
+            ]
+            rows = [
+                StructuredRow("demographic", "age", str(int(ints[age_draw]) + 40)),
+                StructuredRow(
+                    "demographic", "sex", "female" if doubles[age_draw + 1] < 0.5 else "male"
+                ),
+            ]
+            for d, (tok, stamp) in enumerate(zip(words[-2:], stamps[-2:])):
                 rows.append(StructuredRow("diagnosis", f"condition_{d}", f"{tok} disorder", stamp))
 
             raw = "eligible" if label_value == 1 else "ineligible"
@@ -593,6 +772,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
                     label=EligibilityLabel(label_value, raw),
                 )
             )
+        stream.close()
 
     return Dataset(patients=patients, trials=trials)
 

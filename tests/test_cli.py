@@ -446,6 +446,86 @@ class TestRetrieve:
         assert header == f"k=2 provider=default dim=4 seed=0 config_hash={payload['config_hash']}"
 
 
+class TestRetrieveFlags:
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--endpoint", "http://localhost:1"], "--endpoint"),
+            (["--model", "foo"], "--model"),
+            (["--provider", "http", "--model", "foo", "--seed", "0"], "--seed"),
+        ],
+    )
+    def test_a_flag_the_provider_does_not_read_exits_1(self, capsys, dataset_files, flags, named):
+        patients, trials = dataset_files
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials)]
+        code, err = run_cli(argv + flags, capsys)
+        assert code == cli.EXIT_USAGE
+        assert f"{named} is read by no" in err
+
+    def test_mock_seed_feeds_the_header(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        argv = ["retrieve", "--patients", str(patients), "--trials", str(trials)]
+        headers = []
+        for seed in ([], ["--seed", "0"], ["--seed", "3"]):
+            assert cli.main(argv + seed) == cli.EXIT_OK
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert headers[0] == headers[1] != headers[2]
+        assert "seed=3 " in headers[2]
+
+
+class _GoneReader:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd=None):
+        if fd is not None:
+            self.fileno = lambda: fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("with_descriptor", [True, False])
+    def test_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, dataset_files, with_descriptor
+    ):
+        patients, trials = dataset_files
+        sink = tmp_path / "stdout"
+        fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _GoneReader(fd if with_descriptor else None))
+        try:
+            code = cli.main(["retrieve", "--patients", str(patients), "--trials", str(trials)])
+            # Output written after the failure is discarded.
+            print("more output")
+            if with_descriptor:
+                os.write(fd, b"more output")
+        finally:
+            sys.stdout.close()
+            os.close(fd)
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: stdout was closed before the output was written\n"
+        )
+        assert sink.read_bytes() == b""
+
+    def test_a_closed_pipe_exits_2_without_traceback(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "trialmatch.cli", "synth", "--out", str(tmp_path / "d")],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(trialmatch.__file__).parents[1])},
+            )
+        assert done.returncode == cli.EXIT_DATA
+        assert done.stderr == "error: stdout was closed before the output was written\n"
+
+
 class TestImportFootprint:
     """A mock run never loads the HTTP client; the HTTP provider loads it on
     first use (its tests run against a local server)."""

@@ -1,15 +1,23 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_patient, tiny_trial, write_jsonl
 from trialmatch.corpus import (
+    ClinicalNote,
+    Criterion,
     Dataset,
+    EligibilityLabel,
+    PatientRecord,
     SplitSpec,
     StructuredRow,
     SyntheticConfig,
+    Trial,
+    _Pcg64Stream,
     build_chunks,
     chunk_text,
     dataset_to_jsonl,
@@ -283,6 +291,212 @@ class TestGenerateSynthetic:
         write_dataset(dataset, tmp_path / "p.jsonl", tmp_path / "t.jsonl")
         loaded = load_dataset(tmp_path / "p.jsonl", tmp_path / "t.jsonl")
         assert dataset_to_jsonl(loaded) == dataset_to_jsonl(dataset)
+
+
+def scalar_generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
+    """Reference for ``generate_synthetic``: the same corpus, drawn one
+    ``Generator.random()`` or ``Generator.integers()`` call at a time."""
+    rng = np.random.default_rng(seed)
+    shared_markers = tuple(f"finding{j:02d}" for j in range(6))
+    shared_vocab = [f"term{i:04d}" for i in range(config.vocabulary_size)]
+    trial_vocab_size = max(8, config.vocabulary_size // 4)
+    trials, patients = [], []
+    for t in range(config.n_trials):
+        trial_id = f"SYN{t + 1:03d}"
+        trial_vocab = [f"t{t:02d}w{i:03d}" for i in range(trial_vocab_size)]
+        trial_markers = [f"t{t:02d}sign{j}" for j in range(3)]
+        criteria = [
+            Criterion(
+                f"{trial_id}-I{j + 1}",
+                "inclusion",
+                f"history of {shared_markers[2 * j]} or {shared_markers[2 * j + 1]} "
+                f"with documented {trial_markers[j]} on clinical assessment",
+            )
+            for j in range(3)
+        ]
+        criteria.append(
+            Criterion(
+                f"{trial_id}-E1",
+                "exclusion",
+                "enrollment in another interventional study within 30 days",
+            )
+        )
+        criteria.append(
+            Criterion(
+                f"{trial_id}-E2",
+                "exclusion",
+                "known hypersensitivity to the investigational compound",
+            )
+        )
+        trials.append(Trial(trial_id, tuple(criteria)))
+
+        n_pos = int(math.floor(config.positive_fraction * config.patients_per_trial + 0.5))
+        labels = np.array([1] * n_pos + [0] * (config.patients_per_trial - n_pos))
+        labels = labels[rng.permutation(config.patients_per_trial)]
+
+        def signal_token(marker_rate):
+            if rng.random() < marker_rate:
+                pool = trial_markers if rng.random() < config.trial_shift else list(shared_markers)
+            else:
+                pool = trial_vocab if rng.random() < config.trial_shift else shared_vocab
+            return pool[int(rng.integers(len(pool)))]
+
+        def date():
+            return f"2023-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+
+        for i in range(config.patients_per_trial):
+            label_value = int(labels[i])
+            patient_id = f"{trial_id}-P{i:04d}"
+            marker_rate = 0.05 + (config.signal_strength * 0.45 if label_value == 1 else 0.0)
+            notes = []
+            for k in range(config.notes_per_patient):
+                tokens = [signal_token(marker_rate) for _ in range(config.note_tokens)]
+                notes.append(ClinicalNote(f"{patient_id}-note{k}", " ".join(tokens), date()))
+            rows = [
+                StructuredRow("demographic", "age", str(int(rng.integers(40, 90)))),
+                StructuredRow("demographic", "sex", "female" if rng.random() < 0.5 else "male"),
+            ]
+            for d in range(2):
+                token = signal_token(marker_rate)
+                rows.append(
+                    StructuredRow("diagnosis", f"condition_{d}", f"{token} disorder", date())
+                )
+            raw = "eligible" if label_value == 1 else "ineligible"
+            patients.append(
+                PatientRecord(
+                    patient_id, trial_id, tuple(notes), tuple(rows), EligibilityLabel(label_value, raw)
+                )
+            )
+    return Dataset(patients=patients, trials=trials)
+
+
+HARD_CORPUS = SyntheticConfig(n_trials=5, patients_per_trial=100, signal_strength=0.15)
+
+
+class TestSyntheticBytes:
+    # sha256 of the patients then the trials JSONL, recorded from the
+    # generator that drew one value per Generator call.
+    PINS = [
+        (HARD_CORPUS, 1, "a7ed8df6330ea01fc1cb9d0f914f654f51e3175dc3d88aa69ee155ddb8b85689"),
+        (HARD_CORPUS, 2, "7eb47893919b3c249194b370d4394bf521a4e65dc7bc241e18c1dfa03736a9ba"),
+        (SyntheticConfig(), 0, "15043af0bb364ba3fe73dd3e9362c2cc6956d3b54ae19a68b5d742b4de1557c9"),
+    ]
+
+    @pytest.mark.parametrize("config, seed, digest", PINS)
+    def test_corpus_matches_recorded_digest(self, config, seed, digest):
+        patients, trials = dataset_to_jsonl(generate_synthetic(config, seed))
+        assert hashlib.sha256((patients + trials).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "config, seed",
+        [
+            (SyntheticConfig(n_trials=2, patients_per_trial=15), 3),
+            (
+                SyntheticConfig(
+                    n_trials=3,
+                    patients_per_trial=12,
+                    notes_per_patient=3,
+                    note_tokens=5,
+                    vocabulary_size=9,
+                    trial_shift=0.7,
+                ),
+                11,
+            ),
+            (SyntheticConfig(n_trials=2, patients_per_trial=10, signal_strength=1.0), 8),
+            # A one-word shared pool: integers(1) draws nothing.
+            (
+                SyntheticConfig(
+                    n_trials=2, patients_per_trial=6, vocabulary_size=1, note_tokens=12
+                ),
+                4,
+            ),
+            (
+                SyntheticConfig(
+                    n_trials=1,
+                    patients_per_trial=4,
+                    positive_fraction=0.5,
+                    trial_shift=1.0,
+                    notes_per_patient=1,
+                    note_tokens=1,
+                ),
+                0,
+            ),
+        ],
+    )
+    def test_matches_scalar_generator(self, config, seed):
+        assert dataset_to_jsonl(generate_synthetic(config, seed)) == dataset_to_jsonl(
+            scalar_generate_synthetic(config, seed)
+        )
+
+
+def _calls(rng: np.random.Generator, bounds) -> list:
+    """The values of one Generator call per bound: random() for 0, else integers(n)."""
+    return [rng.random() if n == 0 else int(rng.integers(n)) for n in bounds]
+
+
+def _continuation(rng: np.random.Generator) -> list:
+    return [rng.random(), int(rng.integers(1000)), rng.permutation(20).tolist(), int(rng.integers(7))]
+
+
+def _random_bounds(seed: int, count: int) -> np.ndarray:
+    """Draw kinds and bounds up to 2**32 - 1. Bounds just above 2**31
+    reject about half their first values, so Lemire re-draws are certain."""
+    plan = np.random.default_rng(seed)
+    bounds = plan.integers(1, 2**32, count)
+    bounds[plan.random(count) < 0.2] = 2**31 + 1
+    bounds[plan.random(count) < 0.05] = 1
+    small = plan.random(count) < 0.3
+    bounds[small] = plan.integers(1, 100, int(small.sum()))
+    bounds[plan.random(count) < 0.4] = 0
+    return bounds
+
+
+class TestPcg64Stream:
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        "bounds",
+        [_random_bounds(seed, 300) for seed in range(4)]
+        + [np.array(b) for b in ([1, 0], [0, 1], [5, 1, 0, 0], [2**31 + 1] * 6, [0])],
+        ids=lambda b: f"{len(b)}-draws",
+    )
+    def test_matches_generator_calls(self, bounds, buffered):
+        real = np.random.default_rng(9)
+        bulk = np.random.default_rng(9)
+        if buffered:
+            real.integers(7)
+            bulk.integers(7)
+        expected = _calls(real, bounds.tolist())
+
+        stream = _Pcg64Stream(bulk.bit_generator)
+        doubles, ints = stream.draw(bounds != 0, lambda doubles: bounds)
+        stream.close()
+
+        got = [float(d) if n == 0 else int(i) for n, d, i in zip(bounds, doubles, ints)]
+        assert got == expected
+        assert bulk.bit_generator.state == real.bit_generator.state
+        assert _continuation(bulk) == _continuation(real)
+
+    def test_a_bound_may_read_earlier_doubles(self):
+        # Each integer's bound is 2 or 3 by the double drawn just before it.
+        is_int = np.array([False, True] * 50)
+
+        def bounds(doubles):
+            n = np.zeros(len(is_int), dtype=np.int64)
+            n[1::2] = np.where(doubles[0::2] < 0.5, 2, 3)
+            return n
+
+        real = np.random.default_rng(5)
+        expected = []
+        for _ in range(50):
+            x = real.random()
+            expected += [x, int(real.integers(2 if x < 0.5 else 3))]
+        bulk = np.random.default_rng(5)
+        stream = _Pcg64Stream(bulk.bit_generator)
+        doubles, ints = stream.draw(is_int, bounds)
+        stream.close()
+        assert [float(d) for d in doubles[0::2]] == expected[0::2]
+        assert ints[1::2].tolist() == expected[1::2]
+        assert bulk.bit_generator.state == real.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
