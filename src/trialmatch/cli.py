@@ -38,6 +38,7 @@ from . import __version__
 from .corpus import (
     DEFAULT_CHUNK_OVERLAP,
     DEFAULT_CHUNK_SIZE,
+    MODALITIES,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -120,13 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a synthetic dataset",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
+    synthetic = SyntheticConfig()
     p_synth.add_argument("--out", required=True, help="output directory for the JSONL files")
-    p_synth.add_argument("--trials", type=int, default=5, help="number of trials")
-    p_synth.add_argument("--patients", type=int, default=100, help="patients per trial")
-    p_synth.add_argument("--positive-frac", type=float, default=0.3, help="positive label fraction")
-    p_synth.add_argument("--signal", type=float, default=0.9, help="signal strength in [0, 1]")
-    p_synth.add_argument("--trial-shift", type=float, default=0.3, help="trial vocabulary shift in [0, 1]")
-    p_synth.add_argument("--vocab", type=int, default=400, help="shared vocabulary size")
+    p_synth.add_argument("--trials", type=int, default=synthetic.n_trials, help="number of trials")
+    p_synth.add_argument("--patients", type=int, default=synthetic.patients_per_trial, help="patients per trial")
+    p_synth.add_argument("--positive-frac", type=float, default=synthetic.positive_fraction, help="positive label fraction")
+    p_synth.add_argument("--signal", type=float, default=synthetic.signal_strength, help="signal strength in [0, 1]")
+    p_synth.add_argument("--trial-shift", type=float, default=synthetic.trial_shift, help="trial vocabulary shift in [0, 1]")
+    p_synth.add_argument("--vocab", type=int, default=synthetic.vocabulary_size, help="shared vocabulary size, at least 2")
     p_synth.add_argument("--seed", type=int, default=0, help="generation seed")
     _add_json_flag(p_synth)
 
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retr.add_argument("--k", type=int, default=DEFAULT_K_RETRIEVE, help="chunks to select per patient")
     p_retr.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, help="chunk size in tokens")
     p_retr.add_argument("--overlap", type=int, default=DEFAULT_CHUNK_OVERLAP, help="chunk overlap in tokens")
-    p_retr.add_argument("--modality", choices=("structured", "unstructured", "mixed"), default="mixed", help="which record parts to chunk")
+    p_retr.add_argument("--modality", choices=MODALITIES, default="mixed", help="which record parts to chunk")
     p_retr.add_argument("--audit", default=None, metavar="FILE", help="write the per-(chunk, criterion) audit CSV here")
     _add_json_flag(p_retr)
 

@@ -495,8 +495,9 @@ class SyntheticConfig:
             raise ConfigError("signal_strength must lie in [0, 1]")
         if not 0.0 <= self.trial_shift <= 1.0:
             raise ConfigError("trial_shift must lie in [0, 1]")
-        if self.vocabulary_size <= 0:
-            raise ConfigError("vocabulary_size must be positive")
+        if self.vocabulary_size < 2:
+            # A one-word pool would draw integers(1), which _Pcg64Stream lacks.
+            raise ConfigError("vocabulary_size must be at least 2")
         if self.notes_per_patient <= 0 or self.note_tokens <= 0:
             raise ConfigError("notes_per_patient and note_tokens must be positive")
 
@@ -514,17 +515,18 @@ def _round_half_up(x: float) -> int:
 
 class _Pcg64Stream:
     """numpy's ``Generator.random()`` and ``Generator.integers(n)`` (for
-    ``n < 2**32``), read in bulk from a PCG64 generator's raw 64-bit words.
+    ``2 <= n < 2**32``), read in bulk from a PCG64 generator's raw 64-bit
+    words. A bound of 1, which numpy answers without a draw, is not handled.
 
     ``random()`` is ``(w >> 11) * 2**-53`` of one fresh word ``w`` and leaves
     the generator's uint32 buffer alone. ``integers(n)`` takes a 32-bit value
     ``u`` from that buffer: a fresh word gives its low half and leaves its
     high half buffered. The result is ``(u * n) >> 32``, unless Lemire's
     method (Lemire 2019) rejects ``u`` because ``(u * n) mod 2**32 < (2**32 -
-    n) mod n``; then it takes the next 32-bit value. ``integers(1)`` takes
-    nothing. The stream takes the buffer over when it is opened and hands it
-    back in ``close``, so calls on the generator before and after it see the
-    state that the same draws made one by one would have left.
+    n) mod n``; then it takes the next 32-bit value. The stream takes the
+    buffer over when it is opened and hands it back in ``close``, so calls on
+    the generator before and after it see the state that the same draws made
+    one by one would have left.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator) -> None:
@@ -560,8 +562,6 @@ class _Pcg64Stream:
 
     def _integer(self, n: int) -> int:
         """One ``integers(n)``, a value at a time."""
-        if n == 1:
-            return 0
         product = self._uint32() * n
         while product & 0xFFFFFFFF < ((1 << 32) - n) % n:
             product = self._uint32() * n
@@ -581,9 +581,9 @@ class _Pcg64Stream:
 
         Every word is placed before any is pulled: doubles take one word
         each, and integer draws alternate between taking a fresh word and
-        reading the half it buffered. A draw that breaks this (a Lemire
-        rejection, or ``n`` of 1) is made a value at a time, and the draws
-        after it are placed again from there.
+        reading the half it buffered. A draw that Lemire's method rejects is
+        made a value at a time, and the draws after it are placed again from
+        there.
         """
         total = len(is_int)
         doubles = np.zeros(total)
@@ -610,7 +610,7 @@ class _Pcg64Stream:
             n = bounds(doubles)[start:][where].astype(np.uint64)
             product = halves[: len(where)] * n
             integers[start:][where] = product >> np.uint64(32)
-            rejected = (n == 1) | ((product & _LOW_HALF) < (np.uint64(1 << 32) - n) % n)
+            rejected = (product & _LOW_HALF) < (np.uint64(1 << 32) - n) % n
             if not rejected.any():
                 self._skip(len(words))
                 self._buffered = len(halves) > len(where)
@@ -618,7 +618,7 @@ class _Pcg64Stream:
                     self._half = int(halves[-1])
                 return doubles, integers
 
-            # Read up to the first such draw, make it, and place the rest anew.
+            # Read up to the first rejected draw, make it, and place the rest anew.
             q = int(np.argmax(rejected))
             at = int(where[q])
             self._skip(int(word_of[at]) + 1 - int(takes_word[at]))

@@ -19,8 +19,8 @@ task's variants are its arms, the rows of ``_ARMS``: each row overrides
 fields of a configured variant (task2 makes one row per provider), and a
 config key that no arm of the task reads is a ``ConfigError``. Per
 dataset, retrieval and encoding run once for each distinct retrieval setting
-(provider, k, chunking, instructions) and each variant reduces that pass's
-token matrices; every variant is then trained and evaluated on every cell.
+(provider, k, chunking) and each variant reduces that pass's token matrices;
+every variant is then trained and evaluated on every cell.
 
 A config is checked once, when it is built: ``ExperimentConfig`` (with the
 arms of each configured variant), ``PipelineSpec`` and ``ProviderSpec``
@@ -51,7 +51,6 @@ import numpy as np
 
 from . import __version__
 from .classifiers import (
-    DEFAULT_MLP_HIDDEN,
     TrainConfig,
     predict_proba,
     train_forest,
@@ -110,6 +109,8 @@ CLASSIFIERS = ("mlp", "tree", "forest", "svm")
 POOLINGS = ("mean", "last_token", "pca_mean", "hybrid_last")
 ADAPTER_MODES = ("frozen", "adapter")
 MAX_SKIP_FRACTION = 0.05
+# Share of each class the MLP holds out of its train rows for early stopping.
+VALIDATION_FRACTION = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,11 @@ class ProviderSpec:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """One fully resolved pipeline variant.
+    """One fully resolved pipeline variant: what a task's arms vary or a
+    config sets. Each predictor's hyperparameters are the defaults of its
+    ``classifiers`` function (``train_forest``, ``train_tree``, ``train_svm``,
+    ``train_mlp``, ``train_with_adapter``), and prompts open with
+    ``retrieval.DEFAULT_INSTRUCTIONS``.
 
     ``dimred`` present selects Variant B (RAG-DimRed-MLP); absent it is
     Variant A (RAG-MLP). ``pooling`` collapses the prompt token matrix when no
@@ -213,15 +218,6 @@ class PipelineSpec:
     seed: int = 0
     chunk_size: int = DEFAULT_CHUNK_SIZE
     chunk_overlap: int = DEFAULT_CHUNK_OVERLAP
-    mlp_hidden: tuple[int, ...] = DEFAULT_MLP_HIDDEN
-    forest_trees: int = 30
-    tree_max_depth: int = 12
-    tree_min_leaf: int = 1
-    svm_lambda: float = 1e-4
-    svm_epochs: int = 400
-    svm_lr: float = 0.5
-    instructions: str = DEFAULT_INSTRUCTIONS
-    validation_fraction: float = 0.2
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -233,21 +229,8 @@ class PipelineSpec:
             raise ConfigError(f"unknown adapter mode {self.adapter_mode!r}")
         if self.k_retrieve < 1:
             raise ConfigError("k_retrieve must be at least 1")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigError("validation_fraction must lie in [0, 1)")
-        if not self.mlp_hidden:
-            raise ConfigError("'mlp_hidden' must list at least one hidden layer width")
-        if any(width < 1 for width in self.mlp_hidden):
-            raise ConfigError("every 'mlp_hidden' width must be at least 1")
         if self.adapter_dim is not None and self.adapter_dim < 1:
             raise ConfigError("'adapter_dim' must be at least 1")
-        for key in ("forest_trees", "tree_max_depth", "tree_min_leaf", "svm_epochs"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key!r} must be at least 1")
-        if self.svm_lr <= 0:
-            raise ConfigError("'svm_lr' must be positive")
-        if self.svm_lambda < 0:
-            raise ConfigError("'svm_lambda' must not be negative")
         check_chunking(self.chunk_size, self.chunk_overlap)
 
     @property
@@ -319,12 +302,27 @@ class ExperimentConfig:
                 f"{self.task} takes one variant, got {len(self.variants)}; "
                 "only task5 runs a list of variants"
             )
-        if self.task == "task6" and not self.exclusions:
-            raise ConfigError("task6 requires a non-empty exclusion sweep")
+        if self.task == "task6":
+            if not self.exclusions:
+                raise ConfigError("task6 requires a non-empty exclusion sweep")
+            for e in self.exclusions:
+                if not 0.0 < e <= 1.0:
+                    # At 0 every target patient stays in train: no test side.
+                    raise ConfigError(f"exclusion {e!r} must lie in (0, 1]")
+                if self.exclusions.count(e) > 1:
+                    raise ConfigError(f"exclusion {e!r} is repeated; its rows would share keys")
         if self.threads != 1:
             raise ConfigError("threads must be 1: feature construction runs on one thread")
-        if self.task == "task5" and not self.datasets:
-            raise ConfigError("task5 requires dataset paths in 'datasets'")
+        if self.task == "task5":
+            if not self.datasets:
+                raise ConfigError("task5 requires dataset paths in 'datasets'")
+            names = [source.name for source in self.datasets]
+            for name in names:
+                if names.count(name) > 1:
+                    raise ConfigError(
+                        f"dataset name {name!r} is repeated in 'datasets'; "
+                        "each task5 dataset needs its own name"
+                    )
         if self.task != "task5" and self.dataset is None:
             raise ConfigError(f"{self.task} requires a dataset")
         _check_unread_keys(self)
@@ -514,7 +512,7 @@ class PatientEncoder:
         if self.spec.provider.kind == "http":
             return found.chunk_vectors[found.selected]
         prompt = assemble_prompt(
-            self.spec.instructions,
+            DEFAULT_INSTRUCTIONS,
             found.criteria,
             [found.chunks[i].text for i in found.selected],
         )
@@ -524,7 +522,7 @@ class PatientEncoder:
 def _retrieval_key(spec: PipelineSpec) -> tuple:
     """The fields retrieval and encoding read; specs equal on them share
     one feature pass."""
-    return (spec.provider, spec.k_retrieve, spec.chunk_size, spec.chunk_overlap, spec.instructions)
+    return (spec.provider, spec.k_retrieve, spec.chunk_size, spec.chunk_overlap)
 
 
 def _compute_features_multi(
@@ -631,17 +629,18 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _carve_validation(
-    X: np.ndarray, y: np.ndarray, fraction: float, seed: int
+    X: np.ndarray, y: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
-    """Stratified validation carve-out for early stopping; may return None."""
+    """Stratified validation carve-out of ``VALIDATION_FRACTION`` of each
+    class for early stopping; may return None."""
     n = X.shape[0]
-    if fraction <= 0.0 or n < 10:
+    if n < 10:
         return X, y, None
     rng = np.random.default_rng(seed)
     val_idx: list[int] = []
     for label in (0.0, 1.0):
         idx = np.nonzero(y == label)[0]
-        take = int(np.floor(fraction * idx.shape[0]))
+        take = int(np.floor(VALIDATION_FRACTION * idx.shape[0]))
         if take == 0 or take >= idx.shape[0]:
             continue
         perm = rng.permutation(idx.shape[0])
@@ -701,41 +700,19 @@ def _train_eval(
         # The MLP trains in float32, the dtype of the features it is given;
         # the other classifiers and every prediction see float64.
         carve_seed = _derive_seed(spec.seed, spec.train.seed, 2)
-        core_x, core_y, validation = _carve_validation(
-            Xtr.astype(np.float32), ytr, spec.validation_fraction, carve_seed
-        )
+        core_x, core_y, validation = _carve_validation(Xtr.astype(np.float32), ytr, carve_seed)
         if spec.adapter_mode == "adapter":
             model, _ = train_with_adapter(
-                core_x,
-                core_y,
-                spec.adapter_dim,
-                config,
-                validation=validation,
-                hidden_sizes=spec.mlp_hidden,
+                core_x, core_y, spec.adapter_dim, config, validation=validation
             )
         else:
-            model, _ = train_mlp(
-                core_x, core_y, config, validation=validation, hidden_sizes=spec.mlp_hidden
-            )
+            model, _ = train_mlp(core_x, core_y, config, validation=validation)
     elif spec.classifier == "tree":
-        model = train_tree(Xtr, ytr, spec.tree_max_depth, spec.tree_min_leaf)
+        model = train_tree(Xtr, ytr)
     elif spec.classifier == "forest":
-        model = train_forest(
-            Xtr,
-            ytr,
-            n_trees=spec.forest_trees,
-            seed=train_seed,
-            max_depth=spec.tree_max_depth,
-            min_leaf=spec.tree_min_leaf,
-        )
+        model = train_forest(Xtr, ytr, seed=train_seed)
     else:
-        model = train_svm(
-            Xtr,
-            ytr,
-            lam=spec.svm_lambda,
-            epochs=spec.svm_epochs,
-            lr=spec.svm_lr,
-        )
+        model = train_svm(Xtr, ytr)
 
     probs = predict_proba(model, Xte)
     return compute_report(yte, probs, threshold=0.5)

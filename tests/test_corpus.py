@@ -279,6 +279,8 @@ class TestGenerateSynthetic:
             SyntheticConfig(n_trials=0)
         with pytest.raises(ConfigError):
             SyntheticConfig(signal_strength=1.2)
+        with pytest.raises(ConfigError, match="^vocabulary_size must be at least 2$"):
+            SyntheticConfig(vocabulary_size=1)
 
     @pytest.mark.parametrize("fraction, positives", [(0.1, 0), (0.9, 3)])
     def test_one_class_trial_is_rejected(self, fraction, positives):
@@ -389,6 +391,25 @@ class TestSyntheticBytes:
 
     @pytest.mark.parametrize(
         "config, seed",
+        [*((HARD_CORPUS, seed) for seed in (1, 2, 3)), (SyntheticConfig(vocabulary_size=2), 1)],
+    )
+    def test_draws_are_placed_in_bulk(self, monkeypatch, config, seed):
+        # A Lemire rejection is the only draw made a value at a time, and none
+        # occurs here: a schedule that falls back to value-at-a-time draws
+        # fails this, not only the benchmark's timing.
+        calls = []
+        one_value = _Pcg64Stream._integer
+
+        def counting(self, n):
+            calls.append(n)
+            return one_value(self, n)
+
+        monkeypatch.setattr(_Pcg64Stream, "_integer", counting)
+        generate_synthetic(config, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "config, seed",
         [
             (SyntheticConfig(n_trials=2, patients_per_trial=15), 3),
             (
@@ -403,10 +424,10 @@ class TestSyntheticBytes:
                 11,
             ),
             (SyntheticConfig(n_trials=2, patients_per_trial=10, signal_strength=1.0), 8),
-            # A one-word shared pool: integers(1) draws nothing.
+            # The smallest shared pool.
             (
                 SyntheticConfig(
-                    n_trials=2, patients_per_trial=6, vocabulary_size=1, note_tokens=12
+                    n_trials=2, patients_per_trial=6, vocabulary_size=2, note_tokens=12
                 ),
                 4,
             ),
@@ -442,11 +463,10 @@ def _random_bounds(seed: int, count: int) -> np.ndarray:
     """Draw kinds and bounds up to 2**32 - 1. Bounds just above 2**31
     reject about half their first values, so Lemire re-draws are certain."""
     plan = np.random.default_rng(seed)
-    bounds = plan.integers(1, 2**32, count)
+    bounds = plan.integers(2, 2**32, count)
     bounds[plan.random(count) < 0.2] = 2**31 + 1
-    bounds[plan.random(count) < 0.05] = 1
     small = plan.random(count) < 0.3
-    bounds[small] = plan.integers(1, 100, int(small.sum()))
+    bounds[small] = plan.integers(2, 100, int(small.sum()))
     bounds[plan.random(count) < 0.4] = 0
     return bounds
 
@@ -456,7 +476,7 @@ class TestPcg64Stream:
     @pytest.mark.parametrize(
         "bounds",
         [_random_bounds(seed, 300) for seed in range(4)]
-        + [np.array(b) for b in ([1, 0], [0, 1], [5, 1, 0, 0], [2**31 + 1] * 6, [0])],
+        + [np.array(b) for b in ([2, 0], [0, 2], [5, 2, 0, 0], [2**31 + 1] * 6, [0])],
         ids=lambda b: f"{len(b)}-draws",
     )
     def test_matches_generator_calls(self, bounds, buffered):

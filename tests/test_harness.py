@@ -94,8 +94,8 @@ class TestConfigLoading:
                 "key 'dim' in provider must be int",
             ),
             (
-                {"task": "task1", "variants": [{"mlp_hidden": [64, "x"]}]},
-                "key 'mlp_hidden[1]' in variants[0] must be int",
+                {"task": "task6", "exclusions": [1.0, "x"]},
+                "key 'exclusions[1]' in config must be float",
             ),
             (
                 {"task": "task6", "exclusions": 1.0},
@@ -119,25 +119,24 @@ class TestConfigLoading:
             {
                 "task": "task6",
                 "dataset": {"synthetic": {}},
-                "variants": [{"svm_lambda": 1}],
+                "variants": [{"train": {"learning_rate": 1}}],
                 "exclusions": [1, 0.5],
             }
         )
-        assert type(config.variants[0].svm_lambda) is float
-        assert config.variants[0].svm_lambda == 1.0
+        assert type(config.variants[0].train.learning_rate) is float
+        assert config.variants[0].train.learning_rate == 1.0
         assert [type(e) for e in config.exclusions] == [float, float]
 
     @pytest.mark.parametrize(
         "spec, digest",
         [
-            (PipelineSpec(), "889363a4c787bd66"),
+            (PipelineSpec(), "6cebe16fb881c053"),
             (
                 PipelineSpec(
                     dimred=DimRedConfig(axis="hidden", n_components=16),
                     train=TrainConfig(max_epochs=7, learning_rate=0.01),
-                    mlp_hidden=(32, 8),
                 ),
-                "b8b0ac85f19234b3",
+                "3a146281d6444506",
             ),
         ],
     )
@@ -148,7 +147,8 @@ class TestConfigLoading:
 
 class TestArms:
     """Each task's arms in output order, pinned by name and by a digest of
-    their config hashes (recorded before the arms were rows of ``_ARMS``).
+    their config hashes (re-recorded when ``PipelineSpec`` dropped its
+    predictor settings; the names did not move).
     The second base sets fields that some arms override, so an override the
     default hides (task3's ``pooling: "mean"``) still shows."""
 
@@ -169,17 +169,17 @@ class TestArms:
     @pytest.mark.parametrize(
         "task, base, providers, names, digest",
         [
-            ("task1", {}, [], TASK1, "a92fb5b3f5174368"),
-            ("task1", OTHER, [], TASK1, "b1da5c2cf9f5df13"),
-            ("task2", {}, [], TASK2, "f7ce8c3393c54f7c"),
-            ("task2", OTHER, [], TASK2, "dad7a58e7527b27e"),
-            ("task2", {}, PROVIDERS, ["backbone-small", "backbone-mock"], "18f62e21041bf7ec"),
-            ("task3", {}, [], TASK3, "17a7e136854773c4"),
-            ("task3", OTHER, [], TASK3, "44d2f65ce0170a09"),
-            ("task4", {}, [], TASK4, "29641902b1d267d4"),
-            ("task4", OTHER, [], TASK4, "6fa3abad598da533"),
-            ("task6", {}, [], ["mlp"], "68dffc3322d7d470"),
-            ("task6", OTHER, [], ["svm+dimred"], "cd500751cc8902db"),
+            ("task1", {}, [], TASK1, "87ad18ad6e9027ac"),
+            ("task1", OTHER, [], TASK1, "a14b577d16771dc9"),
+            ("task2", {}, [], TASK2, "567d7d63eea9fa24"),
+            ("task2", OTHER, [], TASK2, "91067d47bce25cc5"),
+            ("task2", {}, PROVIDERS, ["backbone-small", "backbone-mock"], "0bebfe4edd98c8ef"),
+            ("task3", {}, [], TASK3, "7496a895bffb89cc"),
+            ("task3", OTHER, [], TASK3, "74666be143feb653"),
+            ("task4", {}, [], TASK4, "b72ad9bc650d77b4"),
+            ("task4", OTHER, [], TASK4, "b79b60a4d3c03e43"),
+            ("task6", {}, [], ["mlp"], "f426636788ed72ee"),
+            ("task6", OTHER, [], ["svm+dimred"], "6039d5b67e6f282a"),
         ],
     )
     def test_arms_are_unchanged(self, task, base, providers, names, digest):
@@ -693,7 +693,7 @@ def no_data(monkeypatch) -> None:
 
 class TestConfigChecks:
     """A config that cannot run fails when it is built. Each of these was
-    caught only after a dataset was loaded."""
+    caught only after a dataset was loaded, or not at all."""
 
     # case -> (task, top-level keys, keys of the variant that breaks, message);
     # task5's second variant breaks, other tasks' only one.
@@ -728,6 +728,34 @@ class TestConfigChecks:
             {"provider": {"dim": 64}},
             r"variant 'hidden-128': hidden-axis compression to 128 components "
             r"exceeds its feature width \(64 dims\)",
+        ),
+        # Exclusion 1.5 failed in the first split, 0.0 after the feature pass
+        # (an empty test side), and a repeat wrote rows with equal keys.
+        "task6-exclusion-1.5": (
+            "task6",
+            {"exclusions": [1.5]},
+            {},
+            r"exclusion 1.5 must lie in \(0, 1\]",
+        ),
+        "task6-exclusion-0": (
+            "task6",
+            {"exclusions": [1.0, 0.0]},
+            {},
+            r"exclusion 0.0 must lie in \(0, 1\]",
+        ),
+        "task6-exclusion-repeated": (
+            "task6",
+            {"exclusions": [0.4, 1.0, 0.4]},
+            {},
+            "exclusion 0.4 is repeated; its rows would share keys",
+        ),
+        # Two datasets that keep the default name wrote rows with equal keys.
+        "task5-dataset-names": (
+            "task5",
+            {"datasets": [{"synthetic": TINY_CORPUS}, {"synthetic": TINY_CORPUS, "seed": 1}]},
+            {},
+            "dataset name 'dataset' is repeated in 'datasets'; "
+            "each task5 dataset needs its own name",
         ),
     }
 
@@ -932,16 +960,17 @@ class TestTask3:
         assert fits == []
 
 
-# sha256 of results.csv from a tiny run of each task, recorded before trees
-# and forests became one node table (NumPy 2.4, x86_64): a change that keeps
-# every reported number keeps these bytes.
+# sha256 of results.csv from a tiny run of each task (NumPy 2.4, x86_64): a
+# change that keeps every reported number and every config hash keeps these
+# bytes. Re-recorded when PipelineSpec dropped its predictor settings, which
+# moved only the config_hash column.
 RESULTS_DIGESTS = {
-    "task1": "81849329f19640c0f54c5f3be1ce270807ef645ad2b2def05638f53f209344cc",
-    "task2": "ff38a84c85c680a3a5c30a56e552cf2c436f13b97462195d4afd8fa91f4fd827",
-    "task3": "a6b0e442bc28d4db432c2514cdf27058201296429802ec1250d73ab4c141f5e5",
-    "task4": "a66e8d91054a171d967cc2087471058433e3f937b1e05c1ade9eec85e992eb7f",
-    "task5": "c2eff43598ad746c54ee7c4dadb2b90fcaf6c39cf1827488a04c8410320e1063",
-    "task6": "7974f2af5967bd27fda0ae75b59b1392acefeee0c9421133f82849b3424bcf6c",
+    "task1": "5b323b1c1e7880f2a4d390f35e9cf33f2e971e8226e00cc0bfd5ad4006790891",
+    "task2": "2145b9058cfac168b9ca4d9bc1c1dedd36b1e9ef51f00ce09ca1d0d382e85349",
+    "task3": "c23e14abf19976c2a0245d2244f4c151452c3a1214d1e944755d7fb3b214bb39",
+    "task4": "a694b38d89dda9390b0d241ddb06de48c075de48bb4b962e982ee31516be524b",
+    "task5": "2591211a2a674f34920a50bd34a55f755b4803b6e7880388a1c533991bf9391a",
+    "task6": "c1a8e3ef96a865696f661a975ab038c3ea27be9b840e8ff246ffdb4f134d4368",
 }
 
 
