@@ -496,7 +496,7 @@ class SyntheticConfig:
         if not 0.0 <= self.trial_shift <= 1.0:
             raise ConfigError("trial_shift must lie in [0, 1]")
         if self.vocabulary_size < 2:
-            # A one-word pool would draw integers(1), which _Pcg64Stream lacks.
+            # integers(1) takes no value in numpy, but would in _draw.
             raise ConfigError("vocabulary_size must be at least 2")
         if self.notes_per_patient <= 0 or self.note_tokens <= 0:
             raise ConfigError("notes_per_patient and note_tokens must be positive")
@@ -505,6 +505,10 @@ class SyntheticConfig:
 _BASE_MARKER_RATE = 0.05
 _MAX_MARKER_RATE = 0.5
 _SHARED_MARKERS = tuple(f"finding{j:02d}" for j in range(6))
+_EXCLUSION_CRITERIA = (
+    "enrollment in another interventional study within 30 days",
+    "known hypersensitivity to the investigational compound",
+)
 
 _LOW_HALF = np.uint64(0xFFFFFFFF)
 
@@ -513,132 +517,69 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-class _Pcg64Stream:
-    """numpy's ``Generator.random()`` and ``Generator.integers(n)`` (for
-    ``2 <= n < 2**32``), read in bulk from a PCG64 generator's raw 64-bit
-    words. A bound of 1, which numpy answers without a draw, is not handled.
+def _draw(
+    rng: np.random.Generator, is_int: np.ndarray, bounds: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Make ``len(is_int)`` draws in order: ``rng.integers(n)`` where
+    ``is_int`` is set, ``rng.random()`` elsewhere, for ``2 <= n < 2**32``.
+    ``bounds(doubles)`` gives every draw's ``n``; an integer's bound may
+    depend on the doubles drawn before it. Returns ``(doubles, integers)``,
+    indexed by draw and 0 where the draw is of the other kind, and leaves
+    ``rng`` as the same calls made one by one would.
 
-    ``random()`` is ``(w >> 11) * 2**-53`` of one fresh word ``w`` and leaves
-    the generator's uint32 buffer alone. ``integers(n)`` takes a 32-bit value
-    ``u`` from that buffer: a fresh word gives its low half and leaves its
-    high half buffered. The result is ``(u * n) >> 32``, unless Lemire's
-    method (Lemire 2019) rejects ``u`` because ``(u * n) mod 2**32 < (2**32 -
-    n) mod n``; then it takes the next 32-bit value. The stream takes the
-    buffer over when it is opened and hands it back in ``close``, so calls on
-    the generator before and after it see the state that the same draws made
-    one by one would have left.
+    The words come from one ``random_raw`` call. ``random()`` is
+    ``(w >> 11) * 2**-53`` of a fresh word ``w``. ``integers(n)`` takes a
+    32-bit ``u`` from the uint32 buffer, where a fresh word leaves its high
+    half, and is ``(u * n) >> 32`` unless Lemire's method rejects ``u``
+    (``(u * n) mod 2**32 < (2**32 - n) mod n``). About one draw in 10**7 is
+    rejected at the corpus's bounds; then ``rng`` is put back and
+    ``_draw_one_by_one`` draws.
     """
+    bitgen = rng.bit_generator
+    before = bitgen.state
+    buffered = int(before["has_uint32"])
+    is_double = ~is_int
+    where = np.flatnonzero(is_int)
+    takes_word = is_double.copy()
+    takes_word[where[buffered::2]] = True
+    word_of = np.cumsum(takes_word) - 1
+    words = bitgen.random_raw(int(takes_word.sum()))
 
-    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
-        self._bitgen = bit_generator
-        self._opened = bit_generator.state
-        self._buffered = bool(self._opened["has_uint32"])
-        self._half = self._opened["uinteger"]
-        self._words = np.empty(0, dtype=np.uint64)  # pulled from the generator
-        self._next = 0  # index in _words of the first word not read
-        self._read = 0  # words read since the stream was opened
+    doubles = np.zeros(len(is_int))
+    doubles[is_double] = (words[word_of[is_double]] >> np.uint64(11)) * 2.0**-53
 
-    def _ahead(self, count: int) -> np.ndarray:
-        """The next ``count`` words, pulled as needed; none is marked read."""
-        missing = count - (len(self._words) - self._next)
-        if missing > 0:
-            pulled = self._bitgen.random_raw(missing)
-            self._words = np.concatenate((self._words[self._next :], pulled))
-            self._next = 0
-        return self._words[self._next : self._next + count]
+    fresh = words[word_of[where[buffered::2]]]
+    halves = np.empty(buffered + 2 * len(fresh), dtype=np.uint64)
+    halves[:buffered] = before["uinteger"]
+    halves[buffered::2] = fresh & _LOW_HALF
+    halves[buffered + 1 :: 2] = fresh >> np.uint64(32)
+    n = bounds(doubles)[where].astype(np.uint64)
+    product = halves[: len(where)] * n
+    if ((product & _LOW_HALF) < (np.uint64(1 << 32) - n) % n).any():
+        bitgen.state = before
+        return _draw_one_by_one(rng, is_int, bounds)
 
-    def _skip(self, count: int) -> None:
-        self._next += count
-        self._read += count
+    integers = np.zeros(len(is_int), dtype=np.int64)
+    integers[where] = product >> np.uint64(32)
+    if len(halves):  # else the buffer is as it was
+        after = bitgen.state
+        after["has_uint32"], after["uinteger"] = int(len(halves) > len(where)), int(halves[-1])
+        bitgen.state = after
+    return doubles, integers
 
-    def _uint32(self) -> int:
-        if self._buffered:
-            self._buffered = False
-            return self._half
-        word = int(self._ahead(1)[0])
-        self._skip(1)
-        self._buffered, self._half = True, word >> 32
-        return word & 0xFFFFFFFF
 
-    def _integer(self, n: int) -> int:
-        """One ``integers(n)``, a value at a time."""
-        product = self._uint32() * n
-        while product & 0xFFFFFFFF < ((1 << 32) - n) % n:
-            product = self._uint32() * n
-        return product >> 32
-
-    def draw(
-        self, is_int: np.ndarray, bounds: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Make ``len(is_int)`` draws in order: ``integers(n)`` where
-        ``is_int`` is set, ``random()`` elsewhere.
-
-        ``bounds(doubles)`` gives the ``n`` of every draw (its entries for
-        ``random()`` draws are not read). It is called with the doubles drawn
-        so far, indexed by draw, so an integer's bound may depend on the
-        doubles drawn before it. Returns ``(doubles, integers)``, each indexed
-        by draw and 0 where the draw is of the other kind.
-
-        Every word is placed before any is pulled: doubles take one word
-        each, and integer draws alternate between taking a fresh word and
-        reading the half it buffered. A draw that Lemire's method rejects is
-        made a value at a time, and the draws after it are placed again from
-        there.
-        """
-        total = len(is_int)
-        doubles = np.zeros(total)
-        integers = np.zeros(total, dtype=np.int64)
-        start = 0
-        while start < total:
-            is_double = ~is_int[start:]
-            where = np.flatnonzero(~is_double)
-            buffered = int(self._buffered)
-            takes_word = is_double.copy()
-            takes_word[where[buffered::2]] = True
-            word_of = np.cumsum(takes_word) - 1
-            words = self._ahead(int(word_of[-1]) + 1)
-
-            doubles[start:][is_double] = (
-                words[word_of[is_double]] >> np.uint64(11)
-            ).astype(np.float64) * (1.0 / 9007199254740992.0)
-
-            fresh = words[word_of[where[buffered::2]]]
-            halves = np.empty(buffered + 2 * len(fresh), dtype=np.uint64)
-            halves[:buffered] = self._half
-            halves[buffered::2] = fresh & _LOW_HALF
-            halves[buffered + 1 :: 2] = fresh >> np.uint64(32)
-            n = bounds(doubles)[start:][where].astype(np.uint64)
-            product = halves[: len(where)] * n
-            integers[start:][where] = product >> np.uint64(32)
-            rejected = (product & _LOW_HALF) < (np.uint64(1 << 32) - n) % n
-            if not rejected.any():
-                self._skip(len(words))
-                self._buffered = len(halves) > len(where)
-                if len(halves):
-                    self._half = int(halves[-1])
-                return doubles, integers
-
-            # Read up to the first rejected draw, make it, and place the rest anew.
-            q = int(np.argmax(rejected))
-            at = int(where[q])
-            self._skip(int(word_of[at]) + 1 - int(takes_word[at]))
-            self._buffered = not takes_word[at]
-            last = q if self._buffered else q - 1
-            if last >= 0:
-                self._half = int(halves[last])
-            integers[start + at] = self._integer(int(n[q]))
-            start += at + 1
-        return doubles, integers
-
-    def close(self) -> None:
-        """Hand the read position and the uint32 buffer back to the generator."""
-        if self._next < len(self._words):
-            # Words were pulled that no draw read: step back to the last read.
-            self._bitgen.state = self._opened
-            self._bitgen.advance(self._read)
-        state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self._buffered), self._half
-        self._bitgen.state = state
+def _draw_one_by_one(
+    rng: np.random.Generator, is_int: np.ndarray, bounds: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_draw``, made with one ``rng`` call per draw."""
+    doubles = np.zeros(len(is_int))
+    integers = np.zeros(len(is_int), dtype=np.int64)
+    for i, integer in enumerate(is_int.tolist()):
+        if integer:
+            integers[i] = rng.integers(int(bounds(doubles)[i]))
+        else:
+            doubles[i] = rng.random()
+    return doubles, integers
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
@@ -659,10 +600,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
     - per date, ``integers(12)`` for the month, then ``integers(28)`` for
       the day; age is ``integers(50)`` and sex one ``random()``.
 
-    The patient draws are read in bulk (``_Pcg64Stream``), with the values
-    that the same draws made one by one give. A new ``SyntheticConfig``
-    setting must draw nothing at its default, so that existing corpora keep
-    their bytes.
+    Each patient's draws are read in bulk by ``_draw``, with the values that
+    the same draws made one by one give. A new ``SyntheticConfig`` setting
+    must draw nothing at its default, so existing corpora keep their bytes.
     """
     rng = np.random.default_rng(seed)
     shared_vocab = [f"term{i:04d}" for i in range(config.vocabulary_size)]
@@ -703,27 +643,14 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
                 f"with documented {trial_markers[j]} on clinical assessment"
             )
             criteria.append(Criterion(f"{trial_id}-I{j + 1}", "inclusion", text))
-        criteria.append(
-            Criterion(
-                f"{trial_id}-E1",
-                "exclusion",
-                "enrollment in another interventional study within 30 days",
-            )
-        )
-        criteria.append(
-            Criterion(
-                f"{trial_id}-E2",
-                "exclusion",
-                "known hypersensitivity to the investigational compound",
-            )
-        )
+        for j, text in enumerate(_EXCLUSION_CRITERIA):
+            criteria.append(Criterion(f"{trial_id}-E{j + 1}", "exclusion", text))
         trials.append(Trial(trial_id, tuple(criteria)))
 
         n_pos = _round_half_up(config.positive_fraction * config.patients_per_trial)
         labels = np.array([1] * n_pos + [0] * (config.patients_per_trial - n_pos))
         labels = labels[rng.permutation(config.patients_per_trial)]
 
-        stream = _Pcg64Stream(rng.bit_generator)
         for i in range(config.patients_per_trial):
             label_value = int(labels[i])
             patient_id = f"{trial_id}-P{i:04d}"
@@ -738,7 +665,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
                 bounds[tokens] = pool_sizes[_pools(doubles, marker_rate)]
                 return bounds
 
-            doubles, ints = stream.draw(is_int, _bounds)
+            doubles, ints = _draw(rng, is_int, _bounds)
             picked = pool_starts[_pools(doubles, marker_rate)] + ints[tokens]
             words = [vocab[k] for k in picked.tolist()]
             stamps = [
@@ -772,7 +699,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
                     label=EligibilityLabel(label_value, raw),
                 )
             )
-        stream.close()
 
     return Dataset(patients=patients, trials=trials)
 

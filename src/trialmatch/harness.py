@@ -163,7 +163,10 @@ class ProviderSpec:
     """The one description of an embedding backend: its name, kind and
     output dim. ``kind`` decides whether a run encodes a prompt (mock) or
     takes its selected chunk vectors as the rows (http); the provider that
-    ``build`` makes carries its dim but no name."""
+    ``build`` makes carries its dim but no name. A key that its kind does
+    not read (a mock's ``endpoint`` or ``model``, an http provider's
+    ``seed``) is a ``ConfigError``, so equal backends share one feature
+    pass."""
 
     kind: str = "mock"  # "mock" | "http"
     name: Optional[str] = None
@@ -177,6 +180,9 @@ class ProviderSpec:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind == "http" and not self.model:
             raise ConfigError("http provider requires a model name")
+        for key in ("endpoint", "model") if self.kind == "mock" else ("seed",):
+            if getattr(self, key) != getattr(ProviderSpec, key):
+                raise ConfigError(f"{key!r} is read by no {self.kind} provider")
         if self.kind == "mock":
             check_mock_dim(self.dim)
         else:
@@ -256,7 +262,8 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class DatasetSource:
-    """Either a pair of JSONL paths or a synthetic generator config."""
+    """Either a pair of JSONL paths or a synthetic generator config and its
+    seed; a key that the other kind reads is a ``ConfigError``."""
 
     name: str = "dataset"
     patients_path: Optional[str] = None
@@ -265,11 +272,15 @@ class DatasetSource:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        has_paths = self.patients_path is not None and self.trials_path is not None
-        if has_paths == (self.synthetic is not None):
+        synthetic = self.synthetic is not None
+        if not synthetic and (self.patients_path is None or self.trials_path is None):
             raise ConfigError(
                 "dataset source needs either patients/trials paths or a synthetic config"
             )
+        for key in ("patients_path", "trials_path") if synthetic else ("seed",):
+            if getattr(self, key) != getattr(DatasetSource, key):
+                kind = "synthetic" if synthetic else "file"
+                raise ConfigError(f"{key!r} is read by no {kind} dataset source")
 
     def load(self) -> Dataset:
         if self.synthetic is not None:
@@ -852,8 +863,9 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
     """Execute one task's sweep; returns one ``RunResult`` per run, in
     dataset, cell, variant order.
 
-    Every cell is split and checked against every variant before the first
-    model is trained.
+    Every cell is split before the feature pass, so a split that leaves a
+    side empty fails before any retrieval, and is checked against every
+    variant before the first model is trained.
     """
     sources = config.datasets if config.task == "task5" else (config.dataset,)
     variants = _variants(config)
@@ -863,12 +875,13 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
     for source in sources:
         dataset = source.load()
         cells = _cells(config, dataset)
-        feature_sets = _compute_features_multi(variants, dataset, config.modality)
         splits = []
         for split, _, _ in cells:
             started = time.perf_counter()
             train_ids, test_ids = make_split(dataset, split)
             splits.append((train_ids, test_ids, time.perf_counter() - started))
+        feature_sets = _compute_features_multi(variants, dataset, config.modality)
+        for train_ids, test_ids, _ in splits:
             for spec, features in zip(variants, feature_sets):
                 _check_split(spec, features, train_ids, test_ids)
 

@@ -182,6 +182,22 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert err.startswith("data error: ") and "at least 2 trials" in err
 
+    def test_an_empty_split_exits_2_before_the_feature_pass(self, tmp_path, capsys, monkeypatch):
+        # Excluding 1% of a 20-patient trial rounds to no test patient.
+        passes = []
+        monkeypatch.setattr(harness, "_compute_features_multi", lambda *args: passes.append(args))
+        obj = {
+            "task": "task6",
+            "dataset": TINY_DATASET,
+            "variants": [{"train": {"max_epochs": 5}}],
+            "exclusions": [1.0, 0.01],
+            "output_dir": str(tmp_path / "out"),
+        }
+        code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
+        assert code == cli.EXIT_DATA
+        assert err == "data error: split leaves an empty side (train=40, test=0)\n"
+        assert passes == []
+
     @pytest.mark.parametrize("command", ["run", "synth", "retrieve"])
     def test_output_path_under_a_file_exits_2(self, tmp_path, capsys, dataset_files, command):
         blocker = tmp_path / "blocker"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_patient, tiny_trial, write_jsonl
+from trialmatch import corpus
 from trialmatch.corpus import (
     ClinicalNote,
     Criterion,
@@ -17,7 +18,6 @@ from trialmatch.corpus import (
     StructuredRow,
     SyntheticConfig,
     Trial,
-    _Pcg64Stream,
     build_chunks,
     chunk_text,
     dataset_to_jsonl,
@@ -394,17 +394,17 @@ class TestSyntheticBytes:
         [*((HARD_CORPUS, seed) for seed in (1, 2, 3)), (SyntheticConfig(vocabulary_size=2), 1)],
     )
     def test_draws_are_placed_in_bulk(self, monkeypatch, config, seed):
-        # A Lemire rejection is the only draw made a value at a time, and none
-        # occurs here: a schedule that falls back to value-at-a-time draws
-        # fails this, not only the benchmark's timing.
+        # A Lemire rejection is the only reason to make a patient's draws a
+        # value at a time, and none occurs here: a schedule that falls back
+        # to value-at-a-time draws fails this, not only the benchmark's timing.
         calls = []
-        one_value = _Pcg64Stream._integer
+        one_by_one = corpus._draw_one_by_one
 
-        def counting(self, n):
-            calls.append(n)
-            return one_value(self, n)
+        def counting(rng, is_int, bounds):
+            calls.append(len(is_int))
+            return one_by_one(rng, is_int, bounds)
 
-        monkeypatch.setattr(_Pcg64Stream, "_integer", counting)
+        monkeypatch.setattr(corpus, "_draw_one_by_one", counting)
         generate_synthetic(config, seed)
         assert calls == []
 
@@ -472,6 +472,8 @@ def _random_bounds(seed: int, count: int) -> np.ndarray:
 
 
 class TestPcg64Stream:
+    """``corpus._draw`` against one numpy call per draw on the same PCG64 stream."""
+
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize(
         "bounds",
@@ -487,9 +489,7 @@ class TestPcg64Stream:
             bulk.integers(7)
         expected = _calls(real, bounds.tolist())
 
-        stream = _Pcg64Stream(bulk.bit_generator)
-        doubles, ints = stream.draw(bounds != 0, lambda doubles: bounds)
-        stream.close()
+        doubles, ints = corpus._draw(bulk, bounds != 0, lambda doubles: bounds)
 
         got = [float(d) if n == 0 else int(i) for n, d, i in zip(bounds, doubles, ints)]
         assert got == expected
@@ -497,23 +497,29 @@ class TestPcg64Stream:
         assert _continuation(bulk) == _continuation(real)
 
     def test_a_bound_may_read_earlier_doubles(self):
-        # Each integer's bound is 2 or 3 by the double drawn just before it.
+        self._check_bounds_read_earlier_doubles(2, 3)
+
+    def test_a_rejected_draw_may_read_earlier_doubles(self):
+        # Bounds just above 2**31 force rejections, so the draws are made one by one.
+        self._check_bounds_read_earlier_doubles(2**31 + 1, 2**31 + 3)
+
+    @staticmethod
+    def _check_bounds_read_earlier_doubles(low, high):
+        # Each integer's bound is low or high by the double drawn just before it.
         is_int = np.array([False, True] * 50)
 
         def bounds(doubles):
             n = np.zeros(len(is_int), dtype=np.int64)
-            n[1::2] = np.where(doubles[0::2] < 0.5, 2, 3)
+            n[1::2] = np.where(doubles[0::2] < 0.5, low, high)
             return n
 
         real = np.random.default_rng(5)
         expected = []
         for _ in range(50):
             x = real.random()
-            expected += [x, int(real.integers(2 if x < 0.5 else 3))]
+            expected += [x, int(real.integers(low if x < 0.5 else high))]
         bulk = np.random.default_rng(5)
-        stream = _Pcg64Stream(bulk.bit_generator)
-        doubles, ints = stream.draw(is_int, bounds)
-        stream.close()
+        doubles, ints = corpus._draw(bulk, is_int, bounds)
         assert [float(d) for d in doubles[0::2]] == expected[0::2]
         assert ints[1::2].tolist() == expected[1::2]
         assert bulk.bit_generator.state == real.bit_generator.state

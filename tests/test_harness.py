@@ -757,6 +757,50 @@ class TestConfigChecks:
             "dataset name 'dataset' is repeated in 'datasets'; "
             "each task5 dataset needs its own name",
         ),
+        # Keys that their kind does not read loaded and were ignored, and
+        # split equal backends into separate feature passes.
+        "task1-mock-endpoint": (
+            "task1",
+            {},
+            {"provider": {"kind": "mock", "endpoint": "http://127.0.0.1:9"}},
+            "'endpoint' is read by no mock provider",
+        ),
+        "task5-mock-model": (
+            "task5",
+            {},
+            {"provider": {"model": "m"}},
+            "'model' is read by no mock provider",
+        ),
+        "task1-http-seed": (
+            "task1",
+            {},
+            {"provider": {"kind": "http", "model": "m", "seed": 3}},
+            "'seed' is read by no http provider",
+        ),
+        "task2-mock-endpoint": (
+            "task2",
+            {"providers": [{"kind": "mock"}, {"kind": "mock", "endpoint": "http://127.0.0.1:9"}]},
+            {},
+            "'endpoint' is read by no mock provider",
+        ),
+        "task1-synthetic-patients-path": (
+            "task1",
+            {"dataset": {"synthetic": TINY_CORPUS, "patients_path": "/nonexistent.jsonl"}},
+            {},
+            "'patients_path' is read by no synthetic dataset source",
+        ),
+        "task6-synthetic-trials-path": (
+            "task6",
+            {"dataset": {"synthetic": TINY_CORPUS, "trials_path": "/nonexistent.jsonl"}},
+            {},
+            "'trials_path' is read by no synthetic dataset source",
+        ),
+        "task3-paths-seed": (
+            "task3",
+            {"dataset": {"patients_path": "p.jsonl", "trials_path": "t.jsonl", "seed": 2}},
+            {},
+            "'seed' is read by no file dataset source",
+        ),
     }
 
     def config(self, case: str, tmp_path) -> dict:
