@@ -3,8 +3,9 @@
 Four model families: a rectifier MLP trained with summed binary cross-entropy
 and Adam, a Gini decision tree, a bootstrap random forest, and a linear SVM
 trained by subgradient descent on the regularized hinge loss. A trainable
-linear adapter in front of the MLP serves as the desk-scale analog of joint
-representation fine-tuning; the frozen setting is the plain MLP.
+square linear adapter in front of the MLP, starting at the identity, serves as
+the desk-scale analog of joint representation fine-tuning; the frozen setting
+is the plain MLP.
 
 Training is a single logical thread and fully deterministic under its seed;
 trained models are immutable and safe for concurrent prediction. The MLP trains
@@ -34,36 +35,25 @@ from .errors import ConfigError, DataError, DimensionMismatchError, SingleClassE
 
 DEFAULT_MLP_HIDDEN = (256, 64)
 EARLY_STOP_MIN_DELTA = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule knobs for gradient-trained models.
+    """The MLP's epoch schedule, the part of its training a config sets:
+    at most ``max_epochs`` epochs, stopping after ``patience`` epochs without
+    improvement. The same schedule trains the plain MLP and the one behind a
+    square adapter; the learning rate, batch size and seed are keyword
+    parameters of ``train_mlp`` and ``train_with_adapter``."""
 
-    The loss is summed (not averaged) over each batch, so gradient magnitudes
-    scale with batch size; the default learning rate is calibrated to the
-    default batch size of 32.
-    """
-
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     max_epochs: int = 200
-    batch_size: int = 32
     patience: int = 10
-    seed: int = 0
-    prob_clamp_epsilon: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in (0, 1)")
-        if self.adam_epsilon <= 0 or self.prob_clamp_epsilon <= 0:
-            raise ConfigError("epsilons must be positive")
-        if self.max_epochs <= 0 or self.batch_size <= 0 or self.patience <= 0:
-            raise ConfigError("max_epochs, batch_size, and patience must be positive")
+        if self.max_epochs <= 0 or self.patience <= 0:
+            raise ConfigError("max_epochs and patience must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +214,10 @@ class AdamState:
 
 
 def adam_step(
-    params: np.ndarray, grads: np.ndarray, state: AdamState, config: TrainConfig
+    params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float
 ) -> None:
-    """One bias-corrected Adam update, in place on ``params`` and ``state``.
+    """One bias-corrected Adam update, in place on ``params`` and ``state``,
+    with betas ``ADAM_BETA1``/``ADAM_BETA2`` and ``ADAM_EPSILON``.
 
     ``params``, ``grads`` and the moments are flat vectors of one shape. The
     elementwise order is that of the textbook update, so every bit matches
@@ -238,7 +229,7 @@ def adam_step(
             f"gradient {grads.shape} and moments {state.m.shape} must match "
             f"parameters {params.shape}"
         )
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
     correction1 = 1.0 - b1**state.t
     correction2 = 1.0 - b2**state.t
@@ -252,10 +243,10 @@ def adam_step(
     v *= b2
     v += denom
     np.divide(m, correction1, out=step)
-    step *= config.learning_rate
+    step *= learning_rate
     np.divide(v, correction2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += config.adam_epsilon
+    denom += ADAM_EPSILON
     step /= denom
     params -= step
 
@@ -276,14 +267,11 @@ def _split_flat(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.
 
 @dataclass
 class TrainingLog:
-    """Per-epoch record of a gradient-trained fit.
+    """Per-epoch record of a gradient-trained fit: ``losses[i]`` is the mean
+    BCE on the monitored set after epoch ``i + 1``. ``monitor`` names that
+    set: the validation set if one is given, else the training set."""
 
-    Each ``history`` row holds ``epoch`` and ``monitor_loss`` (mean BCE on
-    the monitored set). Without a validation set the monitored set is the
-    training set, and the row also carries that value as ``train_loss``.
-    """
-
-    history: list[dict] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)
     best_epoch: int = 0
     stopped_epoch: int = 0
     monitor: str = "train"
@@ -291,10 +279,10 @@ class TrainingLog:
 
 @dataclass
 class AdapterModel:
-    """An MLP behind a linear input transform trained jointly with it
+    """An MLP behind a square linear input transform trained jointly with it
     (fine-tuning analog)."""
 
-    adapter: np.ndarray  # (d_in, d_out)
+    adapter: np.ndarray  # (d, d)
     mlp: MLPModel
 
     @property
@@ -311,8 +299,13 @@ def _train_core(
     config: TrainConfig,
     validation: Optional[tuple[np.ndarray, np.ndarray]],
     hidden_sizes: Sequence[int],
-    adapter_dim: Optional[int],
+    with_adapter: bool,
+    learning_rate: float,
+    batch_size: int,
+    seed: int,
 ) -> tuple[Optional[np.ndarray], MLPModel, TrainingLog]:
+    if learning_rate <= 0 or batch_size <= 0:
+        raise ConfigError("learning_rate and batch_size must be positive")
     X = _as_features(features)
     dtype = X.dtype  # every array below is built in the features' dtype
     n, d = X.shape
@@ -329,27 +322,14 @@ def _train_core(
         val_x, val_y = X, y
         monitor = "train"
 
-    # Fixed spawn structure keeps MLP init and shuffles identical whether or
-    # not an adapter stream is consumed.
-    init_ss, shuffle_ss, adapter_ss = np.random.SeedSequence(config.seed).spawn(3)
+    init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
     rng_init = np.random.default_rng(init_ss)
     rng_shuffle = np.random.default_rng(shuffle_ss)
-
-    if adapter_dim is None:
-        adapter = None
-        input_dim = d
-    else:
-        input_dim = adapter_dim
-        if adapter_dim == d:
-            adapter = np.eye(d, dtype=dtype)
-        else:
-            adapter = np.random.default_rng(adapter_ss).standard_normal(
-                (d, adapter_dim)
-            ) * math.sqrt(1.0 / d)
+    adapter = np.eye(d, dtype=dtype) if with_adapter else None
 
     # The initial values are drawn in float64 whatever the dtype, so both
     # dtypes start from the same draws.
-    weights, biases = _init_params((input_dim, *hidden_sizes, 1), rng_init)
+    weights, biases = _init_params((d, *hidden_sizes, 1), rng_init)
     n_layers = len(weights)
     # Parameters, gradient and best snapshot are one flat vector each; the
     # weights, biases and adapter are reshaped views into them.
@@ -369,7 +349,7 @@ def _train_core(
 
     def monitor_loss() -> float:
         _, probs = _forward_stack(weights, biases, transform(val_x))
-        return bce_loss(probs, val_y, config.prob_clamp_epsilon) / len(val_y)
+        return bce_loss(probs, val_y) / len(val_y)
 
     state = AdamState.zeros_like(params)
     log = TrainingLog(monitor=monitor)
@@ -381,22 +361,19 @@ def _train_core(
         order = rng_shuffle.permutation(n)
         # One gather per epoch; each batch is a contiguous slice of it.
         X_epoch, y_epoch = X[order], y[order]
-        for start in range(0, n, config.batch_size):
-            Xb = X_epoch[start : start + config.batch_size]
-            yb = y_epoch[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            Xb = X_epoch[start : start + batch_size]
+            yb = y_epoch[start : start + batch_size]
             activations, probs = _forward_stack(weights, biases, transform(Xb))
             input_delta = _backward_stack(
                 weights, activations, probs, yb, grads_w, grads_b, adapter is not None
             )
             if adapter is not None:
                 np.matmul(Xb.T, input_delta, out=grad_adapter)
-            adam_step(params, grads, state, config)
+            adam_step(params, grads, state, learning_rate)
 
         current = monitor_loss()
-        row = {"epoch": epoch, "monitor_loss": current}
-        if validation is None:
-            row["train_loss"] = current  # the monitored set is the training set
-        log.history.append(row)
+        log.losses.append(current)
         log.stopped_epoch = epoch
         if best_loss - current >= EARLY_STOP_MIN_DELTA:
             best_loss = current
@@ -411,7 +388,7 @@ def _train_core(
     np.copyto(params, best_params)
     log.best_epoch = best_epoch
     model = MLPModel(
-        layer_sizes=(input_dim, *hidden_sizes, 1),
+        layer_sizes=(d, *hidden_sizes, 1),
         weights=weights,
         biases=biases,
     )
@@ -424,43 +401,46 @@ def train_mlp(
     config: TrainConfig = TrainConfig(),
     validation: Optional[tuple[np.ndarray, np.ndarray]] = None,
     hidden_sizes: Sequence[int] = DEFAULT_MLP_HIDDEN,
+    *,
+    learning_rate: float = 1e-3,
+    batch_size: int = 32,
+    seed: int = 0,
 ) -> tuple[MLPModel, TrainingLog]:
     """Mini-batch Adam on summed BCE with early stopping.
 
-    Trains in the dtype of ``features``: a float32 array gives a float32
-    fit, anything else is converted to float64. Stops when the monitored
-    loss (validation if given, else training) fails to improve by at least
-    1e-5 for ``patience`` epochs; returns the snapshot from the best
-    monitored epoch. Each epoch costs one forward pass over the
-    monitored set: the log's history rows carry ``monitor_loss``, plus
-    ``train_loss`` (the same value) when there is no validation set. Fully
-    deterministic under ``config.seed``.
+    The loss is summed (not averaged) over each batch, so gradient
+    magnitudes scale with ``batch_size``; the default learning rate is
+    calibrated to the default batch size. Trains in the dtype of
+    ``features``: a float32 array gives a float32 fit, anything else is
+    converted to float64. Stops when the monitored loss (validation if
+    given, else training) fails to improve by at least 1e-5 for
+    ``config.patience`` epochs; returns the snapshot from the best monitored
+    epoch. Each epoch costs one forward pass over the monitored set, whose
+    mean loss the log records. Fully deterministic under ``seed``.
     """
-    _, model, log = _train_core(features, labels, config, validation, hidden_sizes, None)
+    _, model, log = _train_core(
+        features, labels, config, validation, hidden_sizes, False, learning_rate, batch_size, seed
+    )
     return model, log
 
 
 def train_with_adapter(
     features,
     labels,
-    adapter_dim: Optional[int] = None,
     config: TrainConfig = TrainConfig(),
     validation: Optional[tuple[np.ndarray, np.ndarray]] = None,
     hidden_sizes: Sequence[int] = DEFAULT_MLP_HIDDEN,
+    *,
+    learning_rate: float = 1e-3,
+    batch_size: int = 32,
+    seed: int = 0,
 ) -> tuple[AdapterModel, TrainingLog]:
-    """Jointly optimize a linear input adapter and the MLP.
-
-    The adapter maps the feature width to ``adapter_dim`` columns (None:
-    square). A square adapter starts at the identity, a narrowing one from
-    scaled Gaussian draws. Like ``train_mlp``, trains in the features' dtype
-    (float32 or float64), and the adapter has that dtype too.
-    """
-    X = _as_features(features)
-    d_out = X.shape[1] if adapter_dim is None else adapter_dim
-    if d_out < 1:
-        raise ConfigError("adapter output dimension must be positive")
-    adapter, model, log = _train_core(X, labels, config, validation, hidden_sizes, d_out)
-    assert adapter is not None
+    """Jointly optimize a square linear input adapter, which starts at the
+    identity, and the MLP, with ``train_mlp``'s schedule and parameters. The
+    fit and the adapter take the features' dtype (float32 or float64)."""
+    adapter, model, log = _train_core(
+        features, labels, config, validation, hidden_sizes, True, learning_rate, batch_size, seed
+    )
     return AdapterModel(adapter=adapter, mlp=model), log
 
 

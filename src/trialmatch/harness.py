@@ -8,7 +8,7 @@ compression stage is configured) and executes the six standard task designs:
   task2  embedding-backbone sweep under a fixed pipeline
   task3  compression-strategy sweep (sequence axis; train-split PCA of
          pooled vectors at several component counts; last token; hybrid)
-  task4  frozen vs. jointly-trained adapter representations
+  task4  frozen vs. jointly-trained square-adapter representations
   task5  externally converted datasets, one run set per dataset
   task6  cross-trial generalization with a progressive exclusion sweep
 
@@ -203,7 +203,9 @@ class PipelineSpec:
     """One fully resolved pipeline variant: what a task's arms vary or a
     config sets. Each predictor's hyperparameters are the defaults of its
     ``classifiers`` function (``train_forest``, ``train_tree``, ``train_svm``,
-    ``train_mlp``, ``train_with_adapter``), and prompts open with
+    ``train_mlp``, ``train_with_adapter``) except the MLP's epoch schedule,
+    ``train``; ``adapter_mode: "adapter"`` puts a square adapter, starting
+    at the identity, in front of the MLP. Prompts open with
     ``retrieval.DEFAULT_INSTRUCTIONS``.
 
     ``dimred`` present selects Variant B (RAG-DimRed-MLP); absent it is
@@ -219,7 +221,6 @@ class PipelineSpec:
     dimred: Optional[DimRedConfig] = None
     classifier: str = "mlp"
     adapter_mode: str = "frozen"
-    adapter_dim: Optional[int] = None
     train: TrainConfig = TrainConfig()
     seed: int = 0
     chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -235,8 +236,6 @@ class PipelineSpec:
             raise ConfigError(f"unknown adapter mode {self.adapter_mode!r}")
         if self.k_retrieve < 1:
             raise ConfigError("k_retrieve must be at least 1")
-        if self.adapter_dim is not None and self.adapter_dim < 1:
-            raise ConfigError("'adapter_dim' must be at least 1")
         check_chunking(self.chunk_size, self.chunk_overlap)
 
     @property
@@ -337,8 +336,7 @@ class ExperimentConfig:
         if self.task != "task5" and self.dataset is None:
             raise ConfigError(f"{self.task} requires a dataset")
         _check_unread_keys(self)
-        for base in self.variants:
-            _check_arms(self, base)
+        _check_arms(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -704,20 +702,19 @@ def _train_eval(
         Xtr = pca_project(pca, Xtr)
         Xte = pca_project(pca, Xte)
 
-    train_seed = _derive_seed(spec.seed, spec.train.seed, 1)
-    config = replace(spec.train, seed=train_seed)
+    # The 0 stands for the training seed that configs no longer set, so
+    # every derived seed is the one it was.
+    train_seed = _derive_seed(spec.seed, 0, 1)
 
     if spec.classifier == "mlp":
         # The MLP trains in float32, the dtype of the features it is given;
         # the other classifiers and every prediction see float64.
-        carve_seed = _derive_seed(spec.seed, spec.train.seed, 2)
+        carve_seed = _derive_seed(spec.seed, 0, 2)
         core_x, core_y, validation = _carve_validation(Xtr.astype(np.float32), ytr, carve_seed)
         if spec.adapter_mode == "adapter":
-            model, _ = train_with_adapter(
-                core_x, core_y, spec.adapter_dim, config, validation=validation
-            )
+            model, _ = train_with_adapter(core_x, core_y, spec.train, validation, seed=train_seed)
         else:
-            model, _ = train_mlp(core_x, core_y, config, validation=validation)
+            model, _ = train_mlp(core_x, core_y, spec.train, validation, seed=train_seed)
     elif spec.classifier == "tree":
         model = train_tree(Xtr, ytr)
     elif spec.classifier == "forest":
@@ -831,21 +828,13 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
             raise ConfigError(f"{key!r} is read by no {task} run; {reason}")
 
 
-def _check_arms(config: ExperimentConfig, base: PipelineSpec) -> None:
-    """Reject what the arms built from the configured variant ``base`` cannot
-    run: an ``adapter_dim`` that no arm reads (only an ``mlp`` with
-    ``adapter_mode: "adapter"`` has an adapter; task4 builds such arms), a
-    ``pca_mean`` pooling without its width, or more hidden-axis components
-    than an arm's feature width."""
-    arms = [replace(base, **arm) for arm in _arms(config, base)]
-    if base.adapter_dim is not None and not any(
-        spec.classifier == "mlp" and spec.adapter_mode == "adapter" for spec in arms
-    ):
-        raise ConfigError(
-            f"'adapter_dim' in variant {base.variant_name!r} is read by no "
-            f"{config.task} run; only classifier 'mlp' with adapter_mode "
-            "'adapter' trains an adapter"
-        )
+def _check_arms(config: ExperimentConfig) -> None:
+    """Reject what the task's arms cannot run: a ``pca_mean`` pooling
+    without its width, more hidden-axis components than an arm's feature
+    width, or a variant name that two arms share, whose rows the
+    ``variant`` column could not tell apart. An adapter arm needs no check:
+    its adapter is square, so it keeps the feature width."""
+    arms = _variants(config)
     for spec in arms:
         width = _feature_width(spec, spec.provider.dim)
         if width is None:
@@ -857,6 +846,12 @@ def _check_arms(config: ExperimentConfig, base: PipelineSpec) -> None:
                     f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
                     f"components exceeds its feature width ({width} dims)"
                 )
+    names = [spec.variant_name for spec in arms]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(
+                f"variant name {name!r} is repeated; each run of a task needs its own name"
+            )
 
 
 def run_task(config: ExperimentConfig) -> list[RunResult]:

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from trialmatch.classifiers import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     MLPModel,
     TrainConfig,
@@ -26,7 +29,7 @@ from trialmatch.classifiers import (
     _init_params,
     _sigmoid,
 )
-from trialmatch.errors import DataError, DimensionMismatchError, SingleClassError
+from trialmatch.errors import ConfigError, DataError, DimensionMismatchError, SingleClassError
 
 
 def gini(labels: np.ndarray) -> float:
@@ -56,17 +59,21 @@ def params_digest(arrays) -> str:
     return digest.hexdigest()
 
 
+# The step settings of ``pinned_problem``'s fits.
+PINNED_STEP = dict(learning_rate=0.03, batch_size=16, seed=17)
+
+
 def pinned_problem():
-    """Training set, noisy validation set and an aggressive config: with
-    validation the best epoch (4) lies well before the stop (12), so the
-    best-epoch snapshot is what the fit returns."""
+    """Training set, noisy validation set and a schedule that, with
+    ``PINNED_STEP``'s aggressive learning rate, puts the best validation
+    epoch (4) well before the stop (12), so the best-epoch snapshot is what
+    the fit returns."""
     rng = np.random.default_rng(2024)
     X = rng.standard_normal((70, 5))
     y = (X[:, 0] + 0.5 * rng.standard_normal(70) > 0).astype(float)
     Xv = rng.standard_normal((20, 5))
     yv = (Xv[:, 0] + rng.standard_normal(20) > 0).astype(float)
-    config = TrainConfig(learning_rate=0.03, seed=17, max_epochs=60, batch_size=16, patience=8)
-    return X, y, (Xv, yv), config
+    return X, y, (Xv, yv), TrainConfig(max_epochs=60, patience=8)
 
 
 class TestBceLoss:
@@ -195,24 +202,22 @@ class TestAdamStep:
         params = np.array([1.0, -2.0, 3.0])
         before = params.copy()
         state = AdamState.zeros_like(params)
-        assert adam_step(params, np.zeros(3), state, TrainConfig()) is None
+        assert adam_step(params, np.zeros(3), state, 1e-3) is None
         assert np.array_equal(params, before)
         assert not state.m.any() and not state.v.any()
         assert state.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
-        config = TrainConfig(learning_rate=0.01)
         params = np.zeros(2)
-        adam_step(params, np.array([5.0, -3.0]), AdamState.zeros_like(params), config)
+        adam_step(params, np.array([5.0, -3.0]), AdamState.zeros_like(params), 0.01)
         assert params == pytest.approx(np.array([-0.01, 0.01]), abs=1e-8)
 
     def test_deterministic(self):
-        config = TrainConfig()
         a, b = np.array([0.5, -0.25]), np.array([0.5, -0.25])
         state_a, state_b = AdamState.zeros_like(a), AdamState.zeros_like(b)
         for g in (np.array([0.2, 0.1]), np.array([-0.3, 0.05])):
-            adam_step(a, g, state_a, config)
-            adam_step(b, g, state_b, config)
+            adam_step(a, g, state_a, 1e-3)
+            adam_step(b, g, state_b, 1e-3)
         assert np.array_equal(a, b)
         assert np.array_equal(state_a.m, state_b.m) and np.array_equal(state_a.v, state_b.v)
 
@@ -220,30 +225,30 @@ class TestAdamStep:
         params = np.zeros(2)
         state = AdamState.zeros_like(params)
         with pytest.raises(DataError):
-            adam_step(params, np.zeros(3), state, TrainConfig())
+            adam_step(params, np.zeros(3), state, 1e-3)
         with pytest.raises(DataError):
-            adam_step(np.zeros(3), np.zeros(3), state, TrainConfig())
+            adam_step(np.zeros(3), np.zeros(3), state, 1e-3)
 
     @staticmethod
     def steps_against_textbook(dtype):
         """12 in-place steps in ``dtype``, each checked bit for bit against
         the textbook update written inline; returns the final parameters."""
-        config = TrainConfig(learning_rate=3e-3, adam_beta1=0.85, adam_beta2=0.995)
+        lr = 3e-3
         rng = np.random.default_rng(5)
         params = rng.standard_normal(257).astype(dtype)
         state = AdamState.zeros_like(params)
         # Oracle: the textbook update, one fresh array per operation.
         p, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
-        b1, b2 = config.adam_beta1, config.adam_beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for t in range(1, 13):
             g = (rng.standard_normal(257) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
             g[::7] = 0.0
-            adam_step(params, g, state, config)
+            adam_step(params, g, state, lr)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
-            p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+            p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
             assert state.t == t
             assert params.dtype == p.dtype == dtype
             assert params.tobytes() == p.tobytes()
@@ -274,32 +279,45 @@ class TestTrainMlp:
     def test_separable_blobs_high_accuracy(self):
         for seed in range(5):
             X, y = blobs(seed, n=100, margin=1.0)
-            config = TrainConfig(seed=seed, max_epochs=60)
-            model, _ = train_mlp(X, y, config, hidden_sizes=(8,))
+            config = TrainConfig(max_epochs=60)
+            model, _ = train_mlp(X, y, config, hidden_sizes=(8,), seed=seed)
             preds = (predict_proba(model, X) >= 0.5).astype(float)
             assert (preds == y).mean() >= 0.99
 
     def test_deterministic_parameters(self):
         X, y = blobs(3)
-        config = TrainConfig(seed=11, max_epochs=15)
-        m1, log1 = train_mlp(X, y, config, hidden_sizes=(6,))
-        m2, log2 = train_mlp(X, y, config, hidden_sizes=(6,))
+        config = TrainConfig(max_epochs=15)
+        m1, log1 = train_mlp(X, y, config, hidden_sizes=(6,), seed=11)
+        m2, log2 = train_mlp(X, y, config, hidden_sizes=(6,), seed=11)
         for a, b in zip(m1.weights, m2.weights):
             assert np.array_equal(a, b)
         for a, b in zip(m1.biases, m2.biases):
             assert np.array_equal(a, b)
-        assert log1.history == log2.history
+        assert log1.losses == log2.losses
 
     def test_single_class_error(self):
         X = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(SingleClassError):
             train_mlp(X, np.ones(10), TrainConfig(max_epochs=2))
 
+    @pytest.mark.parametrize("train", [train_mlp, train_with_adapter])
+    @pytest.mark.parametrize("step", [dict(learning_rate=0.0), dict(batch_size=0)])
+    def test_nonpositive_step_is_a_config_error(self, train, step):
+        X, y = blobs(4, n=20)
+        message = "^learning_rate and batch_size must be positive$"
+        with pytest.raises(ConfigError, match=message):
+            train(X, y, TrainConfig(max_epochs=1), **step)
+
+    @pytest.mark.parametrize("schedule", [dict(max_epochs=0), dict(patience=-1)])
+    def test_nonpositive_schedule_is_a_config_error(self, schedule):
+        with pytest.raises(ConfigError, match="^max_epochs and patience must be positive$"):
+            TrainConfig(**schedule)
+
     def test_full_batch_loss_descends(self):
         X, y = blobs(7, n=60)
-        config = TrainConfig(seed=0, max_epochs=100, batch_size=60, patience=100)
-        _, log = train_mlp(X, y, config, hidden_sizes=(8,))
-        losses = [row["train_loss"] for row in log.history]
+        config = TrainConfig(max_epochs=100, patience=100)
+        _, log = train_mlp(X, y, config, hidden_sizes=(8,), batch_size=60)
+        losses = log.losses
         assert losses[-1] < losses[0]
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-9)
         assert violations <= max(1, int(0.01 * len(losses)))
@@ -310,7 +328,7 @@ class TestTrainMlp:
         X, y = blobs(1, n=60)
         Xv = rng.standard_normal((30, 2))
         yv = (rng.random(30) < 0.5).astype(float)
-        config = TrainConfig(seed=0, max_epochs=300, patience=3)
+        config = TrainConfig(max_epochs=300, patience=3)
         _, log = train_mlp(X, y, config, validation=(Xv, yv), hidden_sizes=(4,))
         assert log.stopped_epoch < 300
         assert log.best_epoch <= log.stopped_epoch
@@ -318,33 +336,34 @@ class TestTrainMlp:
     def test_validation_snapshot_returned(self):
         X, y = blobs(2, n=80)
         Xv, yv = blobs(9, n=30)
-        config = TrainConfig(seed=5, max_epochs=40)
-        model, log = train_mlp(X, y, config, validation=(Xv, yv), hidden_sizes=(6,))
+        config = TrainConfig(max_epochs=40)
+        model, log = train_mlp(X, y, config, validation=(Xv, yv), hidden_sizes=(6,), seed=5)
         assert log.monitor == "validation"
-        best = log.history[log.best_epoch - 1]["monitor_loss"]
-        assert best == min(row["monitor_loss"] for row in log.history)
+        assert log.losses[log.best_epoch - 1] == min(log.losses)
 
     # Digests of fits recorded before the training step was rewritten to
     # update one flat parameter vector in place (NumPy 2.4, OpenBLAS,
     # x86_64); the rewrite must reproduce every bit.
     def test_validation_fit_matches_recorded_digest(self):
         X, y, validation, config = pinned_problem()
-        model, log = train_mlp(X, y, config, validation=validation, hidden_sizes=(8, 4))
+        model, log = train_mlp(
+            X, y, config, validation=validation, hidden_sizes=(8, 4), **PINNED_STEP
+        )
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
         assert params_digest([*model.weights, *model.biases]) == (
             "b132dc5c0ce32761c98b2c5f80488b15e23eb0c0a6780a2fee038477705f2667"
         )
-        assert all(set(row) == {"epoch", "monitor_loss"} for row in log.history)
+        assert log.monitor == "validation" and len(log.losses) == 12
 
     def test_training_fit_matches_recorded_digest(self):
         X, y, _, config = pinned_problem()
-        model, log = train_mlp(X, y, config, hidden_sizes=(8, 4))
+        model, log = train_mlp(X, y, config, hidden_sizes=(8, 4), **PINNED_STEP)
         assert (log.best_epoch, log.stopped_epoch) == (58, 60)
         assert params_digest([*model.weights, *model.biases]) == (
             "a8bdac4e05a34265ca3eca372fcecc98e9bda1461de2bd92e5d1e2599ba61dfd"
         )
-        assert log.history[-1]["train_loss"] == float.fromhex("0x1.37b2f149b27dep-4")
-        assert all(row["train_loss"] == row["monitor_loss"] for row in log.history)
+        assert log.monitor == "train" and len(log.losses) == 60
+        assert log.losses[-1] == float.fromhex("0x1.37b2f149b27dep-4")
 
     # Recorded when float32 training was introduced (same platform); pins
     # the float32 arithmetic as the digests above pin the float64 one.
@@ -356,6 +375,7 @@ class TestTrainMlp:
             config,
             validation=(Xv.astype(np.float32), yv),
             hidden_sizes=(8, 4),
+            **PINNED_STEP,
         )
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
         assert params_digest([*model.weights, *model.biases]) == (
@@ -366,30 +386,17 @@ class TestTrainMlp:
 class TestTrainingDtype:
     """A fit trains and returns its parameters in the features' dtype."""
 
-    ADAPTER_CASES = {
-        "trainable": dict(adapter_dim=3),
-        "trainable-square": dict(adapter_dim=5),
-    }
-
     @staticmethod
     def fit(dtype, case):
         X, y, (Xv, yv), _ = pinned_problem()
-        config = TrainConfig(seed=3, max_epochs=3)
-        validation = (Xv.astype(dtype), yv)
+        args = (X.astype(dtype), y, TrainConfig(max_epochs=3), (Xv.astype(dtype), yv), (4,))
         if case == "none":
-            model, _ = train_mlp(X.astype(dtype), y, config, validation, hidden_sizes=(4,))
+            model, _ = train_mlp(*args, seed=3)
             return [*model.weights, *model.biases]
-        model, _ = train_with_adapter(
-            X.astype(dtype),
-            y,
-            config=config,
-            validation=validation,
-            hidden_sizes=(4,),
-            **TestTrainingDtype.ADAPTER_CASES[case],
-        )
+        model, _ = train_with_adapter(*args, seed=3)
         return [model.adapter, *model.mlp.weights, *model.mlp.biases]
 
-    @pytest.mark.parametrize("case", ["none", *ADAPTER_CASES])
+    @pytest.mark.parametrize("case", ["none", "trainable-square"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_parameters_take_the_features_dtype(self, dtype, case):
         assert {a.dtype for a in self.fit(dtype, case)} == {np.dtype(dtype)}
@@ -397,9 +404,9 @@ class TestTrainingDtype:
     def test_validation_is_cast_to_the_features_dtype(self):
         X, y, (Xv, yv), config = pinned_problem()
         X32 = X.astype(np.float32)
-        cast = train_mlp(X32, y, config, (Xv.astype(np.float32), yv), hidden_sizes=(4,))
-        wide = train_mlp(X32, y, config, (Xv, yv), hidden_sizes=(4,))
-        assert cast[1].history == wide[1].history
+        cast = train_mlp(X32, y, config, (Xv.astype(np.float32), yv), (4,), **PINNED_STEP)
+        wide = train_mlp(X32, y, config, (Xv, yv), (4,), **PINNED_STEP)
+        assert cast[1].losses == wide[1].losses
 
     def test_other_inputs_train_in_float64(self):
         X, y = blobs(3, n=20)
@@ -764,8 +771,8 @@ class TestSvm:
 class TestAdapter:
     def test_adapter_trains_jointly(self):
         X, y = blobs(5, n=80)
-        config = TrainConfig(seed=3, max_epochs=20)
-        model, _ = train_with_adapter(X, y, 2, config, hidden_sizes=(5,))
+        config = TrainConfig(max_epochs=20)
+        model, _ = train_with_adapter(X, y, config, hidden_sizes=(5,), seed=3)
         assert not np.array_equal(model.adapter, np.eye(2))
         preds = (predict_proba(model, X) >= 0.5).astype(float)
         assert (preds == y).mean() >= 0.9
@@ -774,8 +781,8 @@ class TestAdapter:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((6, 3))
         y = (rng.random(6) < 0.5).astype(float)
-        config = TrainConfig(seed=1, max_epochs=1, batch_size=6)
-        model, _ = train_with_adapter(X, y, 3, config, hidden_sizes=(4,))
+        config = TrainConfig(max_epochs=1)
+        model, _ = train_with_adapter(X, y, config, hidden_sizes=(4,), batch_size=6, seed=1)
         # One Adam step from identity with summed BCE: verify the step moved
         # the adapter in the direction opposite the finite-difference gradient.
         A = np.eye(3)
@@ -808,27 +815,29 @@ class TestAdapter:
 
     def test_deterministic_under_seed(self):
         X, y = blobs(6, n=50)
-        config = TrainConfig(seed=13, max_epochs=8)
-        a, _ = train_with_adapter(X, y, 2, config, hidden_sizes=(4,))
-        b, _ = train_with_adapter(X, y, 2, config, hidden_sizes=(4,))
+        config = TrainConfig(max_epochs=8)
+        a, _ = train_with_adapter(X, y, config, hidden_sizes=(4,), seed=13)
+        b, _ = train_with_adapter(X, y, config, hidden_sizes=(4,), seed=13)
         assert np.array_equal(a.adapter, b.adapter)
 
     def test_fit_matches_recorded_digest(self):
-        # Recorded like the digests in TestTrainMlp.
+        # Recorded like the digests in TestTrainMlp, for the square adapter
+        # (starting at the identity) before the narrowing one was removed.
         X, y, validation, config = pinned_problem()
         model, log = train_with_adapter(
-            X, y, 3, config, validation=validation, hidden_sizes=(6,)
+            X, y, config, validation=validation, hidden_sizes=(6,), **PINNED_STEP
         )
+        assert model.adapter.shape == (5, 5)
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
         assert params_digest(
             [model.adapter, *model.mlp.weights, *model.mlp.biases]
-        ) == "15ab9f684779eafa142b0ecf9bc265944227481a8f4ecf774d9a4eb4df3ecb7a"
+        ) == "8e7c8fa7bfee2311fb2adbd3c32a51a59adda975a54e870634f1992bb8d7a303"
 
 
 class TestPredictProba:
     def test_repeat_deterministic_and_sized(self):
         X, y = blobs(8, n=40)
-        model, _ = train_mlp(X, y, TrainConfig(seed=1, max_epochs=5), hidden_sizes=(4,))
+        model, _ = train_mlp(X, y, TrainConfig(max_epochs=5), hidden_sizes=(4,), seed=1)
         probe = np.random.default_rng(0).standard_normal((7, 2))
         a = predict_proba(model, probe)
         b = predict_proba(model, probe)
@@ -845,6 +854,6 @@ class TestPredictProba:
 
     def test_dim_mismatch(self):
         X, y = blobs(9, n=30)
-        model, _ = train_mlp(X, y, TrainConfig(seed=1, max_epochs=3), hidden_sizes=(3,))
+        model, _ = train_mlp(X, y, TrainConfig(max_epochs=3), hidden_sizes=(3,), seed=1)
         with pytest.raises(DimensionMismatchError):
             predict_proba(model, np.zeros((2, 5)))

@@ -10,7 +10,6 @@ import pytest
 import trialmatch
 from trialmatch import cli, harness
 from trialmatch.corpus import load_dataset
-from trialmatch.errors import ConfigError
 
 
 def run_cli(argv, capsys) -> tuple[int, str]:
@@ -25,6 +24,20 @@ def write_config(tmp_path, obj) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def feature_passes(monkeypatch) -> list:
+    """The arguments of each feature pass that ``harness`` runs."""
+    passes = []
+    feature_pass = harness._compute_features_multi
+
+    def counting(*args):
+        passes.append(args)
+        return feature_pass(*args)
+
+    monkeypatch.setattr(harness, "_compute_features_multi", counting)
+    return passes
 
 
 class TestExitCodes:
@@ -74,6 +87,7 @@ class TestExitCodes:
             ("task1", "mlp_hidden", [8, 0]),
             ("task4", "adapter_dim", 0),
             ("task4", "adapter_dim", -2),
+            ("task4", "adapter_dim", 8),
             ("task1", "forest_trees", 0),
             ("task1", "tree_max_depth", 0),
             ("task1", "tree_min_leaf", 0),
@@ -83,53 +97,37 @@ class TestExitCodes:
         ],
     )
     def test_bad_model_setting_exits_1_before_the_feature_pass(
-        self, tmp_path, capsys, monkeypatch, task, key, value
+        self, tmp_path, capsys, feature_passes, task, key, value
     ):
-        passes = []
-        feature_pass = harness._compute_features_multi
-
-        def counting(*args):
-            passes.append(args)
-            return feature_pass(*args)
-
-        monkeypatch.setattr(harness, "_compute_features_multi", counting)
         obj = {
             "task": task,
-            "dataset": {"synthetic": {"n_trials": 2, "patients_per_trial": 20}, "seed": 5},
+            "dataset": TINY_DATASET,
             "variants": [{"train": {"max_epochs": 5}, key: value}],
             "output_dir": str(tmp_path / "out"),
         }
         code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
         assert code == cli.EXIT_USAGE
         assert err.startswith("error: ") and repr(key) in err
-        assert passes == []
+        assert feature_passes == []
 
-    def test_adapter_dim_needs_a_run_that_trains_an_adapter(self, tmp_path, capsys, monkeypatch):
-        passes = []
-        feature_pass = harness._compute_features_multi
-
-        def counting(*args):
-            passes.append(args)
-            return feature_pass(*args)
-
-        monkeypatch.setattr(harness, "_compute_features_multi", counting)
+    # The MLP's step settings are keyword defaults of train_mlp; the epoch
+    # schedule is all that a config sets.
+    @pytest.mark.parametrize(
+        "key, value", [("learning_rate", 0.01), ("batch_size", 16), ("seed", 3)]
+    )
+    def test_removed_train_key_exits_1_before_the_feature_pass(
+        self, tmp_path, capsys, feature_passes, key, value
+    ):
         obj = {
-            "task": "task1",
+            "task": "task4",
             "dataset": TINY_DATASET,
-            "variants": [{"train": {"max_epochs": 5}, "adapter_dim": 8}],
+            "variants": [{"train": {"max_epochs": 5, key: value}}],
             "output_dir": str(tmp_path / "out"),
         }
-        with pytest.raises(ConfigError, match="^'adapter_dim' in variant 'mlp' is read by no"):
-            harness.ExperimentConfig.from_dict(obj)
         code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
         assert code == cli.EXIT_USAGE
-        assert err.startswith("error: ") and "'adapter_dim'" in err
-        assert passes == [] and not (tmp_path / "out").exists()
-        # task4 builds its ':adapter' arms from the configured variant.
-        obj["task"] = "task4"
-        code, err = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
-        assert (code, err) == (cli.EXIT_OK, "")
-        assert len(passes) == 1
+        assert err.startswith(f"error: unknown key {key!r} in train; expected one of ")
+        assert feature_passes == [] and not (tmp_path / "out").exists()
 
     def test_rejected_rerun_leaves_the_previous_log(self, tmp_path, capsys):
         obj = {

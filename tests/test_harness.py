@@ -63,6 +63,11 @@ class TestConfigLoading:
             ({"task": "task1", "split": {"seeds": 1}}, "seeds"),
             ({"task": "task1", "thread": 2}, "thread"),
             ({"task": "task3", "variants": [{"dimred": {"fit_scope": "dataset"}}]}, "fit_scope"),
+            # The MLP's step settings are keyword defaults of train_mlp, and
+            # its adapter is always square.
+            ({"task": "task1", "variants": [{"train": {"learning_rate": 0.01}}]}, "learning_rate"),
+            ({"task": "task1", "variants": [{"train": {"seed": 3}}]}, "seed"),
+            ({"task": "task4", "variants": [{"adapter_dim": 8}]}, "adapter_dim"),
         ],
     )
     def test_unknown_key_is_named(self, obj, key):
@@ -118,25 +123,24 @@ class TestConfigLoading:
         config = ExperimentConfig.from_dict(
             {
                 "task": "task6",
-                "dataset": {"synthetic": {}},
-                "variants": [{"train": {"learning_rate": 1}}],
+                "dataset": {"synthetic": {"signal_strength": 1}},
                 "exclusions": [1, 0.5],
             }
         )
-        assert type(config.variants[0].train.learning_rate) is float
-        assert config.variants[0].train.learning_rate == 1.0
+        assert type(config.dataset.synthetic.signal_strength) is float
+        assert config.dataset.synthetic.signal_strength == 1.0
         assert [type(e) for e in config.exclusions] == [float, float]
 
     @pytest.mark.parametrize(
         "spec, digest",
         [
-            (PipelineSpec(), "6cebe16fb881c053"),
+            (PipelineSpec(), "4ad07305548ed562"),
             (
                 PipelineSpec(
                     dimred=DimRedConfig(axis="hidden", n_components=16),
-                    train=TrainConfig(max_epochs=7, learning_rate=0.01),
+                    train=TrainConfig(max_epochs=7, patience=3),
                 ),
-                "3a146281d6444506",
+                "9574975596d50be4",
             ),
         ],
     )
@@ -148,7 +152,8 @@ class TestConfigLoading:
 class TestArms:
     """Each task's arms in output order, pinned by name and by a digest of
     their config hashes (re-recorded when ``PipelineSpec`` dropped its
-    predictor settings; the names did not move).
+    predictor settings, and again when it dropped the MLP's step settings
+    and ``adapter_dim``; the names did not move).
     The second base sets fields that some arms override, so an override the
     default hides (task3's ``pooling: "mean"``) still shows."""
 
@@ -169,17 +174,17 @@ class TestArms:
     @pytest.mark.parametrize(
         "task, base, providers, names, digest",
         [
-            ("task1", {}, [], TASK1, "87ad18ad6e9027ac"),
-            ("task1", OTHER, [], TASK1, "a14b577d16771dc9"),
-            ("task2", {}, [], TASK2, "567d7d63eea9fa24"),
-            ("task2", OTHER, [], TASK2, "91067d47bce25cc5"),
-            ("task2", {}, PROVIDERS, ["backbone-small", "backbone-mock"], "0bebfe4edd98c8ef"),
-            ("task3", {}, [], TASK3, "7496a895bffb89cc"),
-            ("task3", OTHER, [], TASK3, "74666be143feb653"),
-            ("task4", {}, [], TASK4, "b72ad9bc650d77b4"),
-            ("task4", OTHER, [], TASK4, "b79b60a4d3c03e43"),
-            ("task6", {}, [], ["mlp"], "f426636788ed72ee"),
-            ("task6", OTHER, [], ["svm+dimred"], "6039d5b67e6f282a"),
+            ("task1", {}, [], TASK1, "f63465d02cd98018"),
+            ("task1", OTHER, [], TASK1, "c588ab23f4fcf10f"),
+            ("task2", {}, [], TASK2, "c886dd45b9be4d2f"),
+            ("task2", OTHER, [], TASK2, "ad4b71d63bec750b"),
+            ("task2", {}, PROVIDERS, ["backbone-small", "backbone-mock"], "8c1657f9e33ed362"),
+            ("task3", {}, [], TASK3, "7bba7b17106f820d"),
+            ("task3", OTHER, [], TASK3, "a75fd6c795f6fb8b"),
+            ("task4", {}, [], TASK4, "1fbed745924813e3"),
+            ("task4", OTHER, [], TASK4, "cef84010800fc401"),
+            ("task6", {}, [], ["mlp"], "56ca5cb910e5a2e8"),
+            ("task6", OTHER, [], ["svm+dimred"], "30f46acdb4a16c68"),
         ],
     )
     def test_arms_are_unchanged(self, task, base, providers, names, digest):
@@ -801,6 +806,26 @@ class TestConfigChecks:
             {},
             "'seed' is read by no file dataset source",
         ),
+        # Each wrote results rows that the variant column cannot tell apart:
+        # equal in every key column, config_hash included, for the first two.
+        "task5-variant-repeated": (
+            "task5",
+            {},
+            {},
+            "variant name 'mlp' is repeated; each run of a task needs its own name",
+        ),
+        "task2-provider-repeated": (
+            "task2",
+            {"providers": [{"kind": "mock"}, {"kind": "mock"}]},
+            {},
+            "variant name 'backbone-mock' is repeated; each run of a task needs its own name",
+        ),
+        "task5-name-repeated": (
+            "task5",
+            {"variants": [{"name": "a", "train": {"max_epochs": 5}}]},
+            {"k_retrieve": 2},
+            "variant name 'a' is repeated; each run of a task needs its own name",
+        ),
     }
 
     def config(self, case: str, tmp_path) -> dict:
@@ -1006,15 +1031,16 @@ class TestTask3:
 
 # sha256 of results.csv from a tiny run of each task (NumPy 2.4, x86_64): a
 # change that keeps every reported number and every config hash keeps these
-# bytes. Re-recorded when PipelineSpec dropped its predictor settings, which
-# moved only the config_hash column.
+# bytes. Re-recorded when PipelineSpec dropped its predictor settings, and
+# again when it dropped the MLP's step settings and adapter_dim; each time
+# only the config_hash column moved.
 RESULTS_DIGESTS = {
-    "task1": "5b323b1c1e7880f2a4d390f35e9cf33f2e971e8226e00cc0bfd5ad4006790891",
-    "task2": "2145b9058cfac168b9ca4d9bc1c1dedd36b1e9ef51f00ce09ca1d0d382e85349",
-    "task3": "c23e14abf19976c2a0245d2244f4c151452c3a1214d1e944755d7fb3b214bb39",
-    "task4": "a694b38d89dda9390b0d241ddb06de48c075de48bb4b962e982ee31516be524b",
-    "task5": "2591211a2a674f34920a50bd34a55f755b4803b6e7880388a1c533991bf9391a",
-    "task6": "c1a8e3ef96a865696f661a975ab038c3ea27be9b840e8ff246ffdb4f134d4368",
+    "task1": "f9fdbbc3c523f2b4ee4512d18a67e39433cba62b874e4e1179c5077c9908b57d",
+    "task2": "4a25d14be942e32ef8775a8b35e2d1541212d18f402c4eefd95791e08622f86c",
+    "task3": "32222bb969dc6b2df749cc8ba6bd4c33cd6b82ec0950f7b6163c14de67ab52c4",
+    "task4": "dcfab876857bba176990770dc73fdc68c860cedc8e3a46238c333e913292fc5e",
+    "task5": "6fd5a28f39653175be60b6a04c0c5064d53d461a74bdf3ab1f63fff67b3186ad",
+    "task6": "ebe987ed4a4e1bd3985341f81075414f1a0089c64696e80c81fb4738f396ab37",
 }
 
 

@@ -1,9 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
+
+from trialmatch.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "trialmatch"
@@ -169,3 +173,74 @@ def test_a_layer_called_through_its_module_is_caught():
         "retrieval.select_top_k(b)\n"
     )
     assert called_names(ast.parse(source)) == {"score_chunks"}
+
+
+def config_keys(cls, prefix: str = "") -> list[str]:
+    """Every key path below the dataclass ``cls`` that
+    ``ExperimentConfig.from_dict`` accepts, in field order; ``[]`` marks
+    the items of a JSON array. Walks the types as the loader does: an
+    Optional is its inner type, a tuple its item type, and a dataclass
+    field is an object of keys."""
+    keys = []
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        tp, path = hints[f.name], prefix + f.name
+        if get_origin(tp) is Union:
+            (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+        if get_origin(tp) is tuple:
+            tp, path = get_args(tp)[0], path + "[]"
+        keys += config_keys(tp, path + ".") if is_dataclass(tp) else [path]
+    return keys
+
+
+# The settings a config can set, by object. A new setting is an edit here.
+PROVIDER_KEYS = ["kind", "name", "dim", "seed", "endpoint", "model"]
+SYNTHETIC_KEYS = [
+    "n_trials",
+    "patients_per_trial",
+    "positive_fraction",
+    "signal_strength",
+    "trial_shift",
+    "vocabulary_size",
+    "notes_per_patient",
+    "note_tokens",
+]
+SOURCE_KEYS = [
+    "name",
+    "patients_path",
+    "trials_path",
+    *(f"synthetic.{key}" for key in SYNTHETIC_KEYS),
+    "seed",
+]
+VARIANT_KEYS = [
+    *(f"provider.{key}" for key in PROVIDER_KEYS),
+    "k_retrieve",
+    "pooling",
+    "pooling_components",
+    "dimred.axis",
+    "dimred.n_components",
+    "classifier",
+    "adapter_mode",
+    "train.max_epochs",
+    "train.patience",
+    "seed",
+    "chunk_size",
+    "chunk_overlap",
+    "name",
+]
+SPLIT_KEYS = ["mode", "test_fraction", "target_trial", "exclusion_fraction", "seed"]
+
+
+def test_every_config_key_is_listed():
+    assert config_keys(ExperimentConfig) == [
+        "task",
+        *(f"dataset.{key}" for key in SOURCE_KEYS),
+        "modality",
+        *(f"variants[].{key}" for key in VARIANT_KEYS),
+        *(f"split.{key}" for key in SPLIT_KEYS),
+        "output_dir",
+        "exclusions[]",
+        *(f"datasets[].{key}" for key in SOURCE_KEYS),
+        *(f"providers[].{key}" for key in PROVIDER_KEYS),
+        "threads",
+    ]
