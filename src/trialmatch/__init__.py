@@ -3,4 +3,4 @@
 Subpackages are imported explicitly; nothing heavy happens at import time.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--positive-frac", type=float, default=synthetic.positive_fraction, help="positive label fraction")
     p_synth.add_argument("--signal", type=float, default=synthetic.signal_strength, help="signal strength in [0, 1]")
     p_synth.add_argument("--trial-shift", type=float, default=synthetic.trial_shift, help="trial vocabulary shift in [0, 1]")
-    p_synth.add_argument("--vocab", type=int, default=synthetic.vocabulary_size, help="shared vocabulary size, at least 2")
+    p_synth.add_argument("--vocab", type=int, default=synthetic.vocabulary_size, help="shared vocabulary size, positive")
     p_synth.add_argument("--seed", type=int, default=0, help="generation seed")
     _add_json_flag(p_synth)
 

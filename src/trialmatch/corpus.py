@@ -4,10 +4,11 @@ Datasets are exchanged as two JSONL files (``patients.jsonl`` and
 ``trials.jsonl``, UTF-8, LF line endings, one object per line). All corpus
 objects are immutable after load or generation; concurrent reads are safe.
 
-A synthetic corpus is a function of its ``SyntheticConfig``, of the PCG64
-word stream of ``np.random.default_rng(seed)`` and of the fixed draw schedule
-that ``generate_synthetic`` states. A new ``SyntheticConfig`` setting must
-draw nothing at its default, so that every existing corpus keeps its bytes.
+A synthetic corpus is a function of its ``SyntheticConfig`` and of the
+public ``np.random.Generator`` calls, made on ``np.random.default_rng(seed)``,
+that ``generate_synthetic`` states: a few whole-array draws per trial. A new
+``SyntheticConfig`` setting is one more array draw, made only when the setting
+is on, so that every existing corpus keeps its bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -495,9 +496,8 @@ class SyntheticConfig:
             raise ConfigError("signal_strength must lie in [0, 1]")
         if not 0.0 <= self.trial_shift <= 1.0:
             raise ConfigError("trial_shift must lie in [0, 1]")
-        if self.vocabulary_size < 2:
-            # integers(1) takes no value in numpy, but would in _draw.
-            raise ConfigError("vocabulary_size must be at least 2")
+        if self.vocabulary_size <= 0:
+            raise ConfigError("vocabulary_size must be positive")
         if self.notes_per_patient <= 0 or self.note_tokens <= 0:
             raise ConfigError("notes_per_patient and note_tokens must be positive")
 
@@ -510,76 +510,8 @@ _EXCLUSION_CRITERIA = (
     "known hypersensitivity to the investigational compound",
 )
 
-_LOW_HALF = np.uint64(0xFFFFFFFF)
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
-
-
-def _draw(
-    rng: np.random.Generator, is_int: np.ndarray, bounds: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Make ``len(is_int)`` draws in order: ``rng.integers(n)`` where
-    ``is_int`` is set, ``rng.random()`` elsewhere, for ``2 <= n < 2**32``.
-    ``bounds(doubles)`` gives every draw's ``n``; an integer's bound may
-    depend on the doubles drawn before it. Returns ``(doubles, integers)``,
-    indexed by draw and 0 where the draw is of the other kind, and leaves
-    ``rng`` as the same calls made one by one would.
-
-    The words come from one ``random_raw`` call. ``random()`` is
-    ``(w >> 11) * 2**-53`` of a fresh word ``w``. ``integers(n)`` takes a
-    32-bit ``u`` from the uint32 buffer, where a fresh word leaves its high
-    half, and is ``(u * n) >> 32`` unless Lemire's method rejects ``u``
-    (``(u * n) mod 2**32 < (2**32 - n) mod n``). About one draw in 10**7 is
-    rejected at the corpus's bounds; then ``rng`` is put back and
-    ``_draw_one_by_one`` draws.
-    """
-    bitgen = rng.bit_generator
-    before = bitgen.state
-    buffered = int(before["has_uint32"])
-    is_double = ~is_int
-    where = np.flatnonzero(is_int)
-    takes_word = is_double.copy()
-    takes_word[where[buffered::2]] = True
-    word_of = np.cumsum(takes_word) - 1
-    words = bitgen.random_raw(int(takes_word.sum()))
-
-    doubles = np.zeros(len(is_int))
-    doubles[is_double] = (words[word_of[is_double]] >> np.uint64(11)) * 2.0**-53
-
-    fresh = words[word_of[where[buffered::2]]]
-    halves = np.empty(buffered + 2 * len(fresh), dtype=np.uint64)
-    halves[:buffered] = before["uinteger"]
-    halves[buffered::2] = fresh & _LOW_HALF
-    halves[buffered + 1 :: 2] = fresh >> np.uint64(32)
-    n = bounds(doubles)[where].astype(np.uint64)
-    product = halves[: len(where)] * n
-    if ((product & _LOW_HALF) < (np.uint64(1 << 32) - n) % n).any():
-        bitgen.state = before
-        return _draw_one_by_one(rng, is_int, bounds)
-
-    integers = np.zeros(len(is_int), dtype=np.int64)
-    integers[where] = product >> np.uint64(32)
-    if len(halves):  # else the buffer is as it was
-        after = bitgen.state
-        after["has_uint32"], after["uinteger"] = int(len(halves) > len(where)), int(halves[-1])
-        bitgen.state = after
-    return doubles, integers
-
-
-def _draw_one_by_one(
-    rng: np.random.Generator, is_int: np.ndarray, bounds: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_draw``, made with one ``rng`` call per draw."""
-    doubles = np.zeros(len(is_int))
-    integers = np.zeros(len(is_int), dtype=np.int64)
-    for i, integer in enumerate(is_int.tolist()):
-        if integer:
-            integers[i] = rng.integers(int(bounds(doubles)[i]))
-        else:
-            doubles[i] = rng.random()
-    return doubles, integers
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
@@ -589,52 +521,49 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
     appear in the trial's inclusion criteria, so retrieval and downstream
     classification have real signal to find.
 
-    The bytes are a function of ``config``, of the PCG64 word stream of
-    ``np.random.default_rng(seed)`` and of this draw schedule:
+    The bytes are a function of ``config`` and of the public
+    ``np.random.Generator`` calls made on ``np.random.default_rng(seed)``.
+    Trials are drawn one at a time; with ``P`` patients per trial, ``T``
+    tokens per patient (its notes' tokens, then one per diagnosis row) and
+    ``D`` dates per patient (one per note, then one per diagnosis row), each
+    trial makes these calls in this order:
 
-    - per trial, one ``permutation`` of its labels, then its patients;
-    - per patient, each note's tokens then its date, then age and sex, then
-      each diagnosis row's token and date;
-    - per token, ``random()`` (marker or background), ``random()`` (trial or
-      shared pool), then ``integers(pool size)``;
-    - per date, ``integers(12)`` for the month, then ``integers(28)`` for
-      the day; age is ``integers(50)`` and sex one ``random()``.
+    - ``permutation(P)`` orders the trial's labels;
+    - ``random((P, T))`` makes a token a marker where it falls below the
+      patient's marker rate, else background;
+    - ``random((P, T))`` takes a token from the trial's pool where it falls
+      below ``trial_shift``, else from the shared pool;
+    - ``integers(pool sizes)``, with one bound per token, picks its word;
+    - ``integers(12, size=(P, D))`` then ``integers(28, size=(P, D))`` give
+      each date's month and day;
+    - ``integers(50, size=P)`` gives ages (plus 40), and ``random(P) < 0.5``
+      makes a patient female.
 
-    Each patient's draws are read in bulk by ``_draw``, with the values that
-    the same draws made one by one give. A new ``SyntheticConfig`` setting
-    must draw nothing at its default, so existing corpora keep their bytes.
+    A new ``SyntheticConfig`` setting must draw nothing at its default, so
+    existing corpora keep their bytes.
     """
     rng = np.random.default_rng(seed)
+    P, n_notes, n_tok = config.patients_per_trial, config.notes_per_patient, config.note_tokens
+    T, D = n_notes * n_tok + 2, n_notes + 2
     shared_vocab = [f"term{i:04d}" for i in range(config.vocabulary_size)]
     trial_vocab_size = max(8, config.vocabulary_size // 4)
     # Pools in the order marker/trial, marker/shared, background/trial,
     # background/shared, so a token's pool is 2 * background + shared.
     pool_sizes = np.array([3, len(_SHARED_MARKERS), trial_vocab_size, config.vocabulary_size])
     pool_starts = np.concatenate(([0], np.cumsum(pool_sizes)[:-1]))
-
-    # One patient's draws: 0 is random(), -1 a token's integers(pool size),
-    # any other value the bound of integers(n). A token is (0, 0, -1), a
-    # date (12, 28), and age and sex are (50, 0).
-    note = [0, 0, -1] * config.note_tokens + [12, 28]
-    bound_template = np.array(note * config.notes_per_patient + [50, 0] + [0, 0, -1, 12, 28] * 2)
-    is_int = bound_template != 0
-    tokens = np.flatnonzero(bound_template == -1)
-    dates = np.flatnonzero(bound_template == 12)
-    age_draw = int(np.flatnonzero(bound_template == 50)[0])
-
-    def _pools(doubles: np.ndarray, marker_rate: float) -> np.ndarray:
-        background = doubles[tokens - 2] >= marker_rate
-        shared = doubles[tokens - 1] >= config.trial_shift
-        return 2 * background + shared
+    n_pos = _round_half_up(config.positive_fraction * P)
+    signal_rate = config.signal_strength * (_MAX_MARKER_RATE - _BASE_MARKER_RATE)
 
     trials: list[Trial] = []
     patients: list[PatientRecord] = []
 
     for t in range(config.n_trials):
         trial_id = f"SYN{t + 1:03d}"
-        trial_vocab = [f"t{t:02d}w{i:03d}" for i in range(trial_vocab_size)]
         trial_markers = [f"t{t:02d}sign{j}" for j in range(3)]
-        vocab = trial_markers + list(_SHARED_MARKERS) + trial_vocab + shared_vocab
+        trial_vocab = [f"t{t:02d}w{i:03d}" for i in range(trial_vocab_size)]
+        vocab = np.array(
+            trial_markers + list(_SHARED_MARKERS) + trial_vocab + shared_vocab, dtype=object
+        )
 
         criteria = []
         for j in range(3):
@@ -647,46 +576,33 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
             criteria.append(Criterion(f"{trial_id}-E{j + 1}", "exclusion", text))
         trials.append(Trial(trial_id, tuple(criteria)))
 
-        n_pos = _round_half_up(config.positive_fraction * config.patients_per_trial)
-        labels = np.array([1] * n_pos + [0] * (config.patients_per_trial - n_pos))
-        labels = labels[rng.permutation(config.patients_per_trial)]
+        labels = np.array([1] * n_pos + [0] * (P - n_pos))[rng.permutation(P)]
+        marker_rate = _BASE_MARKER_RATE + signal_rate * labels
+        background = rng.random((P, T)) >= marker_rate[:, None]
+        shared = rng.random((P, T)) >= config.trial_shift
+        pool = 2 * background + shared
+        words = vocab[pool_starts[pool] + rng.integers(pool_sizes[pool])].tolist()
+        months = rng.integers(12, size=(P, D)) + 1
+        days = rng.integers(28, size=(P, D)) + 1
+        ages = (rng.integers(50, size=P) + 40).tolist()
+        female = (rng.random(P) < 0.5).tolist()
 
-        for i in range(config.patients_per_trial):
-            label_value = int(labels[i])
+        for i, label_value in enumerate(labels.tolist()):
             patient_id = f"{trial_id}-P{i:04d}"
-            marker_rate = _BASE_MARKER_RATE + (
-                config.signal_strength * (_MAX_MARKER_RATE - _BASE_MARKER_RATE)
-                if label_value == 1
-                else 0.0
-            )
-
-            def _bounds(doubles: np.ndarray) -> np.ndarray:
-                bounds = bound_template.copy()
-                bounds[tokens] = pool_sizes[_pools(doubles, marker_rate)]
-                return bounds
-
-            doubles, ints = _draw(rng, is_int, _bounds)
-            picked = pool_starts[_pools(doubles, marker_rate)] + ints[tokens]
-            words = [vocab[k] for k in picked.tolist()]
-            stamps = [
-                f"2023-{month + 1:02d}-{day + 1:02d}"
-                for month, day in zip(ints[dates].tolist(), ints[dates + 1].tolist())
-            ]
-
-            n_tok = config.note_tokens
+            stamps = [f"2023-{m:02d}-{d:02d}" for m, d in zip(months[i].tolist(), days[i].tolist())]
             notes = [
                 ClinicalNote(
-                    f"{patient_id}-note{k}", " ".join(words[k * n_tok : (k + 1) * n_tok]), stamps[k]
+                    f"{patient_id}-note{k}",
+                    " ".join(words[i][k * n_tok : (k + 1) * n_tok]),
+                    stamps[k],
                 )
-                for k in range(config.notes_per_patient)
+                for k in range(n_notes)
             ]
             rows = [
-                StructuredRow("demographic", "age", str(int(ints[age_draw]) + 40)),
-                StructuredRow(
-                    "demographic", "sex", "female" if doubles[age_draw + 1] < 0.5 else "male"
-                ),
+                StructuredRow("demographic", "age", str(ages[i])),
+                StructuredRow("demographic", "sex", "female" if female[i] else "male"),
             ]
-            for d, (tok, stamp) in enumerate(zip(words[-2:], stamps[-2:])):
+            for d, (tok, stamp) in enumerate(zip(words[i][-2:], stamps[-2:])):
                 rows.append(StructuredRow("diagnosis", f"condition_{d}", f"{tok} disorder", stamp))
 
             raw = "eligible" if label_value == 1 else "ineligible"

@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import math
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_patient, tiny_trial, write_jsonl
-from trialmatch import corpus
 from trialmatch.corpus import (
     ClinicalNote,
     Criterion,
@@ -279,8 +279,13 @@ class TestGenerateSynthetic:
             SyntheticConfig(n_trials=0)
         with pytest.raises(ConfigError):
             SyntheticConfig(signal_strength=1.2)
-        with pytest.raises(ConfigError, match="^vocabulary_size must be at least 2$"):
-            SyntheticConfig(vocabulary_size=1)
+        with pytest.raises(ConfigError, match="^vocabulary_size must be positive$"):
+            SyntheticConfig(vocabulary_size=0)
+
+    def test_one_word_vocabulary_generates(self):
+        config = SyntheticConfig(n_trials=2, patients_per_trial=20, vocabulary_size=1)
+        tokens = [tok for p in generate_synthetic(config, 1).patients for tok in _note_tokens(p)]
+        assert {tok for tok in tokens if tok.startswith("term")} == {"term0000"}
 
     @pytest.mark.parametrize("fraction, positives", [(0.1, 0), (0.9, 3)])
     def test_one_class_trial_is_rejected(self, fraction, positives):
@@ -296,10 +301,16 @@ class TestGenerateSynthetic:
 
 
 def scalar_generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
-    """Reference for ``generate_synthetic``: the same corpus, drawn one
-    ``Generator.random()`` or ``Generator.integers()`` call at a time."""
+    """Reference for ``generate_synthetic``: the same draws, made with one
+    ``Generator.random()`` or ``Generator.integers(n)`` call per value
+    (``TestPcg64Stream`` checks that the array calls read the same stream),
+    and each token's pool and word, each date and each demographic value
+    read one at a time."""
     rng = np.random.default_rng(seed)
-    shared_markers = tuple(f"finding{j:02d}" for j in range(6))
+    n_patients, n_notes = config.patients_per_trial, config.notes_per_patient
+    n_tok = config.note_tokens
+    n_tokens, n_dates = n_notes * n_tok + 2, n_notes + 2
+    shared_markers = [f"finding{j:02d}" for j in range(6)]
     shared_vocab = [f"term{i:04d}" for i in range(config.vocabulary_size)]
     trial_vocab_size = max(8, config.vocabulary_size // 4)
     trials, patients = [], []
@@ -332,37 +343,44 @@ def scalar_generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
         )
         trials.append(Trial(trial_id, tuple(criteria)))
 
-        n_pos = int(math.floor(config.positive_fraction * config.patients_per_trial + 0.5))
-        labels = np.array([1] * n_pos + [0] * (config.patients_per_trial - n_pos))
-        labels = labels[rng.permutation(config.patients_per_trial)]
+        n_pos = int(math.floor(config.positive_fraction * n_patients + 0.5))
+        labels = np.array([1] * n_pos + [0] * (n_patients - n_pos))
+        labels = labels[rng.permutation(n_patients)].tolist()
+        marker_draws = [[rng.random() for _ in range(n_tokens)] for _ in range(n_patients)]
+        trial_draws = [[rng.random() for _ in range(n_tokens)] for _ in range(n_patients)]
+        pools = [[None] * n_tokens for _ in range(n_patients)]
+        for i in range(n_patients):
+            marker_rate = 0.05 + (config.signal_strength * 0.45 if labels[i] == 1 else 0.0)
+            for j in range(n_tokens):
+                if marker_draws[i][j] < marker_rate:
+                    trial_pool, shared_pool = trial_markers, shared_markers
+                else:
+                    trial_pool, shared_pool = trial_vocab, shared_vocab
+                pools[i][j] = trial_pool if trial_draws[i][j] < config.trial_shift else shared_pool
+        picks = [[int(rng.integers(len(pool))) for pool in row] for row in pools]
+        months = [[int(rng.integers(12)) for _ in range(n_dates)] for _ in range(n_patients)]
+        days = [[int(rng.integers(28)) for _ in range(n_dates)] for _ in range(n_patients)]
+        ages = [int(rng.integers(50)) for _ in range(n_patients)]
+        female = [rng.random() for _ in range(n_patients)]
 
-        def signal_token(marker_rate):
-            if rng.random() < marker_rate:
-                pool = trial_markers if rng.random() < config.trial_shift else list(shared_markers)
-            else:
-                pool = trial_vocab if rng.random() < config.trial_shift else shared_vocab
-            return pool[int(rng.integers(len(pool)))]
-
-        def date():
-            return f"2023-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
-
-        for i in range(config.patients_per_trial):
-            label_value = int(labels[i])
+        for i in range(n_patients):
+            label_value = labels[i]
             patient_id = f"{trial_id}-P{i:04d}"
-            marker_rate = 0.05 + (config.signal_strength * 0.45 if label_value == 1 else 0.0)
-            notes = []
-            for k in range(config.notes_per_patient):
-                tokens = [signal_token(marker_rate) for _ in range(config.note_tokens)]
-                notes.append(ClinicalNote(f"{patient_id}-note{k}", " ".join(tokens), date()))
+            words = [pools[i][j][picks[i][j]] for j in range(n_tokens)]
+            dates = [f"2023-{months[i][d] + 1:02d}-{days[i][d] + 1:02d}" for d in range(n_dates)]
+            notes = [
+                ClinicalNote(
+                    f"{patient_id}-note{k}", " ".join(words[k * n_tok : (k + 1) * n_tok]), dates[k]
+                )
+                for k in range(n_notes)
+            ]
             rows = [
-                StructuredRow("demographic", "age", str(int(rng.integers(40, 90)))),
-                StructuredRow("demographic", "sex", "female" if rng.random() < 0.5 else "male"),
+                StructuredRow("demographic", "age", str(ages[i] + 40)),
+                StructuredRow("demographic", "sex", "female" if female[i] < 0.5 else "male"),
             ]
             for d in range(2):
-                token = signal_token(marker_rate)
-                rows.append(
-                    StructuredRow("diagnosis", f"condition_{d}", f"{token} disorder", date())
-                )
+                token, date = words[n_notes * n_tok + d], dates[n_notes + d]
+                rows.append(StructuredRow("diagnosis", f"condition_{d}", f"{token} disorder", date))
             raw = "eligible" if label_value == 1 else "ineligible"
             patients.append(
                 PatientRecord(
@@ -375,13 +393,29 @@ def scalar_generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
 HARD_CORPUS = SyntheticConfig(n_trials=5, patients_per_trial=100, signal_strength=0.15)
 
 
+class _CountingGenerator:
+    """A ``Generator`` that records the name of each method called on it."""
+
+    def __init__(self, rng: np.random.Generator, calls: list):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return call
+
+
 class TestSyntheticBytes:
     # sha256 of the patients then the trials JSONL, recorded from the
-    # generator that drew one value per Generator call.
+    # generator that draws each trial's values as whole arrays.
     PINS = [
-        (HARD_CORPUS, 1, "a7ed8df6330ea01fc1cb9d0f914f654f51e3175dc3d88aa69ee155ddb8b85689"),
-        (HARD_CORPUS, 2, "7eb47893919b3c249194b370d4394bf521a4e65dc7bc241e18c1dfa03736a9ba"),
-        (SyntheticConfig(), 0, "15043af0bb364ba3fe73dd3e9362c2cc6956d3b54ae19a68b5d742b4de1557c9"),
+        (HARD_CORPUS, 1, "8f96033ae7a739357d21ab003567c8ac6332844b063e52908d94d5cee4dd1e89"),
+        (HARD_CORPUS, 2, "81bdef8edf732bcd19c7a89f0c30f5f678e1cbba9cfc103334efe3ea733a349a"),
+        (SyntheticConfig(), 0, "93df4f1dcd9c1afa41549f865042f37cf3343b4a7b7f0e79bf08dc61cae06ab9"),
     ]
 
     @pytest.mark.parametrize("config, seed, digest", PINS)
@@ -391,22 +425,20 @@ class TestSyntheticBytes:
 
     @pytest.mark.parametrize(
         "config, seed",
-        [*((HARD_CORPUS, seed) for seed in (1, 2, 3)), (SyntheticConfig(vocabulary_size=2), 1)],
+        [*((HARD_CORPUS, seed) for seed in (1, 2, 3)), (SyntheticConfig(vocabulary_size=1), 1)],
     )
     def test_draws_are_placed_in_bulk(self, monkeypatch, config, seed):
-        # A Lemire rejection is the only reason to make a patient's draws a
-        # value at a time, and none occurs here: a schedule that falls back
-        # to value-at-a-time draws fails this, not only the benchmark's timing.
+        # Eight Generator calls a trial, whatever its patient and token
+        # counts: a schedule that draws per patient or per value fails this,
+        # not only the benchmark's timing.
         calls = []
-        one_by_one = corpus._draw_one_by_one
-
-        def counting(rng, is_int, bounds):
-            calls.append(len(is_int))
-            return one_by_one(rng, is_int, bounds)
-
-        monkeypatch.setattr(corpus, "_draw_one_by_one", counting)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda s: _CountingGenerator(default_rng(s), calls)
+        )
         generate_synthetic(config, seed)
-        assert calls == []
+        per_trial = ["permutation", "random", "random"] + ["integers"] * 4 + ["random"]
+        assert calls == per_trial * config.n_trials
 
     @pytest.mark.parametrize(
         "config, seed",
@@ -427,7 +459,7 @@ class TestSyntheticBytes:
             # The smallest shared pool.
             (
                 SyntheticConfig(
-                    n_trials=2, patients_per_trial=6, vocabulary_size=2, note_tokens=12
+                    n_trials=2, patients_per_trial=6, vocabulary_size=1, note_tokens=12
                 ),
                 4,
             ),
@@ -450,11 +482,6 @@ class TestSyntheticBytes:
         )
 
 
-def _calls(rng: np.random.Generator, bounds) -> list:
-    """The values of one Generator call per bound: random() for 0, else integers(n)."""
-    return [rng.random() if n == 0 else int(rng.integers(n)) for n in bounds]
-
-
 def _continuation(rng: np.random.Generator) -> list:
     return [rng.random(), int(rng.integers(1000)), rng.permutation(20).tolist(), int(rng.integers(7))]
 
@@ -472,26 +499,35 @@ def _random_bounds(seed: int, count: int) -> np.ndarray:
 
 
 class TestPcg64Stream:
-    """``corpus._draw`` against one numpy call per draw on the same PCG64 stream."""
+    """The array calls of ``generate_synthetic`` against one numpy call per
+    value on the same PCG64 stream: ``random(k)`` reads what ``k`` calls of
+    ``random()`` read, and ``integers(bounds)`` what one ``integers(n)`` per
+    bound reads, buffered uint32 half and Lemire re-draws included."""
 
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize(
         "bounds",
         [_random_bounds(seed, 300) for seed in range(4)]
-        + [np.array(b) for b in ([2, 0], [0, 2], [5, 2, 0, 0], [2**31 + 1] * 6, [0])],
+        + [
+            np.array(b)
+            for b in ([2, 0], [0, 2], [5, 2, 0, 0], [2**31 + 1] * 6, [0], [1, 1, 3])
+        ],
         ids=lambda b: f"{len(b)}-draws",
     )
     def test_matches_generator_calls(self, bounds, buffered):
+        # A bound of 0 stands for a double. As in a trial of the corpus, the
+        # doubles are drawn first, then the integers.
         real = np.random.default_rng(9)
         bulk = np.random.default_rng(9)
         if buffered:
             real.integers(7)
             bulk.integers(7)
-        expected = _calls(real, bounds.tolist())
+        n_doubles, int_bounds = int((bounds == 0).sum()), bounds[bounds != 0]
+        expected = [real.random() for _ in range(n_doubles)]
+        expected += [int(real.integers(n)) for n in int_bounds.tolist()]
 
-        doubles, ints = corpus._draw(bulk, bounds != 0, lambda doubles: bounds)
+        got = bulk.random(n_doubles).tolist() + bulk.integers(int_bounds).tolist()
 
-        got = [float(d) if n == 0 else int(i) for n, d, i in zip(bounds, doubles, ints)]
         assert got == expected
         assert bulk.bit_generator.state == real.bit_generator.state
         assert _continuation(bulk) == _continuation(real)
@@ -500,29 +536,79 @@ class TestPcg64Stream:
         self._check_bounds_read_earlier_doubles(2, 3)
 
     def test_a_rejected_draw_may_read_earlier_doubles(self):
-        # Bounds just above 2**31 force rejections, so the draws are made one by one.
+        # Bounds just above 2**31 force rejections.
         self._check_bounds_read_earlier_doubles(2**31 + 1, 2**31 + 3)
 
     @staticmethod
     def _check_bounds_read_earlier_doubles(low, high):
-        # Each integer's bound is low or high by the double drawn just before it.
-        is_int = np.array([False, True] * 50)
-
-        def bounds(doubles):
-            n = np.zeros(len(is_int), dtype=np.int64)
-            n[1::2] = np.where(doubles[0::2] < 0.5, low, high)
-            return n
-
+        # As a token's pool sets its word's bound, each integer's bound is low
+        # or high by a double drawn before all the integers.
         real = np.random.default_rng(5)
-        expected = []
-        for _ in range(50):
-            x = real.random()
-            expected += [x, int(real.integers(low if x < 0.5 else high))]
+        doubles = [real.random() for _ in range(50)]
+        expected = [int(real.integers(low if x < 0.5 else high)) for x in doubles]
         bulk = np.random.default_rng(5)
-        doubles, ints = corpus._draw(bulk, is_int, bounds)
-        assert [float(d) for d in doubles[0::2]] == expected[0::2]
-        assert ints[1::2].tolist() == expected[1::2]
+        bulk_doubles = bulk.random(50)
+        ints = bulk.integers(np.where(bulk_doubles < 0.5, low, high))
+        assert bulk_doubles.tolist() == doubles
+        assert ints.tolist() == expected
         assert bulk.bit_generator.state == real.bit_generator.state
+
+
+def _note_tokens(patient: PatientRecord) -> list[str]:
+    return [tok for note in patient.notes for tok in note.text.split()]
+
+
+def _within_4_sigma(hits: int, n: int, p: float) -> bool:
+    return abs(hits / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+class TestSyntheticLaw:
+    """The distribution the generator promises, on one larger fixed-seed corpus."""
+
+    CONFIG = SyntheticConfig(n_trials=4, patients_per_trial=150, signal_strength=0.5)
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_synthetic(self.CONFIG, 2024)
+
+    def test_marker_share_of_each_class(self, dataset):
+        markers = {f"finding{j:02d}" for j in range(6)}
+        markers |= {f"t{t:02d}sign{j}" for t in range(self.CONFIG.n_trials) for j in range(3)}
+        counts = {0: [0, 0], 1: [0, 0]}
+        for p in dataset.patients:
+            tokens = _note_tokens(p)
+            counts[p.label.value][0] += sum(tok in markers for tok in tokens)
+            counts[p.label.value][1] += len(tokens)
+        assert _within_4_sigma(*counts[0], 0.05)
+        assert _within_4_sigma(*counts[1], 0.05 + self.CONFIG.signal_strength * 0.45)
+
+    def test_trial_pool_share(self, dataset):
+        hits = n = 0
+        for p in dataset.patients:
+            prefix = f"t{int(p.trial_id[3:]) - 1:02d}"
+            tokens = _note_tokens(p)
+            hits += sum(tok.startswith(prefix) for tok in tokens)
+            n += len(tokens)
+        assert _within_4_sigma(hits, n, self.CONFIG.trial_shift)
+
+    def test_positives_per_trial(self, dataset):
+        config = self.CONFIG
+        n_pos = int(math.floor(config.positive_fraction * config.patients_per_trial + 0.5))
+        for trial in dataset.trials:
+            labels = [p.label.value for p in dataset.patients if p.trial_id == trial.trial_id]
+            assert (len(labels), sum(labels)) == (config.patients_per_trial, n_pos)
+
+    def test_ages_and_dates(self, dataset):
+        ages, stamps = set(), []
+        for p in dataset.patients:
+            ages.add(int(next(r.value for r in p.structured_rows if r.field_name == "age")))
+            stamps += [note.date for note in p.notes]
+            stamps += [r.timestamp for r in p.structured_rows if r.category == "diagnosis"]
+        assert ages <= set(range(40, 90))
+        assert len(stamps) == len(dataset.patients) * (self.CONFIG.notes_per_patient + 2)
+        for stamp in stamps:
+            day = datetime.date.fromisoformat(stamp)
+            assert (stamp[:5], day.day <= 28) == ("2023-", True), stamp
 
 
 # ---------------------------------------------------------------------------

@@ -362,14 +362,14 @@ def feature_set_digest(features: FeatureSet) -> str:
 
 
 class TestFeaturePass:
-    # Recorded before the pass wrote its rows in place, under one BLAS
-    # thread (the root conftest.py holds the session to one). The hidden-*
+    # Recorded under one BLAS thread (the root conftest.py holds the session
+    # to one), on the corpus of per-trial array draws. The hidden-*
     # variants of task3 pass on mean-pooled rows, so they share the mean-pool
     # digest of task1.
-    MEAN, SEQUENCE = "3cc6025382e0b1a0", "4fa86f50cdcb7075"
+    MEAN, SEQUENCE = "6278e585d5212fb9", "b9f398065d992bcf"
     DIGESTS = {
         "task1": [MEAN, SEQUENCE] * 4,
-        "task3": [SEQUENCE, MEAN, MEAN, MEAN, MEAN, "e5d2fdf3c3876f07", "b1ff69c0456c8bbb"],
+        "task3": [SEQUENCE, MEAN, MEAN, MEAN, MEAN, "0e14df3cd44aff3b", "bd34188ba5ed7e0d"],
     }
 
     @pytest.mark.parametrize("task", sorted(DIGESTS))
@@ -471,7 +471,7 @@ def hand_built_runs() -> list[harness.RunResult]:
 # the format of each run entry.
 RECORDED_MANIFEST = """\
 {
-  "generator": "trialmatch 0.1.0",
+  "generator": "trialmatch 0.2.0",
   "config": null,
   "config_hash": null,
   "files": [
@@ -1033,14 +1033,15 @@ class TestTask3:
 # change that keeps every reported number and every config hash keeps these
 # bytes. Re-recorded when PipelineSpec dropped its predictor settings, and
 # again when it dropped the MLP's step settings and adapter_dim; each time
-# only the config_hash column moved.
+# only the config_hash column moved. Re-recorded again when the synthetic
+# corpus moved to per-trial array draws; then only the metric columns moved.
 RESULTS_DIGESTS = {
-    "task1": "f9fdbbc3c523f2b4ee4512d18a67e39433cba62b874e4e1179c5077c9908b57d",
-    "task2": "4a25d14be942e32ef8775a8b35e2d1541212d18f402c4eefd95791e08622f86c",
-    "task3": "32222bb969dc6b2df749cc8ba6bd4c33cd6b82ec0950f7b6163c14de67ab52c4",
-    "task4": "dcfab876857bba176990770dc73fdc68c860cedc8e3a46238c333e913292fc5e",
-    "task5": "6fd5a28f39653175be60b6a04c0c5064d53d461a74bdf3ab1f63fff67b3186ad",
-    "task6": "ebe987ed4a4e1bd3985341f81075414f1a0089c64696e80c81fb4738f396ab37",
+    "task1": "2f592d3df6af16ffdab2d8ee04b5d19ba0829d51861343af9a836c800bb6f332",
+    "task2": "67500147bc7eb6cb11191fd774c3d735f03438262d34acbb3b4d91a2c8d07eed",
+    "task3": "9c1de73fa3fa6bd87994d50d10e1b6bd5de7d987ff825476e0bb3f4bf9c4f5da",
+    "task4": "35f85ea79323be98bf079daa85688c2c85d5001ff687c40773d826a8ed6eabb5",
+    "task5": "c2d2caea23d606da4b2833ececc60d581eedc44ae9220c8a4f508d682429743e",
+    "task6": "6f2a587e25d4a28d9838c48bf92e2f010ba619f09bb391b218f8a1f1a7d95791",
 }
 
 

@@ -71,6 +71,18 @@ def test_an_unused_import_is_caught():
     assert unused_imports(ast.parse(source)) == ["InsufficientTokensError"]
 
 
+def test_no_module_reads_a_bit_generator():
+    # Random values come from public Generator calls only: the raw words and
+    # state of numpy's bit generators are internals that no release promises.
+    found = [
+        (path.name, word)
+        for path in SOURCES
+        for word in ("bit_generator", "random_raw")
+        if word in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
