@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionMismatchError, SingleClassError
+from .errors import ConfigError, DataError
 
 DEFAULT_MLP_HIDDEN = (256, 64)
 EARLY_STOP_MIN_DELTA = 1e-5
@@ -85,7 +85,7 @@ def _as_labels(labels, n: int, dtype=np.float64) -> np.ndarray:
 
 def _require_both_classes(y: np.ndarray) -> None:
     if y.min() == y.max():
-        raise SingleClassError(
+        raise DataError(
             "training data contains a single class; ranking metrics downstream "
             "would be undefined"
         )
@@ -709,7 +709,7 @@ def predict_proba(model: TrainedClassifier, features) -> np.ndarray:
     X = _as_features(features)
     expected = model.n_features
     if X.shape[1] != expected:
-        raise DimensionMismatchError(
+        raise DataError(
             f"features have {X.shape[1]} columns, model expects {expected}"
         )
     probs = model.predict_proba(X)

@@ -13,7 +13,9 @@ runtime/provider error. A config error comes from building the config, so
 ``run`` rejects a bad config before it creates the output directory or reads
 a dataset; ``run_task`` raises only data errors and the few config errors
 that need the data (see ``harness``). A flag that ``retrieve``'s provider
-does not read is a config error too.
+does not read is a config error too. A malformed answer from an embedding
+service (a bad status, bad JSON, or vectors of the wrong length) is a
+provider error.
 
 Every subcommand prints its config hash, and the seeded ones their resolved
 seed, so runs can be replayed byte-for-byte; pass --json for machine-readable

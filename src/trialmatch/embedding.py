@@ -21,15 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatchError,
-    ProviderError,
-    ProviderResponseError,
-    ProviderStatusError,
-    ProviderTimeoutError,
-)
+from .errors import ConfigError, DataError, ProviderError
 
 logger = logging.getLogger("trialmatch.embedding")
 
@@ -208,8 +200,8 @@ def http_embed(
     Transport failures (connection errors, timeouts) are retried with
     exponential backoff up to ``HTTP_MAX_ATTEMPTS`` total attempts; protocol
     errors (bad status, malformed JSON, dimension mismatch) are surfaced
-    immediately as distinct exception types. ``requests`` is imported here,
-    on first use, rather than with the module.
+    immediately as one ``ProviderError`` with a distinct message. ``requests``
+    is imported here, on first use, rather than with the module.
     """
     import requests
 
@@ -227,7 +219,7 @@ def http_embed(
             response = requests.post(url, json=body, timeout=HTTP_TIMEOUT)
             break
         except requests.Timeout as exc:
-            last_exc = ProviderTimeoutError(f"embed request to {url} timed out: {exc}")
+            last_exc = ProviderError(f"embed request to {url} timed out: {exc}")
         except requests.RequestException as exc:
             last_exc = ProviderError(f"embed request to {url} failed: {exc}")
         if attempt < HTTP_MAX_ATTEMPTS:
@@ -244,38 +236,38 @@ def http_embed(
         raise last_exc
 
     if not 200 <= response.status_code < 300:
-        raise ProviderStatusError(
+        raise ProviderError(
             f"embedding service returned status {response.status_code} for {url}"
         )
     try:
         payload = response.json()
     except ValueError as exc:
-        raise ProviderResponseError(f"malformed JSON from {url}: {exc}") from exc
+        raise ProviderError(f"malformed JSON from {url}: {exc}") from exc
 
     if not isinstance(payload, dict) or "dim" not in payload or "embeddings" not in payload:
-        raise ProviderResponseError(
+        raise ProviderError(
             f"response from {url} missing 'dim'/'embeddings' fields"
         )
     dim = payload["dim"]
     rows = payload["embeddings"]
     if not isinstance(dim, int) or not isinstance(rows, list):
-        raise ProviderResponseError(f"response from {url} has wrong field types")
+        raise ProviderError(f"response from {url} has wrong field types")
     if expected_dim is not None and dim != expected_dim:
-        raise DimensionMismatchError(
+        raise ProviderError(
             f"service reports dim {dim}, provider declared {expected_dim}"
         )
     if len(rows) != len(texts):
-        raise ProviderResponseError(
+        raise ProviderError(
             f"service returned {len(rows)} embeddings for {len(texts)} texts"
         )
     out = []
     for i, row in enumerate(rows):
         vec = np.asarray(row, dtype=np.float64)
         if vec.shape != (dim,):
-            raise DimensionMismatchError(
+            raise ProviderError(
                 f"embedding {i} has {vec.size} entries, declared dim is {dim}"
             )
         if not np.all(np.isfinite(vec)):
-            raise ProviderResponseError(f"embedding {i} contains non-finite values")
+            raise ProviderError(f"embedding {i} contains non-finite values")
         out.append(vec)
     return out

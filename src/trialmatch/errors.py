@@ -1,7 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one type per exit code.
 
 The CLI maps these onto exit codes: ConfigError -> 1 (usage),
 DataError -> 2 (bad input data), ProviderError -> 3 (runtime/provider).
+A raise site tells its cases apart by message, not by type.
+
+Two subclasses of DataError stay because code catches them to recover:
+``harness`` falls back to mean pooling on a DegenerateVarianceError, and
+``metrics.compute_report`` reports a metric as absent on an
+UndefinedMetricError. Uncaught, both exit 2 like any data error.
 """
 
 
@@ -18,40 +24,13 @@ class DataError(TrialMatchError):
 
 
 class ProviderError(TrialMatchError):
-    """An embedding provider failed at runtime."""
-
-
-class DimensionMismatchError(DataError):
-    """Vector or matrix dimensions disagree with a declared dimension."""
-
-
-class NoChunksError(DataError):
-    """A patient has no retrievable text."""
-
-
-class InsufficientTokensError(DataError):
-    """Too few token rows for the requested transform."""
+    """An embedding provider failed at runtime, or its service answered
+    with a malformed payload."""
 
 
 class DegenerateVarianceError(DataError):
     """All variance in the input is zero; principal directions undefined."""
 
 
-class SingleClassError(DataError):
-    """Training data contains only one label class."""
-
-
 class UndefinedMetricError(DataError):
     """The metric is undefined for this input (reported as absent, not zero)."""
-
-
-class ProviderTimeoutError(ProviderError):
-    """The embedding service did not answer within the configured timeout."""
-
-
-class ProviderStatusError(ProviderError):
-    """The embedding service answered with a non-2xx status."""
-
-
-class ProviderResponseError(ProviderError):
-    """The embedding service answered with a malformed payload."""

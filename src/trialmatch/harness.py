@@ -829,11 +829,21 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
 
 
 def _check_arms(config: ExperimentConfig) -> None:
-    """Reject what the task's arms cannot run: a ``pca_mean`` pooling
-    without its width, more hidden-axis components than an arm's feature
-    width, or a variant name that two arms share, whose rows the
-    ``variant`` column could not tell apart. An adapter arm needs no check:
-    its adapter is square, so it keeps the feature width."""
+    """Reject what the task's arms cannot run: a variant key that every arm
+    replaces, a ``pca_mean`` pooling without its width, more hidden-axis
+    components than an arm's feature width, or a variant name that two arms
+    share, whose rows the ``variant`` column could not tell apart. An
+    adapter arm needs no check: its adapter is square, so it keeps the
+    feature width."""
+    for base in config.variants:
+        replaced = set.intersection(*(set(arm) for arm in _arms(config, base)))
+        if config.task == "task2":
+            # task2's arms start from the variant's dimred, and from its
+            # provider's dim unless 'providers' is set.
+            replaced -= {"dimred"} if config.providers else {"dimred", "provider"}
+        for key in sorted(replaced):
+            if getattr(base, key) != getattr(PipelineSpec, key):
+                raise ConfigError(f"{key!r} is read by no {config.task} run; every arm sets it")
     arms = _variants(config)
     for spec in arms:
         width = _feature_width(spec, spec.provider.dim)

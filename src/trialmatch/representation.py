@@ -24,13 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateVarianceError,
-    DimensionMismatchError,
-    InsufficientTokensError,
-)
+from .errors import ConfigError, DataError, DegenerateVarianceError
 
 DEFAULT_HIDDEN_COMPONENTS = 128
 
@@ -212,7 +206,7 @@ def pca_project(model: PCAModel, data: np.ndarray) -> np.ndarray:
     """Project rows into the fitted component space: (data - mean) @ W."""
     data = _as_matrix(data, "projection input")
     if data.shape[1] != model.mean.shape[0]:
-        raise DimensionMismatchError(
+        raise DataError(
             f"data has {data.shape[1]} features, model expects {model.mean.shape[0]}"
         )
     return (data - model.mean) @ model.components
@@ -258,7 +252,7 @@ def pool_pca_mean(m: np.ndarray, n_components: int) -> np.ndarray:
     """
     m = _as_matrix(m)
     if m.shape[0] < 2:
-        raise InsufficientTokensError(
+        raise DataError(
             f"pca pooling needs at least 2 token rows, got {m.shape[0]}"
         )
     return _compress(m, n_components).mean(axis=0)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Chunk, Criterion
-from .errors import ConfigError, DataError, DimensionMismatchError, NoChunksError
+from .errors import ConfigError, DataError
 
 DEFAULT_K_RETRIEVE = 4
 PROMPT_SEPARATOR = "\n---\n"
@@ -51,7 +51,7 @@ def score_chunks(
     a = np.asarray(chunk_vectors, dtype=np.float64)
     b = np.asarray(criteria_vectors, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(
+        raise DataError(
             f"cosine requires equal-length vectors, got {a.shape} and {b.shape}"
         )
     a_norm = np.linalg.norm(a, axis=1)
@@ -75,7 +75,7 @@ def select_top_k(cosines: np.ndarray, k: int = DEFAULT_K_RETRIEVE) -> np.ndarray
     if k < 1:
         raise ConfigError("k must be at least 1")
     if len(cosines) == 0:
-        raise NoChunksError("no chunks to select from; patient had no retrievable text")
+        raise DataError("no chunks to select from; patient had no retrievable text")
     return np.argsort(-cosines.sum(axis=1), kind="stable")[:k]
 
 

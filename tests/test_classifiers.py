@@ -29,7 +29,7 @@ from trialmatch.classifiers import (
     _init_params,
     _sigmoid,
 )
-from trialmatch.errors import ConfigError, DataError, DimensionMismatchError, SingleClassError
+from trialmatch.errors import ConfigError, DataError
 
 
 def gini(labels: np.ndarray) -> float:
@@ -146,7 +146,7 @@ class TestMlpForward:
         model = MLPModel(
             layer_sizes=(2, 1), weights=[np.zeros((2, 1))], biases=[np.zeros(1)]
         )
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="features have 3 columns, model expects 2"):
             probability(model, np.zeros(3))
 
 
@@ -297,7 +297,7 @@ class TestTrainMlp:
 
     def test_single_class_error(self):
         X = np.random.default_rng(0).standard_normal((10, 2))
-        with pytest.raises(SingleClassError):
+        with pytest.raises(DataError, match="single class"):
             train_mlp(X, np.ones(10), TrainConfig(max_epochs=2))
 
     @pytest.mark.parametrize("train", [train_mlp, train_with_adapter])
@@ -737,9 +737,9 @@ class TestTreesAndForests:
 
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))
-        with pytest.raises(SingleClassError):
+        with pytest.raises(DataError, match="single class"):
             train_tree(X, np.ones(5))
-        with pytest.raises(SingleClassError):
+        with pytest.raises(DataError, match="single class"):
             train_forest(X, np.zeros(5))
 
 
@@ -764,7 +764,7 @@ class TestSvm:
         assert np.array_equal(a.w, b.w) and a.b == b.b
 
     def test_single_class(self):
-        with pytest.raises(SingleClassError):
+        with pytest.raises(DataError, match="single class"):
             train_svm(np.zeros((4, 2)), np.ones(4))
 
 
@@ -855,5 +855,5 @@ class TestPredictProba:
     def test_dim_mismatch(self):
         X, y = blobs(9, n=30)
         model, _ = train_mlp(X, y, TrainConfig(max_epochs=3), hidden_sizes=(3,), seed=1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="features have 5 columns, model expects"):
             predict_proba(model, np.zeros((2, 5)))

@@ -159,15 +159,29 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert err == "error: mock embedding dim must be at least 2\n"
 
-    def test_provider_failure_exits_3(self, capsys, monkeypatch, dataset_files, embed_server):
+    # Every malformed answer of the embedding service is a provider error,
+    # vectors of the wrong length included.
+    @pytest.mark.parametrize(
+        "mode, dim, message",
+        [
+            ("bad_status", "4", "status 500"),
+            ("bad_json", "4", "malformed JSON"),
+            ("short_vector", "4", "embedding 0 has 3 entries, declared dim is 4"),
+            ("ok", "7", "service reports dim 4, provider declared 7"),
+        ],
+        ids=["bad_status", "bad_json", "short_vector", "declared_dim_7"],
+    )
+    def test_provider_failure_exits_3(
+        self, capsys, monkeypatch, dataset_files, embed_server, mode, dim, message
+    ):
         monkeypatch.delenv("TRIALMATCH_EMBED_ENDPOINT", raising=False)
-        embed_server.behavior["mode"] = "bad_status"
+        embed_server.behavior["mode"] = mode
         patients, trials = dataset_files
         argv = ["retrieve", "--patients", str(patients), "--trials", str(trials)]
-        argv += ["--provider", "http", "--endpoint", embed_server.url, "--dim", "4"]
+        argv += ["--provider", "http", "--endpoint", embed_server.url, "--dim", dim]
         code, err = run_cli(argv, capsys)
         assert code == cli.EXIT_RUNTIME
-        assert err.startswith("provider error: ") and "status 500" in err
+        assert err.startswith("provider error: ") and message in err
 
     def test_data_error_exits_2(self, tmp_path, capsys, dataset_files):
         patients, trials = dataset_files

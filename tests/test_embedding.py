@@ -17,10 +17,6 @@ from trialmatch.embedding import (
 from trialmatch.errors import (
     ConfigError,
     DataError,
-    DimensionMismatchError,
-    ProviderResponseError,
-    ProviderStatusError,
-    ProviderTimeoutError,
     ProviderError,
 )
 from trialmatch.representation import mean_pool
@@ -189,21 +185,21 @@ class TestHttpEmbed:
 
     def test_dimension_mismatch(self, embed_server):
         embed_server.behavior["mode"] = "short_vector"
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ProviderError, match="has 3 entries, declared dim is 4"):
             http_embed(embed_server.url, "m", ["a"], expected_dim=4)
 
     def test_declared_dim_mismatch(self, embed_server):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ProviderError, match="service reports dim 4, provider declared 7"):
             http_embed(embed_server.url, "m", ["a"], expected_dim=7)
 
     def test_bad_status(self, embed_server):
         embed_server.behavior["mode"] = "bad_status"
-        with pytest.raises(ProviderStatusError):
+        with pytest.raises(ProviderError, match="returned status 500"):
             http_embed(embed_server.url, "m", ["a"])
 
     def test_malformed_json(self, embed_server):
         embed_server.behavior["mode"] = "bad_json"
-        with pytest.raises(ProviderResponseError):
+        with pytest.raises(ProviderError, match="malformed JSON"):
             http_embed(embed_server.url, "m", ["a"])
 
     def test_retries_then_success(self, embed_server, caplog, monkeypatch):
@@ -227,7 +223,7 @@ class TestHttpEmbed:
         monkeypatch.setattr(embedding, "HTTP_TIMEOUT", 0.05)
         monkeypatch.setattr(embedding, "HTTP_MAX_ATTEMPTS", 1)
         embed_server.behavior["delay"] = 0.5
-        with pytest.raises(ProviderTimeoutError):
+        with pytest.raises(ProviderError, match="timed out"):
             http_embed(embed_server.url, "m", ["a"])
 
     def test_batch_limit(self, embed_server, monkeypatch):

@@ -154,13 +154,21 @@ class TestArms:
     their config hashes (re-recorded when ``PipelineSpec`` dropped its
     predictor settings, and again when it dropped the MLP's step settings
     and ``adapter_dim``; the names did not move).
-    The second base sets fields that some arms override, so an override the
-    default hides (task3's ``pooling: "mean"``) still shows."""
+    The second base sets the fields of ``OTHER`` that some arm of the task
+    reads, so an arm that stops overriding one shows; a key that every arm
+    sets is a ``ConfigError`` (``TestConfigChecks``)."""
 
     OTHER = {
         "pooling": "last_token",
         "classifier": "svm",
         "dimred": {"axis": "hidden", "n_components": 8},
+    }
+    READ = {
+        "task1": ("pooling",),
+        "task2": ("pooling", "dimred"),
+        "task3": ("classifier",),
+        "task4": ("pooling",),
+        "task6": tuple(OTHER),
     }
     PROVIDERS = [
         {"kind": "mock", "name": "small", "dim": 32, "seed": 7},
@@ -188,6 +196,7 @@ class TestArms:
         ],
     )
     def test_arms_are_unchanged(self, task, base, providers, names, digest):
+        base = {key: value for key, value in base.items() if key in self.READ[task]}
         obj = {"task": task, "variants": [base], "providers": providers}
         config = ExperimentConfig.from_dict({**obj, "dataset": {"synthetic": {}}})
         specs = harness._variants(config)
@@ -826,7 +835,48 @@ class TestConfigChecks:
             {"k_retrieve": 2},
             "variant name 'a' is repeated; each run of a task needs its own name",
         ),
+        # Every arm of the task sets these keys, so the configured value was
+        # dropped and results.csv came out byte-identical without it.
+        **{
+            f"{task}-{key}": (
+                task,
+                {},
+                {key: value},
+                f"'{key}' is read by no {task} run; every arm sets it",
+            )
+            for task, key, value in (
+                ("task1", "classifier", "svm"),
+                ("task1", "dimred", {"axis": "hidden", "n_components": 8}),
+                ("task1", "name", "mine"),
+                ("task2", "classifier", "tree"),
+                ("task2", "name", "mine"),
+                ("task3", "pooling", "last_token"),
+                ("task3", "dimred", {"axis": "hidden", "n_components": 8}),
+                ("task3", "name", "mine"),
+                ("task4", "classifier", "tree"),
+                ("task4", "dimred", {"axis": "hidden", "n_components": 8}),
+                ("task4", "adapter_mode", "adapter"),
+                ("task4", "name", "mine"),
+            )
+        },
+        "task2-provider": (
+            "task2",
+            {"providers": [{"kind": "mock", "name": "a"}, {"kind": "mock", "name": "b"}]},
+            {"provider": {"dim": 64}},
+            "'provider' is read by no task2 run; every arm sets it",
+        ),
     }
+
+    def test_task2_reads_dimred_and_provider_dim(self, tmp_path):
+        """Without 'providers', task2's arms start from the variant's dimred
+        and its provider's dim."""
+        obj = tiny_config("task2", tmp_path)
+        obj["variants"] = [
+            {"dimred": {"axis": "hidden", "n_components": 8}, "provider": {"dim": 64}}
+        ]
+        specs = harness._variants(ExperimentConfig.from_dict(obj))
+        assert {spec.dimred.resolved_components for spec in specs} == {8}
+        assert [spec.provider.dim for spec in specs] == [64, 32, 96]
 
     def config(self, case: str, tmp_path) -> dict:
         task, keys, variant, _ = self.CASES[case]

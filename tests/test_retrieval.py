@@ -6,7 +6,7 @@ import pytest
 
 from trialmatch import cli
 from trialmatch.corpus import Chunk, Criterion
-from trialmatch.errors import ConfigError, DataError, DimensionMismatchError, NoChunksError
+from trialmatch.errors import ConfigError, DataError
 from trialmatch.retrieval import (
     DEFAULT_K_RETRIEVE,
     PROMPT_SEPARATOR,
@@ -50,7 +50,7 @@ class TestCosine:
         assert cosine(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="equal-length vectors"):
             cosine(np.ones(2), np.ones(3))
 
     def test_zero_norm(self):
@@ -134,7 +134,7 @@ class TestSelectTopK:
             select_top_k(np.array([[0.5]]), 0)
 
     def test_empty_input(self):
-        with pytest.raises(NoChunksError):
+        with pytest.raises(DataError, match="no chunks to select from"):
             select_top_k(np.empty((0, 3)), 4)
 
     def test_output_in_selection_order(self):

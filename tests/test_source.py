@@ -71,6 +71,52 @@ def test_an_unused_import_is_caught():
     assert unused_imports(ast.parse(source)) == ["InsufficientTokensError"]
 
 
+def uncaught_classes(defining: ast.Module, catching: list[ast.Module]) -> list[str]:
+    """Classes that ``defining`` defines and no ``except`` clause of
+    ``catching`` names, bare or as an attribute, in source order."""
+    caught = set()
+    for tree in catching:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for n in ast.walk(node.type):
+                    if isinstance(n, ast.Name):
+                        caught.add(n.id)
+                    elif isinstance(n, ast.Attribute):
+                        caught.add(n.attr)
+    return [
+        node.name
+        for node in defining.body
+        if isinstance(node, ast.ClassDef) and node.name not in caught
+    ]
+
+
+def test_every_error_type_is_caught():
+    # One type per exit code (cli.main's except chain), plus the subclasses
+    # that code catches to recover. Any other case is told apart by message.
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert uncaught_classes(errors, trees) == []
+
+
+def test_an_uncaught_error_type_is_caught():
+    defining = (
+        "class AppError(Exception): pass\n"
+        "class UsageError(AppError): pass\n"
+        "class NoRowsError(AppError): pass\n"
+        "class WidthError(AppError): pass\n"
+    )
+    catching = (
+        "try:\n"
+        "    run()\n"
+        "except (UsageError, errors.AppError):\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    raise NoRowsError('no rows')\n"
+    )
+    found = uncaught_classes(ast.parse(defining), [ast.parse(catching)])
+    assert found == ["NoRowsError", "WidthError"]
+
+
 def test_no_module_reads_a_bit_generator():
     # Random values come from public Generator calls only: the raw words and
     # state of numpy's bit generators are internals that no release promises.
