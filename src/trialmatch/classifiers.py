@@ -8,9 +8,9 @@ the desk-scale analog of joint representation fine-tuning; the frozen setting
 is the plain MLP.
 
 Training is a single logical thread and fully deterministic under its seed;
-trained models are immutable and safe for concurrent prediction. The MLP trains
-in the dtype of its features: a float32 array trains in float32, and anything
-else is converted to float64 and trains in float64.
+trained models are immutable and safe for concurrent prediction. The MLP and
+its adapter train in float32 whatever the features' dtype; every other fit and
+every prediction works in float64.
 
 A fitted tree or forest is one ``Forest``: a node table of arrays (split
 feature, threshold, left and right child, leaf probability, sample count)
@@ -61,16 +61,22 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 def _as_features(features, what: str = "features") -> np.ndarray:
-    """A finite 2-D array: a float32 array stays float32, anything else
-    becomes float64."""
-    if isinstance(features, np.ndarray) and features.dtype == np.float32:
-        X = features
-    else:
-        X = np.asarray(features, dtype=np.float64)
+    """A finite 2-D float64 array."""
+    X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise DataError(f"{what} must be a 2-D array, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise DataError(f"{what} contain non-finite values")
+    return X
+
+
+def _as_float32(features, what: str = "features") -> np.ndarray:
+    """``_as_features`` cast to float32, the MLP's dtype; a value beyond
+    float32's range fails instead of turning into inf."""
+    with np.errstate(over="ignore"):
+        X = _as_features(features, what).astype(np.float32)
+    if not np.all(np.isfinite(X)):
+        raise DataError(f"{what} exceed the float32 range the MLP trains in")
     return X
 
 
@@ -306,17 +312,16 @@ def _train_core(
 ) -> tuple[Optional[np.ndarray], MLPModel, TrainingLog]:
     if learning_rate <= 0 or batch_size <= 0:
         raise ConfigError("learning_rate and batch_size must be positive")
-    X = _as_features(features)
-    dtype = X.dtype  # every array below is built in the features' dtype
+    X = _as_float32(features)
     n, d = X.shape
     if n < 2:
         raise DataError("training needs at least 2 samples")
-    y = _as_labels(labels, n, dtype)
+    y = _as_labels(labels, n, X.dtype)
     _require_both_classes(y)
 
     if validation is not None:
-        val_x = _as_features(validation[0], "validation features").astype(dtype, copy=False)
-        val_y = _as_labels(validation[1], val_x.shape[0], dtype)
+        val_x = _as_float32(validation[0], "validation features")
+        val_y = _as_labels(validation[1], val_x.shape[0], X.dtype)
         monitor = "validation"
     else:
         val_x, val_y = X, y
@@ -325,17 +330,17 @@ def _train_core(
     init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
     rng_init = np.random.default_rng(init_ss)
     rng_shuffle = np.random.default_rng(shuffle_ss)
-    adapter = np.eye(d, dtype=dtype) if with_adapter else None
+    adapter = np.eye(d) if with_adapter else None
 
-    # The initial values are drawn in float64 whatever the dtype, so both
-    # dtypes start from the same draws.
+    # The initial values are drawn in float64 and rounded once, into the
+    # float32 parameter vector.
     weights, biases = _init_params((d, *hidden_sizes, 1), rng_init)
     n_layers = len(weights)
     # Parameters, gradient and best snapshot are one flat vector each; the
     # weights, biases and adapter are reshaped views into them.
     trained = [*weights, *biases, *([] if adapter is None else [adapter])]
     shapes = [p.shape for p in trained]
-    params = np.concatenate([p.ravel() for p in trained], dtype=dtype)
+    params = np.concatenate([p.ravel() for p in trained], dtype=X.dtype)
     grads = np.empty_like(params)
     best_params = params.copy()
     param_views, grad_views = _split_flat(params, shapes), _split_flat(grads, shapes)
@@ -410,9 +415,9 @@ def train_mlp(
 
     The loss is summed (not averaged) over each batch, so gradient
     magnitudes scale with ``batch_size``; the default learning rate is
-    calibrated to the default batch size. Trains in the dtype of
-    ``features``: a float32 array gives a float32 fit, anything else is
-    converted to float64. Stops when the monitored loss (validation if
+    calibrated to the default batch size. Trains in float32: the training
+    and validation features are cast to it, and a value beyond its range is
+    a ``DataError``. Stops when the monitored loss (validation if
     given, else training) fails to improve by at least 1e-5 for
     ``config.patience`` epochs; returns the snapshot from the best monitored
     epoch. Each epoch costs one forward pass over the monitored set, whose
@@ -436,8 +441,8 @@ def train_with_adapter(
     seed: int = 0,
 ) -> tuple[AdapterModel, TrainingLog]:
     """Jointly optimize a square linear input adapter, which starts at the
-    identity, and the MLP, with ``train_mlp``'s schedule and parameters. The
-    fit and the adapter take the features' dtype (float32 or float64)."""
+    identity, and the MLP, with ``train_mlp``'s schedule, parameters and
+    float32 fit."""
     adapter, model, log = _train_core(
         features, labels, config, validation, hidden_sizes, True, learning_rate, batch_size, seed
     )
@@ -469,13 +474,10 @@ class Forest:
     n_features: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        # Compared in the dtype of X, as one value against a Python float
-        # threshold would be: float32 features meet float32 thresholds.
-        threshold = self.threshold.astype(X.dtype, copy=False)
         rows = np.arange(X.shape[0])
         at = np.repeat(self.roots[:, None], X.shape[0], axis=1)  # (trees, rows)
         for _ in range(self.depth):
-            below = X[rows, self.feature[at]] < threshold[at]
+            below = X[rows, self.feature[at]] < self.threshold[at]
             at = np.where(below, self.left[at], self.right[at])
         # Summed tree by tree, then divided once: a forest of one returns its
         # leaves' probabilities unchanged.

@@ -627,9 +627,12 @@ def make_split(dataset: Dataset, spec: SplitSpec) -> tuple[set[str], set[str]]:
     """Carve the dataset into disjoint (train, test) patient-id sets.
 
     random mode: stratified-by-label split with ceil(test_fraction * n) test
-    patients. cross_trial mode: test is the target trial minus a retained
-    fraction round((1 - exclusion_fraction) * n_target) that moves to train;
-    all other trials train. Deterministic under the spec seed.
+    patients. Each class starts at the floor of its share, test_fraction x
+    its size, and the classes with the largest remainders (ties to label 0)
+    take one more each until the total is met, so every class gets the floor
+    or the ceil of its share. cross_trial mode: test is the target trial
+    minus a retained fraction round((1 - exclusion_fraction) * n_target) that
+    moves to train; all other trials train. Deterministic under the spec seed.
     """
     rng = np.random.default_rng(spec.seed)
     all_ids = [p.patient_id for p in dataset.patients]
@@ -641,8 +644,6 @@ def make_split(dataset: Dataset, spec: SplitSpec) -> tuple[set[str], set[str]]:
         n = len(all_ids)
         target_test = int(math.ceil(spec.test_fraction * n - 1e-9))
 
-        # Largest-remainder allocation keeps per-class test counts proportional
-        # while hitting the ceil(total) contract exactly.
         quotas = {}
         fracs = {}
         for label in (0, 1):
@@ -650,10 +651,8 @@ def make_split(dataset: Dataset, spec: SplitSpec) -> tuple[set[str], set[str]]:
             quotas[label] = int(math.floor(exact + 1e-9))
             fracs[label] = exact - quotas[label]
         short = target_test - sum(quotas.values())
-        for label in sorted((0, 1), key=lambda l: (-fracs[l], l)):
-            while short > 0 and quotas[label] < len(groups[label]):
-                quotas[label] += 1
-                short -= 1
+        for label in sorted((0, 1), key=lambda l: (-fracs[l], l))[:short]:
+            quotas[label] += 1
 
         test: set[str] = set()
         for label in (0, 1):

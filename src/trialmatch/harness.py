@@ -707,10 +707,8 @@ def _train_eval(
     train_seed = _derive_seed(spec.seed, 0, 1)
 
     if spec.classifier == "mlp":
-        # The MLP trains in float32, the dtype of the features it is given;
-        # the other classifiers and every prediction see float64.
         carve_seed = _derive_seed(spec.seed, 0, 2)
-        core_x, core_y, validation = _carve_validation(Xtr.astype(np.float32), ytr, carve_seed)
+        core_x, core_y, validation = _carve_validation(Xtr, ytr, carve_seed)
         if spec.adapter_mode == "adapter":
             model, _ = train_with_adapter(core_x, core_y, spec.train, validation, seed=train_seed)
         else:

@@ -341,50 +341,47 @@ class TestTrainMlp:
         assert log.monitor == "validation"
         assert log.losses[log.best_epoch - 1] == min(log.losses)
 
-    # Digests of fits recorded before the training step was rewritten to
-    # update one flat parameter vector in place (NumPy 2.4, OpenBLAS,
-    # x86_64); the rewrite must reproduce every bit.
-    def test_validation_fit_matches_recorded_digest(self):
-        X, y, validation, config = pinned_problem()
+    # Digests of float32 fits (NumPy 2.4, OpenBLAS, x86_64). The validation
+    # fit was recorded when float32 training was introduced; the training
+    # fit was re-recorded when the float64 fit path was removed. A float64
+    # input fits like its float32 cast, so both validation fits share a pin.
+    VALIDATION_FIT = "bd6c43a7d484a8afd2c7d782c002832326ab24e036fa84315d528e04f15287e2"
+
+    @staticmethod
+    def validation_fit(dtype):
+        X, y, (Xv, yv), config = pinned_problem()
         model, log = train_mlp(
-            X, y, config, validation=validation, hidden_sizes=(8, 4), **PINNED_STEP
+            X.astype(dtype),
+            y,
+            config,
+            validation=(Xv.astype(dtype), yv),
+            hidden_sizes=(8, 4),
+            **PINNED_STEP,
         )
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
-        assert params_digest([*model.weights, *model.biases]) == (
-            "b132dc5c0ce32761c98b2c5f80488b15e23eb0c0a6780a2fee038477705f2667"
-        )
         assert log.monitor == "validation" and len(log.losses) == 12
+        return params_digest([*model.weights, *model.biases])
+
+    def test_validation_fit_matches_recorded_digest(self):
+        assert self.validation_fit(np.float64) == self.VALIDATION_FIT
+
+    def test_float32_fit_matches_recorded_digest(self):
+        assert self.validation_fit(np.float32) == self.VALIDATION_FIT
 
     def test_training_fit_matches_recorded_digest(self):
         X, y, _, config = pinned_problem()
         model, log = train_mlp(X, y, config, hidden_sizes=(8, 4), **PINNED_STEP)
         assert (log.best_epoch, log.stopped_epoch) == (58, 60)
         assert params_digest([*model.weights, *model.biases]) == (
-            "a8bdac4e05a34265ca3eca372fcecc98e9bda1461de2bd92e5d1e2599ba61dfd"
+            "ac704dfce77d60cf886231877d957bc1a751c44e5de085414567e15fad534bbe"
         )
         assert log.monitor == "train" and len(log.losses) == 60
-        assert log.losses[-1] == float.fromhex("0x1.37b2f149b27dep-4")
-
-    # Recorded when float32 training was introduced (same platform); pins
-    # the float32 arithmetic as the digests above pin the float64 one.
-    def test_float32_fit_matches_recorded_digest(self):
-        X, y, (Xv, yv), config = pinned_problem()
-        model, log = train_mlp(
-            X.astype(np.float32),
-            y,
-            config,
-            validation=(Xv.astype(np.float32), yv),
-            hidden_sizes=(8, 4),
-            **PINNED_STEP,
-        )
-        assert (log.best_epoch, log.stopped_epoch) == (4, 12)
-        assert params_digest([*model.weights, *model.biases]) == (
-            "bd6c43a7d484a8afd2c7d782c002832326ab24e036fa84315d528e04f15287e2"
-        )
+        assert log.losses[-1] == float.fromhex("0x1.37b316889010bp-4")
 
 
 class TestTrainingDtype:
-    """A fit trains and returns its parameters in the features' dtype."""
+    """A fit trains in float32 and returns float32 parameters, whatever the
+    features' dtype."""
 
     @staticmethod
     def fit(dtype, case):
@@ -398,8 +395,12 @@ class TestTrainingDtype:
 
     @pytest.mark.parametrize("case", ["none", "trainable-square"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_parameters_take_the_features_dtype(self, dtype, case):
-        assert {a.dtype for a in self.fit(dtype, case)} == {np.dtype(dtype)}
+    def test_parameters_are_float32(self, dtype, case):
+        # Either input fits bit for bit like its float32 cast.
+        params, cast = self.fit(dtype, case), self.fit(np.float32, case)
+        assert {a.dtype for a in params} == {np.dtype(np.float32)}
+        assert len(params) == len(cast)
+        assert all(np.array_equal(a, b) for a, b in zip(params, cast))
 
     def test_validation_is_cast_to_the_features_dtype(self):
         X, y, (Xv, yv), config = pinned_problem()
@@ -408,11 +409,25 @@ class TestTrainingDtype:
         wide = train_mlp(X32, y, config, (Xv, yv), (4,), **PINNED_STEP)
         assert cast[1].losses == wide[1].losses
 
-    def test_other_inputs_train_in_float64(self):
+    def test_other_inputs_train_in_float32(self):
         X, y = blobs(3, n=20)
         for features in (X.tolist(), X.astype(np.float16), (X > 0).astype(int)):
             model, _ = train_mlp(features, y, TrainConfig(max_epochs=1), hidden_sizes=(3,))
-            assert {a.dtype for a in [*model.weights, *model.biases]} == {np.dtype(np.float64)}
+            X32 = np.asarray(features, dtype=np.float32)
+            cast, _ = train_mlp(X32, y, TrainConfig(max_epochs=1), hidden_sizes=(3,))
+            params = [*model.weights, *model.biases]
+            assert {a.dtype for a in params} == {np.dtype(np.float32)}
+            assert all(np.array_equal(a, b) for a, b in zip(params, [*cast.weights, *cast.biases]))
+
+    @pytest.mark.parametrize("train", [train_mlp, train_with_adapter])
+    @pytest.mark.parametrize("where", ["features", "validation features"])
+    def test_a_value_beyond_float32_range_is_a_data_error(self, train, where):
+        # Finite in float64, inf in float32; pytest turns the cast's overflow
+        # warning into an error, so none may be raised either.
+        X, y, (Xv, yv), config = pinned_problem()
+        (X if where == "features" else Xv)[3, 1] = -1e39
+        with pytest.raises(DataError, match=f"^{where} exceed the float32 range"):
+            train(X, y, config, (Xv, yv), (4,))
 
     def test_float32_saturated_logits_raise_no_warning(self):
         # pytest turns warnings into errors, so an overflow would fail here.
@@ -691,23 +706,6 @@ class TestTreesAndForests:
             expected += walked
         assert np.array_equal(predict_proba(forest, probe), expected / len(forest.roots))
 
-    def test_float32_rows_compare_in_float32_like_a_per_row_walk(self):
-        # Rows set to each threshold rounded to float32 fall on the side a
-        # float32 comparison puts them, not the side float64 would.
-        X, y = tied_problem()
-        tree = train_tree(X + np.random.default_rng(4).standard_normal(X.shape) * 1e-3, y, max_depth=5)
-        splits = [
-            (tree.feature[i], tree.threshold[i])
-            for i in tree_nodes(tree, tree.roots[0])
-            if not is_leaf(tree, i)
-        ]
-        probe = np.repeat(X[:1], len(splits), axis=0).astype(np.float32)
-        for i, (feature, threshold) in enumerate(splits):
-            probe[i, feature] = threshold
-        probe = np.vstack([probe, X.astype(np.float32)])
-        walked = np.array([walk(tree, tree.roots[0], x) for x in probe])
-        assert np.array_equal(predict_proba(tree, probe), walked)
-
     def test_forest_deterministic(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((50, 3))
@@ -822,7 +820,7 @@ class TestAdapter:
 
     def test_fit_matches_recorded_digest(self):
         # Recorded like the digests in TestTrainMlp, for the square adapter
-        # (starting at the identity) before the narrowing one was removed.
+        # (starting at the identity), when the float64 fit path was removed.
         X, y, validation, config = pinned_problem()
         model, log = train_with_adapter(
             X, y, config, validation=validation, hidden_sizes=(6,), **PINNED_STEP
@@ -831,7 +829,7 @@ class TestAdapter:
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
         assert params_digest(
             [model.adapter, *model.mlp.weights, *model.mlp.biases]
-        ) == "8e7c8fa7bfee2311fb2adbd3c32a51a59adda975a54e870634f1992bb8d7a303"
+        ) == "b52444178255f5be887e86be0ec2d3aea469a76a94fd15abf30a21ca1590ec25"
 
 
 class TestPredictProba:

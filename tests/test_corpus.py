@@ -638,6 +638,21 @@ class TestMakeSplit:
         overall = sum(labels.values()) / len(labels)
         assert abs(test_pos / len(test) - overall) < 0.05
 
+    @pytest.mark.parametrize(
+        "n_neg, n_pos, fraction, expected",
+        [(3, 3, 0.2, (1, 1)), (4, 2, 0.5, (2, 1)), (2, 7, 0.5, (1, 4)), (3, 3, 0.7, (3, 2))],
+    )
+    def test_random_gives_each_class_the_floor_or_ceil_of_its_share(
+        self, n_neg, n_pos, fraction, expected
+    ):
+        labels = [0] * n_neg + [1] * n_pos
+        patients = [tiny_patient(f"P{i}", label=label) for i, label in enumerate(labels)]
+        dataset = Dataset(patients=patients, trials=[tiny_trial()])
+        for seed in range(5):
+            _, test = make_split(dataset, SplitSpec(test_fraction=fraction, seed=seed))
+            counts = tuple(sum(labels[int(i[1:])] == c for i in test) for c in (0, 1))
+            assert counts == expected
+
     def test_cross_trial_full_exclusion(self):
         dataset = _synthetic()
         spec = SplitSpec(mode="cross_trial", target_trial="SYN001", exclusion_fraction=1.0, seed=3)

@@ -603,40 +603,49 @@ class TestWriteOutputs:
 
 
 class TestClassifierDtypes:
+    """Every trainer is handed the float64 features; the MLP and its adapter
+    come back in float32, the dtype ``classifiers`` fits them in."""
+
     TRAINERS = ("train_mlp", "train_with_adapter", "train_tree", "train_forest", "train_svm")
 
     @pytest.mark.parametrize(
-        "task, expected",
+        "task, trainers",
         [
-            (
-                "task1",
-                {
-                    "train_mlp": {"float32"},
-                    "train_tree": {"float64"},
-                    "train_forest": {"float64"},
-                    "train_svm": {"float64"},
-                },
-            ),
-            ("task4", {"train_mlp": {"float32"}, "train_with_adapter": {"float32"}}),
+            ("task1", {"train_mlp", "train_tree", "train_forest", "train_svm"}),
+            ("task4", {"train_mlp", "train_with_adapter"}),
         ],
     )
-    def test_only_the_mlp_is_handed_float32(self, tmp_path, monkeypatch, task, expected):
-        seen: dict[str, set[str]] = {}
+    def test_every_trainer_is_handed_float64(self, tmp_path, monkeypatch, task, trainers):
+        handed: dict[str, set[str]] = {}
+        fitted: dict[str, set[str]] = {}
+        validated: set[str] = set()
 
         def recording(name, train):
             def wrapper(features, labels, *args, **kwargs):
-                dtypes = seen.setdefault(name, set())
-                dtypes.add(features.dtype.name)
-                if kwargs.get("validation") is not None:
-                    dtypes.add(kwargs["validation"][0].dtype.name)
-                return train(features, labels, *args, **kwargs)
+                result = train(features, labels, *args, **kwargs)
+                handed.setdefault(name, set()).add(features.dtype.name)
+                if name in ("train_mlp", "train_with_adapter"):
+                    model = result[0]
+                    if name == "train_with_adapter":
+                        params = [model.adapter, *model.mlp.weights, *model.mlp.biases]
+                    else:
+                        params = [*model.weights, *model.biases]
+                    fitted.setdefault(name, set()).update(a.dtype.name for a in params)
+                    validation = args[1] if len(args) > 1 else kwargs.get("validation")
+                    if validation is not None:
+                        handed[name].add(validation[0].dtype.name)
+                        validated.add(name)
+                return result
 
             return wrapper
 
         for name in self.TRAINERS:
             monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
         run_task(ExperimentConfig.from_dict(tiny_config(task, tmp_path)))
-        assert seen == expected
+        assert handed == {name: {"float64"} for name in trainers}
+        mlps = trainers & {"train_mlp", "train_with_adapter"}
+        assert fitted == {name: {"float32"} for name in mlps}
+        assert validated == mlps
 
 
 def write_tiny_datasets(tmp_path) -> list[dict]:

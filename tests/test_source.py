@@ -129,6 +129,31 @@ def test_no_module_reads_a_bit_generator():
     assert found == []
 
 
+def float32_outsiders(sources: dict[str, str]) -> list[str]:
+    """Modules, by file name, other than ``classifiers.py`` whose source
+    names float32, in the order given."""
+    return [
+        name for name, text in sources.items() if name != "classifiers.py" and "float32" in text
+    ]
+
+
+def test_only_classifiers_names_float32():
+    # The MLP's training dtype has one owner: every other module hands the
+    # classifiers float64 and leaves the cast to them.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert float32_outsiders(sources) == []
+
+
+def test_a_float32_outside_classifiers_is_caught():
+    sources = {
+        "classifiers.py": "X32 = X.astype(np.float32)\n",
+        "harness.py": "# the MLP trains in float32\ncore_x = Xtr.astype('float32')\n",
+        "metrics.py": "y = np.asarray(labels, dtype=np.float64)\n",
+        "representation.py": "m = m.astype(np.float32)\n",
+    }
+    assert float32_outsiders(sources) == ["harness.py", "representation.py"]
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 

@@ -1,7 +1,8 @@
-"""The benchmark's traced retrieval counts, checked against counts derived
-from the chunker alone. The benchmark's per-layer metrics read what
-``score_chunks`` and ``select_top_k`` take and return; a change to either
-that skews ``retrieval.pairs`` or ``retrieval.selected_ratio`` fails here.
+"""The benchmark's traced counts, checked against counts derived from the
+run's own settings. The benchmark's per-layer metrics read what
+``score_chunks`` and ``select_top_k`` take and return and what the harness's
+``train_mlp`` binding returns; a change that skews ``retrieval.pairs``,
+``retrieval.selected_ratio`` or the MLP counts fails here.
 """
 
 import json
@@ -57,3 +58,24 @@ def test_retrieval_counts_match_the_chunks(tmp_path, capsys):
     assert count["corpus.chunks"] == count["retrieval.scored"] == sum(n_chunks)
     assert count["retrieval.pairs"] == sum(n * c for n, c in zip(n_chunks, n_criteria))
     assert count["retrieval.selected"] == sum(min(K, n) for n in n_chunks)
+
+
+def test_mlp_counts_match_the_cells(tmp_path, capsys):
+    # task6 fits one MLP per (trial, exclusion) cell; patience equal to
+    # max_epochs runs every fit to the last epoch.
+    config = {
+        "task": "task6",
+        "dataset": {"name": "tiny", "synthetic": {"n_trials": 3, "patients_per_trial": 20}},
+        "exclusions": [1.0, 0.6],
+        "variants": [{"train": {"max_epochs": 3, "patience": 3}}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+
+    with tracing.Tracer() as tracer:
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+
+    assert tracer.count["classifiers.mlp_fits"] == 3 * 2
+    assert tracer.count["classifiers.mlp_epochs"] == 3 * 2 * 3
