@@ -13,14 +13,14 @@ its adapter train in float32 whatever the features' dtype; every other fit and
 every prediction works in float64.
 
 A fitted tree or forest is one ``Forest``: a node table of arrays (split
-feature, threshold, left and right child, leaf probability, sample count)
-with one root per tree, where a leaf is its own child; a tree is a forest of
-one. Trees grow array-at-a-time, appending nodes to the table in depth-first
-preorder. The features are transposed once per fit, a node's samples are an
-array of indices, and a split search gathers only the drawn features at
-those samples and sorts them a block of features at a time, so no node
-copies the feature matrix. Prediction routes every row through every tree
-at once, one level per step.
+feature, threshold, left and right child, leaf probability) with one root
+per tree, where a leaf is its own child; a tree is a forest of one. Trees
+grow array-at-a-time, appending nodes to the table in depth-first preorder.
+The features are transposed once per fit, a node's samples are an array of
+indices, and a split search gathers only the drawn features at those samples
+and sorts them a block of features at a time, so no node copies the feature
+matrix. Prediction routes every row through every tree at once, one level
+per step.
 """
 
 from __future__ import annotations
@@ -115,13 +115,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class MLPModel:
     """Affine-rectifier stack with a logistic output unit."""
 
-    layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
     @property
     def n_features(self) -> int:
-        return self.layer_sizes[0]
+        return self.weights[0].shape[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         _, probs = _forward_stack(self.weights, self.biases, X)
@@ -274,13 +273,12 @@ def _split_flat(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.
 @dataclass
 class TrainingLog:
     """Per-epoch record of a gradient-trained fit: ``losses[i]`` is the mean
-    BCE on the monitored set after epoch ``i + 1``. ``monitor`` names that
-    set: the validation set if one is given, else the training set."""
+    BCE on the monitored set after epoch ``i + 1``; that set is the
+    validation set if the caller gave one, else the training set."""
 
     losses: list[float] = field(default_factory=list)
     best_epoch: int = 0
     stopped_epoch: int = 0
-    monitor: str = "train"
 
 
 @dataclass
@@ -322,10 +320,8 @@ def _train_core(
     if validation is not None:
         val_x = _as_float32(validation[0], "validation features")
         val_y = _as_labels(validation[1], val_x.shape[0], X.dtype)
-        monitor = "validation"
     else:
         val_x, val_y = X, y
-        monitor = "train"
 
     init_ss, shuffle_ss = np.random.SeedSequence(seed).spawn(2)
     rng_init = np.random.default_rng(init_ss)
@@ -357,7 +353,7 @@ def _train_core(
         return bce_loss(probs, val_y) / len(val_y)
 
     state = AdamState.zeros_like(params)
-    log = TrainingLog(monitor=monitor)
+    log = TrainingLog()
     best_loss = math.inf
     best_epoch = 0
     bad_epochs = 0
@@ -392,12 +388,7 @@ def _train_core(
 
     np.copyto(params, best_params)
     log.best_epoch = best_epoch
-    model = MLPModel(
-        layer_sizes=(d, *hidden_sizes, 1),
-        weights=weights,
-        biases=biases,
-    )
-    return adapter, model, log
+    return adapter, MLPModel(weights=weights, biases=biases), log
 
 
 def train_mlp(
@@ -459,7 +450,7 @@ class Forest:
 
     Node ``i`` sends a row to ``left[i]`` if ``row[feature[i]] <
     threshold[i]`` and to ``right[i]`` if not; ``prob[i]`` is the positive
-    share of its ``n[i]`` training samples. A leaf is its own child, so
+    share of the training samples that reach it. A leaf is its own child, so
     ``depth`` steps from a tree's root in ``roots`` reach every row's leaf.
     """
 
@@ -468,7 +459,6 @@ class Forest:
     left: np.ndarray
     right: np.ndarray
     prob: np.ndarray
-    n: np.ndarray
     roots: np.ndarray
     depth: int
     n_features: int
@@ -554,7 +544,7 @@ def _grow(
 ) -> int:
     """Append the subtree of the samples ``rows`` (indices into ``y`` and the
     columns of the transposed features ``XT``) to ``nodes`` in preorder, one
-    ``[feature, threshold, left, right, prob, n, depth]`` row per node, and
+    ``[feature, threshold, left, right, prob, depth]`` row per node, and
     return its root's index. ``limits`` is (max_depth, min_leaf, features
     drawn per split); fewer than all are drawn with ``rng``.
 
@@ -566,7 +556,7 @@ def _grow(
     n = rows.shape[0]
     positives = float(y_node.sum())  # exact: the labels are 0 and 1
     at = len(nodes)
-    nodes.append([0, 0.0, at, at, positives / n, n, depth])
+    nodes.append([0, 0.0, at, at, positives / n, depth])
     if depth >= max_depth or positives in (0.0, n) or n < 2 * min_leaf:
         return at
     d = XT.shape[0]

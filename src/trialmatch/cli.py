@@ -170,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--labels", required=True, help="file with one 0/1 label per line")
     p_eval.add_argument("--scores", required=True, help="file with one probability per line")
-    p_eval.add_argument("--threshold", type=float, default=0.5, help="decision threshold (inclusive)")
+    p_eval.add_argument(
+        "--threshold", type=float, default=0.5, help="decision threshold in [0, 1] (inclusive)"
+    )
     _add_json_flag(p_eval)
 
     return parser
@@ -389,6 +391,8 @@ def _read_column(path: str, what: str) -> list[float]:
 def _cmd_eval(args) -> int:
     if not math.isfinite(args.threshold):
         raise ConfigError("threshold must be finite")
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError("threshold must lie in [0, 1]")
     labels = _read_column(args.labels, "labels")
     scores = _read_column(args.scores, "scores")
     if len(labels) != len(scores):

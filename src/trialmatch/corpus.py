@@ -112,11 +112,10 @@ class Trial:
 
 @dataclass(frozen=True)
 class Chunk:
-    """A retrievable text unit cut from one patient's record."""
+    """A retrievable text unit cut from one patient's record; its id names
+    the patient and the note or structured row it was cut from."""
 
     chunk_id: str
-    patient_id: str
-    source: str  # "note" | "structured"
     text: str
     ordinal: int
 
@@ -129,7 +128,10 @@ class Chunk:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to carve a dataset into train and test patient-id sets."""
+    """How to carve a dataset into train and test patient-id sets. A
+    ``random`` split reads ``test_fraction``; a ``cross_trial`` split reads
+    ``target_trial`` and ``exclusion_fraction``. Setting a key that the mode
+    does not read is a ``ConfigError``."""
 
     mode: str = "random"  # "random" | "cross_trial"
     test_fraction: float = 0.2
@@ -140,6 +142,13 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("random", "cross_trial"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
+        if self.mode == "random":
+            unread = ("target_trial", "exclusion_fraction")
+        else:
+            unread = ("test_fraction",)
+        for key in unread:
+            if getattr(self, key) != getattr(SplitSpec, key):
+                raise ConfigError(f"{key!r} is read by no {self.mode} split")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
         if self.mode == "cross_trial" and not self.target_trial:
@@ -436,13 +445,11 @@ def build_chunks(
         raise ConfigError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
     chunks: list[Chunk] = []
 
-    def _add(source: str, base_id: str, text: str) -> None:
+    def _add(base_id: str, text: str) -> None:
         for piece in chunk_text(text, chunk_size, overlap):
             chunks.append(
                 Chunk(
                     chunk_id=f"{patient.patient_id}:{base_id}:{len(chunks)}",
-                    patient_id=patient.patient_id,
-                    source=source,
                     text=piece,
                     ordinal=len(chunks),
                 )
@@ -450,10 +457,10 @@ def build_chunks(
 
     if modality in ("unstructured", "mixed"):
         for i, note in enumerate(patient.notes):
-            _add("note", f"note{i}", note.text)
+            _add(f"note{i}", note.text)
     if modality in ("structured", "mixed"):
         for i, row in enumerate(patient.structured_rows):
-            _add("structured", f"row{i}", row.to_text())
+            _add(f"row{i}", row.to_text())
     return chunks
 
 

@@ -209,7 +209,9 @@ class PipelineSpec:
     ``retrieval.DEFAULT_INSTRUCTIONS``.
 
     ``dimred`` present selects Variant B (RAG-DimRed-MLP); absent it is
-    Variant A (RAG-MLP). ``pooling`` collapses the prompt token matrix when no
+    Variant A (RAG-MLP). Sequence-axis compression keeps one component;
+    hidden-axis compression keeps the ``n_components`` it names, with no
+    default. ``pooling`` collapses the prompt token matrix when no
     sequence-axis compression runs, and provides the vectors that hidden-axis
     compression projects.
     """
@@ -674,7 +676,7 @@ def _check_split(
     if not train_rows or not any(pid in test_ids for pid in features.ids):
         raise DataError("split leaves an empty train or test side after skips")
     if spec.dimred is not None and spec.dimred.axis == "hidden":
-        n = spec.dimred.resolved_components
+        n = spec.dimred.n_components
         if n > train_rows - 1:
             raise ConfigError(
                 f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
@@ -698,7 +700,7 @@ def _train_eval(
     Xte, yte = features.X[test_idx], features.y[test_idx]
 
     if spec.dimred is not None and spec.dimred.axis == "hidden":
-        pca = pca_fit(Xtr, spec.dimred.resolved_components)
+        pca = pca_fit(Xtr, spec.dimred.n_components)
         Xtr = pca_project(pca, Xtr)
         Xte = pca_project(pca, Xte)
 
@@ -751,13 +753,13 @@ _ARMS: dict[str, list[dict]] = {
     "task3": [
         {"dimred": dimred, "pooling": pooling, "name": name}
         for name, dimred, pooling in (
-            ("sequence-1", DimRedConfig(axis="sequence", n_components=1), "mean"),
+            ("sequence-1", DimRedConfig(axis="sequence"), "mean"),
             *(
                 (f"hidden-{n}", DimRedConfig(axis="hidden", n_components=n), "mean")
                 for n in (16, 32, 64, 128)
             ),
             ("last_token", None, "last_token"),
-            ("hybrid", DimRedConfig(axis="sequence", n_components=1), "hybrid_last"),
+            ("hybrid", DimRedConfig(axis="sequence"), "hybrid_last"),
         )
     ],
     "task4": [
@@ -848,7 +850,7 @@ def _check_arms(config: ExperimentConfig) -> None:
         if width is None:
             raise ConfigError("pooling 'pca_mean' requires pooling_components")
         if spec.dimred is not None and spec.dimred.axis == "hidden":
-            n = spec.dimred.resolved_components
+            n = spec.dimred.n_components
             if n > width:
                 raise ConfigError(
                     f"variant {spec.variant_name!r}: hidden-axis compression to {n} "

@@ -3,10 +3,11 @@
 A token matrix (l tokens x d_hidden) collapses to a fixed-size vector through
 one of: mean pooling, per-matrix PCA projection plus averaging, last-token
 selection, or sequence-axis compression to one component. Hidden-axis
-compression is not per matrix: ``harness`` fits a PCA (``pca_fit``) on the
-train split's pooled vectors and projects both splits with it. All
-transforms are pure and deterministic; the eigenvector sign convention
-(largest-magnitude coordinate positive) makes repeated fits bit-identical.
+compression is not per matrix: ``harness`` fits a PCA (``pca_fit``) to the
+configured number of components on the train split's pooled vectors and
+projects both splits with it. All transforms are pure and deterministic; the
+eigenvector sign convention (largest-magnitude coordinate positive) makes
+repeated fits bit-identical.
 
 ``dimred`` keeps an exact one-entry memo: the last token matrix it
 compressed (a private copy) and the scores it returned. A call whose matrix
@@ -26,8 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateVarianceError
 
-DEFAULT_HIDDEN_COMPONENTS = 128
-
 
 @dataclass(frozen=True)
 class PCAModel:
@@ -36,7 +35,6 @@ class PCAModel:
     mean: np.ndarray          # (f,)
     components: np.ndarray    # (f, n_components), orthonormal columns
     eigenvalues: np.ndarray   # (n_components,), non-increasing, >= 0
-    n_samples_fit: int
 
 
 @dataclass(frozen=True)
@@ -44,9 +42,10 @@ class DimRedConfig:
     """The axis of compression, which also decides where it is fitted.
 
     ``axis="sequence"`` compresses each prompt's token matrix on its own to
-    one component (``dimred``); ``n_components`` must be unset or 1.
+    one component (``dimred``) and takes no ``n_components``.
     ``axis="hidden"`` compresses the pooled prompt vectors with a PCA fitted
-    on the train split, to ``n_components`` components (unset: 128).
+    on the train split, to ``n_components`` components, which it requires.
+    Each compression has one spelling, so equal compressions hash equal.
     """
 
     axis: str = "sequence"  # "sequence" | "hidden"
@@ -55,21 +54,15 @@ class DimRedConfig:
     def __post_init__(self) -> None:
         if self.axis not in ("sequence", "hidden"):
             raise ConfigError(f"unknown DimRed axis {self.axis!r}")
+        if self.axis == "sequence" and self.n_components is not None:
+            raise ConfigError(
+                "sequence-axis compression keeps one component and takes no "
+                f"n_components, got n_components={self.n_components}"
+            )
+        if self.axis == "hidden" and self.n_components is None:
+            raise ConfigError("hidden-axis compression requires n_components")
         if self.n_components is not None and self.n_components < 1:
             raise ConfigError("n_components must be positive")
-        if self.axis == "sequence" and self.n_components not in (None, 1):
-            raise ConfigError(
-                "sequence-axis compression keeps one component, "
-                f"got n_components={self.n_components}"
-            )
-
-    @property
-    def resolved_components(self) -> int:
-        if self.axis == "sequence":
-            return 1
-        if self.n_components is None:
-            return DEFAULT_HIDDEN_COMPONENTS
-        return self.n_components
 
 
 def _as_matrix(m: np.ndarray, what: str = "token matrix") -> np.ndarray:
@@ -198,7 +191,6 @@ def _fit_centered(centered: np.ndarray, mean: np.ndarray, n_components: int) -> 
         mean=mean,
         components=components,
         eigenvalues=np.maximum(top_values, 0.0),
-        n_samples_fit=s,
     )
 
 

@@ -106,6 +106,13 @@ def probability(model: MLPModel, x: np.ndarray) -> float:
     return float(predict_proba(model, x[None, :])[0])
 
 
+def monitored_loss(model: MLPModel, X, y) -> float:
+    """The mean BCE of ``model`` on (X, y), computed in float32 as the
+    training loop computes its monitored loss."""
+    _, probs = _forward_stack(model.weights, model.biases, np.asarray(X, dtype=np.float32))
+    return bce_loss(probs, y) / len(y)
+
+
 def summed_bce_grads(model: MLPModel, X: np.ndarray, y: np.ndarray):
     """(weight, bias) gradients of the summed BCE over one batch, as the
     training loop computes them."""
@@ -119,7 +126,6 @@ def summed_bce_grads(model: MLPModel, X: np.ndarray, y: np.ndarray):
 class TestMlpForward:
     def test_zero_parameters_give_half(self):
         model = MLPModel(
-            layer_sizes=(3, 2, 1),
             weights=[np.zeros((3, 2)), np.zeros((2, 1))],
             biases=[np.zeros(2), np.zeros(1)],
         )
@@ -127,34 +133,26 @@ class TestMlpForward:
             assert probability(model, x) == pytest.approx(0.5)
 
     def test_single_logistic_unit(self):
-        model = MLPModel(
-            layer_sizes=(1, 1),
-            weights=[np.zeros((1, 1))],
-            biases=[np.array([2.0])],
-        )
+        model = MLPModel(weights=[np.zeros((1, 1))], biases=[np.array([2.0])])
         assert probability(model, np.array([3.0])) == pytest.approx(0.880797, abs=1e-6)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         w, b = _init_params((4, 8, 1), rng)
-        model = MLPModel(layer_sizes=(4, 8, 1), weights=w, biases=b)
+        model = MLPModel(weights=w, biases=b)
         for _ in range(20):
             p = probability(model, rng.standard_normal(4) * 10)
             assert 0.0 < p < 1.0
 
     def test_dim_mismatch(self):
-        model = MLPModel(
-            layer_sizes=(2, 1), weights=[np.zeros((2, 1))], biases=[np.zeros(1)]
-        )
+        model = MLPModel(weights=[np.zeros((2, 1))], biases=[np.zeros(1)])
         with pytest.raises(DataError, match="features have 3 columns, model expects 2"):
             probability(model, np.zeros(3))
 
 
 class TestMlpGrad:
     def test_hand_derived_logistic_unit(self):
-        model = MLPModel(
-            layer_sizes=(1, 1), weights=[np.zeros((1, 1))], biases=[np.zeros(1)]
-        )
+        model = MLPModel(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
         grads_w, grads_b = summed_bce_grads(model, np.array([[1.0]]), np.array([1.0]))
         assert grads_b[0][0] == pytest.approx(-0.5, abs=1e-12)
         assert grads_w[0][0, 0] == pytest.approx(-0.5, abs=1e-12)
@@ -168,7 +166,7 @@ class TestMlpGrad:
                 sizes.append(int(rng.integers(2, 9)))
             sizes.append(1)
             weights, biases = _init_params(tuple(sizes), rng)
-            model = MLPModel(layer_sizes=tuple(sizes), weights=weights, biases=biases)
+            model = MLPModel(weights=weights, biases=biases)
             n = int(rng.integers(2, 9))
             X = rng.standard_normal((n, sizes[0]))
             y = (rng.random(n) < 0.5).astype(float)
@@ -338,8 +336,8 @@ class TestTrainMlp:
         Xv, yv = blobs(9, n=30)
         config = TrainConfig(max_epochs=40)
         model, log = train_mlp(X, y, config, validation=(Xv, yv), hidden_sizes=(6,), seed=5)
-        assert log.monitor == "validation"
         assert log.losses[log.best_epoch - 1] == min(log.losses)
+        assert log.losses[log.best_epoch - 1] == monitored_loss(model, Xv, yv)
 
     # Digests of float32 fits (NumPy 2.4, OpenBLAS, x86_64). The validation
     # fit was recorded when float32 training was introduced; the training
@@ -359,7 +357,8 @@ class TestTrainMlp:
             **PINNED_STEP,
         )
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
-        assert log.monitor == "validation" and len(log.losses) == 12
+        assert len(log.losses) == 12
+        assert log.losses[log.best_epoch - 1] == monitored_loss(model, Xv, yv)
         return params_digest([*model.weights, *model.biases])
 
     def test_validation_fit_matches_recorded_digest(self):
@@ -375,7 +374,8 @@ class TestTrainMlp:
         assert params_digest([*model.weights, *model.biases]) == (
             "ac704dfce77d60cf886231877d957bc1a751c44e5de085414567e15fad534bbe"
         )
-        assert log.monitor == "train" and len(log.losses) == 60
+        assert len(log.losses) == 60
+        assert log.losses[log.best_epoch - 1] == monitored_loss(model, X, y)
         assert log.losses[-1] == float.fromhex("0x1.37b316889010bp-4")
 
 
@@ -488,16 +488,46 @@ def tree_nodes(forest, root) -> list[int]:
     return order
 
 
-def tree_digest(forest, root) -> str:
-    """sha256 over (feature, threshold, prob, n) of every node, pre-order; a
-    leaf's feature and threshold read None."""
+def node_counts(forest, root, X) -> dict[int, int]:
+    """How many rows of ``X`` reach each node of the tree at ``root``, routed
+    down the node table as prediction routes them. For the rows a tree was
+    grown on, that is each node's training sample count."""
+    counts, stack = {}, [(int(root), np.arange(X.shape[0]))]
+    while stack:
+        i, rows = stack.pop()
+        counts[i] = rows.shape[0]
+        if not is_leaf(forest, i):
+            below = X[rows, forest.feature[i]] < forest.threshold[i]
+            stack += [(int(forest.left[i]), rows[below]), (int(forest.right[i]), rows[~below])]
+    return counts
+
+
+def bootstrap_rows(seed: int, n_trees: int, n: int) -> list[np.ndarray]:
+    """Each tree's training rows in ``train_forest(..., n_trees, seed)`` on
+    ``n`` rows: the first draw of that tree's generator."""
+    children = np.random.SeedSequence(seed).spawn(n_trees)
+    return [np.random.default_rng(child).integers(0, n, size=n) for child in children]
+
+
+def tree_digest(forest, root, X) -> str:
+    """sha256 over (feature, threshold, prob, sample count) of every node,
+    pre-order, where ``X`` holds the rows the tree was grown on; a leaf's
+    feature and threshold read None."""
+    counts = node_counts(forest, root, X)
     digest = hashlib.sha256()
     for i in tree_nodes(forest, root):
         split = (None, None)
         if not is_leaf(forest, i):
             split = (int(forest.feature[i]), float(forest.threshold[i]))
-        digest.update(repr((*split, float(forest.prob[i]), int(forest.n[i]))).encode())
+        digest.update(repr((*split, float(forest.prob[i]), counts[i])).encode())
     return digest.hexdigest()
+
+
+def forest_digests(forest, X, seed: int) -> list[str]:
+    """``tree_digest`` of each tree of a forest that ``train_forest`` grew
+    on ``X`` under ``seed``."""
+    rows = bootstrap_rows(seed, len(forest.roots), X.shape[0])
+    return [tree_digest(forest, root, X[r]) for root, r in zip(forest.roots, rows)]
 
 
 def per_feature_split(X, y, feature_indices, min_leaf):
@@ -575,7 +605,7 @@ class TestBestSplit:
     def test_tree_matches_recorded_digest(self, min_leaf, expected):
         X, y = tied_problem()
         tree = train_tree(X, y, max_depth=12, min_leaf=min_leaf)
-        assert tree_digest(tree, tree.roots[0]) == expected
+        assert tree_digest(tree, tree.roots[0], X) == expected
 
     @pytest.mark.parametrize(
         "min_leaf, expected",
@@ -587,7 +617,7 @@ class TestBestSplit:
     def test_forest_matches_recorded_digest(self, min_leaf, expected):
         X, y = tied_problem()
         forest = train_forest(X, y, n_trees=8, seed=21, max_depth=12, min_leaf=min_leaf)
-        joined = "".join(tree_digest(forest, root) for root in forest.roots)
+        joined = "".join(forest_digests(forest, X, seed=21))
         assert hashlib.sha256(joined.encode()).hexdigest() == expected
 
     # Recorded with the grower that copied each node's rows, before nodes
@@ -600,7 +630,7 @@ class TestBestSplit:
                 forest = train_forest(
                     X, y, n_trees=6, seed=33, max_depth=max_depth, min_leaf=min_leaf
                 )
-                parts.extend(tree_digest(forest, root) for root in forest.roots)
+                parts.extend(forest_digests(forest, X, seed=33))
         assert hashlib.sha256("".join(parts).encode()).hexdigest() == (
             "65c30571b74a4649e6bfaa1065ce5a9d4366950cdd8b9712ced44fd0b4e9a720"
         )
@@ -675,11 +705,12 @@ class TestTreesAndForests:
         X = rng.standard_normal((200, 3))
         y = (X[:, 0] + 0.3 * rng.standard_normal(200) > 0).astype(float)
         tree = train_tree(X, y, max_depth=3, min_leaf=10)
+        counts = node_counts(tree, tree.roots[0], X)
 
         def walk(i, depth=0):
             assert depth <= 3
             if is_leaf(tree, i):
-                assert tree.n[i] >= 10 or depth == 0
+                assert counts[i] >= 10 or depth == 0
                 return
             walk(tree.left[i], depth + 1)
             walk(tree.right[i], depth + 1)
@@ -730,7 +761,7 @@ class TestTreesAndForests:
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert tree.n[tree.roots[0]] == 400
+        assert tree.prob[tree.roots[0]] == y.mean()
         assert kept < X.nbytes
 
     def test_single_class_rejected(self):

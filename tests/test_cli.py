@@ -249,6 +249,17 @@ class TestExitCodes:
         assert err.startswith(f"data error: cannot write {target}: ")
         assert list(target.iterdir()) == []
 
+    # Scores are probabilities: outside [0, 1] every row lands on one side.
+    @pytest.mark.parametrize("threshold", ["7", "-0.5"])
+    def test_eval_threshold_outside_the_unit_interval_exits_1(self, tmp_path, capsys, threshold):
+        (tmp_path / "labels").write_text("1\n0\n1\n", encoding="utf-8")
+        (tmp_path / "scores").write_text("0.9\n0.2\n0.4\n", encoding="utf-8")
+        argv = ["eval", "--labels", str(tmp_path / "labels")]
+        argv += ["--scores", str(tmp_path / "scores"), f"--threshold={threshold}"]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "error: threshold must lie in [0, 1]\n"
+
     def test_eval_length_mismatch_exits_2(self, tmp_path, capsys):
         labels = tmp_path / "labels.txt"
         scores = tmp_path / "scores.txt"

@@ -233,9 +233,10 @@ class TestBuildChunks:
         mixed = build_chunks(patient, 16, 2, "mixed")
         notes_only = build_chunks(patient, 16, 2, "unstructured")
         rows_only = build_chunks(patient, 16, 2, "structured")
-        assert {c.source for c in notes_only} == {"note"}
-        assert {c.source for c in rows_only} == {"structured"}
-        assert len(mixed) == len(notes_only) + len(rows_only)
+        # A chunk id names the note or structured row the chunk was cut from.
+        assert {c.chunk_id.split(":")[1][:4] for c in notes_only} == {"note"}
+        assert {c.chunk_id.split(":")[1][:3] for c in rows_only} == {"row"}
+        assert [c.text for c in mixed] == [c.text for c in notes_only + rows_only]
 
     def test_ordinals_dense(self):
         patient = tiny_patient("P1")

@@ -42,14 +42,16 @@ class TestConfigLoading:
             {
                 "task": "task2",
                 "dataset": {"name": "s", "synthetic": {"n_trials": 3}, "seed": 4},
-                "variants": [{"dimred": {"axis": "hidden"}, "train": {"max_epochs": 5}}],
+                "variants": [
+                    {"dimred": {"axis": "hidden", "n_components": 16}, "train": {"max_epochs": 5}}
+                ],
                 "split": {"test_fraction": 0.3},
                 "providers": [{"kind": "mock", "dim": 128}],
             }
         )
         assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
         assert config.variants[0].train.max_epochs == 5
-        assert config.variants[0].dimred == DimRedConfig(axis="hidden")
+        assert config.variants[0].dimred == DimRedConfig(axis="hidden", n_components=16)
 
     @pytest.mark.parametrize(
         "obj, key",
@@ -153,7 +155,8 @@ class TestArms:
     """Each task's arms in output order, pinned by name and by a digest of
     their config hashes (re-recorded when ``PipelineSpec`` dropped its
     predictor settings, and again when it dropped the MLP's step settings
-    and ``adapter_dim``; the names did not move).
+    and ``adapter_dim``; the names did not move). task3's were re-recorded
+    when its sequence-axis arms stopped spelling out one component.
     The second base sets the fields of ``OTHER`` that some arm of the task
     reads, so an arm that stops overriding one shows; a key that every arm
     sets is a ``ConfigError`` (``TestConfigChecks``)."""
@@ -187,8 +190,8 @@ class TestArms:
             ("task2", {}, [], TASK2, "c886dd45b9be4d2f"),
             ("task2", OTHER, [], TASK2, "ad4b71d63bec750b"),
             ("task2", {}, PROVIDERS, ["backbone-small", "backbone-mock"], "8c1657f9e33ed362"),
-            ("task3", {}, [], TASK3, "7bba7b17106f820d"),
-            ("task3", OTHER, [], TASK3, "a75fd6c795f6fb8b"),
+            ("task3", {}, [], TASK3, "4ffbcbe2b5097444"),
+            ("task3", OTHER, [], TASK3, "f70bae421241ae91"),
             ("task4", {}, [], TASK4, "1fbed745924813e3"),
             ("task4", OTHER, [], TASK4, "cef84010800fc401"),
             ("task6", {}, [], ["mlp"], "56ca5cb910e5a2e8"),
@@ -818,6 +821,20 @@ class TestConfigChecks:
             {},
             "'trials_path' is read by no synthetic dataset source",
         ),
+        # A split key that the split's mode does not read loaded, and the run
+        # took the mode's own split under a config hash of its own.
+        "task1-split-target-trial": (
+            "task1",
+            {"split": {"target_trial": "SYN001", "exclusion_fraction": 0.3}},
+            {},
+            "'target_trial' is read by no random split",
+        ),
+        "task1-split-test-fraction": (
+            "task1",
+            {"split": {"mode": "cross_trial", "target_trial": "SYN001", "test_fraction": 0.3}},
+            {},
+            "'test_fraction' is read by no cross_trial split",
+        ),
         "task3-paths-seed": (
             "task3",
             {"dataset": {"patients_path": "p.jsonl", "trials_path": "t.jsonl", "seed": 2}},
@@ -884,7 +901,7 @@ class TestConfigChecks:
             {"dimred": {"axis": "hidden", "n_components": 8}, "provider": {"dim": 64}}
         ]
         specs = harness._variants(ExperimentConfig.from_dict(obj))
-        assert {spec.dimred.resolved_components for spec in specs} == {8}
+        assert {spec.dimred.n_components for spec in specs} == {8}
         assert [spec.provider.dim for spec in specs] == [64, 32, 96]
 
     def config(self, case: str, tmp_path) -> dict:
@@ -947,7 +964,12 @@ class TestPlan:
         no_data(monkeypatch)
         obj = tiny_config(task, tmp_path)
         obj[key] = value
-        with pytest.raises(ConfigError, match=f"^'{key}' is read by no {task} run"):
+        message = f"^'{key}' is read by no {task} run"
+        if value == {"exclusion_fraction": 0.3, "seed": 9}:
+            # A random split reads no exclusion fraction, so the split itself
+            # rejects it before the task's check.
+            message = "^'exclusion_fraction' is read by no random split$"
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(obj)
 
     def test_task5_variants_with_equal_retrieval_settings_share_a_pass(
@@ -1094,10 +1116,12 @@ class TestTask3:
 # again when it dropped the MLP's step settings and adapter_dim; each time
 # only the config_hash column moved. Re-recorded again when the synthetic
 # corpus moved to per-trial array draws; then only the metric columns moved.
+# task3's was re-recorded when its sequence-axis arms stopped spelling out one
+# component; only the config_hash of the sequence-1 and hybrid rows moved.
 RESULTS_DIGESTS = {
     "task1": "2f592d3df6af16ffdab2d8ee04b5d19ba0829d51861343af9a836c800bb6f332",
     "task2": "67500147bc7eb6cb11191fd774c3d735f03438262d34acbb3b4d91a2c8d07eed",
-    "task3": "9c1de73fa3fa6bd87994d50d10e1b6bd5de7d987ff825476e0bb3f4bf9c4f5da",
+    "task3": "bd0252f35166019d852466ca4aaceac408561df292a041e528915f1910ed7267",
     "task4": "35f85ea79323be98bf079daa85688c2c85d5001ff687c40773d826a8ed6eabb5",
     "task5": "c2d2caea23d606da4b2833ececc60d581eedc44ae9220c8a4f508d682429743e",
     "task6": "6f2a587e25d4a28d9838c48bf92e2f010ba619f09bb391b218f8a1f1a7d95791",

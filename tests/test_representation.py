@@ -8,7 +8,6 @@ from trialmatch.errors import (
 )
 from trialmatch import representation
 from trialmatch.representation import (
-    DEFAULT_HIDDEN_COMPONENTS,
     DimRedConfig,
     dimred,
     hybrid_concat,
@@ -71,7 +70,6 @@ class TestPcaFit:
         assert model.components[:, 0] == pytest.approx(
             np.array([1.0, 1.0]) / np.sqrt(2.0), abs=1e-12
         )
-        assert model.n_samples_fit == 3
 
     def test_one_dimensional_identity(self):
         data = np.array([[1.0], [4.0], [7.0], [8.0]])
@@ -343,9 +341,11 @@ class TestPooling:
 
 class TestDimRed:
     def test_defaults(self):
-        assert DimRedConfig().axis == "sequence"
-        assert DimRedConfig(axis="hidden").resolved_components == DEFAULT_HIDDEN_COMPONENTS == 128
-        assert DimRedConfig(axis="sequence").resolved_components == 1
+        assert DimRedConfig() == DimRedConfig(axis="sequence", n_components=None)
+
+    def test_hidden_axis_has_no_default_component_count(self):
+        with pytest.raises(ConfigError, match="^hidden-axis compression requires n_components$"):
+            DimRedConfig(axis="hidden")
 
     def test_hidden_axis_shape(self):
         # The hidden axis compresses pooled vectors with a PCA fitted on the
@@ -353,7 +353,7 @@ class TestDimRed:
         rng = np.random.default_rng(13)
         train, test = rng.standard_normal((300, 512)), rng.standard_normal((40, 512))
         cfg = DimRedConfig(axis="hidden", n_components=128)
-        model = pca_fit(train, cfg.resolved_components)
+        model = pca_fit(train, cfg.n_components)
         assert pca_project(model, train).shape == (300, 128)
         assert pca_project(model, test).shape == (40, 128)
         with pytest.raises(ConfigError, match="train split"):
@@ -362,7 +362,7 @@ class TestDimRed:
     def test_sequence_axis_single_component_shape(self):
         rng = np.random.default_rng(14)
         matrix = rng.standard_normal((60, 24))
-        got = dimred(matrix, DimRedConfig(axis="sequence", n_components=1))
+        got = dimred(matrix, DimRedConfig(axis="sequence"))
         assert got.shape == (24,)
 
     def test_sequence_axis_equals_fit_then_project(self):
@@ -371,21 +371,22 @@ class TestDimRed:
         rng = np.random.default_rng(19)
         for l, d in ((60, 24), (24, 60)):
             matrix = rng.standard_normal((l, d))
-            got = dimred(matrix, DimRedConfig(axis="sequence", n_components=1))
+            got = dimred(matrix, DimRedConfig(axis="sequence"))
             model = pca_fit(matrix.T, 1)
             assert np.array_equal(got, pca_project(model, matrix.T)[:, 0])
 
-    @pytest.mark.parametrize("n", [2, 3, 128])
+    # Even 1, the count it keeps: each compression has one spelling, so
+    # equal compressions get equal config hashes.
+    @pytest.mark.parametrize("n", [1, 2, 3, 128])
     def test_sequence_axis_keeps_one_component(self, n):
-        with pytest.raises(ConfigError, match=f"n_components={n}"):
+        with pytest.raises(ConfigError, match=f"takes no n_components, got n_components={n}$"):
             DimRedConfig(axis="sequence", n_components=n)
 
     def test_component_range_checks(self):
-        for axis in ("sequence", "hidden"):
-            with pytest.raises(ConfigError, match="positive"):
-                DimRedConfig(axis=axis, n_components=0)
+        with pytest.raises(ConfigError, match="positive"):
+            DimRedConfig(axis="hidden", n_components=0)
         # The hidden axis is checked against the train rows when it is fitted.
-        assert DimRedConfig(axis="hidden", n_components=4096).resolved_components == 4096
+        assert DimRedConfig(axis="hidden", n_components=4096).n_components == 4096
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateVarianceError):

@@ -17,13 +17,7 @@ from trialmatch.retrieval import (
 
 
 def _chunk(i: int, patient: str = "P1") -> Chunk:
-    return Chunk(
-        chunk_id=f"{patient}:c{i}",
-        patient_id=patient,
-        source="note",
-        text=f"chunk text {i}",
-        ordinal=i,
-    )
+    return Chunk(chunk_id=f"{patient}:c{i}", text=f"chunk text {i}", ordinal=i)
 
 
 def _criterion(i: int) -> Criterion:
