@@ -28,8 +28,8 @@ raise every ``ConfigError`` that the config alone decides. ``run_task`` then
 raises data errors, plus one ``ConfigError`` that needs the split: more
 hidden-axis components than a cell's train rows allow. Two checks wait for
 the pass: an http provider's endpoint, a deployment setting looked up when
-the provider is built, and ``pca_mean``'s component range, which
-``pool_pca_mean`` checks against each prompt.
+the provider is built, and ``pca_mean``'s components against each prompt's
+token rows, which ``pool_pca_mean`` checks.
 
 Features are built on one thread, one patient at a time in dataset order.
 """
@@ -42,7 +42,6 @@ import io
 import json
 import logging
 import time
-from collections import Counter
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -211,9 +210,15 @@ class PipelineSpec:
     ``dimred`` present selects Variant B (RAG-DimRed-MLP); absent it is
     Variant A (RAG-MLP). Sequence-axis compression keeps one component;
     hidden-axis compression keeps the ``n_components`` it names, with no
-    default. ``pooling`` collapses the prompt token matrix when no
-    sequence-axis compression runs, and provides the vectors that hidden-axis
-    compression projects.
+    default, and projects the pooled vectors. Each rule below is a
+    ``ConfigError``, so every spec that loads is one computation:
+
+    - ``pca_mean`` pooling requires ``pooling_components`` in [1,
+      ``provider.dim``]; any other pooling leaves it unset.
+    - Under sequence-axis compression ``pooling`` is ``mean``, whose mean
+      pool is the compression's fallback, or ``hybrid_last``, which appends
+      the last token row.
+    - ``adapter_mode: "adapter"`` requires the ``mlp`` classifier.
     """
 
     provider: ProviderSpec = ProviderSpec()
@@ -239,6 +244,22 @@ class PipelineSpec:
         if self.k_retrieve < 1:
             raise ConfigError("k_retrieve must be at least 1")
         check_chunking(self.chunk_size, self.chunk_overlap)
+        if self.pooling == "pca_mean":
+            n, dim = self.pooling_components, self.provider.dim
+            if n is None or not 1 <= n <= dim:
+                raise ConfigError(
+                    f"pooling 'pca_mean' requires pooling_components in [1, {dim}], got {n}"
+                )
+        elif self.pooling_components is not None:
+            raise ConfigError(f"'pooling_components' is read by no {self.pooling} pooling")
+        if self.dimred is not None and self.dimred.axis == "sequence":
+            if self.pooling not in ("mean", "hybrid_last"):
+                raise ConfigError(
+                    f"pooling {self.pooling!r} is read by no sequence-axis compression; "
+                    "it takes 'mean' or 'hybrid_last'"
+                )
+        if self.adapter_mode == "adapter" and self.classifier != "mlp":
+            raise ConfigError(f"'adapter_mode' is read by no {self.classifier} classifier")
 
     @property
     def variant_name(self) -> str:
@@ -246,19 +267,6 @@ class PipelineSpec:
             return self.name
         suffix = "+dimred" if self.dimred is not None else ""
         return f"{self.classifier}{suffix}"
-
-    def stages(self) -> tuple[str, ...]:
-        """The stages a run of this variant goes through, in order. An http
-        provider's rows are its selected chunk vectors, so no prompt is built
-        or encoded; hidden-axis compression projects the pooled vectors."""
-        encode = ("prompt", "encode") if self.provider.kind == "mock" else ()
-        if self.dimred is None:
-            reduce = ("pool",)
-        elif self.dimred.axis == "sequence":
-            reduce = ("dimred", "pool")
-        else:
-            reduce = ("pool", "dimred")
-        return ("chunk", "embed", "retrieve", *encode, *reduce, "classify")
 
 
 @dataclass(frozen=True)
@@ -384,6 +392,8 @@ class RunResult:
     one pass (every variant of tasks 1, 3 and 4, task5's variants with equal
     retrieval settings, all cells of task6); each repeats that pass's time,
     so summing ``wall_seconds`` over them counts the pass once per run.
+    The entry lists no stages: they follow from the variant's config, which
+    the manifest records.
     """
 
     task: str
@@ -393,7 +403,6 @@ class RunResult:
     exclusion: Optional[float]
     seed: int
     config_hash: str
-    stages: list[str]
     skipped: int
     fallbacks: int
     wall_seconds: float
@@ -419,46 +428,36 @@ class FeatureSet:
     seconds: float  # duration of the feature pass that built this set
 
 
-def _compresses_sequence(spec: PipelineSpec) -> bool:
-    return spec.dimred is not None and spec.dimred.axis == "sequence"
-
-
-def _feature_width(spec: PipelineSpec, d_hidden: int) -> Optional[int]:
-    """Width of a variant's feature rows: the pooled width, or d_hidden
-    (plus d_hidden for ``hybrid_last``) under sequence-axis compression.
-    None for ``pca_mean`` pooling without ``pooling_components``, which
-    config loading rejects."""
-    if spec.pooling == "hybrid_last":
-        return 2 * d_hidden
-    if spec.pooling == "pca_mean" and not _compresses_sequence(spec):
+def _feature_width(spec: PipelineSpec, d_hidden: int) -> int:
+    """Length of ``_reduce_matrix``'s rows for tokens of width d_hidden."""
+    if spec.pooling == "pca_mean":
         return spec.pooling_components
-    return d_hidden
-
-
-def _pool_matrix(spec: PipelineSpec, matrix: np.ndarray) -> np.ndarray:
-    if spec.pooling == "mean":
-        return mean_pool(matrix)
-    if spec.pooling == "last_token":
-        return select_last_token(matrix)
-    if spec.pooling == "hybrid_last":
-        return hybrid_concat(mean_pool(matrix), select_last_token(matrix))
-    return pool_pca_mean(matrix, spec.pooling_components)
+    return 2 * d_hidden if spec.pooling == "hybrid_last" else d_hidden
 
 
 def _reduce_matrix(
     spec: PipelineSpec, matrix: np.ndarray
 ) -> tuple[np.ndarray, Optional[Exception]]:
-    """Token matrix -> feature vector; returns (values, the error that made
-    sequence-axis compression fall back to mean pooling, or None)."""
-    if not _compresses_sequence(spec):
-        return _pool_matrix(spec, matrix), None
+    """Token matrix -> feature row; returns (values, the error that made
+    sequence-axis compression fall back to mean pooling, or None).
+
+    ``last_token`` and ``pca_mean`` pool on their own (``PipelineSpec``
+    admits no sequence-axis compression with them). Otherwise the row is the
+    sequence-axis compression, if any, or the mean pool, and ``hybrid_last``
+    appends the last token row to it.
+    """
+    if spec.pooling == "last_token":
+        return select_last_token(matrix), None
+    if spec.pooling == "pca_mean":
+        return pool_pca_mean(matrix, spec.pooling_components), None
     error = None
-    try:
-        values = apply_dimred(matrix, spec.dimred)
-    except DegenerateVarianceError as exc:
+    if spec.dimred is not None and spec.dimred.axis == "sequence":
+        try:
+            values = apply_dimred(matrix, spec.dimred)
+        except DegenerateVarianceError as exc:
+            values, error = mean_pool(matrix), exc
+    else:
         values = mean_pool(matrix)
-        # Without its traceback the error no longer holds the token matrix.
-        error = exc.with_traceback(None)
     if spec.pooling == "hybrid_last":
         values = hybrid_concat(values, select_last_token(matrix))
     return values, error
@@ -481,11 +480,11 @@ class Retrieval:
 class PatientEncoder:
     """Shared retrieval + encode stage; per-variant reduction happens on top."""
 
-    def __init__(self, spec: PipelineSpec, dataset: Dataset, modality: str, provider=None):
+    def __init__(self, spec: PipelineSpec, dataset: Dataset, modality: str):
         self.spec = spec
         self.dataset = dataset
         self.modality = modality
-        self.provider = provider if provider is not None else spec.provider.build()
+        self.provider = spec.provider.build()
         self._criteria_cache: dict[str, tuple[list, list[np.ndarray]]] = {}
 
     def _criteria_for(self, trial_id: str):
@@ -540,7 +539,6 @@ def _compute_features_multi(
     specs: Sequence[PipelineSpec],
     dataset: Dataset,
     modality: str,
-    provider=None,
 ) -> list[FeatureSet]:
     """One feature set per spec, in spec order.
 
@@ -552,7 +550,7 @@ def _compute_features_multi(
     for spec in specs:
         groups.setdefault(_retrieval_key(spec), []).append(spec)
     passes = {
-        key: iter(_feature_pass(group, dataset, modality, provider))
+        key: iter(_feature_pass(group, dataset, modality))
         for key, group in groups.items()
     }
     return [next(passes[_retrieval_key(spec)]) for spec in specs]
@@ -562,7 +560,6 @@ def _feature_pass(
     specs: Sequence[PipelineSpec],
     dataset: Dataset,
     modality: str,
-    provider,
 ) -> list[FeatureSet]:
     """One retrieval/encode pass over the dataset, reduced per variant.
 
@@ -574,7 +571,7 @@ def _feature_pass(
     at a time; there is no list of rows and no stacking copy.
     """
     started = time.perf_counter()
-    encoder = PatientEncoder(specs[0], dataset, modality, provider)
+    encoder = PatientEncoder(specs[0], dataset, modality)
     d_hidden = encoder.provider.dim
     patients = dataset.patients
     matrices = [np.empty((len(patients), _feature_width(spec, d_hidden))) for spec in specs]
@@ -582,7 +579,8 @@ def _feature_pass(
     ids: list[str] = []
     labels: list[float] = []
     skipped: list[tuple[str, str]] = []
-    fallbacks: list[list[Exception]] = [[] for _ in specs]
+    fallbacks = [0] * len(specs)
+    first_fallback: dict[int, str] = {}  # variant -> its first fallback's error
 
     for patient in patients:
         matrix = encoder.token_matrix(patient)
@@ -592,7 +590,8 @@ def _feature_pass(
         for v, spec in enumerate(specs):
             values, fallback_error = _reduce_matrix(spec, matrix)
             if fallback_error is not None:
-                fallbacks[v].append(fallback_error)
+                fallbacks[v] += 1
+                first_fallback.setdefault(v, str(fallback_error))
             matrices[v][len(ids)] = values
         ids.append(patient.patient_id)
         labels.append(float(patient.label.value))
@@ -616,18 +615,15 @@ def _feature_pass(
         )
     y = np.asarray(labels)
     out: list[FeatureSet] = []
-    for spec, errors, matrix in zip(specs, fallbacks, matrices):
-        if errors:
-            reasons = Counter(type(exc).__name__ for exc in errors)
+    for v, (spec, matrix) in enumerate(zip(specs, matrices)):
+        if fallbacks[v]:
             logger.warning(
-                "variant %s: compression fell back to mean pooling for %d patients "
-                "(%s); first: %s",
+                "variant %s: compression fell back to mean pooling for %d patients; first: %s",
                 spec.variant_name,
-                len(errors),
-                ", ".join(f"{name}: {count}" for name, count in sorted(reasons.items())),
-                errors[0],
+                fallbacks[v],
+                first_fallback[v],
             )
-        out.append(FeatureSet(ids, matrix[: len(ids)], y, skipped, len(errors), seconds))
+        out.append(FeatureSet(ids, matrix[: len(ids)], y, skipped, fallbacks[v], seconds))
     return out
 
 
@@ -830,11 +826,11 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
 
 def _check_arms(config: ExperimentConfig) -> None:
     """Reject what the task's arms cannot run: a variant key that every arm
-    replaces, a ``pca_mean`` pooling without its width, more hidden-axis
-    components than an arm's feature width, or a variant name that two arms
-    share, whose rows the ``variant`` column could not tell apart. An
-    adapter arm needs no check: its adapter is square, so it keeps the
-    feature width."""
+    replaces, more hidden-axis components than an arm's feature width, or a
+    variant name that two arms share, whose rows the ``variant`` column
+    could not tell apart. Building an arm runs ``PipelineSpec``'s own
+    checks. An adapter arm needs no check: its adapter is square, so it
+    keeps the feature width."""
     for base in config.variants:
         replaced = set.intersection(*(set(arm) for arm in _arms(config, base)))
         if config.task == "task2":
@@ -846,10 +842,8 @@ def _check_arms(config: ExperimentConfig) -> None:
                 raise ConfigError(f"{key!r} is read by no {config.task} run; every arm sets it")
     arms = _variants(config)
     for spec in arms:
-        width = _feature_width(spec, spec.provider.dim)
-        if width is None:
-            raise ConfigError("pooling 'pca_mean' requires pooling_components")
         if spec.dimred is not None and spec.dimred.axis == "hidden":
+            width = _feature_width(spec, spec.provider.dim)
             n = spec.dimred.n_components
             if n > width:
                 raise ConfigError(
@@ -903,7 +897,6 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
                     exclusion=exclusion,
                     seed=spec.seed,
                     config_hash=_spec_hash(spec, source.name, config.modality, split),
-                    stages=list(spec.stages()),
                     skipped=len(features.skipped),
                     fallbacks=features.fallbacks,
                     wall_seconds=features.seconds + cell_seconds,

@@ -157,12 +157,16 @@ class TestArms:
     predictor settings, and again when it dropped the MLP's step settings
     and ``adapter_dim``; the names did not move). task3's were re-recorded
     when its sequence-axis arms stopped spelling out one component.
-    The second base sets the fields of ``OTHER`` that some arm of the task
-    reads, so an arm that stops overriding one shows; a key that every arm
-    sets is a ``ConfigError`` (``TestConfigChecks``)."""
+    ``OTHER``'s pooling is ``hybrid_last``, which every arm kind reads
+    (``last_token`` is a ``ConfigError`` under sequence-axis compression);
+    task1's, task2's, task4's and task6's second-base digests were
+    re-recorded when it moved from ``last_token``. The second base sets the
+    fields of ``OTHER`` that some arm of the task reads, so an arm that
+    stops overriding one shows; a key that every arm sets is a
+    ``ConfigError`` (``TestConfigChecks``)."""
 
     OTHER = {
-        "pooling": "last_token",
+        "pooling": "hybrid_last",
         "classifier": "svm",
         "dimred": {"axis": "hidden", "n_components": 8},
     }
@@ -186,16 +190,16 @@ class TestArms:
         "task, base, providers, names, digest",
         [
             ("task1", {}, [], TASK1, "f63465d02cd98018"),
-            ("task1", OTHER, [], TASK1, "c588ab23f4fcf10f"),
+            ("task1", OTHER, [], TASK1, "738e8a52fa1efcf1"),
             ("task2", {}, [], TASK2, "c886dd45b9be4d2f"),
-            ("task2", OTHER, [], TASK2, "ad4b71d63bec750b"),
+            ("task2", OTHER, [], TASK2, "350b657d80c597ae"),
             ("task2", {}, PROVIDERS, ["backbone-small", "backbone-mock"], "8c1657f9e33ed362"),
             ("task3", {}, [], TASK3, "4ffbcbe2b5097444"),
             ("task3", OTHER, [], TASK3, "f70bae421241ae91"),
             ("task4", {}, [], TASK4, "1fbed745924813e3"),
-            ("task4", OTHER, [], TASK4, "cef84010800fc401"),
+            ("task4", OTHER, [], TASK4, "78a789637929e8db"),
             ("task6", {}, [], ["mlp"], "56ca5cb910e5a2e8"),
-            ("task6", OTHER, [], ["svm+dimred"], "30f46acdb4a16c68"),
+            ("task6", OTHER, [], ["svm+dimred"], "7e5fe2cb09b0a717"),
         ],
     )
     def test_arms_are_unchanged(self, task, base, providers, names, digest):
@@ -209,35 +213,6 @@ class TestArms:
         ]
         assert [name for name, _ in pairs] == names
         assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16] == digest
-
-
-RETRIEVE = ("chunk", "embed", "retrieve")
-HTTP = harness.ProviderSpec(kind="http", model="m", endpoint="http://127.0.0.1:9")
-
-
-@pytest.mark.parametrize(
-    "spec, stages",
-    [
-        (PipelineSpec(), (*RETRIEVE, "prompt", "encode", "pool", "classify")),
-        (
-            PipelineSpec(dimred=DimRedConfig()),
-            (*RETRIEVE, "prompt", "encode", "dimred", "pool", "classify"),
-        ),
-        # Hidden-axis compression projects the vectors the feature pass pooled.
-        (
-            PipelineSpec(dimred=DimRedConfig(axis="hidden", n_components=16)),
-            (*RETRIEVE, "prompt", "encode", "pool", "dimred", "classify"),
-        ),
-        # An http provider's rows are chunk vectors: no prompt is built.
-        (PipelineSpec(provider=HTTP), (*RETRIEVE, "pool", "classify")),
-        (
-            PipelineSpec(provider=HTTP, dimred=DimRedConfig()),
-            (*RETRIEVE, "dimred", "pool", "classify"),
-        ),
-    ],
-)
-def test_stages_are_the_ones_a_run_goes_through(spec, stages):
-    assert spec.stages() == stages
 
 
 class TestHttpFeatures:
@@ -278,19 +253,27 @@ class FlatTokenProvider(MockProvider):
         return np.repeat(matrix.mean(axis=1, keepdims=True), matrix.shape[1], axis=1)
 
 
+def flat_tokens(monkeypatch) -> None:
+    """Make every provider a ``FlatTokenProvider`` of its spec's dim and seed."""
+    monkeypatch.setattr(
+        harness.ProviderSpec,
+        "build",
+        lambda spec: FlatTokenProvider(dim=spec.dim, seed=spec.seed),
+    )
+
+
 class TestFallbackWarning:
-    def test_one_warning_per_variant_with_counts(self, tiny_dataset, caplog):
+    def test_one_warning_per_variant_with_counts(self, tiny_dataset, caplog, monkeypatch):
+        flat_tokens(monkeypatch)
         specs = [PipelineSpec(dimred=DimRedConfig(), name=name) for name in ("first", "second")]
         with caplog.at_level(logging.WARNING, logger="trialmatch.harness"):
-            feature_sets = _compute_features_multi(
-                specs, tiny_dataset, "mixed", provider=FlatTokenProvider()
-            )
+            feature_sets = _compute_features_multi(specs, tiny_dataset, "mixed")
         assert [f.fallbacks for f in feature_sets] == [2, 2]
         warnings = [r.getMessage() for r in caplog.records if "fell back" in r.getMessage()]
         assert len(warnings) == 2
-        assert warnings[0].startswith(
-            "variant first: compression fell back to mean pooling for 2 patients "
-            "(DegenerateVarianceError: 2); first: input has zero variance"
+        assert warnings[0] == (
+            "variant first: compression fell back to mean pooling for 2 patients; "
+            "first: input has zero variance; principal directions are undefined"
         )
         assert warnings[1].startswith("variant second:")
 
@@ -310,6 +293,39 @@ class TestHiddenAxis:
         features = _compute_features_multi([spec], tiny_dataset, "mixed")[0]
         assert features.X.shape == (2, width)
         assert features.skipped == [] and features.fallbacks == 0
+
+
+class TestPoolingCompression:
+    """Every pooling under no compression, sequence-axis compression and
+    hidden-axis compression to 8: a pair that ``PipelineSpec`` admits
+    reduces a token matrix to ``_feature_width`` entries, and the two pairs
+    whose pooling the sequence axis would ignore are ``ConfigError``s."""
+
+    DIMREDS = {
+        "none": None,
+        "sequence": DimRedConfig(),
+        "hidden-8": DimRedConfig(axis="hidden", n_components=8),
+    }
+    ILLEGAL = {("last_token", "sequence"), ("pca_mean", "sequence")}
+
+    @pytest.mark.parametrize("compression", sorted(DIMREDS))
+    @pytest.mark.parametrize("pooling", harness.POOLINGS)
+    def test_a_pair_is_rejected_or_fills_its_feature_width(self, pooling, compression):
+        keys = {
+            "pooling": pooling,
+            "pooling_components": 3 if pooling == "pca_mean" else None,
+            "dimred": self.DIMREDS[compression],
+        }
+        if (pooling, compression) in self.ILLEGAL:
+            with pytest.raises(ConfigError, match="is read by no sequence-axis compression"):
+                PipelineSpec(**keys)
+            return
+        spec = PipelineSpec(**keys)
+        dim = spec.provider.dim
+        matrix = np.random.default_rng(0).standard_normal((12, dim))
+        values, error = harness._reduce_matrix(spec, matrix)
+        assert error is None
+        assert values.shape == (harness._feature_width(spec, dim),)
 
 
 TINY_CORPUS = {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5}
@@ -465,7 +481,6 @@ def hand_built_run(trial, exclusion, labels, probs) -> harness.RunResult:
         report=compute_report(labels, probs, threshold=0.5),
         wall_seconds=2.5,
         feature_seconds=1.5,
-        stages=["chunk", "classify"],
         skipped=0,
         fallbacks=0,
     )
@@ -499,10 +514,6 @@ RECORDED_MANIFEST = """\
       "exclusion": null,
       "seed": 3,
       "config_hash": "0123456789abcdef",
-      "stages": [
-        "chunk",
-        "classify"
-      ],
       "skipped": 0,
       "fallbacks": 0,
       "wall_seconds": 2.5,
@@ -529,10 +540,6 @@ RECORDED_MANIFEST = """\
       "exclusion": 0.8,
       "seed": 3,
       "config_hash": "0123456789abcdef",
-      "stages": [
-        "chunk",
-        "classify"
-      ],
       "skipped": 0,
       "fallbacks": 0,
       "wall_seconds": 2.5,
@@ -559,10 +566,6 @@ RECORDED_MANIFEST = """\
       "exclusion": 1.0,
       "seed": 3,
       "config_hash": "0123456789abcdef",
-      "stages": [
-        "chunk",
-        "classify"
-      ],
       "skipped": 0,
       "fallbacks": 0,
       "wall_seconds": 2.5,
@@ -740,7 +743,44 @@ class TestConfigChecks:
             "task5",
             {},
             {"pooling": "pca_mean"},
-            "pooling 'pca_mean' requires pooling_components",
+            r"pooling 'pca_mean' requires pooling_components in \[1, 128\], got None",
+        ),
+        # Each of these loaded; the first three under hashes of their own for
+        # features another config computes, the range ones to fail in the pass.
+        "task5-last-token-sequence": (
+            "task5",
+            {},
+            {"pooling": "last_token", "dimred": {"axis": "sequence"}},
+            "pooling 'last_token' is read by no sequence-axis compression; "
+            "it takes 'mean' or 'hybrid_last'",
+        ),
+        "task5-pca-mean-sequence": (
+            "task5",
+            {},
+            {"pooling": "pca_mean", "pooling_components": 4, "dimred": {"axis": "sequence"}},
+            "pooling 'pca_mean' is read by no sequence-axis compression; "
+            "it takes 'mean' or 'hybrid_last'",
+        ),
+        "task5-mean-components": (
+            "task5",
+            {},
+            {"pooling_components": 7},
+            "'pooling_components' is read by no mean pooling",
+        ),
+        **{
+            f"task5-pca-mean-{n}": (
+                "task5",
+                {},
+                {"pooling": "pca_mean", "pooling_components": n},
+                rf"pooling 'pca_mean' requires pooling_components in \[1, 128\], got {n}",
+            )
+            for n in (-3, 0, 129)
+        },
+        "task5-tree-adapter": (
+            "task5",
+            {},
+            {"classifier": "tree", "adapter_mode": "adapter"},
+            "'adapter_mode' is read by no tree classifier",
         ),
         "task1-http-dim-0": (
             "task1",
@@ -1036,11 +1076,7 @@ class TestDimRedMemo:
     def test_every_compressing_variant_counts_its_own_fallbacks(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(
-            harness.ProviderSpec,
-            "build",
-            lambda spec: FlatTokenProvider(dim=spec.dim, seed=spec.seed),
-        )
+        flat_tokens(monkeypatch)
         code, _ = run_cli(tiny_config("task1", tmp_path), tmp_path / "out", capsys)
         assert code == cli.EXIT_OK
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
