@@ -60,7 +60,7 @@ from .harness import (
     write_outputs,
 )
 from .metrics import compute_report
-from .retrieval import DEFAULT_K_RETRIEVE
+from .retrieval import DEFAULT_K_RETRIEVE, select_top_k
 
 logger = logging.getLogger("trialmatch.cli")
 
@@ -254,8 +254,9 @@ def _cmd_retrieve(args) -> int:
             )
             continue
         chunks, scores = found.chunks, found.cosines.sum(axis=1).tolist()
+        ranked = select_top_k(found.cosines, args.k)
         if args.audit:
-            selected = set(found.selected.tolist())
+            selected = set(ranked.tolist())
             for i, row in enumerate(found.cosines.tolist()):
                 flag = "true" if i in selected else "false"
                 for criterion, cosine in zip(found.criteria, row):
@@ -271,7 +272,7 @@ def _cmd_retrieve(args) -> int:
                     )
         listing = [
             {"chunk_id": chunks[i].chunk_id, "ordinal": chunks[i].ordinal, "score": scores[i]}
-            for i in found.selected
+            for i in ranked
         ]
         patients_payload.append(
             {"patient_id": patient.patient_id, "selected": listing, "skipped": False}

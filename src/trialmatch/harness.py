@@ -18,9 +18,9 @@ its cells (the configured split, or task6's trial x exclusion grid). A
 task's variants are its arms, the rows of ``_ARMS``: each row overrides
 fields of a configured variant (task2 makes one row per provider), and a
 config key that no arm of the task reads is a ``ConfigError``. Per
-dataset, retrieval and encoding run once for each distinct retrieval setting
-(provider, k, chunking) and each variant reduces that pass's token matrices;
-every variant is then trained and evaluated on every cell.
+dataset, one feature pass runs per (provider, chunking): it scores each
+patient's chunks once and encodes one prompt per k, which each variant of
+that k reduces. Every variant is then trained and evaluated on every cell.
 
 A config is checked once, when it is built: ``ExperimentConfig`` (with the
 arms of each configured variant), ``PipelineSpec`` and ``ProviderSpec``
@@ -388,9 +388,9 @@ class RunResult:
 
     ``feature_seconds`` is the duration of the feature pass the run used and
     ``wall_seconds`` adds the run's split, training and evaluation to it.
-    All runs on one dataset whose variants share a retrieval setting share
-    one pass (every variant of tasks 1, 3 and 4, task5's variants with equal
-    retrieval settings, all cells of task6); each repeats that pass's time,
+    All runs on one dataset whose variants share a provider and chunking
+    share one pass (every variant of tasks 1, 3 and 4, task5's variants of
+    any k, all cells of task6); each repeats that pass's time,
     so summing ``wall_seconds`` over them counts the pass once per run.
     The entry lists no stages: they follow from the variant's config, which
     the manifest records.
@@ -465,20 +465,20 @@ def _reduce_matrix(
 
 @dataclass
 class Retrieval:
-    """One patient's retrieval: its chunks, their vectors as one
-    ``(n_chunks, dim)`` array, the trial's criteria, the ``(n_chunks,
-    n_criteria)`` cosine matrix, and ``selected``, the row indices of the
-    top k chunks, best first. Row i is ``chunks[i]``."""
+    """One patient's scored chunks: its chunks, their vectors as one
+    ``(n_chunks, dim)`` array, the trial's criteria and the ``(n_chunks,
+    n_criteria)`` cosine matrix. Row i is ``chunks[i]``. Every k selects
+    from the same scores."""
 
     chunks: list
     chunk_vectors: np.ndarray
     criteria: list
     cosines: np.ndarray
-    selected: np.ndarray
 
 
 class PatientEncoder:
-    """Shared retrieval + encode stage; per-variant reduction happens on top."""
+    """Shared retrieval + encode stage of one (provider, chunking), for any
+    k; per-variant reduction happens on top. ``spec.k_retrieve`` is unread."""
 
     def __init__(self, spec: PipelineSpec, dataset: Dataset, modality: str):
         self.spec = spec
@@ -497,8 +497,7 @@ class PatientEncoder:
         return cached
 
     def retrieve(self, patient) -> Optional[Retrieval]:
-        """Chunk, embed, score and select for one patient; None when
-        unchunkable."""
+        """Chunk, embed and score for one patient; None when unchunkable."""
         chunks = build_chunks(
             patient, self.spec.chunk_size, self.spec.chunk_overlap, self.modality
         )
@@ -507,32 +506,30 @@ class PatientEncoder:
         criteria, criteria_vectors = self._criteria_for(patient.trial_id)
         chunk_vectors = np.asarray(embed_texts(self.provider, [c.text for c in chunks]))
         cosines = score_chunks(chunks, chunk_vectors, criteria, criteria_vectors)
-        selected = select_top_k(cosines, self.spec.k_retrieve)
-        return Retrieval(chunks, chunk_vectors, criteria, cosines, selected)
+        return Retrieval(chunks, chunk_vectors, criteria, cosines)
 
-    def token_matrix(self, patient) -> Optional[np.ndarray]:
-        """Retrieval + prompt + encode for one patient; None when unchunkable.
+    def token_matrix(self, found: Retrieval, k: int) -> np.ndarray:
+        """Select the top k of ``found``'s chunks, build their prompt and
+        encode it.
 
         For an http provider the rows are the selected chunks' vectors in
         rank order, and no prompt is built.
         """
-        found = self.retrieve(patient)
-        if found is None:
-            return None
+        selected = select_top_k(found.cosines, k)
         if self.spec.provider.kind == "http":
-            return found.chunk_vectors[found.selected]
+            return found.chunk_vectors[selected]
         prompt = assemble_prompt(
             DEFAULT_INSTRUCTIONS,
             found.criteria,
-            [found.chunks[i].text for i in found.selected],
+            [found.chunks[i].text for i in selected],
         )
         return embed_tokens(self.provider, prompt)
 
 
 def _retrieval_key(spec: PipelineSpec) -> tuple:
-    """The fields retrieval and encoding read; specs equal on them share
-    one feature pass."""
-    return (spec.provider, spec.k_retrieve, spec.chunk_size, spec.chunk_overlap)
+    """The fields chunking, embedding and scoring read; specs equal on them
+    share one feature pass, whatever their k."""
+    return (spec.provider, spec.chunk_size, spec.chunk_overlap)
 
 
 def _compute_features_multi(
@@ -563,18 +560,21 @@ def _feature_pass(
 ) -> list[FeatureSet]:
     """One retrieval/encode pass over the dataset, reduced per variant.
 
-    The specs share one retrieval key; only the representation stage
-    differs. Each variant gets one float64 matrix with a row per patient,
-    allocated before the pass; a patient's reduced row is written into it as
-    soon as the patient is encoded, and the variant's ``X`` is the filled
-    prefix. The pass's peak is one matrix per variant plus one token matrix
-    at a time; there is no list of rows and no stacking copy.
+    The specs share one retrieval key; k and the representation stage may
+    differ. Each patient is scored once, then each distinct k's prompt is
+    encoded once and reduced for its specs, taken in a stable sort by k.
+    Each variant gets one float64 matrix with a row per patient, allocated
+    before the pass; a patient's reduced row is written into it as soon as
+    the patient is encoded, and the variant's ``X`` is the filled prefix.
+    The pass's peak is one matrix per variant plus two token matrices (the
+    last k's and the next's); there is no list of rows and no stacking copy.
     """
     started = time.perf_counter()
     encoder = PatientEncoder(specs[0], dataset, modality)
     d_hidden = encoder.provider.dim
     patients = dataset.patients
     matrices = [np.empty((len(patients), _feature_width(spec, d_hidden))) for spec in specs]
+    by_k = sorted(enumerate(specs), key=lambda pair: pair[1].k_retrieve)
     # A skip depends on the retrieval key only, so the variants share them.
     ids: list[str] = []
     labels: list[float] = []
@@ -583,11 +583,15 @@ def _feature_pass(
     first_fallback: dict[int, str] = {}  # variant -> its first fallback's error
 
     for patient in patients:
-        matrix = encoder.token_matrix(patient)
-        if matrix is None:
+        found = encoder.retrieve(patient)
+        if found is None:
             skipped.append((patient.patient_id, "no_chunks"))
             continue
-        for v, spec in enumerate(specs):
+        k = None
+        for v, spec in by_k:
+            if spec.k_retrieve != k:
+                k = spec.k_retrieve
+                matrix = encoder.token_matrix(found, k)
             values, fallback_error = _reduce_matrix(spec, matrix)
             if fallback_error is not None:
                 fallbacks[v] += 1
@@ -597,22 +601,17 @@ def _feature_pass(
         labels.append(float(patient.label.value))
     seconds = time.perf_counter() - started
 
-    first = specs[0].variant_name
+    names = ", ".join(spec.variant_name for spec in specs)
     if not ids:
-        raise DataError(f"variant {first!r}: every patient was skipped")
+        raise DataError(f"variants {names}: every patient was skipped")
     skip_fraction = len(skipped) / len(patients)
     if skip_fraction > MAX_SKIP_FRACTION:
         raise DataError(
-            f"variant {first!r}: {len(skipped)} of {len(patients)} "
+            f"variants {names}: {len(skipped)} of {len(patients)} "
             f"patients skipped ({skip_fraction:.1%} > {MAX_SKIP_FRACTION:.0%})"
         )
     if skipped:
-        logger.warning(
-            "variants %s skipped %d patients: %s",
-            ", ".join(spec.variant_name for spec in specs),
-            len(skipped),
-            skipped[:5],
-        )
+        logger.warning("variants %s skipped %d patients: %s", names, len(skipped), skipped[:5])
     y = np.asarray(labels)
     out: list[FeatureSet] = []
     for v, (spec, matrix) in enumerate(zip(specs, matrices)):

@@ -46,6 +46,25 @@ def tiny_patient(
     )
 
 
+K_SWEEP_CORPUS = {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5}
+
+
+def k_sweep_config() -> dict:
+    """A task5 sweep over k on one tiny synthetic corpus: mean-pooled MLPs
+    at k = 1, 2, 4 and 6, then sequence-axis compression at k = 2, listed
+    out of k order."""
+    train = {"max_epochs": 5}
+    variants = [{"name": f"k{k}", "k_retrieve": k, "train": train} for k in (1, 2, 4, 6)]
+    variants.append(
+        {"name": "k2+dimred", "k_retrieve": 2, "dimred": {"axis": "sequence"}, "train": train}
+    )
+    return {
+        "task": "task5",
+        "datasets": [{"name": "tiny", "synthetic": K_SWEEP_CORPUS, "seed": 5}],
+        "variants": variants,
+    }
+
+
 @pytest.fixture
 def tiny_dataset() -> Dataset:
     return Dataset(

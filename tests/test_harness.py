@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import tiny_patient, tiny_trial
+from conftest import k_sweep_config, tiny_patient, tiny_trial
 from trialmatch import cli, harness, representation
 from trialmatch.classifiers import TrainConfig
 from trialmatch.corpus import (
@@ -21,7 +21,7 @@ from trialmatch.corpus import (
     write_dataset,
 )
 from trialmatch.embedding import ENDPOINT_ENV_VAR, MockProvider
-from trialmatch.errors import ConfigError
+from trialmatch.errors import ConfigError, DataError
 from trialmatch.harness import (
     ExperimentConfig,
     FeatureSet,
@@ -34,6 +34,7 @@ from trialmatch.harness import (
 )
 from trialmatch.metrics import compute_report
 from trialmatch.representation import DimRedConfig
+from trialmatch.retrieval import DEFAULT_K_RETRIEVE
 
 
 class TestConfigLoading:
@@ -228,7 +229,8 @@ class TestHttpFeatures:
         spec = PipelineSpec(provider=provider, k_retrieve=k)
         patient = tiny_dataset.patients[0]
         n_chunks = len(build_chunks(patient, spec.chunk_size, spec.chunk_overlap, "mixed"))
-        matrix = PatientEncoder(spec, tiny_dataset, "mixed").token_matrix(patient)
+        encoder = PatientEncoder(spec, tiny_dataset, "mixed")
+        matrix = encoder.token_matrix(encoder.retrieve(patient), k)
         # The server embeds text i of a request as [i, i + 1, ..., i + dim - 1];
         # one request carries the trial's criteria, the next the chunks.
         chunk_vecs = np.arange(4.0) + np.arange(n_chunks)[:, None]
@@ -354,18 +356,19 @@ def task_arms(task: str) -> list[PipelineSpec]:
     return harness._variants(ExperimentConfig(task=task, dataset=source))
 
 
+def no_notes_patient(patient_id: str, trial_id: str) -> PatientRecord:
+    """A patient that an unstructured pass skips as ``no_chunks``."""
+    return PatientRecord(
+        patient_id, trial_id, (), tiny_patient("X").structured_rows, EligibilityLabel(0, None)
+    )
+
+
 def feature_pass_dataset() -> Dataset:
     """The tiny corpus plus a patient with no notes, which an unstructured
     pass skips as ``no_chunks``, and one with a prompt shorter than 64
     tokens, which every variant keeps."""
     synthetic = generate_synthetic(SyntheticConfig(**TINY_CORPUS), 5)
-    no_notes = PatientRecord(
-        "NO-NOTES",
-        synthetic.trials[0].trial_id,
-        (),
-        tiny_patient("X").structured_rows,
-        EligibilityLabel(0, None),
-    )
+    no_notes = no_notes_patient("NO-NOTES", synthetic.trials[0].trial_id)
     return Dataset(
         patients=[*synthetic.patients, no_notes, tiny_patient("SHORT", text="fever")],
         trials=[*synthetic.trials, tiny_trial()],
@@ -410,9 +413,8 @@ class TestFeaturePass:
     def test_skips_are_exercised(self):
         specs = task_arms("task3")
         dataset = feature_pass_dataset()
-        short = PatientEncoder(PipelineSpec(), dataset, "unstructured").token_matrix(
-            dataset.patients[-1]
-        )
+        encoder = PatientEncoder(PipelineSpec(), dataset, "unstructured")
+        short = encoder.token_matrix(encoder.retrieve(dataset.patients[-1]), DEFAULT_K_RETRIEVE)
         assert short.shape[0] < 64
         feature_sets = _compute_features_multi(specs, dataset, "unstructured")
         for spec, features in zip(specs, feature_sets):
@@ -429,6 +431,27 @@ class TestFeaturePass:
         names = ", ".join(spec.variant_name for spec in specs)
         assert warnings == [f"variants {names} skipped 1 patients: [('NO-NOTES', 'no_chunks')]"]
 
+    SKIP_SPECS = [PipelineSpec(name="k4"), PipelineSpec(k_retrieve=2, name="k2")]
+
+    def test_all_skipped_names_every_variant_of_the_pass(self):
+        dataset = Dataset(
+            patients=[no_notes_patient(f"N{i}", "NCT001") for i in range(2)],
+            trials=[tiny_trial()],
+        )
+        with pytest.raises(DataError, match=r"^variants k4, k2: every patient was skipped$"):
+            _compute_features_multi(self.SKIP_SPECS, dataset, "unstructured")
+
+    def test_too_many_skips_names_every_variant_of_the_pass(self):
+        synthetic = generate_synthetic(SyntheticConfig(**TINY_CORPUS), 5)
+        trial_id = synthetic.trials[0].trial_id
+        dataset = Dataset(
+            patients=[*synthetic.patients, *(no_notes_patient(f"N{i}", trial_id) for i in range(3))],
+            trials=synthetic.trials,
+        )
+        with pytest.raises(DataError) as excinfo:
+            _compute_features_multi(self.SKIP_SPECS, dataset, "unstructured")
+        assert str(excinfo.value) == "variants k4, k2: 3 of 43 patients skipped (7.0% > 5%)"
+
     def test_mixed_retrieval_settings_match_single_spec_passes(self):
         specs = [
             PipelineSpec(),
@@ -443,10 +466,10 @@ class TestFeaturePass:
             feature_set_digest(_compute_features_multi([spec], dataset, "unstructured")[0])
             for spec in specs
         ]
-        # Three retrieval settings, three passes; a group's specs share one.
+        # Two chunkings, two passes; specs of any k share one.
         seconds = [f.seconds for f in feature_sets]
-        assert seconds[0] == seconds[2] and seconds[1] == seconds[4]
-        assert len(set(seconds)) == 3
+        assert seconds[0] == seconds[1] == seconds[2] == seconds[4]
+        assert len(set(seconds)) == 2
 
 
 class TestTask1Outputs:
@@ -1154,6 +1177,7 @@ class TestTask3:
 # corpus moved to per-trial array draws; then only the metric columns moved.
 # task3's was re-recorded when its sequence-axis arms stopped spelling out one
 # component; only the config_hash of the sequence-1 and hybrid rows moved.
+# task5-ksweep is ``k_sweep_config()``: variants that differ in k only.
 RESULTS_DIGESTS = {
     "task1": "2f592d3df6af16ffdab2d8ee04b5d19ba0829d51861343af9a836c800bb6f332",
     "task2": "67500147bc7eb6cb11191fd774c3d735f03438262d34acbb3b4d91a2c8d07eed",
@@ -1161,13 +1185,16 @@ RESULTS_DIGESTS = {
     "task4": "35f85ea79323be98bf079daa85688c2c85d5001ff687c40773d826a8ed6eabb5",
     "task5": "c2d2caea23d606da4b2833ececc60d581eedc44ae9220c8a4f508d682429743e",
     "task6": "6f2a587e25d4a28d9838c48bf92e2f010ba619f09bb391b218f8a1f1a7d95791",
+    "task5-ksweep": "00d9ad3235d37ee4f0e92a7bbfc956792ce42c83f53676e395bfb280143ebcec",
 }
 
 
-@pytest.mark.parametrize("task", harness.TASKS)
+@pytest.mark.parametrize("task", RESULTS_DIGESTS)
 def test_results_csv_matches_recorded_digest(tmp_path, capsys, task):
     if task == "task3":
         obj = TestTask3().config(TestTask3.CORPUS)
+    elif task == "task5-ksweep":
+        obj = k_sweep_config()
     else:
         obj = tiny_config(task, tmp_path)
     code, csv_bytes = run_cli(obj, tmp_path / "out", capsys)
