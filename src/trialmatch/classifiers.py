@@ -3,9 +3,9 @@
 Four model families: a rectifier MLP trained with summed binary cross-entropy
 and Adam, a Gini decision tree, a bootstrap random forest, and a linear SVM
 trained by subgradient descent on the regularized hinge loss. A trainable
-square linear adapter in front of the MLP, starting at the identity, serves as
-the desk-scale analog of joint representation fine-tuning; the frozen setting
-is the plain MLP.
+square linear adapter, starting at the identity and trained jointly with the
+MLP, serves as the desk-scale analog of representation fine-tuning; it is the
+``adapter`` field of ``MLPModel``, and the frozen setting leaves it unset.
 
 Training is a single logical thread and fully deterministic under its seed;
 trained models are immutable and safe for concurrent prediction. The MLP and
@@ -113,16 +113,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MLPModel:
-    """Affine-rectifier stack with a logistic output unit."""
+    """Affine-rectifier stack with a logistic output unit, behind the square
+    ``adapter`` (d, d) that maps its input first when one was trained."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    adapter: Optional[np.ndarray] = None
 
     @property
     def n_features(self) -> int:
         return self.weights[0].shape[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        if self.adapter is not None:
+            X = X @ self.adapter
         _, probs = _forward_stack(self.weights, self.biases, X)
         return probs
 
@@ -281,22 +285,6 @@ class TrainingLog:
     stopped_epoch: int = 0
 
 
-@dataclass
-class AdapterModel:
-    """An MLP behind a square linear input transform trained jointly with it
-    (fine-tuning analog)."""
-
-    adapter: np.ndarray  # (d, d)
-    mlp: MLPModel
-
-    @property
-    def n_features(self) -> int:
-        return self.adapter.shape[0]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.mlp.predict_proba(X @ self.adapter)
-
-
 def _train_core(
     features,
     labels,
@@ -307,7 +295,7 @@ def _train_core(
     learning_rate: float,
     batch_size: int,
     seed: int,
-) -> tuple[Optional[np.ndarray], MLPModel, TrainingLog]:
+) -> tuple[MLPModel, TrainingLog]:
     if learning_rate <= 0 or batch_size <= 0:
         raise ConfigError("learning_rate and batch_size must be positive")
     X = _as_float32(features)
@@ -344,13 +332,8 @@ def _train_core(
     grads_w, grads_b = grad_views[:n_layers], grad_views[n_layers : 2 * n_layers]
     if adapter is not None:
         adapter, grad_adapter = param_views[-1], grad_views[-1]
-
-    def transform(Z: np.ndarray) -> np.ndarray:
-        return Z if adapter is None else Z @ adapter
-
-    def monitor_loss() -> float:
-        _, probs = _forward_stack(weights, biases, transform(val_x))
-        return bce_loss(probs, val_y) / len(val_y)
+    # Views into ``params``, so the model always holds the current values.
+    model = MLPModel(weights=weights, biases=biases, adapter=adapter)
 
     state = AdamState.zeros_like(params)
     log = TrainingLog()
@@ -365,7 +348,8 @@ def _train_core(
         for start in range(0, n, batch_size):
             Xb = X_epoch[start : start + batch_size]
             yb = y_epoch[start : start + batch_size]
-            activations, probs = _forward_stack(weights, biases, transform(Xb))
+            inputs = Xb if adapter is None else Xb @ adapter
+            activations, probs = _forward_stack(weights, biases, inputs)
             input_delta = _backward_stack(
                 weights, activations, probs, yb, grads_w, grads_b, adapter is not None
             )
@@ -373,7 +357,7 @@ def _train_core(
                 np.matmul(Xb.T, input_delta, out=grad_adapter)
             adam_step(params, grads, state, learning_rate)
 
-        current = monitor_loss()
+        current = bce_loss(model.predict_proba(val_x), val_y) / len(val_y)
         log.losses.append(current)
         log.stopped_epoch = epoch
         if best_loss - current >= EARLY_STOP_MIN_DELTA:
@@ -388,7 +372,7 @@ def _train_core(
 
     np.copyto(params, best_params)
     log.best_epoch = best_epoch
-    return adapter, MLPModel(weights=weights, biases=biases), log
+    return model, log
 
 
 def train_mlp(
@@ -414,10 +398,9 @@ def train_mlp(
     epoch. Each epoch costs one forward pass over the monitored set, whose
     mean loss the log records. Fully deterministic under ``seed``.
     """
-    _, model, log = _train_core(
+    return _train_core(
         features, labels, config, validation, hidden_sizes, False, learning_rate, batch_size, seed
     )
-    return model, log
 
 
 def train_with_adapter(
@@ -430,14 +413,13 @@ def train_with_adapter(
     learning_rate: float = 1e-3,
     batch_size: int = 32,
     seed: int = 0,
-) -> tuple[AdapterModel, TrainingLog]:
+) -> tuple[MLPModel, TrainingLog]:
     """Jointly optimize a square linear input adapter, which starts at the
     identity, and the MLP, with ``train_mlp``'s schedule, parameters and
-    float32 fit."""
-    adapter, model, log = _train_core(
+    float32 fit; the returned model's ``adapter`` is the trained one."""
+    return _train_core(
         features, labels, config, validation, hidden_sizes, True, learning_rate, batch_size, seed
     )
-    return AdapterModel(adapter=adapter, mlp=model), log
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +675,7 @@ def train_svm(
 # Uniform prediction
 # ---------------------------------------------------------------------------
 
-TrainedClassifier = MLPModel | Forest | LinearSVM | AdapterModel
+TrainedClassifier = MLPModel | Forest | LinearSVM
 
 
 def predict_proba(model: TrainedClassifier, features) -> np.ndarray:

@@ -410,11 +410,8 @@ def _cmd_eval(args) -> int:
             file=sys.stderr,
         )
     payload = {"config_hash": digest, "report": report.to_dict()}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"config_hash={digest} threshold={args.threshold}")
-        print(report.to_json())
+    lines = [f"config_hash={digest} threshold={args.threshold}", json.dumps(payload["report"])]
+    _emit(args, lines, payload)
     return EXIT_OK
 
 

@@ -250,7 +250,7 @@ def http_embed(
         )
     dim = payload["dim"]
     rows = payload["embeddings"]
-    if not isinstance(dim, int) or not isinstance(rows, list):
+    if type(dim) is not int or not isinstance(rows, list):
         raise ProviderError(f"response from {url} has wrong field types")
     if expected_dim is not None and dim != expected_dim:
         raise ProviderError(

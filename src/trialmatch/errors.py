@@ -4,10 +4,9 @@ The CLI maps these onto exit codes: ConfigError -> 1 (usage),
 DataError -> 2 (bad input data), ProviderError -> 3 (runtime/provider).
 A raise site tells its cases apart by message, not by type.
 
-Two subclasses of DataError stay because code catches them to recover:
-``harness`` falls back to mean pooling on a DegenerateVarianceError, and
-``metrics.compute_report`` reports a metric as absent on an
-UndefinedMetricError. Uncaught, both exit 2 like any data error.
+One subclass of DataError stays because code catches it to recover:
+``harness`` falls back to mean pooling on a DegenerateVarianceError.
+Uncaught, it exits 2 like any data error.
 """
 
 
@@ -30,7 +29,3 @@ class ProviderError(TrialMatchError):
 
 class DegenerateVarianceError(DataError):
     """All variance in the input is zero; principal directions undefined."""
-
-
-class UndefinedMetricError(DataError):
-    """The metric is undefined for this input (reported as absent, not zero)."""

@@ -22,11 +22,12 @@ dataset, one feature pass runs per (provider, chunking): it scores each
 patient's chunks once and encodes one prompt per k, which each variant of
 that k reduces. Every variant is then trained and evaluated on every cell.
 
-A config is checked once, when it is built: ``ExperimentConfig`` (with the
-arms of each configured variant), ``PipelineSpec`` and ``ProviderSpec``
-raise every ``ConfigError`` that the config alone decides. ``run_task`` then
-raises data errors, plus one ``ConfigError`` that needs the split: more
-hidden-axis components than a cell's train rows allow. Two checks wait for
+A config is checked once, when it is built. ``ProviderSpec`` and
+``PipelineSpec`` raise every ``ConfigError`` that one variant decides, its
+feature width included; ``ExperimentConfig`` builds each arm as a
+``PipelineSpec`` and adds the rules that span arms. ``run_task`` then raises
+data errors, plus one ``ConfigError`` that needs the split: more hidden-axis
+components than a cell's train rows allow. Two checks wait for
 the pass: an http provider's endpoint, a deployment setting looked up when
 the provider is built, and ``pca_mean``'s components against each prompt's
 token rows, which ``pool_pca_mean`` checks.
@@ -219,6 +220,7 @@ class PipelineSpec:
       pool is the compression's fallback, or ``hybrid_last``, which appends
       the last token row.
     - ``adapter_mode: "adapter"`` requires the ``mlp`` classifier.
+    - Hidden-axis compression keeps at most ``feature_width`` components.
     """
 
     provider: ProviderSpec = ProviderSpec()
@@ -260,6 +262,22 @@ class PipelineSpec:
                 )
         if self.adapter_mode == "adapter" and self.classifier != "mlp":
             raise ConfigError(f"'adapter_mode' is read by no {self.classifier} classifier")
+        if self.dimred is not None and self.dimred.axis == "hidden":
+            n, width = self.dimred.n_components, self.feature_width
+            if n > width:
+                raise ConfigError(
+                    f"variant {self.variant_name!r}: hidden-axis compression to {n} "
+                    f"components exceeds its feature width ({width} dims)"
+                )
+
+    @property
+    def feature_width(self) -> int:
+        """Length of ``_reduce_matrix``'s rows for this provider's tokens;
+        an adapter is square, so it keeps this width."""
+        if self.pooling == "pca_mean":
+            return self.pooling_components
+        dim = self.provider.dim
+        return 2 * dim if self.pooling == "hybrid_last" else dim
 
     @property
     def variant_name(self) -> str:
@@ -428,13 +446,6 @@ class FeatureSet:
     seconds: float  # duration of the feature pass that built this set
 
 
-def _feature_width(spec: PipelineSpec, d_hidden: int) -> int:
-    """Length of ``_reduce_matrix``'s rows for tokens of width d_hidden."""
-    if spec.pooling == "pca_mean":
-        return spec.pooling_components
-    return 2 * d_hidden if spec.pooling == "hybrid_last" else d_hidden
-
-
 def _reduce_matrix(
     spec: PipelineSpec, matrix: np.ndarray
 ) -> tuple[np.ndarray, Optional[Exception]]:
@@ -571,9 +582,8 @@ def _feature_pass(
     """
     started = time.perf_counter()
     encoder = PatientEncoder(specs[0], dataset, modality)
-    d_hidden = encoder.provider.dim
     patients = dataset.patients
-    matrices = [np.empty((len(patients), _feature_width(spec, d_hidden))) for spec in specs]
+    matrices = [np.empty((len(patients), spec.feature_width)) for spec in specs]
     by_k = sorted(enumerate(specs), key=lambda pair: pair[1].k_retrieve)
     # A skip depends on the retrieval key only, so the variants share them.
     ids: list[str] = []
@@ -666,7 +676,8 @@ def _check_split(
 ) -> None:
     """Reject a cell the variant cannot be trained on: an empty train or test
     side after skips, or more hidden-axis components than its train rows
-    allow (config loading has checked them against the feature width)."""
+    allow. ``PipelineSpec`` has checked them against the feature width; this
+    check needs the data."""
     train_rows = sum(pid in train_ids for pid in features.ids)
     if not train_rows or not any(pid in test_ids for pid in features.ids):
         raise DataError("split leaves an empty train or test side after skips")
@@ -824,12 +835,10 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
 
 
 def _check_arms(config: ExperimentConfig) -> None:
-    """Reject what the task's arms cannot run: a variant key that every arm
-    replaces, more hidden-axis components than an arm's feature width, or a
-    variant name that two arms share, whose rows the ``variant`` column
-    could not tell apart. Building an arm runs ``PipelineSpec``'s own
-    checks. An adapter arm needs no check: its adapter is square, so it
-    keeps the feature width."""
+    """Reject what only the task's arms together decide: a variant key that
+    every arm replaces, or a variant name that two arms share, whose rows the
+    ``variant`` column could not tell apart. Building an arm runs
+    ``PipelineSpec``'s own checks, its feature width included."""
     for base in config.variants:
         replaced = set.intersection(*(set(arm) for arm in _arms(config, base)))
         if config.task == "task2":
@@ -839,17 +848,7 @@ def _check_arms(config: ExperimentConfig) -> None:
         for key in sorted(replaced):
             if getattr(base, key) != getattr(PipelineSpec, key):
                 raise ConfigError(f"{key!r} is read by no {config.task} run; every arm sets it")
-    arms = _variants(config)
-    for spec in arms:
-        if spec.dimred is not None and spec.dimred.axis == "hidden":
-            width = _feature_width(spec, spec.provider.dim)
-            n = spec.dimred.n_components
-            if n > width:
-                raise ConfigError(
-                    f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
-                    f"components exceeds its feature width ({width} dims)"
-                )
-    names = [spec.variant_name for spec in arms]
+    names = [spec.variant_name for spec in _variants(config)]
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(

@@ -7,18 +7,19 @@ threshold (inclusive). AUROC is the Mann-Whitney statistic computed by rank
 sum with tie correction, exactly equal to the pairwise definition (ties
 credit 0.5). Average precision is step-wise with no interpolation and takes
 each distinct score as one threshold, so tied scores never depend on input
-order. Undefined metrics are reported as absent, never coerced to 0 or 0.5.
+order. ``auroc`` and ``auprc`` raise ``DataError`` on input where they are
+undefined; ``compute_report`` tells from its class counts which ones are
+defined and reports the others as absent, never coerced to 0 or 0.5.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, UndefinedMetricError
+from .errors import DataError
 
 
 def csv_cell(value) -> str:
@@ -43,9 +44,6 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricReport))
@@ -91,7 +89,7 @@ def auroc(labels, scores) -> float:
     n_pos = int(np.sum(y == 1.0))
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUROC undefined: both classes must be present")
+        raise DataError("AUROC undefined: both classes must be present")
     ranks = _tied_ranks(s)
     rank_sum_pos = float(np.sum(ranks[y == 1.0]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
@@ -109,7 +107,7 @@ def auprc(labels, scores) -> float:
     y, s = _check_pair(labels, scores)
     n_pos = int(np.sum(y == 1.0))
     if n_pos == 0:
-        raise UndefinedMetricError("AUPRC undefined without positive samples")
+        raise DataError("AUPRC undefined without positive samples")
     order = np.argsort(-s, kind="stable")
     ranked = s[order]
     found = np.cumsum(y[order])
@@ -132,7 +130,8 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 
 def compute_report(labels, probs, threshold: float = 0.5) -> MetricReport:
-    """All metrics in one report; undefined ones are set to None."""
+    """All metrics in one report. AUROC is None unless both classes are
+    present, and AUPRC is None without a positive."""
     y, p = _check_pair(labels, probs)
     pred = p >= threshold
     pos = y == 1.0
@@ -142,23 +141,16 @@ def compute_report(labels, probs, threshold: float = 0.5) -> MetricReport:
     fn = int(np.sum(~pred & pos))
     precision, recall, f1_pos = _prf(tp, fp, fn)
     _, _, f1_neg = _prf(tn, fn, fp)
-    try:
-        roc: Optional[float] = auroc(y, p)
-    except UndefinedMetricError:
-        roc = None
-    try:
-        ap: Optional[float] = auprc(y, p)
-    except UndefinedMetricError:
-        ap = None
+    n, n_pos = int(y.shape[0]), tp + fn
     return MetricReport(
-        n=int(y.shape[0]),
-        n_pos=tp + fn,
+        n=n,
+        n_pos=n_pos,
         threshold=threshold,
         precision=precision,
         recall=recall,
         f1_pos=f1_pos,
         f1_neg=f1_neg,
         macro_f1=(f1_pos + f1_neg) / 2.0,
-        auroc=roc,
-        auprc=ap,
+        auroc=auroc(y, p) if 0 < n_pos < n else None,
+        auprc=auprc(y, p) if n_pos else None,
     )

@@ -391,7 +391,7 @@ class TestTrainingDtype:
             model, _ = train_mlp(*args, seed=3)
             return [*model.weights, *model.biases]
         model, _ = train_with_adapter(*args, seed=3)
-        return [model.adapter, *model.mlp.weights, *model.mlp.biases]
+        return [model.adapter, *model.weights, *model.biases]
 
     @pytest.mark.parametrize("case", ["none", "trainable-square"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -859,7 +859,7 @@ class TestAdapter:
         assert model.adapter.shape == (5, 5)
         assert (log.best_epoch, log.stopped_epoch) == (4, 12)
         assert params_digest(
-            [model.adapter, *model.mlp.weights, *model.mlp.biases]
+            [model.adapter, *model.weights, *model.biases]
         ) == "b52444178255f5be887e86be0ec2d3aea469a76a94fd15abf30a21ca1590ec25"
 
 

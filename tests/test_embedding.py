@@ -192,6 +192,12 @@ class TestHttpEmbed:
         with pytest.raises(ProviderError, match="service reports dim 4, provider declared 7"):
             http_embed(embed_server.url, "m", ["a"], expected_dim=7)
 
+    def test_boolean_dim_is_a_wrong_field_type(self, embed_server):
+        # True is an int to isinstance, and equal to 1.
+        embed_server.behavior["dim"] = True
+        with pytest.raises(ProviderError, match="has wrong field types"):
+            http_embed(embed_server.url, "m", ["a"], expected_dim=1)
+
     def test_bad_status(self, embed_server):
         embed_server.behavior["mode"] = "bad_status"
         with pytest.raises(ProviderError, match="returned status 500"):

@@ -300,8 +300,9 @@ class TestHiddenAxis:
 class TestPoolingCompression:
     """Every pooling under no compression, sequence-axis compression and
     hidden-axis compression to 8: a pair that ``PipelineSpec`` admits
-    reduces a token matrix to ``_feature_width`` entries, and the two pairs
-    whose pooling the sequence axis would ignore are ``ConfigError``s."""
+    reduces a token matrix to its ``feature_width`` entries. The two pairs
+    whose pooling the sequence axis would ignore are ``ConfigError``s, and so
+    is ``pca_mean`` to 3 components under hidden-axis compression to 8."""
 
     DIMREDS = {
         "none": None,
@@ -322,12 +323,19 @@ class TestPoolingCompression:
             with pytest.raises(ConfigError, match="is read by no sequence-axis compression"):
                 PipelineSpec(**keys)
             return
+        if (pooling, compression) == ("pca_mean", "hidden-8"):
+            with pytest.raises(
+                ConfigError,
+                match=r"^variant 'mlp\+dimred': hidden-axis compression to 8 components "
+                r"exceeds its feature width \(3 dims\)$",
+            ):
+                PipelineSpec(**keys)
+            return
         spec = PipelineSpec(**keys)
-        dim = spec.provider.dim
-        matrix = np.random.default_rng(0).standard_normal((12, dim))
+        matrix = np.random.default_rng(0).standard_normal((12, spec.provider.dim))
         values, error = harness._reduce_matrix(spec, matrix)
         assert error is None
-        assert values.shape == (harness._feature_width(spec, dim),)
+        assert values.shape == (spec.feature_width,)
 
 
 TINY_CORPUS = {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5}
@@ -656,7 +664,7 @@ class TestClassifierDtypes:
                 if name in ("train_mlp", "train_with_adapter"):
                     model = result[0]
                     if name == "train_with_adapter":
-                        params = [model.adapter, *model.mlp.weights, *model.mlp.biases]
+                        params = [model.adapter, *model.weights, *model.biases]
                     else:
                         params = [*model.weights, *model.biases]
                     fitted.setdefault(name, set()).update(a.dtype.name for a in params)
@@ -817,6 +825,26 @@ class TestConfigChecks:
             {"provider": {"dim": 64}},
             r"variant 'hidden-128': hidden-axis compression to 128 components "
             r"exceeds its feature width \(64 dims\)",
+        ),
+        # Widths that no other case reached: pca_mean's components, and
+        # hybrid_last's two token rows.
+        "task5-pca-mean-hidden": (
+            "task5",
+            {},
+            {
+                "pooling": "pca_mean",
+                "pooling_components": 4,
+                "dimred": {"axis": "hidden", "n_components": 8},
+            },
+            r"variant 'mlp\+dimred': hidden-axis compression to 8 components "
+            r"exceeds its feature width \(4 dims\)",
+        ),
+        "task5-hybrid-hidden": (
+            "task5",
+            {},
+            {"pooling": "hybrid_last", "dimred": {"axis": "hidden", "n_components": 257}},
+            r"variant 'mlp\+dimred': hidden-axis compression to 257 components "
+            r"exceeds its feature width \(256 dims\)",
         ),
         # Exclusion 1.5 failed in the first split, 0.0 after the feature pass
         # (an empty test side), and a repeat wrote rows with equal keys.

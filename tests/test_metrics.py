@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from trialmatch.errors import DataError, UndefinedMetricError
+from trialmatch.errors import DataError
 from trialmatch.metrics import auprc, auroc, compute_report, csv_cell
 
 
@@ -30,7 +30,7 @@ class TestAuroc:
             assert auroc(y, s) == pairwise_auroc(y, s)
 
     def test_one_class_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataError, match="^AUROC undefined: both classes must be present$"):
             auroc([1.0, 1.0], [0.2, 0.7])
 
 
@@ -119,7 +119,7 @@ class TestAuprc:
             assert auprc(y[perm], s[perm]) == expected
 
     def test_no_positive_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataError, match="^AUPRC undefined without positive samples$"):
             auprc([0.0, 0.0], [0.2, 0.7])
 
 
