@@ -23,9 +23,9 @@ patient's chunks once and encodes one prompt per k, which each variant of
 that k reduces. Every variant is then trained and evaluated on every cell.
 
 A config is checked once, when it is built. ``ProviderSpec`` and
-``PipelineSpec`` raise every ``ConfigError`` that one variant decides, its
-feature width included; ``ExperimentConfig`` builds each arm as a
-``PipelineSpec`` and adds the rules that span arms. ``run_task`` then raises
+``PipelineSpec`` raise every ``ConfigError`` that one variant decides;
+``ExperimentConfig`` builds each arm as a ``PipelineSpec``, checks its
+feature width, and adds the rules that span arms. ``run_task`` then raises
 data errors, plus one ``ConfigError`` that needs the split: more hidden-axis
 components than a cell's train rows allow. Two checks wait for
 the pass: an http provider's endpoint, a deployment setting looked up when
@@ -220,7 +220,9 @@ class PipelineSpec:
       pool is the compression's fallback, or ``hybrid_last``, which appends
       the last token row.
     - ``adapter_mode: "adapter"`` requires the ``mlp`` classifier.
-    - Hidden-axis compression keeps at most ``feature_width`` components.
+
+    The rule that hidden-axis compression keeps at most ``feature_width``
+    components is ``check_width``, which each arm of a task runs.
     """
 
     provider: ProviderSpec = ProviderSpec()
@@ -262,13 +264,6 @@ class PipelineSpec:
                 )
         if self.adapter_mode == "adapter" and self.classifier != "mlp":
             raise ConfigError(f"'adapter_mode' is read by no {self.classifier} classifier")
-        if self.dimred is not None and self.dimred.axis == "hidden":
-            n, width = self.dimred.n_components, self.feature_width
-            if n > width:
-                raise ConfigError(
-                    f"variant {self.variant_name!r}: hidden-axis compression to {n} "
-                    f"components exceeds its feature width ({width} dims)"
-                )
 
     @property
     def feature_width(self) -> int:
@@ -278,6 +273,19 @@ class PipelineSpec:
             return self.pooling_components
         dim = self.provider.dim
         return 2 * dim if self.pooling == "hybrid_last" else dim
+
+    def check_width(self) -> None:
+        """Reject hidden-axis compression to more components than
+        ``feature_width``. ``ExperimentConfig`` calls this on each arm that
+        runs: a task2 variant with ``providers`` set is never run at its own
+        provider's width, so building it checks no width."""
+        if self.dimred is not None and self.dimred.axis == "hidden":
+            n, width = self.dimred.n_components, self.feature_width
+            if n > width:
+                raise ConfigError(
+                    f"variant {self.variant_name!r}: hidden-axis compression to {n} "
+                    f"components exceeds its feature width ({width} dims)"
+                )
 
     @property
     def variant_name(self) -> str:
@@ -676,8 +684,8 @@ def _check_split(
 ) -> None:
     """Reject a cell the variant cannot be trained on: an empty train or test
     side after skips, or more hidden-axis components than its train rows
-    allow. ``PipelineSpec`` has checked them against the feature width; this
-    check needs the data."""
+    allow. ``PipelineSpec.check_width`` has checked them against the
+    feature width; this check needs the data."""
     train_rows = sum(pid in train_ids for pid in features.ids)
     if not train_rows or not any(pid in test_ids for pid in features.ids):
         raise DataError("split leaves an empty train or test side after skips")
@@ -835,10 +843,10 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
 
 
 def _check_arms(config: ExperimentConfig) -> None:
-    """Reject what only the task's arms together decide: a variant key that
-    every arm replaces, or a variant name that two arms share, whose rows the
-    ``variant`` column could not tell apart. Building an arm runs
-    ``PipelineSpec``'s own checks, its feature width included."""
+    """Reject what the task's arms cannot run: a variant key that every arm
+    replaces, an arm whose ``PipelineSpec.check_width`` fails, or a variant
+    name that two arms share, whose rows the ``variant`` column could not
+    tell apart. Building an arm runs ``PipelineSpec``'s own checks."""
     for base in config.variants:
         replaced = set.intersection(*(set(arm) for arm in _arms(config, base)))
         if config.task == "task2":
@@ -848,7 +856,10 @@ def _check_arms(config: ExperimentConfig) -> None:
         for key in sorted(replaced):
             if getattr(base, key) != getattr(PipelineSpec, key):
                 raise ConfigError(f"{key!r} is read by no {config.task} run; every arm sets it")
-    names = [spec.variant_name for spec in _variants(config)]
+    arms = _variants(config)
+    for spec in arms:
+        spec.check_width()
+    names = [spec.variant_name for spec in arms]
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(

@@ -83,7 +83,8 @@ def auroc(labels, scores) -> float:
     """Mann-Whitney AUROC: P(score_pos > score_neg) + 0.5 P(tie).
 
     Computed via rank sums with tie correction; equals the O(n^2) pairwise
-    count exactly, not merely within tolerance.
+    count exactly, not merely within tolerance. Undefined unless both classes
+    are present, a condition ``compute_report`` repeats from its counts.
     """
     y, s = _check_pair(labels, scores)
     n_pos = int(np.sum(y == 1.0))
@@ -102,7 +103,8 @@ def auprc(labels, scores) -> float:
     Each distinct score is one threshold: AP is the sum over score groups, in
     descending order, of the group's positives times the precision at the
     group's end, divided by the number of positives. Without ties this is the
-    usual sum of precision at each positive's rank.
+    usual sum of precision at each positive's rank. Undefined without a
+    positive, a condition ``compute_report`` repeats from its counts.
     """
     y, s = _check_pair(labels, scores)
     n_pos = int(np.sum(y == 1.0))

@@ -54,6 +54,18 @@ class TestConfigLoading:
         assert config.variants[0].train.max_epochs == 5
         assert config.variants[0].dimred == DimRedConfig(axis="hidden", n_components=16)
 
+    def test_task2_checks_the_width_of_its_providers_only(self):
+        # The base's own provider (mock at dim 128) is run by no arm.
+        config = ExperimentConfig.from_dict(
+            {
+                "task": "task2",
+                "dataset": {"synthetic": {"n_trials": 2}},
+                "variants": [{"dimred": {"axis": "hidden", "n_components": 200}}],
+                "providers": [{"kind": "mock", "dim": 256}],
+            }
+        )
+        assert [spec.variant_name for spec in harness._variants(config)] == ["backbone-mock"]
+
     @pytest.mark.parametrize(
         "obj, key",
         [
@@ -300,9 +312,10 @@ class TestHiddenAxis:
 class TestPoolingCompression:
     """Every pooling under no compression, sequence-axis compression and
     hidden-axis compression to 8: a pair that ``PipelineSpec`` admits
-    reduces a token matrix to its ``feature_width`` entries. The two pairs
-    whose pooling the sequence axis would ignore are ``ConfigError``s, and so
-    is ``pca_mean`` to 3 components under hidden-axis compression to 8."""
+    reduces a token matrix to its ``feature_width`` entries, and the two pairs
+    whose pooling the sequence axis would ignore are ``ConfigError``s.
+    ``pca_mean`` to 3 components builds under hidden-axis compression to 8,
+    and only its ``check_width`` fails."""
 
     DIMREDS = {
         "none": None,
@@ -323,19 +336,20 @@ class TestPoolingCompression:
             with pytest.raises(ConfigError, match="is read by no sequence-axis compression"):
                 PipelineSpec(**keys)
             return
+        spec = PipelineSpec(**keys)
+        matrix = np.random.default_rng(0).standard_normal((12, spec.provider.dim))
+        values, error = harness._reduce_matrix(spec, matrix)
+        assert error is None
+        assert values.shape == (spec.feature_width,)
         if (pooling, compression) == ("pca_mean", "hidden-8"):
             with pytest.raises(
                 ConfigError,
                 match=r"^variant 'mlp\+dimred': hidden-axis compression to 8 components "
                 r"exceeds its feature width \(3 dims\)$",
             ):
-                PipelineSpec(**keys)
-            return
-        spec = PipelineSpec(**keys)
-        matrix = np.random.default_rng(0).standard_normal((12, spec.provider.dim))
-        values, error = harness._reduce_matrix(spec, matrix)
-        assert error is None
-        assert values.shape == (spec.feature_width,)
+                spec.check_width()
+        else:
+            spec.check_width()
 
 
 TINY_CORPUS = {"n_trials": 2, "patients_per_trial": 20, "signal_strength": 0.5}
