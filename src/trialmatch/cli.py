@@ -271,7 +271,7 @@ def _cmd_retrieve(args) -> int:
                         ]
                     )
         listing = [
-            {"chunk_id": chunks[i].chunk_id, "ordinal": chunks[i].ordinal, "score": scores[i]}
+            {"chunk_id": chunks[i].chunk_id, "ordinal": int(i), "score": scores[i]}
             for i in ranked
         ]
         patients_payload.append(

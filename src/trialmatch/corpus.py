@@ -113,17 +113,15 @@ class Trial:
 @dataclass(frozen=True)
 class Chunk:
     """A retrievable text unit cut from one patient's record; its id names
-    the patient and the note or structured row it was cut from."""
+    the patient, the note or structured row it was cut from, and its
+    position in the patient's chunk list."""
 
     chunk_id: str
     text: str
-    ordinal: int
 
     def __post_init__(self) -> None:
         if not self.text:
             raise DataError(f"chunk {self.chunk_id!r} has empty text")
-        if self.ordinal < 0:
-            raise DataError(f"chunk {self.chunk_id!r} has negative ordinal")
 
 
 @dataclass(frozen=True)
@@ -438,8 +436,8 @@ def build_chunks(
 ) -> list[Chunk]:
     """Cut one patient's record into chunks for the requested modality.
 
-    Ordinals are dense (0..n-1) within the returned list. Note chunks come
-    first, then structured-row chunks, both in record order.
+    Each chunk id ends in the chunk's position in the returned list. Note
+    chunks come first, then structured-row chunks, both in record order.
     """
     if modality not in MODALITIES:
         raise ConfigError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
@@ -447,13 +445,7 @@ def build_chunks(
 
     def _add(base_id: str, text: str) -> None:
         for piece in chunk_text(text, chunk_size, overlap):
-            chunks.append(
-                Chunk(
-                    chunk_id=f"{patient.patient_id}:{base_id}:{len(chunks)}",
-                    text=piece,
-                    ordinal=len(chunks),
-                )
-            )
+            chunks.append(Chunk(f"{patient.patient_id}:{base_id}:{len(chunks)}", piece))
 
     if modality in ("unstructured", "mixed"):
         for i, note in enumerate(patient.notes):

@@ -199,9 +199,10 @@ def http_embed(
 
     Transport failures (connection errors, timeouts) are retried with
     exponential backoff up to ``HTTP_MAX_ATTEMPTS`` total attempts; protocol
-    errors (bad status, malformed JSON, dimension mismatch) are surfaced
-    immediately as one ``ProviderError`` with a distinct message. ``requests``
-    is imported here, on first use, rather than with the module.
+    errors (bad status, malformed JSON, a row that is not a list of JSON
+    numbers, dimension mismatch) are surfaced immediately as one
+    ``ProviderError`` with a distinct message. ``requests`` is imported here,
+    on first use, rather than with the module.
     """
     import requests
 
@@ -262,7 +263,13 @@ def http_embed(
         )
     out = []
     for i, row in enumerate(rows):
-        vec = np.asarray(row, dtype=np.float64)
+        # Only JSON numbers: numpy would read "1.5" and true as numbers too.
+        if not isinstance(row, list) or not all(type(v) in (int, float) for v in row):
+            raise ProviderError(f"embedding {i} is not a list of JSON numbers")
+        try:
+            vec = np.asarray(row, dtype=np.float64)
+        except OverflowError:  # an integer past float64's range; 1e400 reads inf
+            raise ProviderError(f"embedding {i} contains non-finite values") from None
         if vec.shape != (dim,):
             raise ProviderError(
                 f"embedding {i} has {vec.size} entries, declared dim is {dim}"

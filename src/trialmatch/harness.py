@@ -27,7 +27,9 @@ A config is checked once, when it is built. ``ProviderSpec`` and
 ``ExperimentConfig`` builds each arm as a ``PipelineSpec``, checks its
 feature width, and adds the rules that span arms. ``run_task`` then raises
 data errors, plus one ``ConfigError`` that needs the split: more hidden-axis
-components than a cell's train rows allow. Two checks wait for
+components than a cell's train rows allow. ``_cell_rows`` raises it, and an
+empty side after skips, as it maps each cell's patient ids to feature rows,
+once per cell and variant before the first fit. Two checks wait for
 the pass: an http provider's endpoint, a deployment setting looked up when
 the provider is built, and ``pca_mean``'s components against each prompt's
 token rows, which ``pool_pca_mean`` checks.
@@ -278,7 +280,8 @@ class PipelineSpec:
         """Reject hidden-axis compression to more components than
         ``feature_width``. ``ExperimentConfig`` calls this on each arm that
         runs: a task2 variant with ``providers`` set is never run at its own
-        provider's width, so building it checks no width."""
+        provider's width, so building it checks no width. ``_cell_rows``
+        checks the components against a cell's train rows."""
         if self.dimred is not None and self.dimred.axis == "hidden":
             n, width = self.dimred.n_components, self.feature_width
             if n > width:
@@ -679,15 +682,18 @@ def _carve_validation(
     return X[~val_mask], y[~val_mask], (X[val_mask], y[val_mask])
 
 
-def _check_split(
+def _cell_rows(
     spec: PipelineSpec, features: FeatureSet, train_ids: set[str], test_ids: set[str]
-) -> None:
-    """Reject a cell the variant cannot be trained on: an empty train or test
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the feature rows on a cell's train and test sides.
+    Rejects a cell the variant cannot be trained on: an empty train or test
     side after skips, or more hidden-axis components than its train rows
-    allow. ``PipelineSpec.check_width`` has checked them against the
-    feature width; this check needs the data."""
-    train_rows = sum(pid in train_ids for pid in features.ids)
-    if not train_rows or not any(pid in test_ids for pid in features.ids):
+    allow. ``PipelineSpec.check_width`` has checked them against the feature
+    width; this check needs the data."""
+    train = np.array([pid in train_ids for pid in features.ids])
+    test = np.array([pid in test_ids for pid in features.ids])
+    train_rows = int(train.sum())
+    if not train_rows or not test.any():
         raise DataError("split leaves an empty train or test side after skips")
     if spec.dimred is not None and spec.dimred.axis == "hidden":
         n = spec.dimred.n_components
@@ -697,21 +703,16 @@ def _check_split(
                 f"components needs more data (max {train_rows - 1} for {train_rows} "
                 f"train rows x {features.X.shape[1]} dims)"
             )
+    return train, test
 
 
 def _train_eval(
-    spec: PipelineSpec,
-    features: FeatureSet,
-    train_ids: set[str],
-    test_ids: set[str],
+    spec: PipelineSpec, features: FeatureSet, train: np.ndarray, test: np.ndarray
 ) -> MetricReport:
-    """Train on the cell's train side and evaluate on its test side; the
-    cell has passed ``_check_split``."""
-    train_idx = [i for i, pid in enumerate(features.ids) if pid in train_ids]
-    test_idx = [i for i, pid in enumerate(features.ids) if pid in test_ids]
-
-    Xtr, ytr = features.X[train_idx], features.y[train_idx]
-    Xte, yte = features.X[test_idx], features.y[test_idx]
+    """Train on a cell's train rows and evaluate on its test rows, as
+    ``_cell_rows`` masked them."""
+    Xtr, ytr = features.X[train], features.y[train]
+    Xte, yte = features.X[test], features.y[test]
 
     if spec.dimred is not None and spec.dimred.axis == "hidden":
         pca = pca_fit(Xtr, spec.dimred.n_components)
@@ -872,8 +873,9 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
     dataset, cell, variant order.
 
     Every cell is split before the feature pass, so a split that leaves a
-    side empty fails before any retrieval, and is checked against every
-    variant before the first model is trained.
+    side empty fails before any retrieval. Each cell's rows are then looked
+    up for every variant, which checks them, before the first model is
+    trained.
     """
     sources = config.datasets if config.task == "task5" else (config.dataset,)
     variants = _variants(config)
@@ -889,14 +891,15 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
             train_ids, test_ids = make_split(dataset, split)
             splits.append((train_ids, test_ids, time.perf_counter() - started))
         feature_sets = _compute_features_multi(variants, dataset, config.modality)
-        for train_ids, test_ids, _ in splits:
-            for spec, features in zip(variants, feature_sets):
-                _check_split(spec, features, train_ids, test_ids)
+        rows = [
+            [_cell_rows(*pair, train_ids, test_ids) for pair in zip(variants, feature_sets)]
+            for train_ids, test_ids, _ in splits
+        ]
 
-        for (split, trial, exclusion), (train_ids, test_ids, split_seconds) in zip(cells, splits):
-            for spec, features in zip(variants, feature_sets):
+        for (split, trial, exclusion), (_, _, split_seconds), cell_rows in zip(cells, splits, rows):
+            for spec, features, (train, test) in zip(variants, feature_sets, cell_rows):
                 started = time.perf_counter()
-                report = _train_eval(spec, features, train_ids, test_ids)
+                report = _train_eval(spec, features, train, test)
                 cell_seconds = split_seconds + time.perf_counter() - started
                 run = RunResult(
                     task=config.task,

@@ -2,14 +2,17 @@
 
 ``MetricReport`` is the metric part of one results.csv row: its fields, in
 order, are the metric columns, and ``csv_cell`` is the one rule for how a
-row's values are written. Thresholded metrics predict positive when prob >=
-threshold (inclusive). AUROC is the Mann-Whitney statistic computed by rank
-sum with tie correction, exactly equal to the pairwise definition (ties
-credit 0.5). Average precision is step-wise with no interpolation and takes
-each distinct score as one threshold, so tied scores never depend on input
-order. ``auroc`` and ``auprc`` raise ``DataError`` on input where they are
-undefined; ``compute_report`` tells from its class counts which ones are
-defined and reports the others as absent, never coerced to 0 or 0.5.
+row's values are written. ``compute_report`` is the one scoring entry: it
+checks its input once and sorts the scores once, descending and stable, with
+tied scores grouped. Thresholded metrics predict positive when prob >=
+threshold (inclusive). AUROC is the Mann-Whitney statistic counted over the
+groups, the pairwise definition with a tie crediting 0.5. Every term of that
+count is a multiple of 0.5, so below 2**52 pairs the sum is exact in float64
+and equals the O(n^2) pairwise count. Average precision is step-wise with no
+interpolation and takes each distinct score as one threshold, so tied scores
+never depend on input order. The class counts alone decide which of the two
+exist: AUROC needs both classes and AUPRC a positive. An undefined one is
+reported as absent, never coerced to 0 or 0.5.
 """
 
 from __future__ import annotations
@@ -63,60 +66,24 @@ def _check_pair(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return y, s
 
 
-def _tied_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the group average.
+def _ranking(y: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+    """The Mann-Whitney count and the precision sum behind AUROC and AUPRC,
+    from one stable descending sort with tied scores grouped.
 
-    All ranks are integer multiples of 0.5, so sums up to the supported sizes
-    stay exact in float64.
+    Each group's positives count the negatives below it plus half of those
+    in it, and gain the precision at the group's end; ``compute_report``
+    divides the two sums by the pair and positive counts.
     """
-    order = np.argsort(scores, kind="stable")
-    ranked = scores[order]
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    ends = np.r_[starts[1:], ranked.shape[0]] - 1
-    # positions start..end (0-based) share the average of ranks start+1..end+1
-    ranks = np.empty(ranked.shape[0])
-    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
-    return ranks
-
-
-def auroc(labels, scores) -> float:
-    """Mann-Whitney AUROC: P(score_pos > score_neg) + 0.5 P(tie).
-
-    Computed via rank sums with tie correction; equals the O(n^2) pairwise
-    count exactly, not merely within tolerance. Undefined unless both classes
-    are present, a condition ``compute_report`` repeats from its counts.
-    """
-    y, s = _check_pair(labels, scores)
-    n_pos = int(np.sum(y == 1.0))
-    n_neg = y.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("AUROC undefined: both classes must be present")
-    ranks = _tied_ranks(s)
-    rank_sum_pos = float(np.sum(ranks[y == 1.0]))
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def auprc(labels, scores) -> float:
-    """Step-wise average precision (no interpolation).
-
-    Each distinct score is one threshold: AP is the sum over score groups, in
-    descending order, of the group's positives times the precision at the
-    group's end, divided by the number of positives. Without ties this is the
-    usual sum of precision at each positive's rank. Undefined without a
-    positive, a condition ``compute_report`` repeats from its counts.
-    """
-    y, s = _check_pair(labels, scores)
-    n_pos = int(np.sum(y == 1.0))
-    if n_pos == 0:
-        raise DataError("AUPRC undefined without positive samples")
     order = np.argsort(-s, kind="stable")
     ranked = s[order]
     found = np.cumsum(y[order])
     ends = np.nonzero(np.append(ranked[1:] != ranked[:-1], True))[0]
     group_pos = np.diff(found[ends], prepend=0.0)
+    negs = ends + 1 - found[ends]  # negatives down to each group's end
+    group_neg = np.diff(negs, prepend=0.0)
+    pairs_won = float(np.sum(group_pos * (negs[-1] - negs + 0.5 * group_neg)))
     # cumsum adds in rank order, as a running sum would.
-    return float(np.cumsum(group_pos * (found[ends] / (ends + 1)))[-1]) / n_pos
+    return pairs_won, float(np.cumsum(group_pos * (found[ends] / (ends + 1)))[-1])
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -144,6 +111,8 @@ def compute_report(labels, probs, threshold: float = 0.5) -> MetricReport:
     precision, recall, f1_pos = _prf(tp, fp, fn)
     _, _, f1_neg = _prf(tn, fn, fp)
     n, n_pos = int(y.shape[0]), tp + fn
+    pairs = n_pos * (n - n_pos)
+    pairs_won, precision_sum = _ranking(y, p)
     return MetricReport(
         n=n,
         n_pos=n_pos,
@@ -153,6 +122,6 @@ def compute_report(labels, probs, threshold: float = 0.5) -> MetricReport:
         f1_pos=f1_pos,
         f1_neg=f1_neg,
         macro_f1=(f1_pos + f1_neg) / 2.0,
-        auroc=auroc(y, p) if 0 < n_pos < n else None,
-        auprc=auprc(y, p) if n_pos else None,
+        auroc=pairs_won / pairs if pairs else None,
+        auprc=precision_sum / n_pos if n_pos else None,
     )

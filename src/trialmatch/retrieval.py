@@ -4,7 +4,7 @@ One patient's retrieval is a pair of arrays. ``score_chunks`` returns the
 ``(n_chunks, n_criteria)`` matrix of cosines, rows in chunk order and
 columns in criterion order. ``select_top_k`` returns the row indices of the
 chosen chunks, best first; a row index is the chunk's position in the list
-that was scored, which ``build_chunks`` makes equal to its ordinal.
+that was scored, which ``build_chunks`` ends each chunk id with.
 
 Relevance of a chunk is the unweighted sum of its cosine similarities to every
 criterion (inclusion and exclusion alike; no sign flip). Selection is exact:

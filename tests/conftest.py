@@ -124,6 +124,14 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             rows = [[float(i + j) for j in range(dim)] for i in range(len(texts))]
             if cfg["mode"] == "short_vector":
                 rows = [row[:-1] for row in rows]
+            elif cfg["mode"] == "string_row":
+                rows = [[str(v) for v in row] for row in rows]
+            elif cfg["mode"] == "bool_row":
+                rows = [[v > 0 for v in row] for row in rows]
+            elif cfg["mode"] == "ragged_row":
+                rows = [[row[0], row[1:]] for row in rows]
+            elif cfg["mode"] == "huge_int_row":
+                rows = [[10**400, *row[1:]] for row in rows]
             payload = json.dumps({"dim": dim, "embeddings": rows}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

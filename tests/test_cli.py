@@ -167,9 +167,10 @@ class TestExitCodes:
             ("bad_status", "4", "status 500"),
             ("bad_json", "4", "malformed JSON"),
             ("short_vector", "4", "embedding 0 has 3 entries, declared dim is 4"),
+            ("string_row", "4", "embedding 0 is not a list of JSON numbers"),
             ("ok", "7", "service reports dim 4, provider declared 7"),
         ],
-        ids=["bad_status", "bad_json", "short_vector", "declared_dim_7"],
+        ids=["bad_status", "bad_json", "short_vector", "string_row", "declared_dim_7"],
     )
     def test_provider_failure_exits_3(
         self, capsys, monkeypatch, dataset_files, embed_server, mode, dim, message

@@ -198,6 +198,19 @@ class TestHttpEmbed:
         with pytest.raises(ProviderError, match="has wrong field types"):
             http_embed(embed_server.url, "m", ["a"], expected_dim=1)
 
+    # numpy reads "1.5" and true as numbers, and a nested row raises a bare
+    # ValueError; each is a provider error naming the embedding.
+    @pytest.mark.parametrize("mode", ["string_row", "bool_row", "ragged_row"])
+    def test_a_row_of_other_than_numbers_is_rejected(self, embed_server, mode):
+        embed_server.behavior["mode"] = mode
+        with pytest.raises(ProviderError, match="^embedding 0 is not a list of JSON numbers$"):
+            http_embed(embed_server.url, "m", ["a", "b"], expected_dim=4)
+
+    def test_an_integer_past_float64_is_non_finite(self, embed_server):
+        embed_server.behavior["mode"] = "huge_int_row"
+        with pytest.raises(ProviderError, match="^embedding 0 contains non-finite values$"):
+            http_embed(embed_server.url, "m", ["a"], expected_dim=4)
+
     def test_bad_status(self, embed_server):
         embed_server.behavior["mode"] = "bad_status"
         with pytest.raises(ProviderError, match="returned status 500"):

@@ -453,6 +453,31 @@ class TestFeaturePass:
         names = ", ".join(spec.variant_name for spec in specs)
         assert warnings == [f"variants {names} skipped 1 patients: [('NO-NOTES', 'no_chunks')]"]
 
+    def test_a_side_emptied_by_skips_fails_before_any_fit(self, tmp_path, monkeypatch):
+        # The target trial's one patient has no notes, so the unstructured
+        # pass skips the whole test side (1 of 41 patients).
+        synthetic = generate_synthetic(SyntheticConfig(**TINY_CORPUS), 5)
+        dataset = Dataset(
+            patients=[*synthetic.patients, no_notes_patient("NO-NOTES", "NCT001")],
+            trials=[*synthetic.trials, tiny_trial()],
+        )
+        patients, trials = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        write_dataset(dataset, patients, trials)
+        config = ExperimentConfig.from_dict(
+            {
+                "task": "task5",
+                "datasets": [{"patients_path": str(patients), "trials_path": str(trials)}],
+                "modality": "unstructured",
+                "split": {"mode": "cross_trial", "target_trial": "NCT001"},
+                "variants": [{"train": {"max_epochs": 5}}],
+            }
+        )
+        monkeypatch.setattr(harness, "train_mlp", lambda *a, **k: pytest.fail("a model was fit"))
+        with pytest.raises(
+            DataError, match="^split leaves an empty train or test side after skips$"
+        ):
+            run_task(config)
+
     SKIP_SPECS = [PipelineSpec(name="k4"), PipelineSpec(k_retrieve=2, name="k2")]
 
     def test_all_skipped_names_every_variant_of_the_pass(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trialmatch.errors import DataError
-from trialmatch.metrics import auprc, auroc, compute_report, csv_cell
+from trialmatch.metrics import compute_report, csv_cell
 
 
 def pairwise_auroc(y: np.ndarray, s: np.ndarray) -> float:
@@ -19,19 +19,22 @@ def pairwise_auroc(y: np.ndarray, s: np.ndarray) -> float:
 
 
 class TestAuroc:
-    def test_rank_sum_equals_pairwise_count_on_tied_scores(self):
+    def test_equals_the_pairwise_count(self):
         rng = np.random.default_rng(31)
-        for _ in range(200):
-            n = int(rng.integers(2, 40))
+        for i in range(400):
+            n = int(rng.integers(2, 401))
             y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
             y[0], y[1] = 1.0, 0.0  # both classes present
-            # Few distinct values, so most scores tie across classes.
-            s = rng.integers(0, int(rng.integers(1, 6)), n) / 4.0
-            assert auroc(y, s) == pairwise_auroc(y, s)
+            if i % 2:
+                # Few distinct values, so most scores tie across classes.
+                s = rng.integers(0, int(rng.integers(1, 6)), n) / 4.0
+            else:
+                s = rng.random(n)
+            assert compute_report(y, s).auroc == pairwise_auroc(y, s)
 
-    def test_one_class_is_undefined(self):
-        with pytest.raises(DataError, match="^AUROC undefined: both classes must be present$"):
-            auroc([1.0, 1.0], [0.2, 0.7])
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_one_class_is_undefined(self, label):
+        assert compute_report([label, label], [0.2, 0.7]).auroc is None
 
 
 def running_sum_auprc(y: np.ndarray, s: np.ndarray) -> float:
@@ -65,8 +68,8 @@ class TestAuprc:
         # 1/2 for that positive; then 2/3 for the positive at 0.5.
         y = np.array([1.0, 0.0, 1.0, 0.0])
         s = np.array([0.8, 0.8, 0.5, 0.1])
-        assert auprc(y, s) == pytest.approx((1 / 2 + 2 / 3) / 2, abs=1e-15)
-        assert auprc(y[::-1], s[::-1]) == auprc(y, s)
+        assert compute_report(y, s).auprc == pytest.approx((1 / 2 + 2 / 3) / 2, abs=1e-15)
+        assert compute_report(y[::-1], s[::-1]).auprc == compute_report(y, s).auprc
 
     def test_invariant_to_input_order_under_cross_class_ties(self):
         rng = np.random.default_rng(4)
@@ -75,7 +78,7 @@ class TestAuprc:
         values = set()
         for _ in range(50):
             perm = rng.permutation(y.size)
-            values.add(auprc(y[perm], s[perm]))
+            values.add(compute_report(y[perm], s[perm]).auprc)
         assert len(values) == 1
 
     def test_matches_the_threshold_definition_on_tied_scores(self):
@@ -85,7 +88,7 @@ class TestAuprc:
             y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
             y[0] = 1.0
             s = rng.integers(0, int(rng.integers(1, 6)), n) / 4.0
-            assert auprc(y, s) == pytest.approx(threshold_auprc(y, s), abs=1e-12)
+            assert compute_report(y, s).auprc == pytest.approx(threshold_auprc(y, s), abs=1e-12)
 
     def test_untied_scores_give_the_running_sum_bit_for_bit(self):
         rng = np.random.default_rng(10)
@@ -94,7 +97,7 @@ class TestAuprc:
             y = (rng.random(n) < 0.5).astype(float)
             y[0] = 1.0
             s = rng.random(n)
-            assert auprc(y, s) == running_sum_auprc(y, s)
+            assert compute_report(y, s).auprc == running_sum_auprc(y, s)
 
     def test_invariant_to_input_order(self):
         rng = np.random.default_rng(12)
@@ -103,9 +106,9 @@ class TestAuprc:
             y = (rng.random(n) < 0.5).astype(float)
             y[0] = 1.0
             s = rng.random(n)
-            expected = auprc(y, s)
+            expected = compute_report(y, s).auprc
             perm = rng.permutation(n)
-            assert auprc(y[perm], s[perm]) == expected
+            assert compute_report(y[perm], s[perm]).auprc == expected
 
     def test_ties_within_one_class_do_not_depend_on_order(self):
         # Each score value belongs to one class only, so every tie order
@@ -116,11 +119,14 @@ class TestAuprc:
         rng = np.random.default_rng(2)
         for _ in range(5):
             perm = rng.permutation(y.size)
-            assert auprc(y[perm], s[perm]) == expected
+            assert compute_report(y[perm], s[perm]).auprc == expected
 
+    # With one class AUROC is absent (TestAuroc.test_one_class_is_undefined).
     def test_no_positive_is_undefined(self):
-        with pytest.raises(DataError, match="^AUPRC undefined without positive samples$"):
-            auprc([0.0, 0.0], [0.2, 0.7])
+        assert compute_report([0.0, 0.0], [0.2, 0.7]).auprc is None
+
+    def test_all_positive_is_one(self):
+        assert compute_report([1.0, 1.0], [0.2, 0.7]).auprc == 1.0
 
 
 class TestComputeReport:

@@ -17,7 +17,7 @@ from trialmatch.retrieval import (
 
 
 def _chunk(i: int, patient: str = "P1") -> Chunk:
-    return Chunk(chunk_id=f"{patient}:c{i}", text=f"chunk text {i}", ordinal=i)
+    return Chunk(chunk_id=f"{patient}:c{i}", text=f"chunk text {i}")
 
 
 def _criterion(i: int) -> Criterion:
@@ -116,7 +116,7 @@ class TestSelectTopK:
         cosines = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4])[:, None]
         assert select_top_k(cosines).tolist() == [0, 1, 2, 3]
 
-    def test_tie_broken_by_ordinal(self):
+    def test_tie_broken_by_position(self):
         assert select_top_k(np.array([[0.9], [0.9]]), 2).tolist() == [0, 1]
         assert select_top_k(np.array([[0.2], [0.9], [0.9]]), 1).tolist() == [1]
 
