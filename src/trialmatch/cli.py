@@ -219,13 +219,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     provider = _provider_from_args(args)
-    spec = PipelineSpec(
+    # Built only for its checks, so a bad k or chunking fails before any read.
+    PipelineSpec(
         provider=provider,
         k_retrieve=args.k,
         chunk_size=args.chunk_size,
         chunk_overlap=args.overlap,
     )
-    encoder = PatientEncoder(spec, load_dataset(args.patients, args.trials), args.modality)
+    encoder = PatientEncoder(provider, load_dataset(args.patients, args.trials), args.modality)
 
     resolved = {
         "provider": provider.resolved_name,
@@ -246,7 +247,7 @@ def _cmd_retrieve(args) -> int:
     ]
 
     for patient in encoder.dataset.patients:
-        found = encoder.retrieve(patient)
+        found = encoder.retrieve(patient, args.chunk_size, args.overlap)
         if found is None:
             lines.append(f"{patient.patient_id}: no retrievable text, skipped")
             patients_payload.append(

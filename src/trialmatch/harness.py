@@ -17,10 +17,11 @@ datasets (``datasets`` for task5, ``dataset`` otherwise), its variants, and
 its cells (the configured split, or task6's trial x exclusion grid). A
 task's variants are its arms, the rows of ``_ARMS``: each row overrides
 fields of a configured variant (task2 makes one row per provider), and a
-config key that no arm of the task reads is a ``ConfigError``. Per
-dataset, one feature pass runs per (provider, chunking): it scores each
-patient's chunks once and encodes one prompt per k, which each variant of
-that k reduces. Every variant is then trained and evaluated on every cell.
+config key that no arm of the task reads is a ``ConfigError``. Each
+dataset gets one feature pass for all its variants: it scores each patient's
+chunks once per (provider, chunking) and encodes one prompt per k, which
+each variant of that k reduces. Every variant is then trained and evaluated
+on every cell.
 
 A config is checked once, when it is built. ``ProviderSpec`` and
 ``PipelineSpec`` raise every ``ConfigError`` that one variant decides;
@@ -29,7 +30,7 @@ feature width, and adds the rules that span arms. ``run_task`` then raises
 data errors, plus one ``ConfigError`` that needs the split: more hidden-axis
 components than a cell's train rows allow. ``_cell_rows`` raises it, and an
 empty side after skips, as it maps each cell's patient ids to feature rows,
-once per cell and variant before the first fit. Two checks wait for
+once per cell before the first fit. Two checks wait for
 the pass: an http provider's endpoint, a deployment setting looked up when
 the provider is built, and ``pca_mean``'s components against each prompt's
 token rows, which ``pool_pca_mean`` checks.
@@ -167,8 +168,8 @@ class ProviderSpec:
     takes its selected chunk vectors as the rows (http); the provider that
     ``build`` makes carries its dim but no name. A key that its kind does
     not read (a mock's ``endpoint`` or ``model``, an http provider's
-    ``seed``) is a ``ConfigError``, so equal backends share one feature
-    pass."""
+    ``seed``) is a ``ConfigError``, so equal backends share one provider
+    in a feature pass."""
 
     kind: str = "mock"  # "mock" | "http"
     name: Optional[str] = None
@@ -417,10 +418,8 @@ class RunResult:
 
     ``feature_seconds`` is the duration of the feature pass the run used and
     ``wall_seconds`` adds the run's split, training and evaluation to it.
-    All runs on one dataset whose variants share a provider and chunking
-    share one pass (every variant of tasks 1, 3 and 4, task5's variants of
-    any k, all cells of task6); each repeats that pass's time,
-    so summing ``wall_seconds`` over them counts the pass once per run.
+    All runs on one dataset share its one pass and repeat its time, so
+    summing ``wall_seconds`` over them counts the pass once per run.
     The entry lists no stages: they follow from the variant's config, which
     the manifest records.
     """
@@ -449,12 +448,20 @@ KEY_COLUMNS = tuple(f.name for f in fields(RunResult)[:7])
 
 @dataclass
 class FeatureSet:
+    """One dataset's features for every variant, in variant order.
+
+    A patient is skipped only when ``build_chunks`` finds no text to cut in
+    its record under the modality, and no variant's setting changes that,
+    so every variant keeps the same rows: ``ids``, ``y``, ``skipped`` and
+    ``seconds`` are the dataset's, and ``X[v]`` and ``fallbacks[v]`` are
+    variant v's."""
+
     ids: list[str]
-    X: np.ndarray
+    X: list[np.ndarray]
     y: np.ndarray
     skipped: list[tuple[str, str]]
-    fallbacks: int
-    seconds: float  # duration of the feature pass that built this set
+    fallbacks: list[int]
+    seconds: float  # duration of the feature pass
 
 
 def _reduce_matrix(
@@ -499,14 +506,15 @@ class Retrieval:
 
 
 class PatientEncoder:
-    """Shared retrieval + encode stage of one (provider, chunking), for any
-    k; per-variant reduction happens on top. ``spec.k_retrieve`` is unread."""
+    """Retrieval and encoding with one provider, for any chunking and k;
+    each variant reduces the token matrices on top. A trial's criteria are
+    embedded once."""
 
-    def __init__(self, spec: PipelineSpec, dataset: Dataset, modality: str):
-        self.spec = spec
+    def __init__(self, provider: ProviderSpec, dataset: Dataset, modality: str):
+        self.spec = provider
         self.dataset = dataset
         self.modality = modality
-        self.provider = spec.provider.build()
+        self.provider = provider.build()
         self._criteria_cache: dict[str, tuple[list, list[np.ndarray]]] = {}
 
     def _criteria_for(self, trial_id: str):
@@ -518,11 +526,9 @@ class PatientEncoder:
             self._criteria_cache[trial_id] = cached
         return cached
 
-    def retrieve(self, patient) -> Optional[Retrieval]:
+    def retrieve(self, patient, chunk_size: int, overlap: int) -> Optional[Retrieval]:
         """Chunk, embed and score for one patient; None when unchunkable."""
-        chunks = build_chunks(
-            patient, self.spec.chunk_size, self.spec.chunk_overlap, self.modality
-        )
+        chunks = build_chunks(patient, chunk_size, overlap, self.modality)
         if not chunks:
             return None
         criteria, criteria_vectors = self._criteria_for(patient.trial_id)
@@ -538,7 +544,7 @@ class PatientEncoder:
         rank order, and no prompt is built.
         """
         selected = select_top_k(found.cosines, k)
-        if self.spec.provider.kind == "http":
+        if self.spec.kind == "http":
             return found.chunk_vectors[selected]
         prompt = assemble_prompt(
             DEFAULT_INSTRUCTIONS,
@@ -549,54 +555,39 @@ class PatientEncoder:
 
 
 def _retrieval_key(spec: PipelineSpec) -> tuple:
-    """The fields chunking, embedding and scoring read; specs equal on them
-    share one feature pass, whatever their k."""
+    """The fields chunking, embedding and scoring read: a feature pass
+    scores each patient once per key, whatever the k of its variants."""
     return (spec.provider, spec.chunk_size, spec.chunk_overlap)
-
-
-def _compute_features_multi(
-    specs: Sequence[PipelineSpec],
-    dataset: Dataset,
-    modality: str,
-) -> list[FeatureSet]:
-    """One feature set per spec, in spec order.
-
-    Specs are grouped by retrieval key, and each group gets one
-    retrieval/encode pass over the dataset, reduced per spec; the passes run
-    in the order their groups first appear in ``specs``.
-    """
-    groups: dict[tuple, list[PipelineSpec]] = {}
-    for spec in specs:
-        groups.setdefault(_retrieval_key(spec), []).append(spec)
-    passes = {
-        key: iter(_feature_pass(group, dataset, modality))
-        for key, group in groups.items()
-    }
-    return [next(passes[_retrieval_key(spec)]) for spec in specs]
 
 
 def _feature_pass(
     specs: Sequence[PipelineSpec],
     dataset: Dataset,
     modality: str,
-) -> list[FeatureSet]:
-    """One retrieval/encode pass over the dataset, reduced per variant.
+) -> FeatureSet:
+    """One walk over the dataset's patients that builds every variant's rows.
 
-    The specs share one retrieval key; k and the representation stage may
-    differ. Each patient is scored once, then each distinct k's prompt is
-    encoded once and reduced for its specs, taken in a stable sort by k.
-    Each variant gets one float64 matrix with a row per patient, allocated
-    before the pass; a patient's reduced row is written into it as soon as
-    the patient is encoded, and the variant's ``X`` is the filled prefix.
-    The pass's peak is one matrix per variant plus two token matrices (the
-    last k's and the next's); there is no list of rows and no stacking copy.
+    One ``PatientEncoder`` serves each distinct provider. Each patient is
+    scored once per retrieval key, its prompt is encoded once per (key, k),
+    and the variants of that (key, k) reduce the token matrix one after
+    another, so ``dimred``'s memo serves them. Each variant gets one float64
+    matrix with a row per patient, allocated before the pass; a patient's
+    reduced row is written into it as soon as the patient is encoded, and
+    the variant's ``X`` is the filled prefix. The pass's peak is one matrix
+    per variant, one patient's scored chunks per key and two token matrices
+    (the last (key, k)'s and the next's); there is no list of rows and no
+    stacking copy.
     """
     started = time.perf_counter()
-    encoder = PatientEncoder(specs[0], dataset, modality)
+    encoders: dict[ProviderSpec, PatientEncoder] = {}
+    groups: dict[tuple, list[int]] = {}  # (retrieval key, k) -> variant indices
+    for v, spec in enumerate(specs):
+        if spec.provider not in encoders:
+            encoders[spec.provider] = PatientEncoder(spec.provider, dataset, modality)
+        groups.setdefault((_retrieval_key(spec), spec.k_retrieve), []).append(v)
+    keys = list(dict.fromkeys(key for key, _ in groups))
     patients = dataset.patients
     matrices = [np.empty((len(patients), spec.feature_width)) for spec in specs]
-    by_k = sorted(enumerate(specs), key=lambda pair: pair[1].k_retrieve)
-    # A skip depends on the retrieval key only, so the variants share them.
     ids: list[str] = []
     labels: list[float] = []
     skipped: list[tuple[str, str]] = []
@@ -604,20 +595,18 @@ def _feature_pass(
     first_fallback: dict[int, str] = {}  # variant -> its first fallback's error
 
     for patient in patients:
-        found = encoder.retrieve(patient)
-        if found is None:
+        found = {key: encoders[key[0]].retrieve(patient, *key[1:]) for key in keys}
+        if any(f is None for f in found.values()):
             skipped.append((patient.patient_id, "no_chunks"))
             continue
-        k = None
-        for v, spec in by_k:
-            if spec.k_retrieve != k:
-                k = spec.k_retrieve
-                matrix = encoder.token_matrix(found, k)
-            values, fallback_error = _reduce_matrix(spec, matrix)
-            if fallback_error is not None:
-                fallbacks[v] += 1
-                first_fallback.setdefault(v, str(fallback_error))
-            matrices[v][len(ids)] = values
+        for (key, k), members in groups.items():
+            matrix = encoders[key[0]].token_matrix(found[key], k)
+            for v in members:
+                values, fallback_error = _reduce_matrix(specs[v], matrix)
+                if fallback_error is not None:
+                    fallbacks[v] += 1
+                    first_fallback.setdefault(v, str(fallback_error))
+                matrices[v][len(ids)] = values
         ids.append(patient.patient_id)
         labels.append(float(patient.label.value))
     seconds = time.perf_counter() - started
@@ -633,9 +622,7 @@ def _feature_pass(
         )
     if skipped:
         logger.warning("variants %s skipped %d patients: %s", names, len(skipped), skipped[:5])
-    y = np.asarray(labels)
-    out: list[FeatureSet] = []
-    for v, (spec, matrix) in enumerate(zip(specs, matrices)):
+    for v, spec in enumerate(specs):
         if fallbacks[v]:
             logger.warning(
                 "variant %s: compression fell back to mean pooling for %d patients; first: %s",
@@ -643,8 +630,8 @@ def _feature_pass(
                 fallbacks[v],
                 first_fallback[v],
             )
-        out.append(FeatureSet(ids, matrix[: len(ids)], y, skipped, fallbacks[v], seconds))
-    return out
+    X = [matrix[: len(ids)] for matrix in matrices]
+    return FeatureSet(ids, X, np.asarray(labels), skipped, fallbacks, seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -683,36 +670,40 @@ def _carve_validation(
 
 
 def _cell_rows(
-    spec: PipelineSpec, features: FeatureSet, train_ids: set[str], test_ids: set[str]
+    specs: Sequence[PipelineSpec],
+    features: FeatureSet,
+    train_ids: set[str],
+    test_ids: set[str],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of the feature rows on a cell's train and test sides.
-    Rejects a cell the variant cannot be trained on: an empty train or test
-    side after skips, or more hidden-axis components than its train rows
-    allow. ``PipelineSpec.check_width`` has checked them against the feature
-    width; this check needs the data."""
+    """Boolean masks of the feature rows on a cell's train and test sides,
+    which every variant shares. Rejects a cell that some variant cannot be
+    trained on: an empty train or test side after skips, or more hidden-axis
+    components than its train rows allow. ``PipelineSpec.check_width`` has
+    checked them against the feature width; this check needs the data."""
     train = np.array([pid in train_ids for pid in features.ids])
     test = np.array([pid in test_ids for pid in features.ids])
     train_rows = int(train.sum())
     if not train_rows or not test.any():
         raise DataError("split leaves an empty train or test side after skips")
-    if spec.dimred is not None and spec.dimred.axis == "hidden":
-        n = spec.dimred.n_components
-        if n > train_rows - 1:
-            raise ConfigError(
-                f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
-                f"components needs more data (max {train_rows - 1} for {train_rows} "
-                f"train rows x {features.X.shape[1]} dims)"
-            )
+    for spec, X in zip(specs, features.X):
+        if spec.dimred is not None and spec.dimred.axis == "hidden":
+            n = spec.dimred.n_components
+            if n > train_rows - 1:
+                raise ConfigError(
+                    f"variant {spec.variant_name!r}: hidden-axis compression to {n} "
+                    f"components needs more data (max {train_rows - 1} for {train_rows} "
+                    f"train rows x {X.shape[1]} dims)"
+                )
     return train, test
 
 
 def _train_eval(
-    spec: PipelineSpec, features: FeatureSet, train: np.ndarray, test: np.ndarray
+    spec: PipelineSpec, X: np.ndarray, y: np.ndarray, train: np.ndarray, test: np.ndarray
 ) -> MetricReport:
-    """Train on a cell's train rows and evaluate on its test rows, as
-    ``_cell_rows`` masked them."""
-    Xtr, ytr = features.X[train], features.y[train]
-    Xte, yte = features.X[test], features.y[test]
+    """Train one variant on its feature rows ``X`` of a cell's train side
+    and evaluate on its test side, as ``_cell_rows`` masked them."""
+    Xtr, ytr = X[train], y[train]
+    Xte, yte = X[test], y[test]
 
     if spec.dimred is not None and spec.dimred.axis == "hidden":
         pca = pca_fit(Xtr, spec.dimred.n_components)
@@ -872,14 +863,14 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
     """Execute one task's sweep; returns one ``RunResult`` per run, in
     dataset, cell, variant order.
 
-    Every cell is split before the feature pass, so a split that leaves a
-    side empty fails before any retrieval. Each cell's rows are then looked
-    up for every variant, which checks them, before the first model is
-    trained.
+    Every cell is split before the dataset's one feature pass, so a split
+    that leaves a side empty fails before any retrieval. Each cell's rows
+    are then looked up once, and checked for every variant, before the
+    first model is trained.
     """
     sources = config.datasets if config.task == "task5" else (config.dataset,)
     variants = _variants(config)
-    log_path = str(Path(config.output_dir) / "run.log") if config.output_dir else None
+    log_path = str(Path(config.output_dir) / "run.log")
     results: list[RunResult] = []
 
     for source in sources:
@@ -890,16 +881,18 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
             started = time.perf_counter()
             train_ids, test_ids = make_split(dataset, split)
             splits.append((train_ids, test_ids, time.perf_counter() - started))
-        feature_sets = _compute_features_multi(variants, dataset, config.modality)
+        features = _feature_pass(variants, dataset, config.modality)
         rows = [
-            [_cell_rows(*pair, train_ids, test_ids) for pair in zip(variants, feature_sets)]
+            _cell_rows(variants, features, train_ids, test_ids)
             for train_ids, test_ids, _ in splits
         ]
 
-        for (split, trial, exclusion), (_, _, split_seconds), cell_rows in zip(cells, splits, rows):
-            for spec, features, (train, test) in zip(variants, feature_sets, cell_rows):
+        for (split, trial, exclusion), (_, _, split_seconds), (train, test) in zip(
+            cells, splits, rows
+        ):
+            for spec, X, fallbacks in zip(variants, features.X, features.fallbacks):
                 started = time.perf_counter()
-                report = _train_eval(spec, features, train, test)
+                report = _train_eval(spec, X, features.y, train, test)
                 cell_seconds = split_seconds + time.perf_counter() - started
                 run = RunResult(
                     task=config.task,
@@ -910,7 +903,7 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
                     seed=spec.seed,
                     config_hash=_spec_hash(spec, source.name, config.modality, split),
                     skipped=len(features.skipped),
-                    fallbacks=features.fallbacks,
+                    fallbacks=fallbacks,
                     wall_seconds=features.seconds + cell_seconds,
                     feature_seconds=features.seconds,
                     report=report,

@@ -65,6 +65,53 @@ def k_sweep_config() -> dict:
     }
 
 
+def multi_key_config() -> dict:
+    """A task5 sweep over two tiny synthetic corpora whose variants differ in
+    provider, chunking, k, pooling, compression and classifier: four
+    retrieval keys, listed out of key and k order."""
+    train = {"max_epochs": 5}
+    other = {"kind": "mock", "dim": 64, "seed": 7}
+    short = {"chunk_size": 64, "chunk_overlap": 16}
+    variants = [
+        {"name": "base", "train": train},
+        {"name": "short-k2", **short, "k_retrieve": 2, "train": train},
+        {
+            "name": "other-hybrid",
+            "provider": other,
+            "k_retrieve": 2,
+            "pooling": "hybrid_last",
+            "dimred": {"axis": "sequence"},
+            "train": train,
+        },
+        {"name": "base-k2-tree", "k_retrieve": 2, "classifier": "tree"},
+        {"name": "short-last", **short, "pooling": "last_token", "classifier": "forest"},
+        {
+            "name": "other-pca",
+            "provider": other,
+            "pooling": "pca_mean",
+            "pooling_components": 4,
+            "dimred": {"axis": "hidden", "n_components": 3},
+            "train": train,
+        },
+        {
+            "name": "other-c96",
+            "provider": other,
+            "chunk_size": 96,
+            "chunk_overlap": 0,
+            "classifier": "svm",
+        },
+        {"name": "base-dimred", "dimred": {"axis": "sequence"}, "train": train},
+    ]
+    return {
+        "task": "task5",
+        "datasets": [
+            {"name": "tiny-a", "synthetic": K_SWEEP_CORPUS, "seed": 5},
+            {"name": "tiny-b", "synthetic": K_SWEEP_CORPUS, "seed": 6},
+        ],
+        "variants": variants,
+    }
+
+
 @pytest.fixture
 def tiny_dataset() -> Dataset:
     return Dataset(

@@ -30,13 +30,13 @@ def write_config(tmp_path, obj) -> str:
 def feature_passes(monkeypatch) -> list:
     """The arguments of each feature pass that ``harness`` runs."""
     passes = []
-    feature_pass = harness._compute_features_multi
+    feature_pass = harness._feature_pass
 
     def counting(*args):
         passes.append(args)
         return feature_pass(*args)
 
-    monkeypatch.setattr(harness, "_compute_features_multi", counting)
+    monkeypatch.setattr(harness, "_feature_pass", counting)
     return passes
 
 
@@ -198,7 +198,7 @@ class TestExitCodes:
     def test_an_empty_split_exits_2_before_the_feature_pass(self, tmp_path, capsys, monkeypatch):
         # Excluding 1% of a 20-patient trial rounds to no test patient.
         passes = []
-        monkeypatch.setattr(harness, "_compute_features_multi", lambda *args: passes.append(args))
+        monkeypatch.setattr(harness, "_feature_pass", lambda *args: passes.append(args))
         obj = {
             "task": "task6",
             "dataset": TINY_DATASET,
@@ -283,6 +283,22 @@ def rewrite_first_record(path, edit) -> None:
     edit(obj)
     lines[0] = json.dumps(obj) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
+
+
+def test_an_empty_output_dir_records_the_log_it_writes(tmp_path, capsys, monkeypatch):
+    # An empty output_dir is the working directory, where run.log goes too.
+    monkeypatch.chdir(tmp_path)
+    obj = {
+        "task": "task1",
+        "dataset": TINY_DATASET,
+        "variants": [{"train": {"max_epochs": 5}}],
+        "output_dir": "",
+    }
+    code, _ = run_cli(["run", "--config", write_config(tmp_path, obj)], capsys)
+    assert code == cli.EXIT_OK
+    assert b"macro_f1=" in (tmp_path / "run.log").read_bytes()
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert {run["log_path"] for run in manifest["runs"]} == {"run.log"}
 
 
 class TestMalformedInput:

@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,30 @@ class TestLoadDataset:
         rows = [one, *filler, dict(one)]  # duplicate on lines 1 and 3
         patients = write_jsonl(tmp_path / "p.jsonl", rows)
         with pytest.raises(DataError, match=r"lines 1 and 3"):
+            load_dataset(patients, trials)
+
+    def test_duplicate_trial_cites_both_lines(self, tmp_path):
+        trial = {
+            "trial_id": "NCT001",
+            "criteria": [{"criterion_id": "c1", "kind": "inclusion", "text": "fever"}],
+        }
+        trials = write_jsonl(
+            tmp_path / "t.jsonl", [trial, dict(trial, trial_id="NCT002"), dict(trial)]
+        )
+        patients = write_jsonl(
+            tmp_path / "p.jsonl",
+            [
+                {
+                    "patient_id": "P1",
+                    "trial_id": "NCT001",
+                    "label": {"value": 1, "raw_class": None},
+                    "notes": [{"note_id": "n", "text": "x", "date": None}],
+                    "structured": [],
+                }
+            ],
+        )
+        message = f"duplicate trial_id 'NCT001' on lines 1 and 3 of {trials}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_dataset(patients, trials)
 
     def test_empty_file(self, tmp_path):

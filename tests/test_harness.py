@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import k_sweep_config, tiny_patient, tiny_trial
+from conftest import k_sweep_config, multi_key_config, tiny_patient, tiny_trial
 from trialmatch import cli, harness, representation
 from trialmatch.classifiers import TrainConfig
 from trialmatch.corpus import (
@@ -27,7 +27,7 @@ from trialmatch.harness import (
     FeatureSet,
     PatientEncoder,
     PipelineSpec,
-    _compute_features_multi,
+    _feature_pass,
     config_hash,
     run_task,
     write_outputs,
@@ -241,8 +241,9 @@ class TestHttpFeatures:
         spec = PipelineSpec(provider=provider, k_retrieve=k)
         patient = tiny_dataset.patients[0]
         n_chunks = len(build_chunks(patient, spec.chunk_size, spec.chunk_overlap, "mixed"))
-        encoder = PatientEncoder(spec, tiny_dataset, "mixed")
-        matrix = encoder.token_matrix(encoder.retrieve(patient), k)
+        encoder = PatientEncoder(provider, tiny_dataset, "mixed")
+        found = encoder.retrieve(patient, spec.chunk_size, spec.chunk_overlap)
+        matrix = encoder.token_matrix(found, k)
         # The server embeds text i of a request as [i, i + 1, ..., i + dim - 1];
         # one request carries the trial's criteria, the next the chunks.
         chunk_vecs = np.arange(4.0) + np.arange(n_chunks)[:, None]
@@ -276,13 +277,23 @@ def flat_tokens(monkeypatch) -> None:
     )
 
 
+def counted_builds(monkeypatch) -> list:
+    """The ``ProviderSpec``s that ``build`` is called on, in call order."""
+    built = []
+    build = harness.ProviderSpec.build
+    monkeypatch.setattr(
+        harness.ProviderSpec, "build", lambda spec: built.append(spec) or build(spec)
+    )
+    return built
+
+
 class TestFallbackWarning:
     def test_one_warning_per_variant_with_counts(self, tiny_dataset, caplog, monkeypatch):
         flat_tokens(monkeypatch)
         specs = [PipelineSpec(dimred=DimRedConfig(), name=name) for name in ("first", "second")]
         with caplog.at_level(logging.WARNING, logger="trialmatch.harness"):
-            feature_sets = _compute_features_multi(specs, tiny_dataset, "mixed")
-        assert [f.fallbacks for f in feature_sets] == [2, 2]
+            features = _feature_pass(specs, tiny_dataset, "mixed")
+        assert features.fallbacks == [2, 2]
         warnings = [r.getMessage() for r in caplog.records if "fell back" in r.getMessage()]
         assert len(warnings) == 2
         assert warnings[0] == (
@@ -304,9 +315,9 @@ class TestHiddenAxis:
             pooling=pooling,
             pooling_components=components,
         )
-        features = _compute_features_multi([spec], tiny_dataset, "mixed")[0]
-        assert features.X.shape == (2, width)
-        assert features.skipped == [] and features.fallbacks == 0
+        features = _feature_pass([spec], tiny_dataset, "mixed")
+        assert features.X[0].shape == (2, width)
+        assert features.skipped == [] and features.fallbacks == [0]
 
 
 class TestPoolingCompression:
@@ -397,18 +408,14 @@ def feature_pass_dataset() -> Dataset:
     )
 
 
-def feature_set_digest(features: FeatureSet) -> str:
-    h = hashlib.sha256(features.X.tobytes())
+def feature_set_digest(features: FeatureSet, v: int) -> str:
+    """Digest of variant v's features."""
+    X = features.X[v]
+    h = hashlib.sha256(X.tobytes())
     h.update(features.y.tobytes())
     h.update(
         json.dumps(
-            [
-                features.ids,
-                features.X.shape,
-                features.X.dtype.str,
-                features.skipped,
-                features.fallbacks,
-            ]
+            [features.ids, X.shape, X.dtype.str, features.skipped, features.fallbacks[v]]
         ).encode()
     )
     return h.hexdigest()[:16]
@@ -429,26 +436,27 @@ class TestFeaturePass:
     def test_feature_sets_match_recorded_digests(self, task):
         specs = task_arms(task)
         dataset = feature_pass_dataset()
-        feature_sets = _compute_features_multi(specs, dataset, "unstructured")
-        assert [feature_set_digest(f) for f in feature_sets] == self.DIGESTS[task]
+        features = _feature_pass(specs, dataset, "unstructured")
+        assert [feature_set_digest(features, v) for v in range(len(specs))] == self.DIGESTS[task]
 
     def test_skips_are_exercised(self):
         specs = task_arms("task3")
         dataset = feature_pass_dataset()
-        encoder = PatientEncoder(PipelineSpec(), dataset, "unstructured")
-        short = encoder.token_matrix(encoder.retrieve(dataset.patients[-1]), DEFAULT_K_RETRIEVE)
-        assert short.shape[0] < 64
-        feature_sets = _compute_features_multi(specs, dataset, "unstructured")
-        for spec, features in zip(specs, feature_sets):
-            assert features.skipped == [("NO-NOTES", "no_chunks")]
-            assert features.fallbacks == 0
-            assert features.ids[-1] == "SHORT"
-            assert features.X.shape == (41, 256 if spec.name == "hybrid" else 128)
+        base = PipelineSpec()
+        encoder = PatientEncoder(base.provider, dataset, "unstructured")
+        found = encoder.retrieve(dataset.patients[-1], base.chunk_size, base.chunk_overlap)
+        assert encoder.token_matrix(found, DEFAULT_K_RETRIEVE).shape[0] < 64
+        features = _feature_pass(specs, dataset, "unstructured")
+        assert features.skipped == [("NO-NOTES", "no_chunks")]
+        assert features.fallbacks == [0] * len(specs)
+        assert features.ids[-1] == "SHORT"
+        for spec, X in zip(specs, features.X):
+            assert X.shape == (41, 256 if spec.name == "hybrid" else 128)
 
     def test_one_skip_warning_per_pass(self, caplog):
         specs = task_arms("task1")
         with caplog.at_level(logging.WARNING, logger="trialmatch.harness"):
-            _compute_features_multi(specs, feature_pass_dataset(), "unstructured")
+            _feature_pass(specs, feature_pass_dataset(), "unstructured")
         warnings = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
         names = ", ".join(spec.variant_name for spec in specs)
         assert warnings == [f"variants {names} skipped 1 patients: [('NO-NOTES', 'no_chunks')]"]
@@ -486,7 +494,7 @@ class TestFeaturePass:
             trials=[tiny_trial()],
         )
         with pytest.raises(DataError, match=r"^variants k4, k2: every patient was skipped$"):
-            _compute_features_multi(self.SKIP_SPECS, dataset, "unstructured")
+            _feature_pass(self.SKIP_SPECS, dataset, "unstructured")
 
     def test_too_many_skips_names_every_variant_of_the_pass(self):
         synthetic = generate_synthetic(SyntheticConfig(**TINY_CORPUS), 5)
@@ -496,10 +504,10 @@ class TestFeaturePass:
             trials=synthetic.trials,
         )
         with pytest.raises(DataError) as excinfo:
-            _compute_features_multi(self.SKIP_SPECS, dataset, "unstructured")
+            _feature_pass(self.SKIP_SPECS, dataset, "unstructured")
         assert str(excinfo.value) == "variants k4, k2: 3 of 43 patients skipped (7.0% > 5%)"
 
-    def test_mixed_retrieval_settings_match_single_spec_passes(self):
+    def test_mixed_retrieval_settings_match_single_spec_passes(self, monkeypatch):
         specs = [
             PipelineSpec(),
             PipelineSpec(k_retrieve=2),
@@ -508,15 +516,38 @@ class TestFeaturePass:
             PipelineSpec(k_retrieve=2, pooling="last_token"),
         ]
         dataset = feature_pass_dataset()
-        feature_sets = _compute_features_multi(specs, dataset, "unstructured")
-        assert [feature_set_digest(f) for f in feature_sets] == [
-            feature_set_digest(_compute_features_multi([spec], dataset, "unstructured")[0])
+        singles = [
+            feature_set_digest(_feature_pass([spec], dataset, "unstructured"), 0)
             for spec in specs
         ]
-        # Two chunkings, two passes; specs of any k share one.
-        seconds = [f.seconds for f in feature_sets]
-        assert seconds[0] == seconds[1] == seconds[2] == seconds[4]
-        assert len(set(seconds)) == 2
+        built = counted_builds(monkeypatch)
+        features = _feature_pass(specs, dataset, "unstructured")
+        assert [feature_set_digest(features, v) for v in range(len(specs))] == singles
+        # Two chunkings of one provider: one pass builds it once.
+        assert built == [harness.ProviderSpec()]
+
+
+    def test_a_dataset_builds_each_provider_once(self, monkeypatch):
+        # Two chunkings of one provider share its provider and one pass.
+        built = counted_builds(monkeypatch)
+        train = {"max_epochs": 5}
+        config = ExperimentConfig.from_dict(
+            {
+                "task": "task5",
+                "datasets": [{"name": "tiny", "synthetic": TINY_CORPUS, "seed": 5}],
+                "variants": [
+                    {"name": "long", "train": train},
+                    {"name": "short", "chunk_size": 64, "chunk_overlap": 16, "train": train},
+                ],
+            }
+        )
+        results = run_task(config)
+        assert built == [harness.ProviderSpec()]
+        assert len(results) == 2 and len({r.feature_seconds for r in results}) == 1
+
+    def test_task2_backbones_share_one_pass(self, tmp_path):
+        results = run_task(ExperimentConfig.from_dict(tiny_config("task2", tmp_path)))
+        assert len(results) == 3 and len({r.feature_seconds for r in results}) == 1
 
 
 class TestTask1Outputs:
@@ -1245,6 +1276,7 @@ class TestTask3:
 # task3's was re-recorded when its sequence-axis arms stopped spelling out one
 # component; only the config_hash of the sequence-1 and hybrid rows moved.
 # task5-ksweep is ``k_sweep_config()``: variants that differ in k only.
+# task5-multikey is ``multi_key_config()``: two datasets, four retrieval keys.
 RESULTS_DIGESTS = {
     "task1": "2f592d3df6af16ffdab2d8ee04b5d19ba0829d51861343af9a836c800bb6f332",
     "task2": "67500147bc7eb6cb11191fd774c3d735f03438262d34acbb3b4d91a2c8d07eed",
@@ -1253,6 +1285,7 @@ RESULTS_DIGESTS = {
     "task5": "c2d2caea23d606da4b2833ececc60d581eedc44ae9220c8a4f508d682429743e",
     "task6": "6f2a587e25d4a28d9838c48bf92e2f010ba619f09bb391b218f8a1f1a7d95791",
     "task5-ksweep": "00d9ad3235d37ee4f0e92a7bbfc956792ce42c83f53676e395bfb280143ebcec",
+    "task5-multikey": "0ec50f5cd04def3e18cd6e7b23b94ea452bdb1acd1a1feb956d8a5ef1f6703f8",
 }
 
 
@@ -1262,6 +1295,8 @@ def test_results_csv_matches_recorded_digest(tmp_path, capsys, task):
         obj = TestTask3().config(TestTask3.CORPUS)
     elif task == "task5-ksweep":
         obj = k_sweep_config()
+    elif task == "task5-multikey":
+        obj = multi_key_config()
     else:
         obj = tiny_config(task, tmp_path)
     code, csv_bytes = run_cli(obj, tmp_path / "out", capsys)

@@ -85,7 +85,7 @@ def test_k_sweep_scores_once_and_encodes_once_per_k(tmp_path, capsys):
     per_k = {"embedding.prompt_tokens": 0.0, "representation.dimred_calls": 0.0}
     for k in sorted({spec.k_retrieve for spec in specs}):
         with tracing.Tracer() as single:
-            harness._compute_features_multi(
+            harness._feature_pass(
                 [spec for spec in specs if spec.k_retrieve == k], dataset, "mixed"
             )
         for name in per_k:
