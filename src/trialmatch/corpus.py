@@ -1,7 +1,11 @@
 """Patient/trial data model, dataset IO, chunking, synthetic corpora, and splits.
 
 Datasets are exchanged as two JSONL files (``patients.jsonl`` and
-``trials.jsonl``, UTF-8, LF line endings, one object per line). All corpus
+``trials.jsonl``, UTF-8, LF line endings, one object per line) whose format
+is the record types: a ``Trial`` or ``PatientRecord`` line holds its fields
+as keys, a record field as an object and a tuple of records as a list of
+objects. A field with a default may be left out, a key that names no field
+is ignored, and text fields take JSON strings or numbers. All corpus
 objects are immutable after load or generation; concurrent reads are safe.
 
 A synthetic corpus is a function of its ``SyntheticConfig`` and of the
@@ -13,11 +17,12 @@ is on, so that every existing corpus keeps its bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,8 +41,8 @@ class EligibilityLabel:
     raw_class: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise DataError(f"label value must be 0 or 1, got {self.value!r}")
+        if type(self.value) is not int or self.value not in (0, 1):
+            raise DataError(f"label value must be the integer 0 or 1, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +79,14 @@ class StructuredRow:
 class PatientRecord:
     patient_id: str
     trial_id: str
-    notes: tuple[ClinicalNote, ...]
-    structured_rows: tuple[StructuredRow, ...]
     label: EligibilityLabel
+    notes: tuple[ClinicalNote, ...] = ()
+    structured: tuple[StructuredRow, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.patient_id:
             raise DataError("patient_id must be non-empty")
-        if not self.notes and not self.structured_rows:
+        if not self.notes and not self.structured:
             raise DataError(
                 f"patient {self.patient_id!r} has neither notes nor structured rows"
             )
@@ -188,182 +193,146 @@ class Dataset:
 # JSONL IO
 # ---------------------------------------------------------------------------
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, object) pairs as the file is read, with
-    line-accurate errors; lines split as ``load_dataset`` describes."""
+_JSON_TYPES = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
+
+
+@functools.cache
+def _layout(cls) -> tuple[tuple[str, str, Optional[type], bool], ...]:
+    """``cls``'s fields, its JSONL keys, as (name, kind, record type,
+    required) in field order. The kinds are text (``str``), optional text
+    (``Optional[str]``), an ``int`` that the record checks, a record (an
+    object) and a tuple of records (a list of objects); a field of any other
+    type is a ``TypeError``."""
+    hints = get_type_hints(cls)
+    layout = []
+    for f in fields(cls):
+        tp, sub = hints[f.name], None
+        args = get_args(tp)
+        if tp is str:
+            kind = "text"
+        elif tp == Optional[str]:
+            kind = "optional text"
+        elif tp is int:
+            kind = "int"
+        elif is_dataclass(tp):
+            kind, sub = "record", tp
+        elif get_origin(tp) is tuple and args[1:] == (...,) and is_dataclass(args[0]):
+            kind, sub = "records", args[0]
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name}: no JSONL kind for type {tp!r}")
+        layout.append((f.name, kind, sub, f.default is MISSING))
+    return tuple(layout)
+
+
+def _record(cls, obj: dict):
+    """A ``cls`` built from the JSON object ``obj`` by ``_layout``."""
+    kwargs = {}
+    for name, kind, sub, required in _layout(cls):
+        value = obj.get(name, MISSING)
+        if value is MISSING:
+            if required:
+                raise DataError(f"missing required field {name!r}")
+            continue
+        if sub is None:
+            if type(value) is not str and kind != "int":
+                if type(value) in (int, float):
+                    value = str(value)
+                elif value is not None or kind == "text":
+                    tail = " or a number" if kind == "text" else ", a number or null"
+                    got = _JSON_TYPES[type(value)]
+                    raise DataError(f"{name!r} must be a string{tail}, got {got}")
+        elif kind == "records":
+            if type(value) is not list or not all(type(v) is dict for v in value):
+                raise DataError(f"{name!r} must be a list of JSON objects")
+            value = tuple([_record(sub, v) for v in value])
+        elif type(value) is dict:
+            value = _record(sub, value)
+        else:
+            raise DataError(f"{name!r} must be a JSON object")
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def _read_jsonl(path: Path, cls, id_key: str) -> Iterator[tuple[int, object]]:
+    """Yield (line_number, record) pairs as the file is read, every error
+    led by ``path:line`` and a repeated ``id_key`` citing both lines; lines
+    split as ``load_dataset`` describes."""
     try:
         # Undecodable bytes become lone surrogates, which no valid UTF-8
         # line holds, so the line that has them can be named.
         handle = path.open(encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    found = False
+    seen: dict[str, int] = {}
     with handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 line.encode("utf-8")
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise DataError("expected a JSON object")
+                record = _record(cls, obj)
             except UnicodeEncodeError:
                 raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
-            try:
-                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            found = True
-            yield lineno, obj
-    if not found:
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            record_id = getattr(record, id_key)
+            if record_id in seen:
+                raise DataError(
+                    f"duplicate {id_key} {record_id!r} on lines {seen[record_id]} "
+                    f"and {lineno} of {path}"
+                )
+            seen[record_id] = lineno
+            yield lineno, record
+    if not seen:
         raise DataError(f"{path}: file contains no records")
-
-
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise DataError(f"{where}: missing required field {key!r}")
-    return obj[key]
-
-
-def _objects(value, key: str, where: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise DataError(f"{where}: {key!r} must be a list of JSON objects")
-    return value
-
-
-def _parse_trial(obj: dict, where: str) -> Trial:
-    criteria = []
-    for c in _objects(_require(obj, "criteria", where), "criteria", where):
-        criteria.append(
-            Criterion(
-                criterion_id=str(_require(c, "criterion_id", where)),
-                kind=str(_require(c, "kind", where)),
-                text=str(_require(c, "text", where)),
-            )
-        )
-    return Trial(trial_id=str(_require(obj, "trial_id", where)), criteria=tuple(criteria))
-
-
-def _parse_patient(obj: dict, where: str) -> PatientRecord:
-    label_obj = _require(obj, "label", where)
-    if not isinstance(label_obj, dict):
-        raise DataError(f"{where}: 'label' must be a JSON object")
-    value = _require(label_obj, "value", where)
-    if type(value) is not int or value not in (0, 1):
-        raise DataError(f"{where}: label value must be the integer 0 or 1, got {value!r}")
-    label = EligibilityLabel(value=value, raw_class=label_obj.get("raw_class"))
-    notes = tuple(
-        ClinicalNote(
-            note_id=str(_require(n, "note_id", where)),
-            text=str(_require(n, "text", where)),
-            date=n.get("date"),
-        )
-        for n in _objects(obj.get("notes", []), "notes", where)
-    )
-    rows = tuple(
-        StructuredRow(
-            category=str(_require(r, "category", where)),
-            field_name=str(_require(r, "field_name", where)),
-            value=str(_require(r, "value", where)),
-            timestamp=r.get("timestamp"),
-        )
-        for r in _objects(obj.get("structured", []), "structured", where)
-    )
-    return PatientRecord(
-        patient_id=str(_require(obj, "patient_id", where)),
-        trial_id=str(_require(obj, "trial_id", where)),
-        notes=notes,
-        structured_rows=rows,
-        label=label,
-    )
 
 
 def load_dataset(patients_path: str | Path, trials_path: str | Path) -> Dataset:
     r"""Load a normalized dataset, checking referential integrity.
 
-    Both files are UTF-8 JSONL, one object per line, read and parsed line by
-    line. Lines may end in ``\n``, ``\r\n`` or ``\r``; no other character
-    ends a line, so U+0085, U+2028 and U+2029 inside a string are read as
-    written. Blank lines are ignored.
+    Both files are UTF-8 JSONL, one record per line: a ``Trial`` per trials
+    line and a ``PatientRecord`` per patients line. The keys are the record
+    fields: a field without a default is required, a record is an object, a
+    tuple of records a list of objects, and a key that names no field is
+    ignored. A text field takes a string or a number, read as its text;
+    ``date``, ``timestamp`` and ``raw_class`` also take null. Lines may end
+    in ``\n``, ``\r\n`` or ``\r``; no other character ends a line, so
+    U+0085, U+2028 and U+2029 inside a string are read as written. Blank
+    lines are ignored.
 
-    Raises DataError, with the line number, on bytes that are not UTF-8,
-    invalid JSON, a missing field, a label value other than the JSON integer
-    0 or 1, or ``criteria``, ``notes`` or ``structured`` that are not lists
-    of objects; also on duplicate patient ids (citing both lines), dangling
-    trial references, or empty files.
+    Every error is a DataError naming its file and line: bytes that are not
+    UTF-8, invalid JSON, a line that breaks the rules above or its record's
+    own checks, a duplicate id (citing both lines) or a dangling trial
+    reference; an empty file is named without a line.
     """
-    patients_path = Path(patients_path)
-    trials_path = Path(trials_path)
-
-    trials = []
-    seen_trials: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(trials_path):
-        trial = _parse_trial(obj, f"{trials_path}:{lineno}")
-        if trial.trial_id in seen_trials:
-            raise DataError(
-                f"duplicate trial_id {trial.trial_id!r} on lines "
-                f"{seen_trials[trial.trial_id]} and {lineno} of {trials_path}"
-            )
-        seen_trials[trial.trial_id] = lineno
-        trials.append(trial)
-
+    patients_path, trials_path = Path(patients_path), Path(trials_path)
+    trials = [trial for _, trial in _read_jsonl(trials_path, Trial, "trial_id")]
+    trial_ids = {trial.trial_id for trial in trials}
     patients = []
-    seen_patients: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(patients_path):
-        patient = _parse_patient(obj, f"{patients_path}:{lineno}")
-        if patient.patient_id in seen_patients:
-            raise DataError(
-                f"duplicate patient_id {patient.patient_id!r} on lines "
-                f"{seen_patients[patient.patient_id]} and {lineno} of {patients_path}"
-            )
-        seen_patients[patient.patient_id] = lineno
-        if patient.trial_id not in seen_trials:
+    for lineno, patient in _read_jsonl(patients_path, PatientRecord, "patient_id"):
+        if patient.trial_id not in trial_ids:
             raise DataError(
                 f"{patients_path}:{lineno}: patient {patient.patient_id!r} references "
                 f"unknown trial {patient.trial_id!r}"
             )
         patients.append(patient)
-
     return Dataset(patients=patients, trials=trials)
 
 
-def _patient_to_obj(patient: PatientRecord) -> dict:
-    return {
-        "patient_id": patient.patient_id,
-        "trial_id": patient.trial_id,
-        "label": {"value": patient.label.value, "raw_class": patient.label.raw_class},
-        "notes": [
-            {"note_id": n.note_id, "text": n.text, "date": n.date} for n in patient.notes
-        ],
-        "structured": [
-            {
-                "category": r.category,
-                "field_name": r.field_name,
-                "value": r.value,
-                "timestamp": r.timestamp,
-            }
-            for r in patient.structured_rows
-        ],
-    }
-
-
-def _trial_to_obj(trial: Trial) -> dict:
-    return {
-        "trial_id": trial.trial_id,
-        "criteria": [
-            {"criterion_id": c.criterion_id, "kind": c.kind, "text": c.text}
-            for c in trial.criteria
-        ],
-    }
+# A record is written as ``vars``, its fields in field order, so the
+# written keys are the ones ``_record`` reads; tuples become arrays.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, default=vars)
 
 
 def dataset_to_jsonl(dataset: Dataset) -> tuple[str, str]:
     """Serialize to (patients_jsonl, trials_jsonl) strings with LF endings."""
-    patients = "".join(
-        json.dumps(_patient_to_obj(p), ensure_ascii=False) + "\n" for p in dataset.patients
-    )
-    trials = "".join(
-        json.dumps(_trial_to_obj(t), ensure_ascii=False) + "\n" for t in dataset.trials
-    )
+    patients = "".join(_ENCODER.encode(p) + "\n" for p in dataset.patients)
+    trials = "".join(_ENCODER.encode(t) + "\n" for t in dataset.trials)
     return patients, trials
 
 
@@ -451,7 +420,7 @@ def build_chunks(
         for i, note in enumerate(patient.notes):
             _add(f"note{i}", note.text)
     if modality in ("structured", "mixed"):
-        for i, row in enumerate(patient.structured_rows):
+        for i, row in enumerate(patient.structured):
             _add(f"row{i}", row.to_text())
     return chunks
 
@@ -609,9 +578,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
                 PatientRecord(
                     patient_id=patient_id,
                     trial_id=trial_id,
-                    notes=tuple(notes),
-                    structured_rows=tuple(rows),
                     label=EligibilityLabel(label_value, raw),
+                    notes=tuple(notes),
+                    structured=tuple(rows),
                 )
             )
 

@@ -836,7 +836,8 @@ def _check_unread_keys(config: ExperimentConfig) -> None:
 
 def _check_arms(config: ExperimentConfig) -> None:
     """Reject what the task's arms cannot run: a variant key that every arm
-    replaces, an arm whose ``PipelineSpec.check_width`` fails, or a variant
+    replaces (for task2 without ``providers``, every provider key but
+    ``dim``), an arm whose ``PipelineSpec.check_width`` fails, or a variant
     name that two arms share, whose rows the ``variant`` column could not
     tell apart. Building an arm runs ``PipelineSpec``'s own checks."""
     for base in config.variants:
@@ -848,6 +849,13 @@ def _check_arms(config: ExperimentConfig) -> None:
         for key in sorted(replaced):
             if getattr(base, key) != getattr(PipelineSpec, key):
                 raise ConfigError(f"{key!r} is read by no {config.task} run; every arm sets it")
+        if config.task == "task2" and not config.providers:
+            for key in ("kind", "name", "seed", "endpoint", "model"):
+                if getattr(base.provider, key) != getattr(ProviderSpec, key):
+                    raise ConfigError(
+                        f"provider {key!r} is read by no task2 run without 'providers'; "
+                        "every arm sets it"
+                    )
     arms = _variants(config)
     for spec in arms:
         spec.check_width()

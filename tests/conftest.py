@@ -37,12 +37,12 @@ def tiny_patient(
     return PatientRecord(
         patient_id=patient_id,
         trial_id=trial_id,
+        label=EligibilityLabel(label, "eligible" if label else "ineligible"),
         notes=(ClinicalNote(f"{patient_id}-n0", text, "2023-04-01"),),
-        structured_rows=(
+        structured=(
             StructuredRow("demographic", "age", "61", None),
             StructuredRow("diagnosis", "condition", "fever disorder", "2023-03-30"),
         ),
-        label=EligibilityLabel(label, "eligible" if label else "ineligible"),
     )
 
 

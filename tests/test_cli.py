@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -355,6 +356,84 @@ class TestMalformedInput:
         assert code == cli.EXIT_DATA
         assert err == f"data error: {path}:1: {key!r} must be a list of JSON objects\n"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda obj: obj.update(patient_id=None),
+                "'patient_id' must be a string or a number, got null",
+            ),
+            (
+                lambda obj: obj["notes"][0].update(text=None),
+                "'text' must be a string or a number, got null",
+            ),
+            (
+                lambda obj: obj["notes"][0].update(note_id=["x"], text={"a": 1}),
+                "'note_id' must be a string or a number, got an array",
+            ),
+            (
+                lambda obj: obj["notes"][0].update(text={"a": 1}),
+                "'text' must be a string or a number, got an object",
+            ),
+            (
+                lambda obj: obj["structured"][0].update(value=True),
+                "'value' must be a string or a number, got a boolean",
+            ),
+            (
+                lambda obj: obj["notes"][0].update(date=["2023"]),
+                "'date' must be a string, a number or null, got an array",
+            ),
+            (
+                lambda obj: obj["structured"][1].update(timestamp={}),
+                "'timestamp' must be a string, a number or null, got an object",
+            ),
+            (
+                lambda obj: obj["label"].update(raw_class=False),
+                "'raw_class' must be a string, a number or null, got a boolean",
+            ),
+            (
+                lambda obj: obj["notes"][0].pop("note_id"),
+                "missing required field 'note_id'",
+            ),
+            (
+                lambda obj: obj["notes"][0].update(note_id=""),
+                "note_id must be non-empty",
+            ),
+            (
+                lambda obj: obj.update(notes=[], structured=[]),
+                "patient 'P1' has neither notes nor structured rows",
+            ),
+        ],
+        ids=[
+            "null-id",
+            "null-text",
+            "array-id",
+            "object-text",
+            "boolean-value",
+            "array-date",
+            "object-timestamp",
+            "boolean-raw-class",
+            "missing-note-id",
+            "empty-note-id",
+            "no-notes-or-rows",
+        ],
+    )
+    def test_patient_that_breaks_its_record_exits_2(self, capsys, dataset_files, edit, message):
+        patients, trials = dataset_files
+        rewrite_first_record(patients, edit)
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {patients}:1: {message}\n"
+
+    def test_criterion_of_unknown_kind_exits_2(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        rewrite_first_record(trials, lambda obj: obj["criteria"][1].update(kind="maybe"))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == (
+            f"data error: {trials}:1: criterion kind must be inclusion/exclusion, got 'maybe'\n"
+        )
+
     def test_eval_non_finite_score_exits_2(self, tmp_path, capsys):
         (tmp_path / "labels").write_text("1\n0\n1\n", encoding="utf-8")
         (tmp_path / "scores").write_text("0.9\nnan\n0.4\n", encoding="utf-8")
@@ -362,6 +441,48 @@ class TestMalformedInput:
         code, err = run_cli(argv + ["--scores", str(tmp_path / "scores")], capsys)
         assert code == cli.EXIT_DATA
         assert err == "data error: scores must be finite\n"
+
+
+class TestRunStdout:
+    """``trialmatch run`` reports what it wrote: the ``--json`` payload, or
+    one human line per ``results.csv`` row."""
+
+    def run(self, tmp_path, capsys, name: str, flags: list[str]):
+        out = tmp_path / name
+        obj = {
+            "task": "task1",
+            "dataset": TINY_DATASET,
+            "variants": [{"train": {"max_epochs": 5}}],
+            "output_dir": str(out),
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert cli.main(["run", "--config", str(path), *flags]) == cli.EXIT_OK
+        with (out / "results.csv").open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        return capsys.readouterr().out, rows, manifest
+
+    def test_json_payload_matches_the_written_files(self, tmp_path, capsys):
+        stdout, rows, manifest = self.run(tmp_path, capsys, "json", ["--json"])
+        payload = json.loads(stdout)
+        assert payload["runs"] == len(rows) == 8
+        assert payload["config_hash"] == manifest["config_hash"]
+        for entry, row in zip(payload["table"], rows, strict=True):
+            assert entry["variant"] == row["variant"]
+            assert entry["macro_f1"] == float(row["macro_f1"])
+            assert entry["auroc"] == float(row["auroc"])
+
+    def test_human_lines_match_the_written_files(self, tmp_path, capsys):
+        stdout, rows, manifest = self.run(tmp_path, capsys, "human", [])
+        head, wrote, *lines = stdout.splitlines()
+        assert head.endswith(f" config_hash={manifest['config_hash']}")
+        assert wrote == f"wrote {len(rows)} runs to {tmp_path / 'human'}"
+        assert lines == [
+            f"  {row['variant']}: macro_f1={float(row['macro_f1']):.4f} "
+            f"auroc={float(row['auroc']):.4f}"
+            for row in rows
+        ]
 
 
 class TestRemovedCommands:

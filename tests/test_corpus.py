@@ -2,6 +2,7 @@ import datetime
 import hashlib
 import math
 import re
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_patient, tiny_trial, write_jsonl
+from trialmatch import corpus
 from trialmatch.corpus import (
     ClinicalNote,
     Criterion,
@@ -189,6 +191,77 @@ class TestLoadDataset:
         # Line 3 is blank and skipped; line 4 holds the array.
         with pytest.raises(DataError, match=r"p\.jsonl:4: expected a JSON object"):
             load_dataset(patients, trials)
+
+
+class TestRecordCodec:
+    """The JSONL format is the record types: ``corpus._layout`` reads each
+    record's fields and ``vars`` writes them."""
+
+    def test_minimal_records_with_unknown_keys_round_trip(self, tmp_path):
+        criterion = {"criterion_id": "c1", "kind": "inclusion", "text": "fever", "weight": 2}
+        trials = write_jsonl(
+            tmp_path / "t.jsonl", [{"trial_id": "T1", "criteria": [criterion], "phase": "II"}]
+        )
+        patients = write_jsonl(
+            tmp_path / "p.jsonl",
+            [
+                {
+                    "patient_id": "P1",
+                    "trial_id": "T1",
+                    "label": {"value": 1, "source": "chart"},
+                    "notes": [{"note_id": "n1", "text": "fever", "author": "x"}],
+                    "site": 3,
+                },
+                {
+                    "patient_id": 2,
+                    "trial_id": "T1",
+                    "label": {"value": 0},
+                    "structured": [{"category": "lab", "field_name": "hb", "value": 13.5}],
+                },
+            ],
+        )
+        first = load_dataset(patients, trials)
+        assert first.trials == [Trial("T1", (Criterion("c1", "inclusion", "fever"),))]
+        assert first.patients == [
+            PatientRecord("P1", "T1", EligibilityLabel(1), notes=(ClinicalNote("n1", "fever"),)),
+            PatientRecord(
+                "2", "T1", EligibilityLabel(0), structured=(StructuredRow("lab", "hb", "13.5"),)
+            ),
+        ]
+        again = tmp_path / "p2.jsonl", tmp_path / "t2.jsonl"
+        write_dataset(first, *again)
+        second = load_dataset(*again)
+        assert (second.patients, second.trials) == (first.patients, first.trials)
+
+    def test_record_fields_are_kinds_the_codec_handles(self):
+        def walk(record) -> None:
+            cls = type(record)
+            # The writer's default=vars relies on this order.
+            assert list(vars(record)) == [f.name for f in fields(cls)], cls.__name__
+            # _layout raises a TypeError on a field of any other type.
+            for name, kind, _, _ in corpus._layout(cls):
+                value = getattr(record, name)
+                if kind == "int":
+                    for bad in (True, "1", 1.0):
+                        with pytest.raises(DataError):
+                            replace(record, **{name: bad})
+                elif kind == "record":
+                    walk(value)
+                elif kind == "records":
+                    assert value, f"{cls.__name__}.{name} is empty, so its type goes unchecked"
+                    for item in value:
+                        walk(item)
+
+        walk(tiny_trial())
+        walk(tiny_patient("P1"))
+
+    def test_a_field_of_another_type_is_rejected(self):
+        @dataclass(frozen=True)
+        class Scored:
+            score: float
+
+        with pytest.raises(TypeError, match="^Scored.score: "):
+            corpus._layout(Scored)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +485,7 @@ def scalar_generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
             raw = "eligible" if label_value == 1 else "ineligible"
             patients.append(
                 PatientRecord(
-                    patient_id, trial_id, tuple(notes), tuple(rows), EligibilityLabel(label_value, raw)
+                    patient_id, trial_id, EligibilityLabel(label_value, raw), tuple(notes), tuple(rows)
                 )
             )
     return Dataset(patients=patients, trials=trials)
@@ -629,9 +702,9 @@ class TestSyntheticLaw:
     def test_ages_and_dates(self, dataset):
         ages, stamps = set(), []
         for p in dataset.patients:
-            ages.add(int(next(r.value for r in p.structured_rows if r.field_name == "age")))
+            ages.add(int(next(r.value for r in p.structured if r.field_name == "age")))
             stamps += [note.date for note in p.notes]
-            stamps += [r.timestamp for r in p.structured_rows if r.category == "diagnosis"]
+            stamps += [r.timestamp for r in p.structured if r.category == "diagnosis"]
         assert ages <= set(range(40, 90))
         assert len(stamps) == len(dataset.patients) * (self.CONFIG.notes_per_patient + 2)
         for stamp in stamps:

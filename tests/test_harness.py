@@ -392,7 +392,7 @@ def task_arms(task: str) -> list[PipelineSpec]:
 def no_notes_patient(patient_id: str, trial_id: str) -> PatientRecord:
     """A patient that an unstructured pass skips as ``no_chunks``."""
     return PatientRecord(
-        patient_id, trial_id, (), tiny_patient("X").structured_rows, EligibilityLabel(0, None)
+        patient_id, trial_id, EligibilityLabel(0, None), (), tiny_patient("X").structured
     )
 
 
@@ -1051,6 +1051,27 @@ class TestConfigChecks:
             {"providers": [{"kind": "mock", "name": "a"}, {"kind": "mock", "name": "b"}]},
             {"provider": {"dim": 64}},
             "'provider' is read by no task2 run; every arm sets it",
+        ),
+        # Without 'providers' task2's arms are three default mock backbones
+        # that read only the variant's provider dim: these ran as
+        # backbone-mock-a/b/c.
+        "task2-provider-http": (
+            "task2",
+            {},
+            {"provider": {"kind": "http", "model": "my-llm", "dim": 128}},
+            "provider 'kind' is read by no task2 run without 'providers'; every arm sets it",
+        ),
+        "task2-provider-seed-name": (
+            "task2",
+            {},
+            {"provider": {"kind": "mock", "seed": 9, "name": "mine"}},
+            "provider 'name' is read by no task2 run without 'providers'; every arm sets it",
+        ),
+        "task2-provider-seed": (
+            "task2",
+            {},
+            {"provider": {"seed": 9}},
+            "provider 'seed' is read by no task2 run without 'providers'; every arm sets it",
         ),
     }
 
