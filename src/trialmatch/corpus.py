@@ -167,17 +167,8 @@ class Dataset:
     _trial_index: dict[str, Trial] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._trial_index = {}
-        for trial in self.trials:
-            if trial.trial_id in self._trial_index:
-                raise DataError(f"duplicate trial_id {trial.trial_id!r}")
-            self._trial_index[trial.trial_id] = trial
-        for patient in self.patients:
-            if patient.trial_id not in self._trial_index:
-                raise DataError(
-                    f"patient {patient.patient_id!r} references unknown trial "
-                    f"{patient.trial_id!r}"
-                )
+        # ``load_dataset`` checks ids and trial references, naming file and line.
+        self._trial_index = {trial.trial_id: trial for trial in self.trials}
 
     def trial(self, trial_id: str) -> Trial:
         try:
@@ -224,6 +215,11 @@ def _layout(cls) -> tuple[tuple[str, str, Optional[type], bool], ...]:
     return tuple(layout)
 
 
+class _FloatText(str):
+    """A JSON number with a fraction or exponent, or a NaN or Infinity, as its
+    line writes it."""
+
+
 def _record(cls, obj: dict):
     """A ``cls`` built from the JSON object ``obj`` by ``_layout``."""
     kwargs = {}
@@ -234,8 +230,10 @@ def _record(cls, obj: dict):
                 raise DataError(f"missing required field {name!r}")
             continue
         if sub is None:
-            if type(value) is not str and kind != "int":
-                if type(value) in (int, float):
+            if type(value) is _FloatText:  # text keeps it as written; an int field checks the float
+                value = float(value) if kind == "int" else str(value)
+            elif type(value) is not str and kind != "int":
+                if type(value) is int:
                     value = str(value)
                 elif value is not None or kind == "text":
                     tail = " or a number" if kind == "text" else ", a number or null"
@@ -270,7 +268,7 @@ def _read_jsonl(path: Path, cls, id_key: str) -> Iterator[tuple[int, object]]:
                 continue
             try:
                 line.encode("utf-8")
-                obj = json.loads(line)
+                obj = json.loads(line, parse_float=_FloatText, parse_constant=_FloatText)
                 if not isinstance(obj, dict):
                     raise DataError("expected a JSON object")
                 record = _record(cls, obj)
@@ -299,7 +297,7 @@ def load_dataset(patients_path: str | Path, trials_path: str | Path) -> Dataset:
     line and a ``PatientRecord`` per patients line. The keys are the record
     fields: a field without a default is required, a record is an object, a
     tuple of records a list of objects, and a key that names no field is
-    ignored. A text field takes a string or a number, read as its text;
+    ignored. A text field takes a string or a number, read as written;
     ``date``, ``timestamp`` and ``raw_class`` also take null. Lines may end
     in ``\n``, ``\r\n`` or ``\r``; no other character ends a line, so
     U+0085, U+2028 and U+2029 inside a string are read as written. Blank

@@ -1,8 +1,8 @@
 """Embedding providers, the deterministic mock embedder, and an HTTP client
 for external embedding services.
 
-The HTTP client (``requests``, and with it ``urllib3`` and ``ssl``) is loaded
-on the first HTTP request, so a run on the mock provider never loads it.
+The standard library's HTTP client (``urllib.request``, ``http.client``) is
+loaded on the first HTTP request, so a run on the mock provider never loads it.
 
 Providers expose a uniform surface: their output ``dim`` plus ``embed_texts``
 and (the mock only) ``embed_tokens``. A provider's name and kind live in
@@ -14,6 +14,7 @@ regardless of batch composition.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import time
@@ -137,8 +138,8 @@ class MockProvider:
 class HttpProvider:
     """Client-side provider backed by an external embedding service.
 
-    Building one loads no HTTP client; ``requests`` is imported by the first
-    ``embed_texts`` call (see ``http_embed``).
+    Building one loads no HTTP client; ``urllib.request`` is imported by the
+    first ``embed_texts`` call (see ``http_embed``).
     """
 
     def __init__(self, endpoint: Optional[str], model: str, dim: int):
@@ -199,30 +200,37 @@ def http_embed(
 
     Transport failures (connection errors, timeouts) are retried with
     exponential backoff up to ``HTTP_MAX_ATTEMPTS`` total attempts; protocol
-    errors (bad status, malformed JSON, a row that is not a list of JSON
-    numbers, dimension mismatch) are surfaced immediately as one
-    ``ProviderError`` with a distinct message. ``requests`` is imported here,
-    on first use, rather than with the module.
+    errors (a non-2xx status, malformed JSON, a row that is not a list of
+    JSON numbers, dimension mismatch) are surfaced immediately as one
+    ``ProviderError`` with a distinct message. ``urllib.request`` is
+    imported here, on first use, rather than with the module.
     """
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
     if len(texts) == 0:
         raise DataError("http_embed requires at least one text")
     if len(texts) > HTTP_MAX_BATCH:
         raise ConfigError(f"batch of {len(texts)} exceeds max batch size {HTTP_MAX_BATCH}")
     url = endpoint.rstrip("/") + "/embed"
-    body = {"model": model, "texts": list(texts)}
+    data = json.dumps({"model": model, "texts": list(texts)}).encode()
+    request = urllib.request.Request(url, data, {"Content-Type": "application/json"})
 
     last_exc: Optional[Exception] = None
-    response = None
+    body = None
     for attempt in range(1, HTTP_MAX_ATTEMPTS + 1):
         try:
-            response = requests.post(url, json=body, timeout=HTTP_TIMEOUT)
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT) as response:
+                body = response.read()
             break
-        except requests.Timeout as exc:
-            last_exc = ProviderError(f"embed request to {url} timed out: {exc}")
-        except requests.RequestException as exc:
-            last_exc = ProviderError(f"embed request to {url} failed: {exc}")
+        except urllib.error.HTTPError as exc:  # urlopen raises every non-2xx status
+            raise ProviderError(f"embedding service returned status {exc.code} for {url}") from None
+        except (OSError, http.client.HTTPException) as exc:
+            # A URLError wraps a timeout on connect; one on reading is raised bare.
+            timed_out = isinstance(getattr(exc, "reason", exc), TimeoutError)
+            outcome = "timed out" if timed_out else "failed"
+            last_exc = ProviderError(f"embed request to {url} {outcome}: {exc}")
         if attempt < HTTP_MAX_ATTEMPTS:
             delay = HTTP_BACKOFF_BASE * HTTP_BACKOFF_FACTOR ** (attempt - 1)
             logger.warning(
@@ -232,16 +240,12 @@ def http_embed(
                 delay,
             )
             time.sleep(delay)
-    if response is None:
+    if body is None:
         assert last_exc is not None
         raise last_exc
 
-    if not 200 <= response.status_code < 300:
-        raise ProviderError(
-            f"embedding service returned status {response.status_code} for {url}"
-        )
     try:
-        payload = response.json()
+        payload = json.loads(body)
     except ValueError as exc:
         raise ProviderError(f"malformed JSON from {url}: {exc}") from exc
 

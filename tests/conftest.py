@@ -159,6 +159,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             return
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
+        state.request = {"content_type": self.headers["Content-Type"], "body": body}
         texts = body["texts"]
         dim = cfg["dim"]
         if cfg["mode"] == "bad_status":
@@ -190,12 +191,14 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def embed_server():
     """A local embedding service: ``url``, plus the ``behavior`` a test may
-    change and the ``calls`` it has served."""
+    change, the ``calls`` it has served and the last ``request`` it read
+    (its Content-Type header and decoded JSON body)."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
     server.state = SimpleNamespace(
         url=f"http://127.0.0.1:{server.server_address[1]}",
         behavior={"mode": "ok", "dim": 4, "fail_times": 0, "delay": 0.0},
         calls={"count": 0},
+        request=None,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -717,13 +717,13 @@ class TestImportFootprint:
     SCRIPT = """
 import json, sys
 import trialmatch.cli
-http = ("requests", "urllib3")
+http = ("urllib.request", "http.client")
 on_import = [m for m in http if m in sys.modules]
 code = trialmatch.cli.main(["run", "--config", sys.argv[1]])
 print(json.dumps([code, on_import, [m for m in http if m in sys.modules]]))
 """
 
-    def test_mock_run_never_imports_requests(self, tmp_path):
+    def test_mock_run_never_imports_the_http_client(self, tmp_path):
         config = {
             "task": "task1",
             "dataset": {

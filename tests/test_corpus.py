@@ -120,6 +120,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_dataset(patients, trials)
 
+    def test_dataset_built_in_code_fails_at_an_unknown_trial(self):
+        # Only load_dataset checks references, naming file and line; a dataset
+        # built in code fails when its patient's trial is looked up.
+        dataset = Dataset(patients=[tiny_patient("P1", trial_id="NCT999")], trials=[tiny_trial()])
+        with pytest.raises(DataError, match="^unknown trial 'NCT999'$"):
+            dataset.trial(dataset.patients[0].trial_id)
+
     def test_empty_file(self, tmp_path):
         trials = write_jsonl(
             tmp_path / "t.jsonl",
@@ -232,6 +239,20 @@ class TestRecordCodec:
         write_dataset(first, *again)
         second = load_dataset(*again)
         assert (second.patients, second.trials) == (first.patients, first.trials)
+
+    @pytest.mark.parametrize("written", ["13.50", "1.0", "1e400", "-0.0", "NaN"])
+    def test_a_number_in_a_text_field_reads_as_written(self, tmp_path, written):
+        criterion = {"criterion_id": "c1", "kind": "inclusion", "text": "fever"}
+        trials = write_jsonl(tmp_path / "t.jsonl", [{"trial_id": "T1", "criteria": [criterion]}])
+        patients = tmp_path / "p.jsonl"
+        patients.write_text(
+            '{"patient_id": "P1", "trial_id": "T1", "label": {"value": 1}, "structured": '
+            f'[{{"category": "lab", "field_name": "hb", "value": {written}}}]}}\n',
+            encoding="utf-8",
+        )
+        (patient,) = load_dataset(patients, trials).patients
+        assert patient.structured == (StructuredRow("lab", "hb", written),)
+        assert type(patient.structured[0].value) is str
 
     def test_record_fields_are_kinds_the_codec_handles(self):
         def walk(record) -> None:

@@ -216,6 +216,23 @@ class TestHttpEmbed:
         with pytest.raises(ProviderError, match="returned status 500"):
             http_embed(embed_server.url, "m", ["a"])
 
+    def test_bad_status_is_posted_once(self, embed_server):
+        # A status is the service's answer, not a transport failure to retry.
+        assert embedding.HTTP_MAX_ATTEMPTS > 1
+        embed_server.behavior["mode"] = "bad_status"
+        with pytest.raises(ProviderError, match="returned status 500"):
+            http_embed(embed_server.url, "m", ["a"])
+        assert embed_server.calls["count"] == 1
+
+    def test_request_is_sent_as_json(self, embed_server):
+        http_embed(embed_server.url, "m", ["a"], expected_dim=4)
+        assert embed_server.request["content_type"] == "application/json"
+
+    def test_request_body_is_the_model_and_the_texts(self, embed_server):
+        texts = ["fever and chills", "naïve 37.50 °C"]
+        http_embed(embed_server.url, "m", texts, expected_dim=4)
+        assert embed_server.request["body"] == {"model": "m", "texts": texts}
+
     def test_malformed_json(self, embed_server):
         embed_server.behavior["mode"] = "bad_json"
         with pytest.raises(ProviderError, match="malformed JSON"):

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -69,6 +70,41 @@ def test_an_unused_import_is_caught():
         "    raise DataError(os.path.sep)\n"
     )
     assert unused_imports(ast.parse(source)) == ["InsufficientTokensError"]
+
+
+def outside_imports(tree: ast.Module) -> list[str]:
+    """Top-level modules that ``tree`` imports from outside the standard
+    library, numpy and the package itself, in import order."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    allowed = {"numpy", "trialmatch"}
+    return [n for n in names if n not in allowed and n not in sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numpy_is_the_only_outside_import(path):
+    # numpy is the one runtime dependency pyproject.toml lists.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert outside_imports(tree) == []
+
+
+def test_an_outside_import_is_caught():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, urllib.request\n"
+        "import numpy as np\n"
+        "from . import corpus\n"
+        "from .errors import DataError\n"
+        "from trialmatch.harness import run_task\n"
+        "def post():\n"
+        "    import requests\n"
+        "    from urllib3.util import Retry\n"
+    )
+    assert outside_imports(ast.parse(source)) == ["requests", "urllib3"]
 
 
 def uncaught_classes(defining: ast.Module, catching: list[ast.Module]) -> list[str]:
