@@ -9,13 +9,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (an output path
 that cannot be written, or a stdout closed by its reader, among them), 3
-runtime/provider error. A config error comes from building the config, so
-``run`` rejects a bad config before it creates the output directory or reads
-a dataset; ``run_task`` raises only data errors and the few config errors
-that need the data (see ``harness``). A flag that ``retrieve``'s provider
-does not read is a config error too. A malformed answer from an embedding
-service (a bad status, bad JSON, or vectors of the wrong length) is a
-provider error.
+runtime/provider error. An input file that cannot be read is a config
+error (1) if it is the config and a data error (2) if it holds data. A
+config error comes from building the config, so ``run`` rejects a bad config
+before it creates the output directory or reads a dataset; ``run_task``
+raises only data errors and the few config errors that need the data (see
+``harness``). A flag that ``retrieve``'s provider does not read is a config
+error too. A malformed answer from an embedding service (a bad status, bad
+JSON, or vectors of the wrong length) is a provider error.
 
 Every subcommand prints its config hash, and the seeded ones their resolved
 seed, so runs can be replayed byte-for-byte; pass --json for machine-readable
@@ -118,11 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"trialmatch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser(
-        "synth",
-        help="generate a synthetic dataset",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        """The subcommand ``name``, which ``main`` runs as ``handler(args)``."""
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(handler=handler)
+        return p
+
+    p_synth = command("synth", _cmd_synth, "generate a synthetic dataset")
     synthetic = SyntheticConfig()
     p_synth.add_argument("--out", required=True, help="output directory for the JSONL files")
     p_synth.add_argument("--trials", type=int, default=synthetic.n_trials, help="number of trials")
@@ -134,10 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0, help="generation seed")
     _add_json_flag(p_synth)
 
-    p_retr = sub.add_parser(
-        "retrieve",
-        help="run chunking, embedding, scoring, and top-k selection only",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    p_retr = command(
+        "retrieve", _cmd_retrieve, "run chunking, embedding, scoring, and top-k selection only"
     )
     p_retr.add_argument("--patients", required=True, help="patients.jsonl path")
     p_retr.add_argument("--trials", required=True, help="trials.jsonl path")
@@ -153,20 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_retr.add_argument("--audit", default=None, metavar="FILE", help="write the per-(chunk, criterion) audit CSV here")
     _add_json_flag(p_retr)
 
-    p_run = sub.add_parser(
-        "run",
-        help="run an experiment task from a JSON config",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p_run = command("run", _cmd_run, "run an experiment task from a JSON config")
     p_run.add_argument("--config", required=True, help="experiment config JSON file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--threads", type=int, default=None, help="feature-construction threads; only 1 is accepted")
     _add_json_flag(p_run)
 
-    p_eval = sub.add_parser(
-        "eval",
-        help="compute metrics from label and score files (one value per line)",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    p_eval = command(
+        "eval", _cmd_eval, "compute metrics from label and score files (one value per line)"
     )
     p_eval.add_argument("--labels", required=True, help="file with one 0/1 label per line")
     p_eval.add_argument("--scores", required=True, help="file with one probability per line")
@@ -368,9 +363,10 @@ def _cmd_run(args) -> int:
 
 def _read_column(path: str, what: str) -> list[float]:
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} file not found: {p}")
-    data = p.read_bytes()
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {p}: {exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -434,16 +430,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    handlers = {
-        "synth": _cmd_synth,
-        "retrieve": _cmd_retrieve,
-        "run": _cmd_run,
-        "eval": _cmd_eval,
-    }
-    handler = handlers[args.command]
     try:
-        code = handler(args)
+        code = args.handler(args)
         # Inside the try, so that a reader that has gone is met here.
         sys.stdout.flush()
         return code

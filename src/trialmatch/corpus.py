@@ -215,9 +215,15 @@ def _layout(cls) -> tuple[tuple[str, str, Optional[type], bool], ...]:
     return tuple(layout)
 
 
-class _FloatText(str):
-    """A JSON number with a fraction or exponent, or a NaN or Infinity, as its
-    line writes it."""
+class _NumberText(str):
+    """A JSON number, or a NaN or Infinity, as its line writes it."""
+
+    def number(self) -> int | float:
+        """An ``int``, or a ``float`` where Python reads no integer."""
+        try:
+            return int(self)
+        except ValueError:
+            return float(self)
 
 
 def _record(cls, obj: dict):
@@ -230,12 +236,10 @@ def _record(cls, obj: dict):
                 raise DataError(f"missing required field {name!r}")
             continue
         if sub is None:
-            if type(value) is _FloatText:  # text keeps it as written; an int field checks the float
-                value = float(value) if kind == "int" else str(value)
+            if type(value) is _NumberText:  # text keeps it as written; an int field checks the number
+                value = value.number() if kind == "int" else str(value)
             elif type(value) is not str and kind != "int":
-                if type(value) is int:
-                    value = str(value)
-                elif value is not None or kind == "text":
+                if value is not None or kind == "text":
                     tail = " or a number" if kind == "text" else ", a number or null"
                     got = _JSON_TYPES[type(value)]
                     raise DataError(f"{name!r} must be a string{tail}, got {got}")
@@ -268,7 +272,9 @@ def _read_jsonl(path: Path, cls, id_key: str) -> Iterator[tuple[int, object]]:
                 continue
             try:
                 line.encode("utf-8")
-                obj = json.loads(line, parse_float=_FloatText, parse_constant=_FloatText)
+                obj = json.loads(
+                    line, parse_int=_NumberText, parse_float=_NumberText, parse_constant=_NumberText
+                )
                 if not isinstance(obj, dict):
                     raise DataError("expected a JSON object")
                 record = _record(cls, obj)
@@ -297,11 +303,11 @@ def load_dataset(patients_path: str | Path, trials_path: str | Path) -> Dataset:
     line and a ``PatientRecord`` per patients line. The keys are the record
     fields: a field without a default is required, a record is an object, a
     tuple of records a list of objects, and a key that names no field is
-    ignored. A text field takes a string or a number, read as written;
-    ``date``, ``timestamp`` and ``raw_class`` also take null. Lines may end
-    in ``\n``, ``\r\n`` or ``\r``; no other character ends a line, so
-    U+0085, U+2028 and U+2029 inside a string are read as written. Blank
-    lines are ignored.
+    ignored. A text field takes a string or a number, read as written, an
+    integer of any length too (``-0`` is ``"-0"``); ``date``, ``timestamp``
+    and ``raw_class`` also take null. Lines may end in ``\n``, ``\r\n`` or
+    ``\r``; no other character ends a line, so U+0085, U+2028 and U+2029
+    inside a string are read as written. Blank lines are ignored.
 
     Every error is a DataError naming its file and line: bytes that are not
     UTF-8, invalid JSON, a line that breaks the rules above or its record's

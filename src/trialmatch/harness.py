@@ -393,12 +393,16 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ConfigError(f"{path}: {exc}") from None
         return cls.from_dict(obj)
 
 

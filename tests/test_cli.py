@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -68,6 +69,52 @@ class TestExitCodes:
         code, err = run_cli(["run", "--config", str(path)], capsys)
         assert code == cli.EXIT_USAGE
         assert "invalid JSON" in err
+
+    # The retrieve cases pass through the corpus reader's own read error.
+    @pytest.mark.parametrize(
+        "command, flag, exit_code",
+        [
+            ("run", "--config", cli.EXIT_USAGE),
+            ("eval", "--labels", cli.EXIT_DATA),
+            ("eval", "--scores", cli.EXIT_DATA),
+            ("retrieve", "--patients", cli.EXIT_DATA),
+            ("retrieve", "--trials", cli.EXIT_DATA),
+        ],
+    )
+    def test_a_file_argument_that_is_a_directory_exits_with_one_line(
+        self, tmp_path, capsys, dataset_files, command, flag, exit_code
+    ):
+        (tmp_path / "labels").write_text("1\n0\n", encoding="utf-8")
+        (tmp_path / "scores").write_text("0.9\n0.1\n", encoding="utf-8")
+        patients, trials = dataset_files
+        files = {
+            "run": {"--config": write_config(tmp_path, {"task": "task1"})},
+            "eval": {"--labels": tmp_path / "labels", "--scores": tmp_path / "scores"},
+            "retrieve": {"--patients": patients, "--trials": trials},
+        }
+        directory = tmp_path / "a directory"
+        directory.mkdir()
+        argv = [command]
+        for name, path in files[command].items():
+            argv += [name, str(directory if name == flag else path)]
+        code, err = run_cli(argv, capsys)
+        assert code == exit_code
+        assert err.count("\n") == 1 and str(directory) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"task": "task1\xff"}', "not valid UTF-8"),
+            (b'{"task": "task1", "seed": %s}' % (b"7" * 5001), "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["not-utf8", "5001-digit-integer"],
+    )
+    def test_config_that_cannot_be_read_exits_1(self, tmp_path, capsys, data, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        code, err = run_cli(["run", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
 
     def test_unknown_flag_exits_1(self, capsys):
         code, _ = run_cli(["run", "--no-such-flag"], capsys)
@@ -286,6 +333,22 @@ def rewrite_first_record(path, edit) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def write_first_record_number(path, where, key, number: str) -> None:
+    """Set ``where(obj)[key]`` of the first record to the JSON number
+    ``number``, written as given (``json.dumps`` would refuse a long one)."""
+    rewrite_first_record(path, lambda obj: where(obj).update({key: "@number@"}))
+    text = path.read_text(encoding="utf-8").replace('"@number@"', number, 1)
+    path.write_text(text, encoding="utf-8")
+
+
+# An integer in a text field is read as written, as a float is.
+@pytest.mark.parametrize("number", ["-0", "9" * 5001], ids=["minus-zero", "5001-digits"])
+def test_an_integer_in_a_text_field_loads_as_written(dataset_files, number):
+    patients, trials = dataset_files
+    write_first_record_number(patients, lambda obj: obj["structured"][0], "value", number)
+    assert load_dataset(patients, trials).patients[0].structured[0].value == number
+
+
 def test_an_empty_output_dir_records_the_log_it_writes(tmp_path, capsys, monkeypatch):
     # An empty output_dir is the working directory, where run.log goes too.
     monkeypatch.chdir(tmp_path)
@@ -432,6 +495,15 @@ class TestMalformedInput:
         assert code == cli.EXIT_DATA
         assert err == (
             f"data error: {trials}:1: criterion kind must be inclusion/exclusion, got 'maybe'\n"
+        )
+
+    def test_label_past_the_digit_limit_exits_2(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        write_first_record_number(patients, lambda obj: obj["label"], "value", "1" * 5001)
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == (
+            f"data error: {patients}:1: label value must be the integer 0 or 1, got inf\n"
         )
 
     def test_eval_non_finite_score_exits_2(self, tmp_path, capsys):
@@ -708,6 +780,16 @@ class TestClosedStdout:
             )
         assert done.returncode == cli.EXIT_DATA
         assert done.stderr == "error: stdout was closed before the output was written\n"
+
+
+def test_the_docstring_lists_the_parser_commands():
+    block = cli.__doc__.split("Subcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+    (commands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert [line.split()[0] for line in block.splitlines()] == list(commands)
 
 
 class TestImportFootprint:
