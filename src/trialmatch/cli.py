@@ -9,14 +9,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (an output path
 that cannot be written, or a stdout closed by its reader, among them), 3
-runtime/provider error. An input file that cannot be read is a config
-error (1) if it is the config and a data error (2) if it holds data. A
-config error comes from building the config, so ``run`` rejects a bad config
-before it creates the output directory or reads a dataset; ``run_task``
-raises only data errors and the few config errors that need the data (see
-``harness``). A flag that ``retrieve``'s provider does not read is a config
-error too. A malformed answer from an embedding service (a bad status, bad
-JSON, or vectors of the wrong length) is a provider error.
+runtime/provider error. An input file that cannot be read or parsed, JSON
+nested past Python's recursion limit included, is a config error (1) if it
+is the config and a data error (2) if it holds data. A config error comes
+from building the config, so ``run`` rejects a bad config before it creates
+the output directory or reads a dataset; ``run_task`` raises only data
+errors and the few config errors that need the data (see ``harness``). A
+flag that ``retrieve``'s provider does not read is a config error too. A
+malformed answer from an embedding service (a bad status, bad or
+over-nested JSON, or vectors of the wrong length) is a provider error.
 
 Every subcommand prints its config hash, and the seeded ones their resolved
 seed, so runs can be replayed byte-for-byte; pass --json for machine-readable
@@ -33,7 +34,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -406,7 +407,7 @@ def _cmd_eval(args) -> int:
             "reported as absent",
             file=sys.stderr,
         )
-    payload = {"config_hash": digest, "report": report.to_dict()}
+    payload = {"config_hash": digest, "report": asdict(report)}
     lines = [f"config_hash={digest} threshold={args.threshold}", json.dumps(payload["report"])]
     _emit(args, lines, payload)
     return EXIT_OK

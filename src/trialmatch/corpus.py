@@ -26,7 +26,7 @@ from typing import Iterator, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reject_unread
 
 DEFAULT_CHUNK_SIZE = 256
 DEFAULT_CHUNK_OVERLAP = 32
@@ -149,9 +149,7 @@ class SplitSpec:
             unread = ("target_trial", "exclusion_fraction")
         else:
             unread = ("test_fraction",)
-        for key in unread:
-            if getattr(self, key) != getattr(SplitSpec, key):
-                raise ConfigError(f"{key!r} is read by no {self.mode} split")
+        reject_unread(self, unread, f"{self.mode} split")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
         if self.mode == "cross_trial" and not self.target_trial:
@@ -282,6 +280,8 @@ def _read_jsonl(path: Path, cls, id_key: str) -> Iterator[tuple[int, object]]:
                 raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise DataError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             record_id = getattr(record, id_key)

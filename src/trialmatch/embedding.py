@@ -248,6 +248,8 @@ def http_embed(
         payload = json.loads(body)
     except ValueError as exc:
         raise ProviderError(f"malformed JSON from {url}: {exc}") from exc
+    except RecursionError:
+        raise ProviderError(f"malformed JSON from {url}: nested too deeply") from None
 
     if not isinstance(payload, dict) or "dim" not in payload or "embeddings" not in payload:
         raise ProviderError(

@@ -7,6 +7,10 @@ A raise site tells its cases apart by message, not by type.
 One subclass of DataError stays because code catches it to recover:
 ``harness`` falls back to mean pooling on a DegenerateVarianceError.
 Uncaught, it exits 2 like any data error.
+
+``reject_unread`` owns the rule that every config object shares: a key
+that no run reads is a ConfigError. It is the one place that compares a
+value with its class default.
 """
 
 
@@ -16,6 +20,14 @@ class TrialMatchError(Exception):
 
 class ConfigError(TrialMatchError):
     """A configuration value or argument violates its contract."""
+
+
+def reject_unread(obj, keys, reader: str) -> None:
+    """Raise a ConfigError for the first of ``keys`` that ``obj`` sets away
+    from its class default, since no ``reader`` reads it."""
+    for key in keys:
+        if getattr(obj, key) != getattr(type(obj), key):
+            raise ConfigError(f"{key!r} is read by no {reader}")
 
 
 class DataError(TrialMatchError):

@@ -85,7 +85,7 @@ from .embedding import (
     embed_texts,
     embed_tokens,
 )
-from .errors import ConfigError, DataError, DegenerateVarianceError
+from .errors import ConfigError, DataError, DegenerateVarianceError, reject_unread
 from .metrics import CSV_COLUMNS, MetricReport, compute_report, csv_cell
 from .representation import (
     DimRedConfig,
@@ -183,9 +183,8 @@ class ProviderSpec:
             raise ConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind == "http" and not self.model:
             raise ConfigError("http provider requires a model name")
-        for key in ("endpoint", "model") if self.kind == "mock" else ("seed",):
-            if getattr(self, key) != getattr(ProviderSpec, key):
-                raise ConfigError(f"{key!r} is read by no {self.kind} provider")
+        unread = ("endpoint", "model") if self.kind == "mock" else ("seed",)
+        reject_unread(self, unread, f"{self.kind} provider")
         if self.kind == "mock":
             check_mock_dim(self.dim)
         else:
@@ -257,16 +256,16 @@ class PipelineSpec:
                 raise ConfigError(
                     f"pooling 'pca_mean' requires pooling_components in [1, {dim}], got {n}"
                 )
-        elif self.pooling_components is not None:
-            raise ConfigError(f"'pooling_components' is read by no {self.pooling} pooling")
+        else:
+            reject_unread(self, ("pooling_components",), f"{self.pooling} pooling")
         if self.dimred is not None and self.dimred.axis == "sequence":
             if self.pooling not in ("mean", "hybrid_last"):
                 raise ConfigError(
                     f"pooling {self.pooling!r} is read by no sequence-axis compression; "
                     "it takes 'mean' or 'hybrid_last'"
                 )
-        if self.adapter_mode == "adapter" and self.classifier != "mlp":
-            raise ConfigError(f"'adapter_mode' is read by no {self.classifier} classifier")
+        if self.classifier != "mlp":
+            reject_unread(self, ("adapter_mode",), f"{self.classifier} classifier")
 
     @property
     def feature_width(self) -> int:
@@ -280,9 +279,9 @@ class PipelineSpec:
     def check_width(self) -> None:
         """Reject hidden-axis compression to more components than
         ``feature_width``. ``ExperimentConfig`` calls this on each arm that
-        runs: a task2 variant with ``providers`` set is never run at its own
-        provider's width, so building it checks no width. ``_cell_rows``
-        checks the components against a cell's train rows."""
+        runs: a task2 variant is never run at its own provider's width, so
+        building it checks no width. ``_cell_rows`` checks the components
+        against a cell's train rows."""
         if self.dimred is not None and self.dimred.axis == "hidden":
             n, width = self.dimred.n_components, self.feature_width
             if n > width:
@@ -316,10 +315,8 @@ class DatasetSource:
             raise ConfigError(
                 "dataset source needs either patients/trials paths or a synthetic config"
             )
-        for key in ("patients_path", "trials_path") if synthetic else ("seed",):
-            if getattr(self, key) != getattr(DatasetSource, key):
-                kind = "synthetic" if synthetic else "file"
-                raise ConfigError(f"{key!r} is read by no {kind} dataset source")
+        unread = ("patients_path", "trials_path") if synthetic else ("seed",)
+        reject_unread(self, unread, f"{'synthetic' if synthetic else 'file'} dataset source")
 
     def load(self) -> Dataset:
         if self.synthetic is not None:
@@ -403,6 +400,8 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc.msg}") from exc
         except ValueError as exc:  # an integer past Python's digit limit
             raise ConfigError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
         return cls.from_dict(obj)
 
 
@@ -753,7 +752,7 @@ def _spec_hash(spec: PipelineSpec, dataset: str, modality: str, split: SplitSpec
 
 # Each task's arms, in output order: overrides of a configured variant,
 # applied with ``replace``. task5 and task6 run each configured variant as it
-# is; task2's arms come from its providers (``_arms``).
+# is; task2's arms come from its providers or ``TASK2_BACKBONES`` (``_arms``).
 _ARMS: dict[str, list[dict]] = {
     "task1": [
         {"classifier": clf, "dimred": cfg, "name": f"{clf}{suffix}"}
@@ -782,19 +781,24 @@ _ARMS: dict[str, list[dict]] = {
 }
 
 
+# task2's backbone sweep when a config sets no ``providers``.
+TASK2_BACKBONES = (
+    ProviderSpec(kind="mock", name="mock-a", dim=128, seed=101),
+    ProviderSpec(kind="mock", name="mock-b", dim=64, seed=202),
+    ProviderSpec(kind="mock", name="mock-c", dim=160, seed=303),
+)
+
+
 def _arms(config: ExperimentConfig, base: PipelineSpec) -> list[dict]:
-    """The overrides that make ``base`` into the task's arms."""
+    """The overrides that make ``base`` into the task's arms. task2 makes
+    one arm per provider of ``providers``, or of ``TASK2_BACKBONES`` when
+    that is unset, and sets ``dimred`` only where ``base`` leaves it unset."""
     if config.task != "task2":
         return _ARMS[config.task]
-    providers = config.providers or (
-        ProviderSpec(kind="mock", name="mock-a", dim=base.provider.dim, seed=101),
-        ProviderSpec(kind="mock", name="mock-b", dim=max(32, base.provider.dim // 2), seed=202),
-        ProviderSpec(kind="mock", name="mock-c", dim=base.provider.dim + 32, seed=303),
-    )
-    cfg = base.dimred or DimRedConfig()
+    dimred = {"dimred": DimRedConfig()} if base.dimred is None else {}
     return [
-        {"provider": p, "dimred": cfg, "classifier": "mlp", "name": f"backbone-{p.resolved_name}"}
-        for p in providers
+        {"provider": p, **dimred, "classifier": "mlp", "name": f"backbone-{p.resolved_name}"}
+        for p in config.providers or TASK2_BACKBONES
     ]
 
 
@@ -823,43 +827,28 @@ def _cells(
 def _check_unread_keys(config: ExperimentConfig) -> None:
     """Reject a config key that no run of the task reads."""
     task = config.task
-    for key, unread, reason in (
-        ("providers", config.providers and task != "task2", "only task2 sweeps providers"),
-        ("datasets", config.datasets and task != "task5", "only task5 runs a list of datasets"),
-        ("dataset", config.dataset is not None and task == "task5", "task5 reads 'datasets'"),
-        ("modality", config.modality != "mixed" and task == "task6", "task6 runs 'mixed'"),
-        (
-            "split",
-            task == "task6" and replace(config.split, seed=0) != SplitSpec(),
-            "task6 reads only the split's seed",
-        ),
+    for key, read, reason in (
+        ("providers", task == "task2", "only task2 sweeps providers"),
+        ("datasets", task == "task5", "only task5 runs a list of datasets"),
+        ("dataset", task != "task5", "task5 reads 'datasets'"),
+        ("modality", task != "task6", "task6 runs 'mixed'"),
     ):
-        if unread:
-            raise ConfigError(f"{key!r} is read by no {task} run; {reason}")
+        if not read:
+            reject_unread(config, (key,), f"{task} run; {reason}")
+    if task == "task6" and replace(config.split, seed=0) != SplitSpec():
+        raise ConfigError("'split' is read by no task6 run; task6 reads only the split's seed")
 
 
 def _check_arms(config: ExperimentConfig) -> None:
     """Reject what the task's arms cannot run: a variant key that every arm
-    replaces (for task2 without ``providers``, every provider key but
-    ``dim``), an arm whose ``PipelineSpec.check_width`` fails, or a variant
+    sets, an arm whose ``PipelineSpec.check_width`` fails, or a variant
     name that two arms share, whose rows the ``variant`` column could not
-    tell apart. Building an arm runs ``PipelineSpec``'s own checks."""
+    tell apart. Building an arm runs ``PipelineSpec``'s own checks. task2
+    is no exception: every arm sets its provider, from ``providers`` or
+    ``TASK2_BACKBONES``, and none sets a ``dimred`` that the variant sets."""
     for base in config.variants:
         replaced = set.intersection(*(set(arm) for arm in _arms(config, base)))
-        if config.task == "task2":
-            # task2's arms start from the variant's dimred, and from its
-            # provider's dim unless 'providers' is set.
-            replaced -= {"dimred"} if config.providers else {"dimred", "provider"}
-        for key in sorted(replaced):
-            if getattr(base, key) != getattr(PipelineSpec, key):
-                raise ConfigError(f"{key!r} is read by no {config.task} run; every arm sets it")
-        if config.task == "task2" and not config.providers:
-            for key in ("kind", "name", "seed", "endpoint", "model"):
-                if getattr(base.provider, key) != getattr(ProviderSpec, key):
-                    raise ConfigError(
-                        f"provider {key!r} is read by no task2 run without 'providers'; "
-                        "every arm sets it"
-                    )
+        reject_unread(base, sorted(replaced), f"{config.task} run; every arm sets it")
     arms = _variants(config)
     for spec in arms:
         spec.check_width()

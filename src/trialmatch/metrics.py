@@ -17,7 +17,7 @@ reported as absent, never coerced to 0 or 0.5.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -44,9 +44,6 @@ class MetricReport:
     macro_f1: float
     auroc: Optional[float]
     auprc: Optional[float]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricReport))

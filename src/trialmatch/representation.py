@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateVarianceError
+from .errors import ConfigError, DataError, DegenerateVarianceError, reject_unread
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,8 @@ class DimRedConfig:
     def __post_init__(self) -> None:
         if self.axis not in ("sequence", "hidden"):
             raise ConfigError(f"unknown DimRed axis {self.axis!r}")
-        if self.axis == "sequence" and self.n_components is not None:
-            raise ConfigError(
-                "sequence-axis compression keeps one component and takes no "
-                f"n_components, got n_components={self.n_components}"
-            )
+        if self.axis == "sequence":
+            reject_unread(self, ("n_components",), "sequence-axis compression")
         if self.axis == "hidden" and self.n_components is None:
             raise ConfigError("hidden-axis compression requires n_components")
         if self.n_components is not None and self.n_components < 1:

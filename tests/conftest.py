@@ -141,6 +141,10 @@ def write_jsonl(path: Path, objects: list[dict]) -> Path:
     return path
 
 
+# 200,000 nested arrays: far past the interpreter's recursion limit.
+NESTED_JSON = "[" * 200_000 + "]" * 200_000
+
+
 class _EmbedHandler(BaseHTTPRequestHandler):
     """A stand-in embedding service; its server's ``state`` picks the reply."""
 
@@ -168,6 +172,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             return
         if cfg["mode"] == "bad_json":
             payload = b"this is not json"
+        elif cfg["mode"] == "nested_json":
+            payload = NESTED_JSON.encode()
         else:
             rows = [[float(i + j) for j in range(dim)] for i in range(len(texts))]
             if cfg["mode"] == "short_vector":

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import trialmatch
+from conftest import NESTED_JSON
 from trialmatch import cli, harness
 from trialmatch.corpus import load_dataset
 
@@ -333,11 +334,12 @@ def rewrite_first_record(path, edit) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
-def write_first_record_number(path, where, key, number: str) -> None:
-    """Set ``where(obj)[key]`` of the first record to the JSON number
-    ``number``, written as given (``json.dumps`` would refuse a long one)."""
-    rewrite_first_record(path, lambda obj: where(obj).update({key: "@number@"}))
-    text = path.read_text(encoding="utf-8").replace('"@number@"', number, 1)
+def write_first_record_value(path, where, key, value: str) -> None:
+    """Set ``where(obj)[key]`` of the first record to the JSON text
+    ``value``, written as given (``json.dumps`` would refuse a long number
+    or a deep nesting)."""
+    rewrite_first_record(path, lambda obj: where(obj).update({key: "@value@"}))
+    text = path.read_text(encoding="utf-8").replace('"@value@"', value, 1)
     path.write_text(text, encoding="utf-8")
 
 
@@ -345,7 +347,7 @@ def write_first_record_number(path, where, key, number: str) -> None:
 @pytest.mark.parametrize("number", ["-0", "9" * 5001], ids=["minus-zero", "5001-digits"])
 def test_an_integer_in_a_text_field_loads_as_written(dataset_files, number):
     patients, trials = dataset_files
-    write_first_record_number(patients, lambda obj: obj["structured"][0], "value", number)
+    write_first_record_value(patients, lambda obj: obj["structured"][0], "value", number)
     assert load_dataset(patients, trials).patients[0].structured[0].value == number
 
 
@@ -499,7 +501,7 @@ class TestMalformedInput:
 
     def test_label_past_the_digit_limit_exits_2(self, capsys, dataset_files):
         patients, trials = dataset_files
-        write_first_record_number(patients, lambda obj: obj["label"], "value", "1" * 5001)
+        write_first_record_value(patients, lambda obj: obj["label"], "value", "1" * 5001)
         code, err = run_cli(retrieve_argv(patients, trials), capsys)
         assert code == cli.EXIT_DATA
         assert err == (
@@ -513,6 +515,38 @@ class TestMalformedInput:
         code, err = run_cli(argv + ["--scores", str(tmp_path / "scores")], capsys)
         assert code == cli.EXIT_DATA
         assert err == "data error: scores must be finite\n"
+
+
+class TestOverNestedJson:
+    """JSON nested past the recursion limit is malformed input at each of
+    the three readers: one error line with the reader's exit code."""
+
+    def test_a_corpus_line_exits_2_naming_its_line(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        write_first_record_value(patients, lambda obj: obj, "patient_id", NESTED_JSON)
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {patients}:1: invalid JSON: nested too deeply\n"
+
+    def test_a_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"task": %s}' % NESTED_JSON, encoding="utf-8")
+        code, err = run_cli(["run", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+    def test_an_embedding_service_answer_exits_3(
+        self, capsys, monkeypatch, dataset_files, embed_server
+    ):
+        monkeypatch.delenv("TRIALMATCH_EMBED_ENDPOINT", raising=False)
+        embed_server.behavior["mode"] = "nested_json"
+        argv = retrieve_argv(*dataset_files)
+        argv += ["--provider", "http", "--endpoint", embed_server.url, "--dim", "4"]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_RUNTIME
+        assert err == (
+            f"provider error: malformed JSON from {embed_server.url}/embed: nested too deeply\n"
+        )
 
 
 class TestRunStdout:

@@ -1052,39 +1052,39 @@ class TestConfigChecks:
             {"provider": {"dim": 64}},
             "'provider' is read by no task2 run; every arm sets it",
         ),
-        # Without 'providers' task2's arms are three default mock backbones
-        # that read only the variant's provider dim: these ran as
-        # backbone-mock-a/b/c.
-        "task2-provider-http": (
-            "task2",
-            {},
-            {"provider": {"kind": "http", "model": "my-llm", "dim": 128}},
-            "provider 'kind' is read by no task2 run without 'providers'; every arm sets it",
-        ),
-        "task2-provider-seed-name": (
-            "task2",
-            {},
-            {"provider": {"kind": "mock", "seed": 9, "name": "mine"}},
-            "provider 'name' is read by no task2 run without 'providers'; every arm sets it",
-        ),
-        "task2-provider-seed": (
-            "task2",
-            {},
-            {"provider": {"seed": 9}},
-            "provider 'seed' is read by no task2 run without 'providers'; every arm sets it",
-        ),
+        # Without 'providers' every arm sets one of TASK2_BACKBONES, so no
+        # provider key of the variant is read; the dim case ran its three
+        # backbones at dims 64, 32 and 96.
+        **{
+            f"task2-provider-{case}": (
+                "task2",
+                {},
+                {"provider": provider},
+                "'provider' is read by no task2 run; every arm sets it",
+            )
+            for case, provider in (
+                ("http", {"kind": "http", "model": "my-llm", "dim": 128}),
+                ("seed-name", {"kind": "mock", "seed": 9, "name": "mine"}),
+                ("seed", {"seed": 9}),
+                ("dim", {"dim": 64}),
+            )
+        },
     }
 
-    def test_task2_reads_dimred_and_provider_dim(self, tmp_path):
-        """Without 'providers', task2's arms start from the variant's dimred
-        and its provider's dim."""
+    def test_task2_arms_are_the_backbones_and_keep_a_configured_dimred(self, tmp_path):
+        """Without 'providers', task2's arms are ``TASK2_BACKBONES``, each
+        with the variant's dimred."""
         obj = tiny_config("task2", tmp_path)
-        obj["variants"] = [
-            {"dimred": {"axis": "hidden", "n_components": 8}, "provider": {"dim": 64}}
-        ]
+        dimred = {"axis": "hidden", "n_components": 8}
+        obj["variants"] = [{"dimred": dimred}]
         specs = harness._variants(ExperimentConfig.from_dict(obj))
-        assert {spec.dimred.n_components for spec in specs} == {8}
-        assert [spec.provider.dim for spec in specs] == [64, 32, 96]
+        assert [(s.provider.name, s.provider.dim, s.provider.seed) for s in specs] == [
+            ("mock-a", 128, 101),
+            ("mock-b", 64, 202),
+            ("mock-c", 160, 303),
+        ]
+        assert [s.provider for s in specs] == list(harness.TASK2_BACKBONES)
+        assert [s.dimred for s in specs] == [DimRedConfig(**dimred)] * 3
 
     def config(self, case: str, tmp_path) -> dict:
         task, keys, variant, _ = self.CASES[case]

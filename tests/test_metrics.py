@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -154,7 +154,7 @@ class TestComputeReport:
             scores = rng.integers(0, 5, n) / 4.0 if i % 2 == 0 else rng.random(n)
             report = compute_report(y, scores, threshold)
             single_class += report.auroc is None
-            digest.update(json.dumps(report.to_dict()).encode())
+            digest.update(json.dumps(asdict(report)).encode())
             digest.update(",".join([csv_cell(v) for v in astuple(report)]).encode() + b"\n")
         assert single_class >= 30
         assert digest.hexdigest() == (

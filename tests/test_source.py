@@ -190,6 +190,56 @@ def test_a_float32_outside_classifiers_is_caught():
     assert float32_outsiders(sources) == ["harness.py", "representation.py"]
 
 
+def default_comparisons(sources: dict[str, str]) -> list[str]:
+    """Each ``!= getattr(`` of ``sources`` (file name -> text) as
+    ``file:function``, naming the innermost function around it, or
+    ``file:<module>``, in order."""
+    found = []
+    for name, text in sources.items():
+        functions = [
+            node
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "!= getattr(" in line:
+                around = [f for f in functions if f.lineno <= lineno <= f.end_lineno]
+                inner = max(around, key=lambda f: f.lineno).name if around else "<module>"
+                found.append(f"{name}:{inner}")
+    return found
+
+
+def test_only_reject_unread_compares_with_a_class_default():
+    # The rule "a key that no run reads is a ConfigError" has one owner, so
+    # a new key cannot bring back a loop of its own.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert default_comparisons(sources) == ["errors.py:reject_unread"]
+
+
+def test_a_default_comparison_outside_reject_unread_is_caught():
+    sources = {
+        "errors.py": (
+            "def reject_unread(obj, keys, reader):\n"
+            "    for key in keys:\n"
+            "        if getattr(obj, key) != getattr(type(obj), key):\n"
+            "            raise ConfigError(key)\n"
+        ),
+        "corpus.py": (
+            "class SplitSpec:\n"
+            "    def __post_init__(self):\n"
+            "        def unread(key):\n"
+            "            return getattr(self, key) != getattr(SplitSpec, key)\n"
+            "        return unread('seed')\n"
+            "FLAG = x != getattr(y, 'z')\n"
+        ),
+    }
+    assert default_comparisons(sources) == [
+        "errors.py:reject_unread",
+        "corpus.py:unread",
+        "corpus.py:<module>",
+    ]
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
