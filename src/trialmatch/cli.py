@@ -44,7 +44,6 @@ from .corpus import (
     DEFAULT_CHUNK_SIZE,
     MODALITIES,
     SyntheticConfig,
-    generate_synthetic,
     load_dataset,
     write_dataset,
     write_file,
@@ -52,6 +51,7 @@ from .corpus import (
 from .embedding import DEFAULT_MOCK_DIM, ENDPOINT_ENV_VAR
 from .errors import ConfigError, DataError, ProviderError, TrialMatchError
 from .harness import (
+    DatasetSource,
     ExperimentConfig,
     PatientEncoder,
     PipelineSpec,
@@ -97,8 +97,7 @@ def _emit(args, human_lines: list[str], payload: dict) -> None:
 def _provider_from_args(args) -> ProviderSpec:
     """The provider that ``retrieve`` names; a flag that it does not read is
     a ConfigError naming the flag."""
-    unread = ("endpoint", "model") if args.provider == "mock" else ("seed",)
-    for flag in unread:
+    for flag in ProviderSpec.UNREAD_KEYS[args.provider]:
         if getattr(args, flag) is not None:
             raise ConfigError(f"--{flag} is read by no {args.provider} provider")
     if args.provider == "mock":
@@ -187,7 +186,7 @@ def _cmd_synth(args) -> int:
         trial_shift=args.trial_shift,
         vocabulary_size=args.vocab,
     )
-    dataset = generate_synthetic(config, args.seed)
+    dataset = DatasetSource(synthetic=config, seed=args.seed).load()
     out = make_output_dir(args.out)
     write_dataset(dataset, out / "patients.jsonl", out / "trials.jsonl")
     resolved = {"synthetic": dict(config.__dict__), "seed": args.seed}

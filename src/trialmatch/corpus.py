@@ -26,7 +26,7 @@ from typing import Iterator, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DataError, reject_unread
+from .errors import ConfigError, DataError, check_seed, reject_unread
 
 DEFAULT_CHUNK_SIZE = 256
 DEFAULT_CHUNK_OVERLAP = 32
@@ -101,7 +101,7 @@ class Criterion:
     def __post_init__(self) -> None:
         if self.kind not in ("inclusion", "exclusion"):
             raise DataError(f"criterion kind must be inclusion/exclusion, got {self.kind!r}")
-        if not self.text:
+        if not self.text or self.text.isspace():  # no whitespace-separated token
             raise DataError(f"criterion {self.criterion_id!r} has empty text")
 
 
@@ -111,6 +111,8 @@ class Trial:
     criteria: tuple[Criterion, ...]
 
     def __post_init__(self) -> None:
+        if not self.trial_id:
+            raise DataError("trial_id must be non-empty")
         if not self.criteria:
             raise DataError(f"trial {self.trial_id!r} has no criteria")
 
@@ -156,6 +158,7 @@ class SplitSpec:
             raise ConfigError("cross_trial split requires target_trial")
         if not 0.0 <= self.exclusion_fraction <= 1.0:
             raise ConfigError("exclusion_fraction must lie in [0, 1]")
+        check_seed(self.seed, "split")
 
 
 @dataclass

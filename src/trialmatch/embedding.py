@@ -55,11 +55,7 @@ def _token_seed(token: str, seed: int) -> int:
 def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(_token_seed(token, seed))
     v = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:  # unreachable in practice; keep the contract total
-        v[0] = 1.0
-        norm = 1.0
-    return v / norm
+    return v / np.linalg.norm(v)
 
 
 def mock_embed(text: str, dim: int = DEFAULT_MOCK_DIM, seed: int = 0) -> np.ndarray:

@@ -8,9 +8,9 @@ One subclass of DataError stays because code catches it to recover:
 ``harness`` falls back to mean pooling on a DegenerateVarianceError.
 Uncaught, it exits 2 like any data error.
 
-``reject_unread`` owns the rule that every config object shares: a key
-that no run reads is a ConfigError. It is the one place that compares a
-value with its class default.
+``reject_unread`` owns the rule that every config object shares (a key no
+run reads is a ConfigError) and is the one place that compares a value with
+its class default; ``check_seed`` owns the rule of every configured seed.
 """
 
 
@@ -28,6 +28,11 @@ def reject_unread(obj, keys, reader: str) -> None:
     for key in keys:
         if getattr(obj, key) != getattr(type(obj), key):
             raise ConfigError(f"{key!r} is read by no {reader}")
+
+
+def check_seed(seed: int, what: str) -> None:
+    if seed < 0:  # numpy seeds only non-negative integers
+        raise ConfigError(f"{what} seed must be non-negative, got {seed}")
 
 
 class DataError(TrialMatchError):

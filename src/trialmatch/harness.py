@@ -28,12 +28,12 @@ A config is checked once, when it is built. ``ProviderSpec`` and
 ``ExperimentConfig`` builds each arm as a ``PipelineSpec``, checks its
 feature width, and adds the rules that span arms. ``run_task`` then raises
 data errors, plus one ``ConfigError`` that needs the split: more hidden-axis
-components than a cell's train rows allow. ``_cell_rows`` raises it, and an
-empty side after skips, as it maps each cell's patient ids to feature rows,
-once per cell before the first fit. Two checks wait for
-the pass: an http provider's endpoint, a deployment setting looked up when
-the provider is built, and ``pca_mean``'s components against each prompt's
-token rows, which ``pool_pca_mean`` checks.
+components than a cell's train rows allow. ``_cell_rows`` raises it, an
+empty side after skips and a train side of one class, as it maps each
+cell's patient ids to feature rows, once per cell before the first fit.
+Two checks wait for the pass: an http provider's endpoint, a deployment
+setting looked up when the provider is built, and ``pca_mean``'s
+components against each prompt's token rows, which ``pool_pca_mean`` checks.
 
 Features are built on one thread, one patient at a time in dataset order.
 """
@@ -85,7 +85,7 @@ from .embedding import (
     embed_texts,
     embed_tokens,
 )
-from .errors import ConfigError, DataError, DegenerateVarianceError, reject_unread
+from .errors import ConfigError, DataError, DegenerateVarianceError, check_seed, reject_unread
 from .metrics import CSV_COLUMNS, MetricReport, compute_report, csv_cell
 from .representation import (
     DimRedConfig,
@@ -167,9 +167,9 @@ class ProviderSpec:
     output dim. ``kind`` decides whether a run encodes a prompt (mock) or
     takes its selected chunk vectors as the rows (http); the provider that
     ``build`` makes carries its dim but no name. A key that its kind does
-    not read (a mock's ``endpoint`` or ``model``, an http provider's
-    ``seed``) is a ``ConfigError``, so equal backends share one provider
-    in a feature pass."""
+    not read (``UNREAD_KEYS``: a mock's ``endpoint`` or ``model``, an http
+    provider's ``seed``) is a ``ConfigError``, so equal backends share one
+    provider in a feature pass."""
 
     kind: str = "mock"  # "mock" | "http"
     name: Optional[str] = None
@@ -178,13 +178,14 @@ class ProviderSpec:
     endpoint: Optional[str] = None
     model: Optional[str] = None
 
+    UNREAD_KEYS = {"mock": ("endpoint", "model"), "http": ("seed",)}
+
     def __post_init__(self) -> None:
         if self.kind not in ("mock", "http"):
             raise ConfigError(f"unknown provider kind {self.kind!r}")
         if self.kind == "http" and not self.model:
             raise ConfigError("http provider requires a model name")
-        unread = ("endpoint", "model") if self.kind == "mock" else ("seed",)
-        reject_unread(self, unread, f"{self.kind} provider")
+        reject_unread(self, self.UNREAD_KEYS[self.kind], f"{self.kind} provider")
         if self.kind == "mock":
             check_mock_dim(self.dim)
         else:
@@ -266,6 +267,7 @@ class PipelineSpec:
                 )
         if self.classifier != "mlp":
             reject_unread(self, ("adapter_mode",), f"{self.classifier} classifier")
+        check_seed(self.seed, "variant")
 
     @property
     def feature_width(self) -> int:
@@ -317,6 +319,7 @@ class DatasetSource:
             )
         unread = ("patients_path", "trials_path") if synthetic else ("seed",)
         reject_unread(self, unread, f"{'synthetic' if synthetic else 'file'} dataset source")
+        check_seed(self.seed, "dataset")
 
     def load(self) -> Dataset:
         if self.synthetic is not None:
@@ -648,8 +651,8 @@ def _derive_seed(*parts: int) -> int:
 def _carve_validation(
     X: np.ndarray, y: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
-    """Stratified validation carve-out of ``VALIDATION_FRACTION`` of each
-    class for early stopping; may return None."""
+    """Stratified validation carve-out for early stopping: of each class of
+    ``c`` rows, ``floor(VALIDATION_FRACTION * c) < c`` rows. May return None."""
     n = X.shape[0]
     if n < 10:
         return X, y, None
@@ -658,7 +661,7 @@ def _carve_validation(
     for label in (0.0, 1.0):
         idx = np.nonzero(y == label)[0]
         take = int(np.floor(VALIDATION_FRACTION * idx.shape[0]))
-        if take == 0 or take >= idx.shape[0]:
+        if take == 0:
             continue
         perm = rng.permutation(idx.shape[0])
         val_idx.extend(idx[perm[:take]].tolist())
@@ -666,9 +669,6 @@ def _carve_validation(
         return X, y, None
     val_mask = np.zeros(n, dtype=bool)
     val_mask[val_idx] = True
-    train_y = y[~val_mask]
-    if train_y.min() == train_y.max():
-        return X, y, None
     return X[~val_mask], y[~val_mask], (X[val_mask], y[val_mask])
 
 
@@ -677,17 +677,23 @@ def _cell_rows(
     features: FeatureSet,
     train_ids: set[str],
     test_ids: set[str],
+    split: SplitSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of the feature rows on a cell's train and test sides,
-    which every variant shares. Rejects a cell that some variant cannot be
-    trained on: an empty train or test side after skips, or more hidden-axis
-    components than its train rows allow. ``PipelineSpec.check_width`` has
-    checked them against the feature width; this check needs the data."""
+    """Boolean masks of the feature rows on the train and test sides of the
+    cell ``split``, which every variant shares. Rejects a cell that some
+    variant cannot be trained on: an empty side after skips, a train side of
+    one class, or more hidden-axis components than its train rows allow
+    (``PipelineSpec.check_width`` checked them against the feature width)."""
     train = np.array([pid in train_ids for pid in features.ids])
     test = np.array([pid in test_ids for pid in features.ids])
     train_rows = int(train.sum())
     if not train_rows or not test.any():
         raise DataError("split leaves an empty train or test side after skips")
+    train_y = features.y[train]
+    if train_y.min() == train_y.max():
+        cell = f"trial {split.target_trial!r} at exclusion {split.exclusion_fraction!r}"
+        cell = cell if split.mode == "cross_trial" else "the random split"
+        raise DataError(f"{cell} leaves a train side of one class (label {train_y[0]:g})")
     for spec, X in zip(specs, features.X):
         if spec.dimred is not None and spec.dimred.axis == "hidden":
             n = spec.dimred.n_components
@@ -884,8 +890,8 @@ def run_task(config: ExperimentConfig) -> list[RunResult]:
             splits.append((train_ids, test_ids, time.perf_counter() - started))
         features = _feature_pass(variants, dataset, config.modality)
         rows = [
-            _cell_rows(variants, features, train_ids, test_ids)
-            for train_ids, test_ids, _ in splits
+            _cell_rows(variants, features, train_ids, test_ids, split)
+            for (split, _, _), (train_ids, test_ids, _) in zip(cells, splits)
         ]
 
         for (split, trial, exclusion), (_, _, split_seconds), (train, test) in zip(

@@ -19,7 +19,6 @@ one entry serves every variant that compresses it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,19 +82,6 @@ def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
     return components
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_start(k: int) -> np.ndarray:
-    """The inverse iteration's start: a fixed seeded Gaussian unit vector of
-    length ``k``, read-only and shared by every call of that size (``k`` is
-    at most the hidden dimension). A Gram matrix of column-centered data has
-    the ones vector in its null space, so a structured start can miss the top
-    eigenvector."""
-    x = np.random.default_rng(0).standard_normal(k)
-    x /= np.linalg.norm(x)
-    x.flags.writeable = False
-    return x
-
-
 def _refine_top_eigenvector(sym: np.ndarray, top: float) -> np.ndarray:
     """Two steps of inverse iteration shifted just above the top eigenvalue.
 
@@ -105,11 +91,15 @@ def _refine_top_eigenvector(sym: np.ndarray, top: float) -> np.ndarray:
     0.995 of the first), where power iteration would need thousands of
     products. ``np.linalg.solve`` rounds differently under one and two
     OpenBLAS threads, so the result's last bits depend on the BLAS thread
-    count; the tests and the benchmark hold BLAS to one thread.
+    count; the tests and the benchmark hold BLAS to one thread. The start is
+    a seeded Gaussian unit vector: a Gram matrix of column-centered data has
+    the ones vector in its null space, so a structured start can miss the
+    top eigenvector.
     """
     shifted = sym.astype(np.float64)  # a copy
     shifted.flat[:: sym.shape[0] + 1] -= top + 1e-12 * abs(top)
-    x = _unit_start(sym.shape[0])
+    x = np.random.default_rng(0).standard_normal(sym.shape[0])
+    x /= np.linalg.norm(x)
     for _ in range(2):
         x = np.linalg.solve(shifted, x)
         x /= np.linalg.norm(x)

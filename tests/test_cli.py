@@ -499,6 +499,23 @@ class TestMalformedInput:
             f"data error: {trials}:1: criterion kind must be inclusion/exclusion, got 'maybe'\n"
         )
 
+    def test_criterion_of_whitespace_text_exits_2(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        rewrite_first_record(trials, lambda obj: obj["criteria"][1].update(text=" \t "))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {trials}:1: criterion 'NCT001-E1' has empty text\n"
+
+    def test_trial_of_empty_id_exits_2(self, capsys, dataset_files):
+        # No patient names the second trial, so only its id is wrong.
+        patients, trials = dataset_files
+        first = json.loads(trials.read_text(encoding="utf-8").splitlines()[0])
+        with trials.open("a", encoding="utf-8") as f:
+            f.write(json.dumps({**first, "trial_id": ""}) + "\n")
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {trials}:2: trial_id must be non-empty\n"
+
     def test_label_past_the_digit_limit_exits_2(self, capsys, dataset_files):
         patients, trials = dataset_files
         write_first_record_value(patients, lambda obj: obj["label"], "value", "1" * 5001)
@@ -642,6 +659,13 @@ class TestSynth:
         argv = ["synth", "--vocab", vocab, "--out", str(tmp_path / "out")]
         code, err = run_cli(argv, capsys)
         assert (code, err) == (cli.EXIT_USAGE, "error: vocabulary_size must be positive\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["synth", "--seed", "-1", "--out", str(tmp_path / "out")]
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "error: dataset seed must be non-negative, got -1\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -173,6 +173,31 @@ class TestEmbedTokens:
             embed_tokens(provider, "x")
 
 
+EMPTY_BATCHES = {
+    "no-texts": ([], "embed_texts requires a non-empty list of texts"),
+    "whitespace-text": (["fever", " \n\t"], "text at index 1 is empty"),
+}
+
+
+class TestEmbedTexts:
+    """A batch with no text, or a text with no token, is a ``DataError``
+    before any provider sees it."""
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_BATCHES))
+    def test_mock_provider(self, case):
+        texts, message = EMPTY_BATCHES[case]
+        with pytest.raises(DataError, match=f"^{message}$"):
+            embed_texts(MockProvider(dim=16), texts)
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_BATCHES))
+    def test_http_provider_posts_nothing(self, embed_server, monkeypatch, case):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        texts, message = EMPTY_BATCHES[case]
+        with pytest.raises(DataError, match=f"^{message}$"):
+            embed_texts(HttpProvider(embed_server.url, model="m", dim=4), texts)
+        assert embed_server.calls["count"] == 0
+
+
 # ---------------------------------------------------------------------------
 # HTTP transport
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from trialmatch.corpus import (
     Dataset,
     EligibilityLabel,
     PatientRecord,
+    SplitSpec,
     SyntheticConfig,
     build_chunks,
     generate_synthetic,
@@ -485,6 +486,43 @@ class TestFeaturePass:
             DataError, match="^split leaves an empty train or test side after skips$"
         ):
             run_task(config)
+
+    def test_a_train_side_of_one_class_fails_before_any_fit_naming_its_cell(
+        self, tmp_path, monkeypatch
+    ):
+        # Every patient of SYN001 and SYN002 is eligible, so SYN003's cell at
+        # exclusion 1.0, the fifth of six, trains on one class.
+        synthetic = generate_synthetic(SyntheticConfig(**{**TINY_CORPUS, "n_trials": 3}), 5)
+        patients = [
+            p if p.trial_id == "SYN003" else replace(p, label=replace(p.label, value=1))
+            for p in synthetic.patients
+        ]
+        patients_path, trials_path = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        write_dataset(Dataset(patients, synthetic.trials), patients_path, trials_path)
+        config = ExperimentConfig.from_dict(
+            {
+                "task": "task6",
+                "dataset": {"patients_path": str(patients_path), "trials_path": str(trials_path)},
+                "exclusions": [1.0, 0.5],
+                "variants": [{"train": {"max_epochs": 5}}],
+            }
+        )
+        monkeypatch.setattr(harness, "train_mlp", lambda *a, **k: pytest.fail("a model was fit"))
+        with pytest.raises(
+            DataError,
+            match=r"^trial 'SYN003' at exclusion 1\.0 leaves a train side of one class "
+            r"\(label 1\)$",
+        ):
+            run_task(config)
+
+    def test_a_random_split_of_one_train_class_is_named(self):
+        # The train side, patients a and b, holds only label 0.
+        y = np.array([0.0, 0.0, 1.0])
+        features = FeatureSet(["a", "b", "c"], [np.zeros((3, 2))], y, [], [0], 0.0)
+        with pytest.raises(
+            DataError, match=r"^the random split leaves a train side of one class \(label 0\)$"
+        ):
+            harness._cell_rows([PipelineSpec()], features, {"a", "b"}, {"c"}, SplitSpec())
 
     SKIP_SPECS = [PipelineSpec(name="k4"), PipelineSpec(k_retrieve=2, name="k2")]
 
@@ -1001,6 +1039,27 @@ class TestConfigChecks:
             {"dataset": {"patients_path": "p.jsonl", "trials_path": "t.jsonl", "seed": 2}},
             {},
             "'seed' is read by no file dataset source",
+        ),
+        # A negative seed loaded and then failed in numpy with a traceback:
+        # the split's and the dataset's after the output directory was made,
+        # the variant's after the whole feature pass.
+        "task1-split-seed-negative": (
+            "task1",
+            {"split": {"seed": -1}},
+            {},
+            "split seed must be non-negative, got -1",
+        ),
+        "task6-dataset-seed-negative": (
+            "task6",
+            {"dataset": {"name": "tiny", "synthetic": TINY_CORPUS, "seed": -1}},
+            {},
+            "dataset seed must be non-negative, got -1",
+        ),
+        "task5-variant-seed-negative": (
+            "task5",
+            {},
+            {"seed": -1},
+            "variant seed must be non-negative, got -1",
         ),
         # Each wrote results rows that the variant column cannot tell apart:
         # equal in every key column, config_hash included, for the first two.
