@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_labels, as_matrix
 
 DEFAULT_MLP_HIDDEN = (256, 64)
 EARLY_STOP_MIN_DELTA = 1e-5
@@ -60,33 +60,14 @@ class TrainConfig:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _as_features(features, what: str = "features") -> np.ndarray:
-    """A finite 2-D float64 array."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError(f"{what} must be a 2-D array, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise DataError(f"{what} contain non-finite values")
-    return X
-
-
 def _as_float32(features, what: str = "features") -> np.ndarray:
-    """``_as_features`` cast to float32, the MLP's dtype; a value beyond
+    """``as_matrix`` cast to float32, the MLP's dtype; a value beyond
     float32's range fails instead of turning into inf."""
     with np.errstate(over="ignore"):
-        X = _as_features(features, what).astype(np.float32)
+        X = as_matrix(features, what).astype(np.float32)
     if not np.all(np.isfinite(X)):
         raise DataError(f"{what} exceed the float32 range the MLP trains in")
     return X
-
-
-def _as_labels(labels, n: int, dtype=np.float64) -> np.ndarray:
-    y = np.asarray(labels, dtype=dtype).reshape(-1)
-    if y.shape[0] != n:
-        raise DataError(f"{n} feature rows but {y.shape[0]} labels")
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise DataError("labels must be 0 or 1")
-    return y
 
 
 def _require_both_classes(y: np.ndarray) -> None:
@@ -302,12 +283,14 @@ def _train_core(
     n, d = X.shape
     if n < 2:
         raise DataError("training needs at least 2 samples")
-    y = _as_labels(labels, n, X.dtype)
+    y = as_labels(labels, n, X.dtype)
     _require_both_classes(y)
 
     if validation is not None:
         val_x = _as_float32(validation[0], "validation features")
-        val_y = _as_labels(validation[1], val_x.shape[0], X.dtype)
+        if val_x.shape[1] != d:
+            raise DataError(f"validation features have {val_x.shape[1]} columns, features {d}")
+        val_y = as_labels(validation[1], val_x.shape[0], X.dtype)
     else:
         val_x, val_y = X, y
 
@@ -568,8 +551,8 @@ def _fit_forest(
     split by that seed's generator."""
     if max_depth < 1 or min_leaf < 1:
         raise ConfigError("max_depth and min_leaf must be positive")
-    X = _as_features(features)
-    y = _as_labels(labels, X.shape[0])
+    X = as_matrix(features, "features")
+    y = as_labels(labels, X.shape[0])
     _require_both_classes(y)
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
@@ -653,8 +636,8 @@ def train_svm(
     """
     if lam < 0 or lr <= 0 or epochs < 1:
         raise ConfigError("lam must be >= 0, lr > 0, epochs >= 1")
-    X = _as_features(features)
-    y = _as_labels(labels, X.shape[0])
+    X = as_matrix(features, "features")
+    y = as_labels(labels, X.shape[0])
     _require_both_classes(y)
     signed = 2.0 * y - 1.0
     n, d = X.shape
@@ -680,7 +663,7 @@ TrainedClassifier = MLPModel | Forest | LinearSVM
 
 def predict_proba(model: TrainedClassifier, features) -> np.ndarray:
     """Probabilities in [0, 1], one per feature row, for any trained model."""
-    X = _as_features(features)
+    X = as_matrix(features, "features")
     expected = model.n_features
     if X.shape[1] != expected:
         raise DataError(

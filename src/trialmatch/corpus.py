@@ -99,6 +99,8 @@ class Criterion:
     text: str
 
     def __post_init__(self) -> None:
+        if not self.criterion_id:
+            raise DataError("criterion_id must be non-empty")
         if self.kind not in ("inclusion", "exclusion"):
             raise DataError(f"criterion kind must be inclusion/exclusion, got {self.kind!r}")
         if not self.text or self.text.isspace():  # no whitespace-separated token
@@ -115,6 +117,9 @@ class Trial:
             raise DataError("trial_id must be non-empty")
         if not self.criteria:
             raise DataError(f"trial {self.trial_id!r} has no criteria")
+        for n, c in enumerate(self.criteria):
+            if c.criterion_id in (earlier.criterion_id for earlier in self.criteria[:n]):
+                raise DataError(f"trial {self.trial_id!r} has duplicate criterion_id {c.criterion_id!r}")
 
 
 @dataclass(frozen=True)

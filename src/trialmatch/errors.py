@@ -11,7 +11,11 @@ Uncaught, it exits 2 like any data error.
 ``reject_unread`` owns the rule that every config object shares (a key no
 run reads is a ConfigError) and is the one place that compares a value with
 its class default; ``check_seed`` owns the rule of every configured seed.
+``as_matrix`` owns the rule of every numeric matrix (finite, 2-D and
+non-empty) and ``as_labels`` that of labels (0 or 1, one per row).
 """
+
+import numpy as np
 
 
 class TrialMatchError(Exception):
@@ -37,6 +41,26 @@ def check_seed(seed: int, what: str) -> None:
 
 class DataError(TrialMatchError):
     """Input data violates a documented invariant."""
+
+
+def as_matrix(x, what: str) -> np.ndarray:
+    """``x`` in float64 if it is a finite, non-empty 2-D array."""
+    m = np.asarray(x, dtype=np.float64)
+    if m.ndim != 2 or 0 in m.shape:
+        raise DataError(f"{what} must be a non-empty 2-D array, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DataError(f"{what} must be finite")
+    return m
+
+
+def as_labels(labels, n: int, dtype=np.float64) -> np.ndarray:
+    """``labels`` flattened to ``dtype`` if they are ``n`` values of 0 or 1."""
+    y = np.asarray(labels, dtype=dtype).reshape(-1)
+    if y.shape[0] != n:
+        raise DataError(f"{n} rows but {y.shape[0]} labels")
+    if not np.all(np.isin(y, (0.0, 1.0))):
+        raise DataError("labels must be 0 or 1")
+    return y
 
 
 class ProviderError(TrialMatchError):

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, as_labels
 
 
 def csv_cell(value) -> str:
@@ -50,14 +50,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricReport))
 
 
 def _check_pair(labels, scores) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if y.shape != s.shape:
-        raise DataError(f"{y.shape[0]} labels but {s.shape[0]} scores")
+    y = as_labels(labels, s.shape[0])
     if y.shape[0] == 0:
         raise DataError("metrics need at least one sample")
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise DataError("labels must be 0 or 1")
     if not np.all(np.isfinite(s)):
         raise DataError("scores must be finite")
     return y, s

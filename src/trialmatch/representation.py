@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateVarianceError, reject_unread
+from .errors import ConfigError, DataError, DegenerateVarianceError, as_matrix, reject_unread
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,6 @@ class DimRedConfig:
             raise ConfigError("hidden-axis compression requires n_components")
         if self.n_components is not None and self.n_components < 1:
             raise ConfigError("n_components must be positive")
-
-
-def _as_matrix(m: np.ndarray, what: str = "token matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DataError(f"{what} must be a non-empty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DataError(f"{what} contains non-finite values")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +139,7 @@ def pca_fit(data: np.ndarray, n_components: int) -> PCAModel:
     solver instead of a full decomposition (see ``_top_eigenpairs``); it
     agrees with ``eigh`` to rounding level.
     """
-    data = _as_matrix(data, "pca input")
+    data = as_matrix(data, "pca input")
     _check_fit_shape(*data.shape, n_components)
     mean = data.mean(axis=0)
     return _fit_centered(data - mean, mean, n_components)
@@ -183,7 +174,7 @@ def _fit_centered(centered: np.ndarray, mean: np.ndarray, n_components: int) -> 
 
 def pca_project(model: PCAModel, data: np.ndarray) -> np.ndarray:
     """Project rows into the fitted component space: (data - mean) @ W."""
-    data = _as_matrix(data, "projection input")
+    data = as_matrix(data, "projection input")
     if data.shape[1] != model.mean.shape[0]:
         raise DataError(
             f"data has {data.shape[1]} features, model expects {model.mean.shape[0]}"
@@ -195,7 +186,7 @@ def _compress(data: np.ndarray, n_components: int) -> np.ndarray:
     """Scores of ``data`` on its own top principal components.
 
     One centered copy serves the degenerate-variance check, the fit and the
-    projection; ``data`` must already be a finite 2-D float matrix.
+    projection; ``data`` must already have passed ``as_matrix``.
     """
     mean = data.mean(axis=0)
     centered = data - mean
@@ -215,12 +206,12 @@ def _compress(data: np.ndarray, n_components: int) -> np.ndarray:
 
 def mean_pool(m: np.ndarray) -> np.ndarray:
     """Average over the token axis; output length d_hidden."""
-    return _as_matrix(m).mean(axis=0)
+    return as_matrix(m, "token matrix").mean(axis=0)
 
 
 def select_last_token(m: np.ndarray) -> np.ndarray:
     """The final token row as a compact whole-chunk summary."""
-    return _as_matrix(m)[-1].copy()
+    return as_matrix(m, "token matrix")[-1].copy()
 
 
 def pool_pca_mean(m: np.ndarray, n_components: int) -> np.ndarray:
@@ -229,7 +220,7 @@ def pool_pca_mean(m: np.ndarray, n_components: int) -> np.ndarray:
     The projection centers the rows, so the row mean of the projected scores
     is zero by construction: every output entry is zero up to rounding.
     """
-    m = _as_matrix(m)
+    m = as_matrix(m, "token matrix")
     if m.shape[0] < 2:
         raise DataError(
             f"pca pooling needs at least 2 token rows, got {m.shape[0]}"
@@ -261,7 +252,7 @@ def dimred(m: np.ndarray, cfg: DimRedConfig) -> np.ndarray:
     global _dimred_memo
     if cfg.axis != "sequence":
         raise ConfigError("hidden-axis compression is fitted on the train split, not per matrix")
-    m = _as_matrix(m)
+    m = as_matrix(m, "token matrix")
     if m.shape[1] < 2:
         raise DataError("sequence-axis compression needs d_hidden >= 2")
     memo = _dimred_memo

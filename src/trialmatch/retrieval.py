@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Chunk, Criterion
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_matrix
 
 DEFAULT_K_RETRIEVE = 4
 PROMPT_SEPARATOR = "\n---\n"
@@ -76,7 +76,7 @@ def select_top_k(cosines: np.ndarray, k: int = DEFAULT_K_RETRIEVE) -> np.ndarray
         raise ConfigError("k must be at least 1")
     if len(cosines) == 0:
         raise DataError("no chunks to select from; patient had no retrievable text")
-    return np.argsort(-cosines.sum(axis=1), kind="stable")[:k]
+    return np.argsort(-as_matrix(cosines, "cosines").sum(axis=1), kind="stable")[:k]
 
 
 def assemble_prompt(

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -428,6 +429,12 @@ class TestTrainingDtype:
         (X if where == "features" else Xv)[3, 1] = -1e39
         with pytest.raises(DataError, match=f"^{where} exceed the float32 range"):
             train(X, y, config, (Xv, yv), (4,))
+
+    @pytest.mark.parametrize("train", [train_mlp, train_with_adapter])
+    def test_a_validation_set_of_another_width_is_a_data_error(self, train):
+        X, y, (Xv, yv), config = pinned_problem()
+        with pytest.raises(DataError, match="^validation features have 4 columns, features 5$"):
+            train(X, y, config, (Xv[:, :4], yv), (4,))
 
     def test_float32_saturated_logits_raise_no_warning(self):
         # pytest turns warnings into errors, so an overflow would fail here.
@@ -886,3 +893,39 @@ class TestPredictProba:
         model, _ = train_mlp(X, y, TrainConfig(max_epochs=3), hidden_sizes=(3,), seed=1)
         with pytest.raises(DataError, match="features have 5 columns, model expects"):
             predict_proba(model, np.zeros((2, 5)))
+
+    def test_no_rows_is_a_data_error(self):
+        tree = train_tree(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+        with pytest.raises(DataError, match=r"^features must be a non-empty 2-D array"):
+            predict_proba(tree, np.zeros((0, 1)))
+
+
+FITS = {
+    "tree": lambda X, y, validation: train_tree(X, y),
+    "forest": lambda X, y, validation: train_forest(X, y, n_trees=2),
+    "svm": lambda X, y, validation: train_svm(X, y),
+    "mlp": lambda X, y, validation: train_mlp(X, y, TrainConfig(max_epochs=2), validation),
+    "adapter": lambda X, y, validation: train_with_adapter(
+        X, y, TrainConfig(max_epochs=2), validation
+    ),
+}
+FOUR_LABELS = np.array([0.0, 1.0, 0.0, 1.0])
+EMPTY_INPUTS = {
+    "no-rows": (np.zeros((0, 2)), np.zeros(0), None),
+    "no-columns": (np.zeros((4, 0)), FOUR_LABELS, None),
+    "no-validation-rows": (np.eye(4, 2), FOUR_LABELS, (np.zeros((0, 2)), np.zeros(0))),
+}
+
+
+@pytest.mark.parametrize(
+    "fit, case",
+    [(fit, case) for fit in FITS for case in ("no-rows", "no-columns")]
+    + [("mlp", "no-validation-rows"), ("adapter", "no-validation-rows")],
+    ids=lambda value: value,
+)
+def test_an_empty_matrix_is_a_data_error(fit, case):
+    X, y, validation = EMPTY_INPUTS[case]
+    what, empty = ("validation features", validation[0]) if validation else ("features", X)
+    message = f"^{what} must be a non-empty 2-D array, got shape {re.escape(str(empty.shape))}$"
+    with pytest.raises(DataError, match=message):
+        FITS[fit](X, y, validation)

@@ -506,6 +506,24 @@ class TestMalformedInput:
         assert code == cli.EXIT_DATA
         assert err == f"data error: {trials}:1: criterion 'NCT001-E1' has empty text\n"
 
+    def test_criterion_of_empty_id_exits_2(self, capsys, dataset_files):
+        patients, trials = dataset_files
+        rewrite_first_record(trials, lambda obj: obj["criteria"][1].update(criterion_id=""))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {trials}:1: criterion_id must be non-empty\n"
+
+    def test_criterion_of_repeated_id_exits_2(self, capsys, dataset_files):
+        # A repeated id would repeat the (patient, chunk, criterion) keys of
+        # an audit.
+        patients, trials = dataset_files
+        rewrite_first_record(trials, lambda obj: obj["criteria"][1].update(criterion_id="NCT001-I1"))
+        code, err = run_cli(retrieve_argv(patients, trials), capsys)
+        assert code == cli.EXIT_DATA
+        assert err == (
+            f"data error: {trials}:1: trial 'NCT001' has duplicate criterion_id 'NCT001-I1'\n"
+        )
+
     def test_trial_of_empty_id_exits_2(self, capsys, dataset_files):
         # No patient names the second trial, so only its id is wrong.
         patients, trials = dataset_files

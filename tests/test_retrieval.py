@@ -131,6 +131,18 @@ class TestSelectTopK:
         with pytest.raises(DataError, match="no chunks to select from"):
             select_top_k(np.empty((0, 3)), 4)
 
+    @pytest.mark.parametrize(
+        "cosines, message",
+        [
+            (np.array([0.9, 0.1]), r"^cosines must be a non-empty 2-D array, got shape \(2,\)$"),
+            (np.full((2, 2), np.nan), "^cosines must be finite$"),
+        ],
+        ids=["one-dimensional", "nan"],
+    )
+    def test_cosines_that_are_no_finite_matrix_are_rejected(self, cosines, message):
+        with pytest.raises(DataError, match=message):
+            select_top_k(cosines, 1)
+
     def test_output_in_selection_order(self):
         # Ranked by the row sum, not by any one criterion.
         cosines = np.array([[0.1, 0.0], [0.4, 0.5], [0.6, -0.1]])

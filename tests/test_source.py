@@ -190,9 +190,9 @@ def test_a_float32_outside_classifiers_is_caught():
     assert float32_outsiders(sources) == ["harness.py", "representation.py"]
 
 
-def default_comparisons(sources: dict[str, str]) -> list[str]:
-    """Each ``!= getattr(`` of ``sources`` (file name -> text) as
-    ``file:function``, naming the innermost function around it, or
+def sites(sources: dict[str, str], needle: str) -> list[str]:
+    """Each line of ``sources`` (file name -> text) that holds ``needle``,
+    as ``file:function``, naming the innermost function around it, or
     ``file:<module>``, in order."""
     found = []
     for name, text in sources.items():
@@ -202,11 +202,16 @@ def default_comparisons(sources: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if "!= getattr(" in line:
+            if needle in line:
                 around = [f for f in functions if f.lineno <= lineno <= f.end_lineno]
                 inner = max(around, key=lambda f: f.lineno).name if around else "<module>"
                 found.append(f"{name}:{inner}")
     return found
+
+
+def default_comparisons(sources: dict[str, str]) -> list[str]:
+    """Each ``!= getattr(`` of ``sources``, as ``sites`` names it."""
+    return sites(sources, "!= getattr(")
 
 
 def test_only_reject_unread_compares_with_a_class_default():
@@ -237,6 +242,34 @@ def test_a_default_comparison_outside_reject_unread_is_caught():
         "errors.py:reject_unread",
         "corpus.py:unread",
         "corpus.py:<module>",
+    ]
+
+
+def test_only_as_labels_checks_labels():
+    # "Labels are 0 or 1" has one owner, as_labels, so no module keeps a
+    # copy of the rule that can drift from it.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert sites(sources, "isin(") == ["errors.py:as_labels"]
+
+
+def test_a_label_check_outside_as_labels_is_caught():
+    sources = {
+        "errors.py": (
+            "def as_labels(labels, n):\n"
+            "    if not np.all(np.isin(labels, (0.0, 1.0))):\n"
+            "        raise DataError('labels must be 0 or 1')\n"
+        ),
+        "metrics.py": (
+            "def _check_pair(labels, scores):\n"
+            "    return np.isin(labels, (0, 1)).all()\n"
+            "KNOWN = numpy.isin(CODES, (0, 1))\n"
+        ),
+        "harness.py": "def rows(ids):\n    return isinstance(ids, list) and np.isinf(ids).any()\n",
+    }
+    assert sites(sources, "isin(") == [
+        "errors.py:as_labels",
+        "metrics.py:_check_pair",
+        "metrics.py:<module>",
     ]
 
 
